@@ -4,8 +4,9 @@ orbit block designs and Johnson-optimal binary constant-weight codes.
 """
 
 from .counting import (ClassParams, CountRecord, build_table, class_shapes,
-                       count_N, enumerate_params, moebius_exponent,
-                       mult_order, prime_set, q_binomial, s_qk)
+                       class_terms, count_N, enumerate_params,
+                       moebius_exponent, mult_order, prime_set, q_binomial,
+                       s_qk)
 from .ffield import (Field, QuotientSpace, Subfield, Subspace, find_generator,
                      lines_of_quotient, make_field, span, subfield_stabilizer)
 from .agl import (AffineMap, OrbitPartition, Subgroup, canonicalize,

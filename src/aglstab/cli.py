@@ -80,10 +80,6 @@ def _resolve_field(args) -> tuple[int, int]:
 # table
 
 
-def _row_count(task: tuple[int, int, int, int, int, int]) -> int:
-    return counting.count_N(ClassParams(*task))
-
-
 def _emit_rows(records, fmt: str, out) -> None:
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -105,16 +101,7 @@ def cmd_table(args, out) -> int:
     k_max = args.max_k if args.max_k is not None else q // 2
     if not 0 <= k_max <= q:
         raise CliError(f"--max-k must lie in [0, {q}], got {k_max}")
-    params = counting.enumerate_params(p, alpha, k_max)
-    if args.workers > 1:
-        tasks = [(cp.p, cp.alpha, cp.k, cp.d, cp.i, cp.j) for cp in params]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            values = list(pool.map(_row_count, tasks, chunksize=64))
-    else:
-        values = [counting.count_N(cp) for cp in params]
-    records = [counting.CountRecord(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, n)
-               for cp, n in zip(params, values)]
-    _emit_rows(records, args.format, out)
+    _emit_rows(counting.build_table(p, alpha, k_max), args.format, out)
     return EXIT_OK
 
 
@@ -145,11 +132,14 @@ def _verify_class(task) -> list[tuple[int, int, int, int]]:
     p, alpha, d, i, j, k_max, budget = task
     field = _field(p, alpha)
     S = agl.class_representative(field, d, i, j)
-    terms = oracle.lattice_terms(S)
+    closed_terms = counting.class_terms(p, alpha, d, i, j)
+    lattice_terms = oracle.lattice_terms(S)
     out = []
     for k in range(k_max + 1):
-        closed = counting.count_N(ClassParams(p, alpha, k, d, i, j))
-        lattice = sum(c * counting.s_qk(field.q, k, dd, h) for c, dd, h in terms)
+        closed = sum(c * counting.s_qk(field.q, k, u, v)
+                     for c, u, v in closed_terms)
+        lattice = sum(c * counting.s_qk(field.q, k, dd, h)
+                      for c, dd, h in lattice_terms)
         brute = oracle.count_N_bruteforce(S, k, budget=budget)
         out.append((k, closed, lattice, brute))
     return out
@@ -303,8 +293,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--q", type=int,
                         help="prime power q = p**alpha, auto-factored")
         sp.add_argument("--format", choices=FORMATS, default="text")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes (default 1)")
 
     sp = sub.add_parser("table", help="emit the full count table")
     add_field_args(sp)
@@ -328,6 +316,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--oracle-budget", type=int,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
                     help="max subsets scanned per brute-force count")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="parallel worker processes, one class per task "
+                         "(default 1)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("design",

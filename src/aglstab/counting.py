@@ -9,10 +9,21 @@ F_p-subspace H, and its conjugacy data reduce to an arithmetic tuple:
     i, j  encoding beta = o_d(p)*i*j and |H'| = p**(o_d(p)*i), where H'
           is the largest subfield of F_q mapping H into itself.
 
-``count_N`` evaluates, purely in integer arithmetic, the number of
-k-element subsets of F_q whose setwise stabilizer is exactly a subgroup
-of the class (d, i, j).  ``enumerate_params`` walks the admissible
-tuples for one field and ``build_table`` attaches the counts.  No
+The number N of k-element subsets of F_q whose setwise stabilizer is
+exactly a subgroup of the class (d, i, j) is computed in two steps:
+
+1. *Terms.*  ``class_terms`` reduces the closed form for one class to a
+   sorted tuple of signed terms (coeff, u, v), the shape that
+   ``oracle.lattice_terms`` also returns.  It depends on the class only,
+   not on k.
+2. *Evaluation.*  N = sum(coeff * s_qk(q, k, u, v)), where ``s_qk``
+   counts the k-subsets fixed by a subgroup with multiplicative part of
+   order u and translation part of size v.
+
+``count_N`` evaluates one (class, k); ``build_table`` builds the terms
+once per class and evaluates them for every k that satisfies the
+zero-pattern congruence.  ``enumerate_params`` walks the same tuples as
+validated ``ClassParams``.  Everything is exact integer arithmetic; no
 floating point is used anywhere in this module.
 """
 
@@ -23,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from sympy import divisors, isprime, n_order, primefactors
+from sympy import divisors, isprime, primefactors
 
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
@@ -37,14 +48,22 @@ def prime_set(u: int) -> tuple[int, ...]:
 
 
 def mult_order(v: int, u: int) -> int:
-    """Least m >= 1 with v**m == 1 (mod u).  The order modulo 1 is 1."""
+    """Least m >= 1 with v**m == 1 (mod u).  The order modulo 1 is 1.
+
+    A plain loop whose cost is the order itself.  The library only asks
+    for o_u(p) with u | p**alpha - 1, where the order divides alpha.
+    """
     if u <= 0:
         raise ValueError(f"modulus must be positive, got {u}")
     if u == 1:
         return 1
     if math.gcd(u, v) != 1:
         raise ValueError(f"{v} is not a unit modulo {u}")
-    return int(n_order(v, u))
+    m, x = 1, v % u
+    while x != 1:
+        x = x * v % u
+        m += 1
+    return m
 
 
 def q_binomial(n: int, m: int, base: int) -> int:
@@ -59,7 +78,9 @@ def q_binomial(n: int, m: int, base: int) -> int:
         num *= base ** (n - t) - 1
         den *= base ** (t + 1) - 1
     quot, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(
+            f"q-binomial [{n} choose {m}]_{base} is not integral")
     return quot
 
 
@@ -120,7 +141,7 @@ class ClassParams:
             raise ValueError(f"k must lie in [0, {q}], got {self.k}")
         if self.d < 1 or (q - 1) % self.d:
             raise ValueError(f"d must divide q - 1 = {q - 1}, got {self.d}")
-        odp = mult_order(self.p, self.d)
+        odp = self.odp
         top = self.alpha // odp
         if self.i < 1 or self.alpha % (odp * self.i):
             raise ValueError(
@@ -195,46 +216,65 @@ def _subsets(items: tuple[int, ...]):
         yield from itertools.combinations(items, r)
 
 
-def count_N(params: ClassParams) -> int:
-    """Exact number of k-subsets of F_q whose affine stabilizer is exactly
-    a subgroup of the class described by ``params``.
+def class_terms(p: int, alpha: int, d: int, i: int,
+                j: int) -> tuple[tuple[int, int, int], ...]:
+    """Signed terms (coeff, u, v) of the closed form for the class
+    (d, i, j) of F_{p**alpha}, merged over equal (u, v), zero terms
+    dropped, sorted by (u, v).  N(k) = sum(coeff * s_qk(q, k, u, v)).
 
-    The value is an inclusion-exclusion over chains of supergroups,
-    collapsed to a double sum: subsets P of the primes dividing
-    (|H'| - 1)/d select multiplicative enlargements, and an inner sum
-    over subspace dimensions l (Moebius-weighted, counted by q-binomials)
-    selects translation enlargements.  For d = 1 an additional corrective
-    sum with leading factor (1 - p**(alpha - beta)) accounts for the
-    coset spread of the multiplicative enlargements.
+    The closed form is an inclusion-exclusion over chains of supergroups:
+    subsets P of the primes dividing (|H'| - 1)/d select multiplicative
+    enlargements of order u = d*prod(P), and subspace dimensions l
+    (Moebius-weighted, counted by q-binomials over F_{p**m}, m = o_u(p))
+    select translation enlargements of size v = p**(beta + l*m).  For
+    d = 1 the P-sum is scaled by p**(alpha - beta), and a corrective sum
+    with leading factor (1 - p**(alpha - beta)) over u = 1 accounts for
+    the coset spread of the multiplicative enlargements.
+
+    (d, i, j) must be an admissible shape, as ``class_shapes`` yields and
+    ``ClassParams`` validates; the divisibilities the sums rely on raise
+    ValueError when it is not.
     """
-    p, alpha, k, d = params.p, params.alpha, params.k, params.d
-    q, beta = params.q, params.beta
-    total = 0
+    odp = mult_order(p, d)
+    beta = odp * i * j
+    free = alpha - beta
+    hprime = p ** (odp * i)
+    quot, rem = divmod(hprime - 1, d)
+    if rem:
+        raise ValueError(f"d = {d} does not divide |H'| - 1 = {hprime - 1}")
+    agg: dict[tuple[int, int], int] = {}
+    scale = 1
     if d == 1:
-        inner = sum(
-            moebius_exponent(l, p)
-            * q_binomial(alpha - beta, l, p)
-            * s_qk(q, k, 1, p ** (beta + l))
-            for l in range(alpha - beta + 1)
-        )
-        total += (1 - p ** (alpha - beta)) * inner
-
-    assert (params.hprime_size - 1) % d == 0
-    rest = 0
-    for P in _subsets(prime_set((params.hprime_size - 1) // d)):
+        lead = 1 - p ** free
+        for l in range(free + 1):
+            v = p ** (beta + l)
+            agg[(1, v)] = agg.get((1, v), 0) + (
+                lead * moebius_exponent(l, p) * q_binomial(free, l, p))
+        scale = p ** free
+    for P in _subsets(prime_set(quot)):
         u = d * math.prod(P)
         m = mult_order(p, u)
-        hi, rem = divmod(alpha - beta, m)
-        assert rem == 0
-        sign = (-1) ** len(P)
-        rest += sign * sum(
-            moebius_exponent(l, p ** m)
-            * q_binomial(hi, l, p ** m)
-            * s_qk(q, k, u, p ** (beta + l * m))
-            for l in range(hi + 1)
-        )
-    total += rest * (p ** (alpha - beta) if d == 1 else 1)
-    return total
+        hi, rem = divmod(free, m)
+        if rem:
+            raise ValueError(
+                f"o_u(p) = {m} does not divide alpha - beta = {free} (u = {u})")
+        sign = scale * (-1) ** len(P)
+        base = p ** m
+        for l in range(hi + 1):
+            v = p ** (beta + l * m)
+            agg[(u, v)] = agg.get((u, v), 0) + (
+                sign * moebius_exponent(l, base) * q_binomial(hi, l, base))
+    return tuple((c, u, v) for (u, v), c in sorted(agg.items()) if c)
+
+
+def count_N(params: ClassParams) -> int:
+    """Exact number of k-subsets of F_q whose affine stabilizer is exactly
+    a subgroup of the class described by ``params``: the class's terms
+    evaluated at k."""
+    q, k = params.q, params.k
+    return sum(c * s_qk(q, k, u, v) for c, u, v in
+               class_terms(params.p, params.alpha, params.d, params.i,
+                           params.j))
 
 
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
@@ -273,8 +313,27 @@ def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[Class
 
 
 def build_table(p: int, alpha: int, k_max: int | None = None) -> list[CountRecord]:
-    """One CountRecord per enumerate_params tuple."""
+    """One CountRecord per enumerate_params tuple, in the same order.
+
+    The terms are built once per class shape; each k then costs one
+    congruence test and one term evaluation per class.
+    """
+    q = p ** alpha
+    if k_max is None:
+        k_max = q // 2
+    if not 0 <= k_max <= q:
+        raise ValueError(f"k must lie in [0, {q}], got {k_max}")
+    shapes = []
+    for d, i, j in class_shapes(p, alpha):
+        odp = mult_order(p, d)
+        beta = odp * i * j
+        pb = p ** beta
+        shapes.append((d, odp, i, j, beta, pb, d * pb,
+                       class_terms(p, alpha, d, i, j)))
     return [
-        CountRecord(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, count_N(cp))
-        for cp in enumerate_params(p, alpha, k_max)
+        CountRecord(k, d, odp, i, j, beta,
+                    sum(c * s_qk(q, k, u, v) for c, u, v in terms))
+        for k in range(k_max + 1)
+        for d, odp, i, j, beta, pb, period, terms in shapes
+        if k % period in (0, pb)
     ]

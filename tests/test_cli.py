@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -47,13 +48,38 @@ def test_table_rejects_non_prime_power(capsys):
     assert code == EXIT_INPUT
 
 
-def test_table_workers_match_serial(capsys):
-    code, serial, _ = run(capsys, "table", "--q", "9", "--format", "csv")
-    assert code == EXIT_OK
-    code, parallel, _ = run(capsys, "table", "--q", "9", "--format", "csv",
+def test_workers_only_on_verify(capsys):
+    for argv in (["table", "--q", "9"],
+                 ["count", "--p", "7", "--k", "3", "--d", "3", "--i", "1",
+                  "--j", "0"],
+                 ["design", "--q", "7", "--k", "3", "--d", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "2"])
+        assert exc.value.code == EXIT_INPUT, argv
+        assert "--workers" in capsys.readouterr().err
+    code, serial, _ = run(capsys, "verify", "--q", "5", "--format", "csv")
+    code, parallel, _ = run(capsys, "verify", "--q", "5", "--format", "csv",
                             "--workers", "2")
     assert code == EXIT_OK
     assert serial == parallel
+
+
+# SHA-256 of `aglstab table --q Q --format csv` stdout, recorded from the
+# per-(k, class) double-sum implementation that the term tuples replaced
+TABLE_CSV_SHA256 = {
+    64: "118d1c66930ebc573560cd046ca239b90dbbdad06e435654c4c8db9b460e4f12",
+    81: "e77b78c13ace61d06602c0ae7e610b9c9792a3bd8de98a38e97702bfde7c7077",
+    97: "5612dbca88cdf1bd96f5f62f31228a6087e8dcfd37d3ed5009e92924f70af992",
+    125: "deb9969ff3e15604a59a1ee5e51e4940bdb5711f9ddea0c5654ab7bd1003ce9d",
+    243: "f4e2ab8843a5f546be0922a10940d7850a59265dc2c7c27ac7d796992a35b04d",
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_CSV_SHA256))
+def test_table_csv_golden_digest(capsys, q):
+    code, out, _ = run(capsys, "table", "--q", str(q), "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[q]
 
 
 def test_count_examples(capsys):

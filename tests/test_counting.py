@@ -9,11 +9,13 @@ import itertools
 import math
 
 import pytest
+import sympy
 
+from aglstab import counting
 from aglstab.counting import (ClassParams, CountRecord, build_table,
-                              class_shapes, count_N, enumerate_params,
-                              moebius_exponent, mult_order, prime_set,
-                              q_binomial, s_qk)
+                              class_shapes, class_terms, count_N,
+                              enumerate_params, moebius_exponent, mult_order,
+                              prime_set, q_binomial, s_qk)
 from aglstab.ffield import make_field, span
 
 
@@ -33,6 +35,14 @@ def test_mult_order():
     assert mult_order(5, 2) == 1
     with pytest.raises(ValueError):
         mult_order(2, 4)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (2, 64)])
+def test_mult_order_matches_sympy(p, alpha):
+    # sympy's n_order is an independent oracle for the plain loop
+    assert mult_order(p, 1) == 1        # sympy rejects the modulus 1
+    for u in sympy.divisors(p ** alpha - 1)[1:]:
+        assert mult_order(p, u) == sympy.n_order(p, u), u
 
 
 def test_q_binomial_examples():
@@ -125,6 +135,19 @@ def test_class_params_congruence():
     assert "mod" in msg
 
 
+def test_class_params_computes_odp_once(monkeypatch):
+    calls = []
+
+    def counted(v, u):
+        calls.append((v, u))
+        return mult_order(v, u)
+
+    monkeypatch.setattr(counting, "mult_order", counted)
+    cp = ClassParams(2, 6, 12, 3, 1, 1)
+    assert (cp.odp, cp.beta, cp.hprime_size) == (2, 2, 4)
+    assert calls == [(2, 3)]
+
+
 def test_class_params_derived_quantities():
     cp = ClassParams(2, 6, 12, 3, 1, 1)
     assert cp.q == 64
@@ -142,6 +165,25 @@ def test_count_N_spot_values():
     assert count_N(ClassParams(7, 1, 3, 1, 1, 0)) == 0          # the (7,3,1) zero
     assert count_N(ClassParams(2, 1, 1, 1, 1, 0)) == 2          # q = 2, k = 1
     assert count_N(ClassParams(7, 1, 3, 2, 1, 0)) == 3
+
+
+def test_class_terms_examples():
+    # q = 7, d = 3, H = 0: the two immediate supergroups (d = 6, H = 0)
+    # and (d = 3, H = F_7) are subtracted, their join (6, F_7) added back
+    assert class_terms(7, 1, 3, 1, 0) == (
+        (1, 3, 1), (-1, 3, 7), (-1, 6, 1), (1, 6, 7))
+    # the full group of F_2 has the single term s_qk(2, k, 1, 2)
+    assert class_terms(2, 1, 1, 1, 1) == ((1, 1, 2),)
+    # q = 64, d = 3, H = F_4: the five 2-dimensional and the one
+    # 3-dimensional F_4-subspaces above H, Moebius weights -1 and 4
+    assert class_terms(2, 6, 3, 1, 1) == ((1, 3, 4), (-5, 3, 16), (4, 3, 64))
+
+
+def test_class_terms_rejects_inadmissible_shape():
+    # i = 3 does not divide alpha / o_1(2) = 4: the order of 2 mod 7 is 3,
+    # which does not divide alpha - beta = 1
+    with pytest.raises(ValueError, match="does not divide"):
+        class_terms(2, 4, 1, 3, 1)
 
 
 def test_count_N_k0_detects_full_group():
@@ -207,6 +249,19 @@ def test_build_table_q5_k2_row():
     row = next(rec for rec in table if rec.k == 2 and rec.d == 2)
     assert row.beta == 0 and row.count == 2
     assert all(rec.count >= 0 for rec in table)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 4), (3, 2), (7, 1), (2, 6), (5, 2)])
+def test_build_table_matches_per_tuple_counts(p, alpha):
+    rows = [rec.as_tuple() for rec in build_table(p, alpha)]
+    assert rows == [(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, count_N(cp))
+                    for cp in enumerate_params(p, alpha)]
+
+
+def test_build_table_k_max_range():
+    assert len(build_table(3, 2, 9)) > len(build_table(3, 2))
+    with pytest.raises(ValueError):
+        build_table(3, 2, 10)
 
 
 def test_count_record_tuple():

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from aglstab.agl import Subgroup, full_group, trivial_subgroup
-from aglstab.counting import ClassParams, count_N, mult_order
+from aglstab.agl import (Subgroup, class_representative, full_group,
+                         trivial_subgroup)
+from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
+                              mult_order)
 from aglstab.ffield import make_field, span, zero_subspace
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             count_N_bruteforce, count_N_via_lattice,
@@ -142,6 +144,16 @@ def test_lattice_example_q5():
     F = field(5, 1)
     S = Subgroup(F, 2, 0, zero_subspace(F))
     assert count_N_via_lattice(S, 2) == 2
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                     (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_closed_form_terms_equal_lattice_terms(p, alpha):
+    # one representation for two engines: the same signed (c, d, |H|) terms
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        assert class_terms(p, alpha, d, i, j) == lattice_terms(S), (d, i, j)
 
 
 def test_lattice_requires_b_zero():
