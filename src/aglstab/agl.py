@@ -155,10 +155,6 @@ class Subgroup:
     def generator(self) -> AffineMap:
         return AffineMap(self.field, self.a, self.b)
 
-    @property
-    def is_full(self) -> bool:
-        return self.d == self.field.q - 1 and self.H.size == self.field.q
-
     def hprime(self):
         """The largest subfield acting on the translation subspace."""
         return self.field.subfield(self.H.stabilizing_degree())
@@ -261,10 +257,6 @@ def trivial_subgroup(field: Field) -> Subgroup:
 
 def full_group(field: Field) -> Subgroup:
     return Subgroup(field, field.q - 1, 0, full_subspace(field))
-
-
-def translation_group(field: Field, H: Subspace) -> Subgroup:
-    return Subgroup(field, 1, 0, H)
 
 
 def subgroup_from_pairs(field: Field, pairs) -> Subgroup:

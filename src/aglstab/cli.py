@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from sympy import factorint
@@ -128,8 +127,8 @@ def cmd_count(args, out) -> int:
 # verify
 
 
-def _verify_class(task) -> list[tuple[int, int, int, int]]:
-    p, alpha, d, i, j, k_max, budget = task
+def _verify_class(p: int, alpha: int, d: int, i: int, j: int, k_max: int,
+                  budget: int) -> list[tuple[int, int, int, int]]:
     field = _field(p, alpha)
     S = agl.class_representative(field, d, i, j)
     closed_terms = counting.class_terms(p, alpha, d, i, j)
@@ -155,13 +154,8 @@ def cmd_verify(args, out) -> int:
     if not 0 <= k_max <= q:
         raise CliError(f"--max-k must lie in [0, {q}], got {k_max}")
     shapes = counting.class_shapes(p, alpha)
-    tasks = [(p, alpha, d, i, j, k_max, args.oracle_budget)
-             for d, i, j in shapes]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_verify_class, tasks))
-    else:
-        results = [_verify_class(t) for t in tasks]
+    results = [_verify_class(p, alpha, d, i, j, k_max, args.oracle_budget)
+               for d, i, j in shapes]
 
     failures = 0
     rows = []
@@ -227,13 +221,18 @@ def cmd_design(args, out) -> int:
         if args.k is None or args.d is None:
             raise CliError("design needs --subset, or --k with --d")
         shapes = [(d, i, j) for d, i, j in counting.class_shapes(p, alpha)
-                  if d == args.d
-                  and (args.i is None or i == args.i)
-                  and (args.j is None or j == args.j)]
+                  if d == args.d]
         if not shapes:
             raise CliError(f"no stabilizer class with d = {args.d}")
+        matching = [(d, i, j) for d, i, j in shapes
+                    if (args.i is None or i == args.i)
+                    and (args.j is None or j == args.j)]
+        if not matching:
+            pairs = ", ".join(f"({i}, {j})" for _, i, j in shapes)
+            raise CliError(f"no stabilizer class with d = {args.d} passes "
+                           f"the --i/--j filter; its (i, j) are {pairs}")
         chosen = None
-        for d, i, j in shapes:
+        for d, i, j in matching:
             cp = ClassParams(p, alpha, args.k, d, i, j)
             if cp.congruence_ok and counting.count_N(cp) > 0:
                 chosen = (d, i, j)
@@ -316,9 +315,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--oracle-budget", type=int,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
                     help="max subsets scanned per brute-force count")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="parallel worker processes, one class per task "
-                         "(default 1)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("design",

@@ -8,13 +8,20 @@ gives a constant-weight code of length b, weight r and minimum distance
 ``a2_determinations`` turns a positive stabilizer-class count into the
 resulting exact value A2(q(q-1)/s, 2k(q-k)/s, k(q-1)/s) = q, where s is
 the stabilizer order.
+
+Each incidence row is one int whose bit j is set when the point lies in
+block j.  ``orbit_design`` checks the block count and the block sizes;
+``design_to_code`` makes the only pass over the row pairs, where constant
+row weights and constant pair meets certify r and lambda (counting
+incidences twice gives r*v = b*k and lambda*v*(v-1) = b*k*(k-1)), and
+the minimum distance is measured, not derived.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import oracle
 from .counting import ClassParams, class_shapes, count_N
@@ -54,11 +61,17 @@ class IncidenceMatrix:
     def b(self) -> int:
         return len(self.blocks)
 
-    def row(self, point: int) -> tuple[int, ...]:
-        return tuple((blk >> point) & 1 for blk in self.blocks)
-
-    def rows(self) -> list[tuple[int, ...]]:
-        return [self.row(x) for x in range(self.v)]
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Row x as an int: bit j is set iff point x lies in block j."""
+        rows = [0] * self.v
+        for j, blk in enumerate(self.blocks):
+            bit = 1 << j
+            while blk:
+                low = blk & -blk
+                rows[low.bit_length() - 1] |= bit
+                blk ^= low
+        return tuple(rows)
 
     def block_elements(self, j: int) -> tuple[int, ...]:
         return oracle.mask_elements(self.blocks[j])
@@ -80,21 +93,10 @@ class CodeParams:
                              f"integer, got {self.d}")
 
 
-def _validate_design(params: DesignParams, matrix: IncidenceMatrix) -> None:
-    rows = matrix.rows()
-    if any(sum(row) != params.r for row in rows):
-        raise AssertionError("a point misses the replication count r")
-    if any(bin(blk).count("1") != params.k for blk in matrix.blocks):
-        raise AssertionError("a block has the wrong size")
-    for ra, rb in itertools.combinations(rows, 2):
-        if sum(x & y for x, y in zip(ra, rb)) != params.lmbda:
-            raise AssertionError("a point pair misses the pair count lambda")
-
-
 def orbit_design(field: Field, mask: int) -> tuple[DesignParams, IncidenceMatrix]:
     """The block design whose blocks are the images of the masked subset
     under all affine maps, with parameters from the stabilizer order."""
-    k = bin(mask).count("1")
+    k = mask.bit_count()
     if k < 2:
         raise ValueError("orbit designs need at least 2 points in the base subset")
     if k >= field.q:
@@ -110,15 +112,15 @@ def orbit_design(field: Field, mask: int) -> tuple[DesignParams, IncidenceMatrix
         imgs = [mul(a, x) for x in elems]
         for t in range(field.q):
             blocks.add(oracle.subset_mask(add(y, t) for y in imgs))
-    assert len(blocks) == b
+    if len(blocks) != b:
+        raise ValueError(f"the orbit has {len(blocks)} blocks, but the "
+                         f"stabilizer order {stab.order} gives b = {b}")
+    if any(blk.bit_count() != k for blk in blocks):
+        raise ValueError(f"an orbit block does not have size k = {k}")
     v = field.q
-    r = k * b // v
-    lmbda = k * (k - 1) * b // (v * (v - 1))
-    assert r * v == k * b and lmbda * v * (v - 1) == k * (k - 1) * b
-    params = DesignParams(v, b, r, k, lmbda)
-    matrix = IncidenceMatrix(v, tuple(sorted(blocks)))
-    _validate_design(params, matrix)
-    return params, matrix
+    params = DesignParams(v, b, k * b // v, k,
+                          k * (k - 1) * b // (v * (v - 1)))
+    return params, IncidenceMatrix(v, tuple(sorted(blocks)))
 
 
 def design_to_code(matrix: IncidenceMatrix) -> tuple[CodeParams, tuple[str, ...]]:
@@ -129,24 +131,27 @@ def design_to_code(matrix: IncidenceMatrix) -> tuple[CodeParams, tuple[str, ...]
     """
     if matrix.v < 2:
         raise ValueError("need at least two rows to speak of a distance")
-    rows = matrix.rows()
-    weights = {sum(row) for row in rows}
+    rows = matrix.rows
+    weights = {row.bit_count() for row in rows}
     if len(weights) != 1:
         raise ValueError("rows are not constant weight")
     r = weights.pop()
-    meets = {sum(x & y for x, y in zip(ra, rb))
-             for ra, rb in itertools.combinations(rows, 2)}
+    meets = set()
+    mindist = matrix.b
+    for ra, rb in itertools.combinations(rows, 2):
+        meets.add((ra & rb).bit_count())
+        mindist = min(mindist, (ra ^ rb).bit_count())
     if len(meets) != 1:
         raise ValueError("row pairs do not meet a constant number of times")
     lmbda = meets.pop()
-    mindist = min(sum(x ^ y for x, y in zip(ra, rb))
-                  for ra, rb in itertools.combinations(rows, 2))
     if mindist == 0:
         raise ValueError("two identical rows: not a block design matrix")
     delta = r - lmbda
-    assert mindist == 2 * delta
+    if mindist != 2 * delta:
+        raise ValueError(f"minimum distance {mindist} differs from "
+                         f"2*(r - lambda) = {2 * delta}")
     code = CodeParams(n=matrix.b, d=2 * delta, w=r, size=matrix.v)
-    words = tuple("".join(str(bit) for bit in row) for row in rows)
+    words = tuple(format(row, f"0{matrix.b}b")[::-1] for row in rows)
     return code, words
 
 
@@ -208,8 +213,3 @@ def design_record(params: DesignParams, matrix: IncidenceMatrix,
         "codewords": list(codewords),
     }
 
-
-def design_record_json(params: DesignParams, matrix: IncidenceMatrix,
-                       code: CodeParams, codewords: tuple[str, ...]) -> str:
-    return json.dumps(design_record(params, matrix, code, codewords),
-                      indent=2, sort_keys=True)

@@ -276,12 +276,6 @@ class Field:
             return None
         return [[self.mul(a, x) for x in range(self.q)] for a in range(self.q)]
 
-    @cached_property
-    def add_table(self) -> list[list[int]] | None:
-        if self.p == 2 or self.q > 256:
-            return None
-        return [[self.add(a, x) for x in range(self.q)] for a in range(self.q)]
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -383,17 +377,11 @@ def _echelon(field: Field, vectors) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class Subspace:
-    """An F_p-subspace of the ambient field, held as a reduced-echelon basis.
+    """An F_p-subspace of the ambient field, held as a reduced-echelon basis;
+    two subspaces are equal iff they are the same set."""
 
-    ``scalar_degree`` records an m such that multiplication by F_{p**m}
-    maps the space into itself; it is bookkeeping carried alongside the
-    canonical basis and is ignored by equality (two subspaces are equal
-    iff they are the same set).
-    """
-
-    def __init__(self, field: Field, vectors=(), scalar_degree: int = 1):
+    def __init__(self, field: Field, vectors=()):
         self.field = field
-        self.scalar_degree = scalar_degree
         self.basis, self.pivots = _echelon(field, vectors)
         self.dim = len(self.basis)
         self.size = field.p ** self.dim
@@ -447,18 +435,18 @@ class Subspace:
 
 
 def zero_subspace(field: Field) -> Subspace:
-    return Subspace(field, (), scalar_degree=field.alpha)
+    return Subspace(field, ())
 
 
 def full_subspace(field: Field) -> Subspace:
-    return Subspace(field, field._pows, scalar_degree=field.alpha)
+    return Subspace(field, field._pows)
 
 
 def span(elements, K: Subfield) -> Subspace:
     """Smallest K-subspace of the ambient field containing ``elements``."""
     field = K.field
     vectors = [field.mul(kb, x) for x in elements for kb in K.basis]
-    return Subspace(field, vectors, scalar_degree=K.degree)
+    return Subspace(field, vectors)
 
 
 def subfield_stabilizer(H: Subspace) -> Subfield:
@@ -514,8 +502,7 @@ def lines_of_quotient(Q: QuotientSpace, K: Subfield) -> list[Subspace]:
     out = []
     for r in Q.transversal[1:]:
         W = Subspace(field,
-                     H.basis + tuple(field.mul(kb, r) for kb in K.basis),
-                     scalar_degree=K.degree)
+                     H.basis + tuple(field.mul(kb, r) for kb in K.basis))
         if W.basis not in seen:
             seen.add(W.basis)
             assert W.dim == H.dim + K.degree

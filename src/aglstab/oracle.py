@@ -4,9 +4,11 @@ Three routes to the same numbers, none sharing code with the closed
 forms in :mod:`aglstab.counting`:
 
 * ``stabilizer`` / ``full_census``: test all q*(q-1) affine maps against
-  a subset bitmask and classify every k-subset by its exact stabilizer.
+  a subset bitmask (``fixing_maps``) and classify every k-subset by its
+  exact stabilizer.
 * ``count_N_bruteforce``: enumerate only the orbit unions of a subgroup
-  (the subsets it fixes setwise) and keep those no outside map fixes.
+  (the subsets it fixes setwise) and keep those that no map found by the
+  same full scan fixes from outside it.
 * ``count_N_via_lattice``: the alternating sum over selections of
   immediate supergroups, each join evaluated on descriptors and its
   fixed-subset count read off the orbit sizes.  When the number of
@@ -62,13 +64,14 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def stabilizing_pairs(field: Field, mask: int) -> list[tuple[int, int]]:
-    """All (a, b) with a != 0 whose map fixes the masked subset setwise."""
+def fixing_maps(field: Field, mask: int):
+    """Every (a, b) with a != 0 whose map x -> a*x + b fixes the masked
+    subset setwise, found by testing all q*(q-1) maps in order."""
     q = field.q
     elems = mask_elements(mask)
     table = field.mul_table
     mul = field.mul
-    out = []
+    add = field.add
     for a in range(1, q):
         row = table[a] if table is not None else None
         imgs = [row[x] for x in elems] if row is not None else [mul(a, x) for x in elems]
@@ -78,16 +81,14 @@ def stabilizing_pairs(field: Field, mask: int) -> list[tuple[int, int]]:
                     if not (mask >> (y ^ b)) & 1:
                         break
                 else:
-                    out.append((a, b))
+                    yield a, b
         else:
-            add = field.add
             for b in range(q):
                 for y in imgs:
                     if not (mask >> add(y, b)) & 1:
                         break
                 else:
-                    out.append((a, b))
-    return out
+                    yield a, b
 
 
 def stabilizer(field: Field, mask: int,
@@ -97,7 +98,7 @@ def stabilizer(field: Field, mask: int,
     if field.q > q_limit:
         raise BudgetExceededError(
             f"stabilizer scan needs q <= {q_limit}, got q = {field.q}")
-    return subgroup_from_pairs(field, stabilizing_pairs(field, mask))
+    return subgroup_from_pairs(field, fixing_maps(field, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +146,8 @@ def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
     Only meaningful when the subset is a union of S-orbits, so that the
     stabilizer is known to contain S.
     """
-    field = S.field
-    q = field.q
-    elems = mask_elements(mask)
     member = S.element_pairs()
-    table = field.mul_table
-    mul = field.mul
-    for a in range(1, q):
-        row = table[a] if table is not None else None
-        imgs = [row[x] for x in elems] if row is not None else [mul(a, x) for x in elems]
-        if field.p == 2:
-            for b in range(q):
-                for y in imgs:
-                    if not (mask >> (y ^ b)) & 1:
-                        break
-                else:
-                    if (a, b) not in member:
-                        return False
-        else:
-            add = field.add
-            for b in range(q):
-                for y in imgs:
-                    if not (mask >> add(y, b)) & 1:
-                        break
-                else:
-                    if (a, b) not in member:
-                        return False
-    return True
+    return all(pair in member for pair in fixing_maps(S.field, mask))
 
 
 def count_N_bruteforce(S: Subgroup, k: int,
@@ -199,7 +175,9 @@ def full_census(field: Field, k: int,
     census: Counter[Subgroup] = Counter()
     for combo in itertools.combinations(range(field.q), k):
         census[stabilizer(field, subset_mask(combo))] += 1
-    assert sum(census.values()) == total
+    if sum(census.values()) != total:
+        raise RuntimeError(f"the census classified {sum(census.values())} "
+                           f"of the {total} subsets")
     return dict(census)
 
 

@@ -48,20 +48,16 @@ def test_table_rejects_non_prime_power(capsys):
     assert code == EXIT_INPUT
 
 
-def test_workers_only_on_verify(capsys):
+def test_workers_rejected_by_every_subcommand(capsys):
     for argv in (["table", "--q", "9"],
                  ["count", "--p", "7", "--k", "3", "--d", "3", "--i", "1",
                   "--j", "0"],
+                 ["verify", "--q", "5"],
                  ["design", "--q", "7", "--k", "3", "--d", "3"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--workers", "2"])
         assert exc.value.code == EXIT_INPUT, argv
         assert "--workers" in capsys.readouterr().err
-    code, serial, _ = run(capsys, "verify", "--q", "5", "--format", "csv")
-    code, parallel, _ = run(capsys, "verify", "--q", "5", "--format", "csv",
-                            "--workers", "2")
-    assert code == EXIT_OK
-    assert serial == parallel
 
 
 # SHA-256 of `aglstab table --q Q --format csv` stdout, recorded from the
@@ -80,6 +76,50 @@ def test_table_csv_golden_digest(capsys, q):
     code, out, _ = run(capsys, "table", "--q", str(q), "--format", "csv")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[q]
+
+
+# SHA-256 of `aglstab design ARGS --format FMT` stdout, recorded from the
+# implementation that held incidence rows as per-bit tuples
+DESIGN_SHA256 = {
+    (("--q", "7", "--k", "3", "--d", "3"), "json"):
+        "95b18f327c1ac257f0ce7f9c99490969db68b1e48b99f31727af9bee680db8cd",
+    (("--q", "7", "--k", "3", "--d", "3"), "text"):
+        "3568f77ca93ac3811cb8a5315c2647c5b9f91270d7f20efb2bad09b304a5e42c",
+    (("--q", "7", "--k", "3", "--d", "3"), "csv"):
+        "71c4ef632939aa824705239a7b15f241075d8c647b4cf8cab9d2191b692d6117",
+    (("--q", "49", "--k", "8", "--d", "8"), "json"):
+        "5c0bbc2d748223b7afdfff898c31a32ad5eaa7966ec13848ef65f1cdc10164a8",
+    (("--q", "49", "--k", "8", "--d", "8"), "text"):
+        "216fe2a0fac2e668f3446e8b6162fd9cfe5e105fe22e0c62778563b9b7a97270",
+    (("--q", "49", "--k", "8", "--d", "8"), "csv"):
+        "e26c957ebe53eaa2f16d9fe082c7238c966ae8c3eeb87993108dfff30e8998b5",
+    (("--q", "16", "--subset", "0,1,2,4,8"), "json"):
+        "c9327d6bbb5afc640a5464d6be26752fcd94f546754b7e4e68046b0fefe93622",
+    (("--q", "16", "--subset", "0,1,2,4,8"), "text"):
+        "810d87f1e94111e0bebe83acafa20c25809e32643031c57bd43036d5c59b43b9",
+    (("--q", "16", "--subset", "0,1,2,4,8"), "csv"):
+        "b80c137a00ae3ea02739f13fef333806928a7f236dd11e739cee22c60477ff9a",
+    (("--q", "27", "--subset", "0,1,3,4,9,10,12"), "json"):
+        "0314286d20a913eb9c56d56cd4dd8a2c45e2114366ead9742b5078d2aed61192",
+    (("--q", "27", "--subset", "0,1,3,4,9,10,12"), "text"):
+        "13cee3941ad9307521b2edd0e07a4119c990fb15a51002fd0a5a6a3badcdfd2e",
+    (("--q", "27", "--subset", "0,1,3,4,9,10,12"), "csv"):
+        "94245b54d949106b4b612bbdca2f899f16ac24218975af0064271ac2e6ed3f27",
+    (("--q", "64", "--subset", "0,1,2,3,5,7,8,11,13,21,34,55"), "json"):
+        "816b2ba3d6f5bc28f6213c2c8944a40171ff030b3e63036114d5a92dcda126aa",
+    (("--q", "64", "--subset", "0,1,2,3,5,7,8,11,13,21,34,55"), "text"):
+        "2a3d9b684147d1ffce2cc307e1f4e134fd2bf8e45db7856293431ee98899f153",
+    (("--q", "64", "--subset", "0,1,2,3,5,7,8,11,13,21,34,55"), "csv"):
+        "edfd8e3ecd02c9a4e1c44d0b8b7ca77196e317df060b8e39254e3d23104e75d7",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(DESIGN_SHA256))
+def test_design_golden_digest(capsys, argv, fmt):
+    code, out, _ = run(capsys, "design", *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == DESIGN_SHA256[(argv, fmt)])
 
 
 def test_count_examples(capsys):
@@ -158,6 +198,15 @@ def test_design_zero_class_is_an_error(capsys):
     code, _, err = run(capsys, "design", "--q", "7", "--k", "3", "--d", "6")
     assert code == EXIT_INPUT
     assert "0" in err
+
+
+def test_design_class_filter_error_names_the_filter(capsys):
+    # d = 2 exists at q = 9, but no class with d = 2 has i = 7
+    code, _, err = run(capsys, "design", "--q", "9", "--k", "3", "--d", "2",
+                       "--i", "7")
+    assert code == EXIT_INPUT
+    assert "--i/--j filter" in err
+    assert "(1, 1), (2, 0), (2, 1)" in err
 
 
 def test_design_json(capsys):

@@ -1,9 +1,13 @@
 """Orbit block designs, row codes, Johnson equality, A2 determinations."""
 
+import ast
+import inspect
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
+from aglstab import designs, oracle
 from aglstab.agl import class_representative
 from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
@@ -60,6 +64,51 @@ def test_design_to_code_example():
     dists = {sum(a != b for a, b in zip(w1, w2))
              for w1, w2 in itertools.combinations(words, 2)}
     assert min(dists) == 8
+
+
+def test_incidence_rows_put_block_j_at_bit_j():
+    F = field(7, 1)
+    _, matrix = orbit_design(F, subset_mask([1, 2, 4]))
+    assert len(matrix.rows) == 7
+    for x, row in enumerate(matrix.rows):
+        assert row.bit_count() == 6
+        for j, blk in enumerate(matrix.blocks):
+            assert (row >> j) & 1 == (blk >> x) & 1, (x, j)
+    _, words = design_to_code(matrix)
+    assert words[0] == "".join(str(blk & 1) for blk in matrix.blocks)
+
+
+def test_design_to_code_rejects_unequal_row_weights():
+    # point 1 lies in both blocks, points 0 and 2 in one each
+    fake = IncidenceMatrix(v=3, blocks=(0b011, 0b110))
+    with pytest.raises(ValueError, match="constant weight"):
+        design_to_code(fake)
+
+
+def test_orbit_design_checks_block_count_and_sizes(monkeypatch):
+    F = field(7, 1)
+    mask = subset_mask([1, 2, 4])
+    # a stabilizer of order 1 claims 42 blocks; the orbit has 14
+    monkeypatch.setattr(oracle, "stabilizer",
+                        lambda field, mask: SimpleNamespace(order=1))
+    with pytest.raises(ValueError, match="14 blocks"):
+        orbit_design(F, mask)
+    # order 6 claims 7 blocks; a multiplication that sends everything to 0
+    # makes 7 one-point blocks
+    monkeypatch.setattr(oracle, "stabilizer",
+                        lambda field, mask: SimpleNamespace(order=6))
+    broken = make_field(7, 1)
+    monkeypatch.setattr(broken, "mul", lambda a, x: 0)
+    with pytest.raises(ValueError, match="size k = 3"):
+        orbit_design(broken, mask)
+
+
+def test_design_checks_are_raises_not_asserts():
+    # python -O strips assert statements; the checks must survive it
+    for obj in (designs, oracle.full_census):
+        tree = ast.parse(inspect.getsource(obj))
+        assert not any(isinstance(node, ast.Assert)
+                       for node in ast.walk(tree)), obj
 
 
 def test_design_to_code_rejects_duplicate_rows():
