@@ -86,26 +86,6 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     return f * g
 
 
-def mulclose(maps) -> set[AffineMap]:
-    """Closure of a set of maps under composition (the generated subgroup)."""
-    maps = list(maps)
-    if not maps:
-        return set()
-    els = {AffineMap.identity(maps[0].field)}
-    els.update(maps)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for g in maps:
-            for h in frontier:
-                prod = g * h
-                if prod not in els:
-                    els.add(prod)
-                    new.append(prod)
-        frontier = new
-    return els
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     """The orbits of a subgroup on the field elements, each sorted, listed
@@ -265,9 +245,12 @@ def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
     n = len(pairs)
     h_els = sorted(b for a, b in pairs if a == 1)
     H = Subspace(field, h_els)
-    assert H.size == len(h_els)
-    d = n // len(h_els)
-    assert d * len(h_els) == n and (field.q - 1) % d == 0
+    if H.size != len(h_els):
+        raise ValueError(f"the {len(h_els)} translations do not form a subspace")
+    d, rem = divmod(n, len(h_els))
+    if rem or (field.q - 1) % d:
+        raise ValueError(f"{n} maps over {len(h_els)} translations do not "
+                         f"form a subgroup")
     if d == 1:
         return Subgroup(field, 1, 0, H)
     a0 = field.pow(field.gamma, (field.q - 1) // d)
@@ -277,16 +260,6 @@ def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
 
 def subgroup_elements(S: Subgroup) -> tuple[AffineMap, ...]:
     return S.elements()
-
-
-def canonicalize(maps) -> Subgroup:
-    """Canonical descriptor of the subgroup generated by ``maps``."""
-    maps = list(maps)
-    if not maps:
-        raise ValueError("cannot infer the field from an empty generating set")
-    field = maps[0].field
-    closure = mulclose(maps)
-    return subgroup_from_pairs(field, ((m.a, m.b) for m in closure))
 
 
 def conjugate_to_b_zero(S: Subgroup) -> tuple[Subgroup, AffineMap]:

@@ -5,7 +5,10 @@ forms in :mod:`aglstab.counting`:
 
 * ``stabilizer`` / ``full_census``: test all q*(q-1) affine maps against
   a subset bitmask (``fixing_maps``) and classify every k-subset by its
-  exact stabilizer.
+  exact stabilizer.  The scan is bit-parallel over translations: once per
+  subset B it builds the q masks ``shifts[z] = {b : z + b in B}``, and
+  for each multiplier a the AND of ``shifts[a*x]`` over x in B holds
+  exactly the b with a*B + b = B, so every map is still decided.
 * ``count_N_bruteforce``: enumerate only the orbit unions of a subgroup
   (the subsets it fixes setwise) and keep those that no map found by the
   same full scan fixes from outside it.
@@ -55,40 +58,69 @@ def subset_mask(elements) -> int:
 
 def mask_elements(mask: int) -> tuple[int, ...]:
     out = []
-    x = 0
     while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _digit_steps(p: int, alpha: int) -> tuple[tuple[int, int, int], ...]:
+    """(p**t, low, top) for each base-p digit t: ``top`` masks the
+    elements whose digit t is p - 1, ``low`` the other elements."""
+    steps = []
+    for t in range(alpha):
+        step = p ** t
+        top = 0
+        for x in range(p ** alpha):
+            if x // step % p == p - 1:
+                top |= 1 << x
+        steps.append((step, ((1 << p ** alpha) - 1) ^ top, top))
+    return tuple(steps)
+
+
+def _translate_masks(field: Field, mask: int) -> list[int]:
+    """``shifts[z]`` has bit b set iff z + b lies in the masked subset.
+
+    Field addition is digit-wise mod p on the integer encoding, so adding
+    the unit of digit t to b gives b + p**t, or b - (p-1)*p**t where digit
+    t of b is p - 1.  One shift-and-mask step thus turns shifts[z - p**t]
+    into shifts[z]: a rotation for prime q, a block swap for p = 2.
+    """
+    shifts = [mask]
+    for step, low, top in _digit_steps(field.p, field.alpha):
+        up = (field.p - 1) * step
+        for z in range(step, field.p * step):
+            m = shifts[z - step]
+            shifts.append((m >> step) & low | (m << up) & top)
+    return shifts
 
 
 def fixing_maps(field: Field, mask: int):
     """Every (a, b) with a != 0 whose map x -> a*x + b fixes the masked
-    subset setwise, found by testing all q*(q-1) maps in order."""
+    subset setwise, in increasing (a, b) order.
+
+    All q*(q-1) maps are tested, the q translations of one multiplier at
+    once: bit b of AND over x in B of shifts[a*x] is set iff a*x + b lies
+    in B for every x in B.
+    """
     q = field.q
     elems = mask_elements(mask)
+    shifts = _translate_masks(field, mask)
     table = field.mul_table
-    mul = field.mul
-    add = field.add
+    full = (1 << q) - 1
     for a in range(1, q):
-        row = table[a] if table is not None else None
-        imgs = [row[x] for x in elems] if row is not None else [mul(a, x) for x in elems]
-        if field.p == 2:
-            for b in range(q):
-                for y in imgs:
-                    if not (mask >> (y ^ b)) & 1:
-                        break
-                else:
-                    yield a, b
-        else:
-            for b in range(q):
-                for y in imgs:
-                    if not (mask >> add(y, b)) & 1:
-                        break
-                else:
-                    yield a, b
+        row = table[a] if table else {x: field.mul(a, x) for x in elems}
+        hits = full
+        for x in elems:
+            hits &= shifts[row[x]]
+            if not hits:
+                break
+        while hits:
+            low = hits & -hits
+            yield a, low.bit_length() - 1
+            hits ^= low
 
 
 def stabilizer(field: Field, mask: int,

@@ -9,14 +9,14 @@ import itertools
 
 import pytest
 
-from aglstab.agl import (AffineMap, Subgroup, canonicalize,
-                         class_representative, compose, conjugate_to_b_zero,
-                         fixed_subset_count, full_group,
-                         immediate_supergroups, join, join_pair, mulclose,
-                         orbits, subgroup_elements, trivial_subgroup)
+from aglstab.agl import (AffineMap, Subgroup, class_representative, compose,
+                         conjugate_to_b_zero, fixed_subset_count, full_group,
+                         immediate_supergroups, join, join_pair, orbits,
+                         subgroup_elements, trivial_subgroup)
 from aglstab.counting import ClassParams, class_shapes, mult_order
 from aglstab.ffield import Subspace, make_field, span, zero_subspace
 from aglstab.oracle import all_subgroups
+from reference import canonicalize, mulclose
 
 FIELDS = {}
 

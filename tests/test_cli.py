@@ -169,6 +169,28 @@ def test_verify_csv(capsys):
     assert all(row[-1] == "True" for row in rows[1:])
 
 
+# SHA-256 of `aglstab verify --q Q --format csv` stdout, recorded from the
+# map-by-map stabilizer scan that the bit-parallel scan replaced
+VERIFY_CSV_SHA256 = {
+    11: "ad9bc77867c60405816a0276f698266d48f39e05cd7d2cf6d9efb693e88c0eef",
+    13: "7c0e767eca9448174990868c6facba6fd88b5523a2935aec8ce286f8036349e0",
+    16: "a480329a45583d08302b858edf6517a5bee4d5c27141bb13a10ef0857f2aaaaa",
+}
+
+
+@pytest.mark.parametrize("q", sorted(VERIFY_CSV_SHA256))
+def test_verify_csv_golden_digest(capsys, q):
+    code, out, _ = run(capsys, "verify", "--q", str(q), "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CSV_SHA256[q]
+
+
+def test_verify_brute_force_past_q16(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "17")
+    assert code == EXIT_OK
+    assert "PASS" in out and "FAIL" not in out
+
+
 def test_verify_budget_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--q", "1024")
     assert code == EXIT_BUDGET

@@ -1,19 +1,23 @@
 """Brute-force engines and the lattice inclusion-exclusion evaluator."""
 
+import ast
+import inspect
 import itertools
 import math
+import random
 
 import pytest
 
 from aglstab.agl import (Subgroup, class_representative, full_group,
-                         trivial_subgroup)
+                         subgroup_from_pairs, trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
                               mult_order)
 from aglstab.ffield import make_field, span, zero_subspace
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             count_N_bruteforce, count_N_via_lattice,
-                            full_census, lattice_terms, mask_elements,
-                            stabilizer, subset_mask)
+                            fixing_maps, full_census, lattice_terms,
+                            mask_elements, stabilizer, subset_mask)
+from reference import reference_fixing_maps
 
 FIELDS = {}
 
@@ -33,6 +37,40 @@ def test_mask_round_trip():
     assert subset_mask([0, 2, 5]) == 0b100101
     assert mask_elements(0b100101) == (0, 2, 5)
     assert mask_elements(0) == ()
+    assert mask_elements(1 << 200 | 1 << 3) == (3, 200)
+
+
+# prime q, p = 2 and odd prime powers: every shape of translate step
+@pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                                     (2, 4), (5, 2), (3, 3), (7, 2)])
+def test_fixing_maps_equals_map_by_map_reference(p, alpha):
+    F = field(p, alpha)
+    rng = random.Random(F.q)
+    full = (1 << F.q) - 1
+    masks = [0, full, 1, 1 << (F.q - 1)]
+    masks += [rng.getrandbits(F.q) for _ in range(8)]
+    masks += [subset_mask(rng.sample(range(F.q), k)) for k in (2, 3, F.q // 2)]
+    for mask in masks:
+        expected = list(reference_fixing_maps(F, mask))
+        assert list(fixing_maps(F, mask)) == expected, mask
+        assert stabilizer(F, mask) == subgroup_from_pairs(F, expected), mask
+
+
+def test_subgroup_from_pairs_rejects_non_subgroups():
+    F = field(7, 1)
+    with pytest.raises(ValueError):
+        subgroup_from_pairs(F, {(1, 0), (1, 1)})     # {0, 1} is no subspace
+    with pytest.raises(ValueError):
+        # five multipliers over one translation, and 5 does not divide 6
+        subgroup_from_pairs(F, {(a, 0) for a in (1, 2, 3, 4, 6)})
+
+
+def test_scan_checks_are_raises_not_asserts():
+    # python -O strips assert statements; the checks must survive it
+    for obj in (subgroup_from_pairs, fixing_maps):
+        tree = ast.parse(inspect.getsource(obj))
+        assert not any(isinstance(node, ast.Assert)
+                       for node in ast.walk(tree)), obj
 
 
 def test_stabilizer_of_extremes_is_full_group():
