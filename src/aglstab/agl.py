@@ -144,8 +144,10 @@ class Subgroup:
         odp = mult_order(self.field.p, self.d)
         i = self.H.stabilizing_degree() // odp
         beta = self.H.dim
-        j = beta // (odp * i)
-        assert odp * i * j == beta
+        j, rem = divmod(beta, odp * i)
+        if rem:
+            raise RuntimeError(f"dim H = {beta} is not a multiple of "
+                               f"o_d(p)*i = {odp * i}")
         return (self.d, i, j)
 
     def elements(self) -> tuple[AffineMap, ...]:
@@ -153,7 +155,10 @@ class Subgroup:
         gens = [self.generator ** l for l in range(self.d)]
         out = [AffineMap(field, g.a, field.add(g.b, h))
                for g in gens for h in self.H.elements()]
-        assert len(out) == self.order
+        distinct = len({(m.a, m.b) for m in out})
+        if distinct != self.order:
+            raise RuntimeError(f"{distinct} distinct maps in a group "
+                               f"of order {self.order}")
         return tuple(out)
 
     def element_pairs(self) -> frozenset[tuple[int, int]]:
@@ -201,15 +206,18 @@ class Subgroup:
                     for _ in range(self.d):
                         orbit.update(field.add(y, h) for h in h_els)
                         y = g(y)
-                    assert len(orbit) == self.order
+                    if len(orbit) != self.order:
+                        raise RuntimeError(f"an orbit of size {len(orbit)} "
+                                           f"in a group of order {self.order}")
                     seen.update(orbit)
                     orbs.append(tuple(sorted(orbit)))
                 orbs.sort(key=lambda o: o[0])
             part = OrbitPartition(tuple(orbs))
             sizes = part.sizes
-            if self.d > 1:
-                assert sizes[self.H.size] >= 1
-                assert sum(n * s for s, n in sizes.items()) == field.q
+            if self.d > 1 and (sizes[self.H.size] < 1
+                               or sum(n * s for s, n in sizes.items()) != field.q):
+                raise RuntimeError(f"orbit sizes {dict(sizes)} do not cover "
+                                   f"F_{field.q} with a fixed coset of H")
             self._orbits = part
         return self._orbits
 
@@ -326,8 +334,9 @@ def join(S: Subgroup, selection) -> Subgroup:
     S(gamma**((q-1)/PiP), (gamma**((q-1)/PiP) - 1)*u, <Delta(C), preimages
     of X>_K) with P the primes of C, u any of the points b/(a_e - 1),
     Delta(C) their differences and K = F_{p**o_PiP(p)}; the result is
-    independent of the choice of u (asserted).  For d > 1 every selected
-    group has b = 0 and the join is S(gamma**((q-1)/(d*PiP)), 0, <X>_K).
+    independent of the choice of u (checked: RuntimeError otherwise).  For
+    d > 1 every selected group has b = 0 and the join is
+    S(gamma**((q-1)/(d*PiP)), 0, <X>_K).
     """
     field = S.field
     sel = list(selection)
@@ -364,7 +373,9 @@ def join(S: Subgroup, selection) -> Subgroup:
         a_new = field.pow(field.gamma, (q - 1) // piP)
         b_candidates = {coset_min(field.mul(field.sub(a_new, 1), u), Hnew)
                         for u in points}
-        assert len(b_candidates) == 1, "join must not depend on the chosen point"
+        if len(b_candidates) != 1:
+            raise RuntimeError("join must not depend on the chosen point, got "
+                               f"b in {sorted(b_candidates)}")
         return Subgroup(field, piP, b_candidates.pop(), Hnew)
 
     primes = set()
@@ -412,7 +423,9 @@ def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
         return Subgroup(field, d, 0, Hnew)
     b_candidates = {coset_min(field.mul(field.sub(a_new, 1), u), Hnew)
                     for u in points}
-    assert len(b_candidates) == 1
+    if len(b_candidates) != 1:
+        raise RuntimeError("join must not depend on the chosen point, got "
+                           f"b in {sorted(b_candidates)}")
     return Subgroup(field, d, b_candidates.pop(), Hnew)
 
 

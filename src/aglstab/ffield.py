@@ -7,17 +7,24 @@ this module -- the modulus, the multiplicative generator, subspace bases
 and coset representatives -- is minimal in that integer order, so
 independent runs produce identical output byte for byte.
 
-Multiplication is table-backed (discrete exp/log over the generator),
-which caps usable fields at q <= 2**16; the closed-form counting in
+Arithmetic is table-backed.  Multiplication uses discrete exp/log
+tables over the generator.  Addition is XOR for p = 2 and mod p for prime
+fields; for odd p with alpha > 1 it uses a Zech-logarithm table,
+gamma**z(n) = 1 + gamma**n, so x + y = x * (1 + y/x) costs three lookups.
+The tables cap usable fields at q <= 2**16; the closed-form counting in
 :mod:`aglstab.counting` needs no field object and has no such cap.
+
+Subspaces hold their reduced-echelon basis as plain ints: a row operation
+is one scaled field addition, and a digit is read as x // p**t % p.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
 
-from sympy import divisors, isprime
+from sympy import isprime
 
 from .counting import prime_set
 
@@ -139,7 +146,9 @@ class Field:
         self._coeffs = tuple(self._digits(x) for x in range(q))
         self.gamma = self._find_generator()
         self._exp, self._log = self._build_tables()
+        self._zech = self._build_zech() if p > 2 and alpha > 1 else None
         self._subfields: dict[int, Subfield] = {}
+        self._stab_degrees: dict[tuple[int, ...], int] = {}
 
     # -- construction internals --------------------------------------------
 
@@ -173,39 +182,60 @@ class Field:
         raise AssertionError("no generator found")  # unreachable
 
     def _build_tables(self) -> tuple[list[int], list[int]]:
+        """exp[t] = gamma**t, stored twice over (0 <= t < 2(q - 1)) so a
+        sum of two logarithms needs no reduction mod q - 1; log[0] = -1."""
         exp = [1]
         for _ in range(self.q - 2):
             exp.append(self._mul_raw(exp[-1], self.gamma))
-        assert self._mul_raw(exp[-1], self.gamma) == 1
+        if self._mul_raw(exp[-1], self.gamma) != 1:
+            raise RuntimeError(f"gamma = {self.gamma} does not have order "
+                               f"q - 1 = {self.q - 1}")
         log = [-1] * self.q
         for t, val in enumerate(exp):
             log[val] = t
-        return exp, log
+        return exp + exp, log
+
+    def _build_zech(self) -> list[int]:
+        """z[n] = log(gamma**n + 1), or -1 where gamma**n = -1.  Adding 1
+        changes digit 0 only, so the digit-wise sum is x + 1 or x + 1 - p."""
+        p, log = self.p, self._log
+        return [log[x + 1 if x % p != p - 1 else x + 1 - p]
+                for x in self._exp[:self.q - 1]]
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        if self.alpha == 1:
-            return (x + y) % self.p
-        cx, cy = self._coeffs[x], self._coeffs[y]
-        return sum(((a + b) % self.p) * w for a, b, w in zip(cx, cy, self._pows))
+        zech = self._zech
+        if zech is None:
+            return x ^ y if self.p == 2 else (x + y) % self.p
+        if not x:
+            return y
+        if not y:
+            return x
+        log = self._log
+        lx = log[x]
+        # x + y = gamma**lx * (1 + gamma**(ly - lx)); a negative index
+        # into the q - 1 entries of zech is that index mod q - 1
+        z = zech[log[y] - lx]
+        return self._exp[lx + z] if z >= 0 else 0
 
     def neg(self, x: int) -> int:
+        """-x; for odd p, -1 = gamma**((q-1)/2)."""
         if self.p == 2:
             return x
         if self.alpha == 1:
             return (-x) % self.p
-        return sum(((-c) % self.p) * w for c, w in zip(self._coeffs[x], self._pows))
+        return self._exp[self._log[x] + (self.q - 1) // 2] if x else 0
 
     def sub(self, x: int, y: int) -> int:
+        if self.p == 2:
+            return x ^ y
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
+        return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -225,12 +255,9 @@ class Field:
         return self._exp[(self._log[x] * e) % (self.q - 1)]
 
     def smul(self, c: int, x: int) -> int:
-        """Integer scalar multiple c*x (c acting through F_p)."""
-        c %= self.p
-        if self.alpha == 1:
-            return (c * x) % self.p
-        return sum(((c * cf) % self.p) * w
-                   for cf, w in zip(self._coeffs[x], self._pows))
+        """Integer scalar multiple c*x (c acting through F_p, whose
+        elements are the integers 0..p-1)."""
+        return self.mul(c % self.p, x)
 
     def log(self, x: int) -> int:
         """Discrete logarithm base gamma; defined for x != 0."""
@@ -279,7 +306,8 @@ class Field:
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and (self.p, self.alpha) == (other.p, other.alpha)
+        return other is self or (isinstance(other, Field) and
+                                 (self.p, self.alpha) == (other.p, other.alpha))
 
     def __hash__(self) -> int:
         return hash(("Field", self.p, self.alpha))
@@ -323,7 +351,9 @@ class Subfield:
     def elements(self) -> tuple[int, ...]:
         els = {0}
         els.update(self.field.pow(self.generator, t) for t in range(self.size - 1))
-        assert len(els) == self.size
+        if len(els) != self.size:
+            raise RuntimeError(f"the generator of F_{self.size} spans "
+                               f"{len(els)} elements")
         return tuple(sorted(els))
 
     def contains(self, x: int) -> bool:
@@ -346,34 +376,40 @@ class Subfield:
 
 
 def _echelon(field: Field, vectors) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced echelon basis (as element indices) and its pivot columns.
+    """Reduced echelon basis (as element ints) and its pivot digits.
 
-    Pivots are placed on the most significant digit first, so reducing an
-    element against the basis zeroes every pivot digit and returns the
-    least element of its coset in the canonical integer order (any other
-    coset member first differs at some pivot digit, where it is larger).
+    Every row is monic at its pivot, which is its most significant
+    nonzero digit, and every other row is 0 there; pivots come most
+    significant first.  Reducing an element against the basis thus zeroes
+    every pivot digit and returns the least element of its coset in the
+    canonical integer order (any other coset member first differs at some
+    pivot digit, where it is larger).  The reduced echelon form of a
+    subspace is unique, so the basis does not depend on how the vectors
+    are ordered or how many of them are dependent.
     """
-    p, alpha = field.p, field.alpha
-    rows = [list(field.coeffs(v)) for v in vectors if v != 0]
-    r = 0
-    pivots = []
-    for col in reversed(range(alpha)):
-        piv = next((t for t in range(r, len(rows)) if rows[t][col]), None)
-        if piv is None:
+    p, pows = field.p, field._pows
+    add, mul = field.add, field.mul
+    rows: dict[int, int] = {}           # pivot digit -> row
+    for x in vectors:
+        for t, row in rows.items():
+            c = x // pows[t] % p
+            if c:
+                x = add(x, row if c == p - 1 else mul(p - c, row))
+        if not x:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(c * inv) % p for c in rows[r]]
-        for t in range(len(rows)):
-            if t != r and rows[t][col]:
-                f = rows[t][col]
-                rows[t] = [(a - f * b) % p for a, b in zip(rows[t], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
+        t = bisect_right(pows, x) - 1   # most significant nonzero digit
+        c = x // pows[t]
+        if c != 1:
+            x = mul(pow(c, -1, p), x)
+        for s, row in rows.items():
+            c = row // pows[t] % p
+            if c:
+                rows[s] = add(row, x if c == p - 1 else mul(p - c, x))
+        rows[t] = x
+        if len(rows) == field.alpha:
             break
-    basis = tuple(field.element(row) for row in rows[:r])
-    return basis, tuple(pivots)
+    pivots = tuple(sorted(rows, reverse=True))
+    return tuple(rows[t] for t in pivots), pivots
 
 
 class Subspace:
@@ -385,20 +421,18 @@ class Subspace:
         self.basis, self.pivots = _echelon(field, vectors)
         self.dim = len(self.basis)
         self.size = field.p ** self.dim
-        self._rows = [list(field.coeffs(v)) for v in self.basis]
         self._elements: tuple[int, ...] | None = None
-        self._stab_degree: int | None = None
 
     def reduce(self, x: int) -> int:
         """Least element of the coset x + (this subspace): echelon reduction
         with most-significant pivots is coset-leader reduction."""
-        field, p = self.field, self.field.p
-        cf = list(field.coeffs(x))
-        for row, piv in zip(self._rows, self.pivots):
-            c = cf[piv]
+        field = self.field
+        p, pows, add, mul = field.p, field._pows, field.add, field.mul
+        for t, row in zip(self.pivots, self.basis):
+            c = x // pows[t] % p
             if c:
-                cf = [(a - c * b) % p for a, b in zip(cf, row)]
-        return field.element(cf)
+                x = add(x, row if c == p - 1 else mul(p - c, row))
+        return x
 
     def contains(self, x: int) -> bool:
         return self.reduce(x) == 0
@@ -413,15 +447,21 @@ class Subspace:
             for v in self.basis:
                 step = [field.smul(t, v) for t in range(field.p)]
                 combs = [field.add(c, s) for c in combs for s in step]
-            assert len(combs) == self.size
-            self._elements = tuple(sorted(combs))
+            els = tuple(sorted(set(combs)))
+            if len(els) != self.size:
+                raise RuntimeError(f"a basis of {self.dim} vectors spans "
+                                   f"{len(els)} elements")
+            self._elements = els
         return self._elements
 
     def stabilizing_degree(self) -> int:
-        """Degree of the largest subfield mapping this subspace into itself."""
-        if self._stab_degree is None:
-            self._stab_degree = subfield_stabilizer(self).degree
-        return self._stab_degree
+        """Degree of the largest subfield mapping this subspace into itself,
+        memoized on the field per basis."""
+        known = self.field._stab_degrees
+        degree = known.get(self.basis)
+        if degree is None:
+            degree = known[self.basis] = subfield_stabilizer(self).degree
+        return degree
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -456,7 +496,9 @@ def subfield_stabilizer(H: Subspace) -> Subfield:
     degree first: g*H <= H already forces K*H <= H by F_p-linearity.
     """
     field = H.field
-    for m in sorted(divisors(field.alpha), reverse=True):
+    for m in range(field.alpha, 0, -1):
+        if field.alpha % m:
+            continue
         g = field.subfield(m).generator
         if all(H.contains(field.mul(g, v)) for v in H.basis):
             return field.subfield(m)
@@ -479,7 +521,9 @@ class QuotientSpace:
         self.transversal = tuple(sorted({denominator.reduce(x)
                                          for x in range(field.q)}))
         self.size = field.q // denominator.size
-        assert len(self.transversal) == self.size
+        if len(self.transversal) != self.size:
+            raise RuntimeError(f"{len(self.transversal)} coset leaders for "
+                               f"{self.size} cosets")
 
     def rep(self, x: int) -> int:
         return self.denominator.reduce(x)
@@ -497,7 +541,9 @@ def lines_of_quotient(Q: QuotientSpace, K: Subfield) -> list[Subspace]:
     if H.stabilizing_degree() % K.degree:
         raise ValueError("denominator is not a K-subspace")
     expected, rem = divmod(Q.size - 1, K.size - 1)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"|F_q/H| - 1 = {Q.size - 1} is not a multiple "
+                           f"of |K| - 1 = {K.size - 1}")
     seen = set()
     out = []
     for r in Q.transversal[1:]:
@@ -505,7 +551,10 @@ def lines_of_quotient(Q: QuotientSpace, K: Subfield) -> list[Subspace]:
                      H.basis + tuple(field.mul(kb, r) for kb in K.basis))
         if W.basis not in seen:
             seen.add(W.basis)
-            assert W.dim == H.dim + K.degree
+            if W.dim != H.dim + K.degree:
+                raise RuntimeError(f"a line over F_{K.size} raised dim "
+                                   f"{H.dim} to {W.dim}")
             out.append(W)
-    assert len(out) == expected
+    if len(out) != expected:
+        raise RuntimeError(f"found {len(out)} lines, expected {expected}")
     return out

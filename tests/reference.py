@@ -3,7 +3,9 @@
 A subgroup is the closure of its generators under composition, turned
 into a descriptor only at the end; a map fixes a subset when it sends
 every element of the subset into it, tested one map at a time with
-plain field arithmetic (no translate masks).
+plain field arithmetic (no translate masks).  Field addition and
+subspace echelon forms are computed on coefficient lists, digit by digit
+mod p (no Zech logarithms, no int rows).
 """
 
 from aglstab.agl import AffineMap, subgroup_from_pairs
@@ -47,3 +49,57 @@ def reference_fixing_maps(field, mask: int):
         for b in range(field.q):
             if all(mask >> field.add(field.mul(a, x), b) & 1 for x in elems):
                 yield a, b
+
+
+def reference_add(field, x: int, y: int) -> int:
+    """x + y as the digit-wise sum mod p of the coordinates."""
+    p = field.p
+    return field.element([(a + b) % p
+                          for a, b in zip(field.coeffs(x), field.coeffs(y))])
+
+
+def reference_neg(field, x: int) -> int:
+    """-x as the digit-wise negation mod p of the coordinates."""
+    return field.element([(-c) % field.p for c in field.coeffs(x)])
+
+
+def reference_smul(field, c: int, x: int) -> int:
+    """c*x for an integer c, scaling every coordinate mod p."""
+    return field.element([(c * cf) % field.p for cf in field.coeffs(x)])
+
+
+def reference_echelon(field, vectors) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced echelon basis and pivot columns by Gauss-Jordan elimination
+    on coefficient lists, sweeping the columns most significant first."""
+    p, alpha = field.p, field.alpha
+    rows = [list(field.coeffs(v)) for v in vectors if v != 0]
+    r = 0
+    pivots = []
+    for col in reversed(range(alpha)):
+        piv = next((t for t in range(r, len(rows)) if rows[t][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [(c * inv) % p for c in rows[r]]
+        for t in range(len(rows)):
+            if t != r and rows[t][col]:
+                f = rows[t][col]
+                rows[t] = [(a - f * b) % p for a, b in zip(rows[t], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(field.element(row) for row in rows[:r]), tuple(pivots)
+
+
+def reference_reduce(field, basis, pivots, x: int) -> int:
+    """x reduced against an echelon basis, clearing each pivot column of
+    the coefficient list in turn."""
+    p = field.p
+    cf = list(field.coeffs(x))
+    for v, piv in zip(basis, pivots):
+        c = cf[piv]
+        if c:
+            cf = [(a - c * b) % p for a, b in zip(cf, field.coeffs(v))]
+    return field.element(cf)

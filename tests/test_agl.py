@@ -5,6 +5,7 @@ fields by an independent route (closure of map sets under composition,
 no descriptors involved) and compare everything against it.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -318,6 +319,21 @@ def test_join_pair_matches_generated_subgroup(p, alpha):
         assert join_pair(T1, T2) == expected, (T1, T2)
 
 
+def test_join_point_check_raises(monkeypatch):
+    # without coset reduction the two fixed points give two different b;
+    # the check is a raise, so python -O keeps it
+    F = field(7, 1)
+    S = trivial_subgroup(F)
+    halves = [T for T in immediate_supergroups(S) if T.d == 2]
+    T1, T2 = Subgroup(F, 2, 0, S.H), Subgroup(F, 3, 1, S.H)
+    assert join(S, halves[:2]).H.size == 7
+    monkeypatch.setattr("aglstab.agl.coset_min", lambda x, H: x)
+    with pytest.raises(RuntimeError, match="chosen point"):
+        join(S, halves[:2])
+    with pytest.raises(RuntimeError, match="chosen point"):
+        join_pair(T1, T2)
+
+
 def test_join_handles_multi_prime_selections():
     # selections mixing distinct primes and distinct cosets at q = 13
     F = field(13, 1)
@@ -357,6 +373,27 @@ def test_class_representative_round_trip(p, alpha):
         assert S.H.size == cp.h_size
         assert S.hprime().size == cp.hprime_size
         assert S.shape() == (d, i, j)
+
+
+#: SHA-256 of repr(((d, i, j, H.basis) for every class shape)), recorded
+#: while subspace rows were still coefficient lists
+CLASS_REPRESENTATIVE_SHA256 = {
+    (5, 2): "d63e023029e27755a3ff784b904f81a0b2ce82b4bdbf8db6923fa9dc7c11081a",
+    (3, 3): "87b2ca99a95014381421bdc0ad5b4465e2986f5a77e6b64d01f01da5e929e3ea",
+    (2, 5): "97b4ae86461aff3097ec4b167ad7150929a62ae9e0a21b377da6e325846d5ff5",
+    (7, 2): "22d3330c3e11d6459f53c22b0dbff6207fdca125f2f7fb42cf35c7079ab274b7",
+    (2, 6): "89c1c1021dff8b90775fc409fee7936552f1eb3d8abedab7d6fe24c0e7f6117d",
+    (3, 4): "af00911442a8b5d67672a7726236b9f1d9e3a45b09c6e9e266ca84513a699eba",
+}
+
+
+@pytest.mark.parametrize("p,alpha", list(CLASS_REPRESENTATIVE_SHA256))
+def test_class_representative_bases_golden_digest(p, alpha):
+    F = field(p, alpha)
+    reps = tuple((d, i, j, class_representative(F, d, i, j).H.basis)
+                 for d, i, j in class_shapes(p, alpha))
+    digest = hashlib.sha256(repr(reps).encode()).hexdigest()
+    assert digest == CLASS_REPRESENTATIVE_SHA256[(p, alpha)]
 
 
 def test_class_representative_rejects_bad_shape():

@@ -1,6 +1,9 @@
 """Field arithmetic, subspaces, quotients: canonical choices and axioms."""
 
+import ast
+import inspect
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +12,8 @@ from aglstab.ffield import (Field, QuotientSpace, Subspace, coset_min,
                             find_generator, full_subspace, lines_of_quotient,
                             make_field, span, subfield_stabilizer,
                             zero_subspace)
+from reference import (reference_add, reference_echelon, reference_neg,
+                       reference_reduce, reference_smul)
 
 
 def test_make_field_moduli():
@@ -219,3 +224,81 @@ def test_prime_set_reexport_sanity():
     # the field layer leans on these for irreducibility and generators
     assert prime_set(1) == ()
     assert prime_set(6) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# table-backed addition and int-row subspaces against coefficient lists
+
+
+def _check_additive_ops(F, pairs):
+    for x, y in pairs:
+        assert F.add(x, y) == reference_add(F, x, y), (x, y)
+        assert F.sub(x, y) == reference_add(F, x, reference_neg(F, y)), (x, y)
+
+
+@pytest.mark.parametrize("p,alpha", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+                                     (5, 3)])
+def test_add_neg_sub_smul_match_digitwise_reference(p, alpha):
+    F = make_field(p, alpha)
+    _check_additive_ops(F, itertools.product(F.elements(), repeat=2))
+    for x in F.elements():
+        assert F.neg(x) == reference_neg(F, x), x
+        for c in range(-p, 2 * p):
+            assert F.smul(c, x) == reference_smul(F, c, x), (c, x)
+
+
+def test_add_neg_match_digitwise_reference_sampled_large_field():
+    F = make_field(3, 10)
+    rng = random.Random(310)
+    xs = [0, 1, 2, F.q - 1, F.gamma] + [rng.randrange(F.q) for _ in range(120)]
+    _check_additive_ops(F, itertools.product(xs, repeat=2))
+    for x in xs:
+        assert F.neg(x) == reference_neg(F, x), x
+        assert F.smul(5, x) == reference_smul(F, 5, x), x
+
+
+def _vector_sets(F, rng):
+    yield ()
+    yield (0, 0)
+    yield F.elements()
+    for size in range(1, F.alpha + 3):
+        for _ in range(6):
+            yield tuple(rng.randrange(F.q) for _ in range(size))
+    # a scaled copy of a vector, so that elimination meets non-monic pivots
+    x = rng.randrange(1, F.q)
+    yield (x, F.smul(F.p - 1, x), F.mul(F.gamma, x))
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                                     (2, 5), (7, 2), (2, 6), (3, 4)])
+def test_subspace_matches_coefficient_list_reference(p, alpha):
+    F = make_field(p, alpha)
+    rng = random.Random(F.q)
+    for vectors in _vector_sets(F, rng):
+        H = Subspace(F, vectors)
+        basis, pivots = reference_echelon(F, vectors)
+        assert (H.basis, H.pivots) == (basis, pivots), vectors
+        for x in F.elements():
+            assert H.reduce(x) == reference_reduce(F, basis, pivots, x), (vectors, x)
+        # order and redundancy of the input do not matter
+        assert Subspace(F, sorted(vectors, reverse=True) + list(basis)) == H
+
+
+def test_stabilizing_degree_is_memoized_per_basis(monkeypatch):
+    F = make_field(2, 6)
+    H = span((1, 2), F.prime_subfield)
+    degree = H.stabilizing_degree()
+    monkeypatch.setattr("aglstab.ffield.subfield_stabilizer",
+                        lambda W: pytest.fail("stabilizer recomputed"))
+    assert Subspace(F, H.basis[::-1]).stabilizing_degree() == degree
+    assert H.stabilizing_degree() == degree
+
+
+def test_field_checks_are_raises_not_asserts():
+    # python -O strips assert statements; the checks must survive it
+    import aglstab.agl
+    import aglstab.ffield
+    for module in (aglstab.ffield, aglstab.agl):
+        tree = ast.parse(inspect.getsource(module))
+        assert not any(isinstance(node, ast.Assert)
+                       for node in ast.walk(tree)), module.__name__

@@ -185,7 +185,8 @@ def test_lattice_example_q5():
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
-                                     (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+                                     (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+                                     (5, 2), (3, 3), (2, 5), (7, 2)])
 def test_closed_form_terms_equal_lattice_terms(p, alpha):
     # one representation for two engines: the same signed (c, d, |H|) terms
     F = field(p, alpha)
