@@ -10,9 +10,8 @@ from .counting import (ClassParams, CountRecord, build_table, class_shapes,
 from .ffield import (Field, QuotientSpace, Subfield, Subspace, find_generator,
                      lines_of_quotient, make_field, span, subfield_stabilizer)
 from .agl import (AffineMap, OrbitPartition, Subgroup, class_representative,
-                  compose, conjugate_to_b_zero, fixed_subset_count,
-                  full_group, immediate_supergroups, join, join_pair, orbits,
-                  subgroup_elements, trivial_subgroup)
+                  conjugate_to_b_zero, fixed_subset_count, full_group,
+                  immediate_supergroups, join, join_pair, trivial_subgroup)
 from .oracle import (BudgetExceededError, all_subgroups, count_N_bruteforce,
                      count_N_via_lattice, full_census, lattice_terms,
                      stabilizer, subset_mask)

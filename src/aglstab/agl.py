@@ -14,12 +14,11 @@ model: (a1, b1) o (a2, b2) = (a1*a2, a1*b2 + b1), (a, b)**l =
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-from sympy import isprime
 
 from .counting import mult_order, prime_set, s_qk
 from .ffield import (Field, QuotientSpace, Subspace, coset_min,
@@ -79,11 +78,6 @@ class AffineMap:
 
     def __repr__(self) -> str:
         return f"AffineMap(x -> {self.a}*x + {self.b})"
-
-
-def compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    """f o g, acting as x -> f(g(x))."""
-    return f * g
 
 
 @dataclass(frozen=True)
@@ -266,10 +260,6 @@ def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
     return Subgroup(field, d, b0, H)
 
 
-def subgroup_elements(S: Subgroup) -> tuple[AffineMap, ...]:
-    return S.elements()
-
-
 def conjugate_to_b_zero(S: Subgroup) -> tuple[Subgroup, AffineMap]:
     """Translation conjugate of S with b = 0, plus the conjugating map.
 
@@ -326,77 +316,13 @@ def fixed_subset_count(S: Subgroup, k: int) -> int:
 
 
 def join(S: Subgroup, selection) -> Subgroup:
-    """The subgroup generated by S and a selection of its immediate
-    supergroups, computed on descriptors.
-
-    For a selection split into prime-order enlargements C (pairs (e, b))
-    and translation lines X, the join is
-    S(gamma**((q-1)/PiP), (gamma**((q-1)/PiP) - 1)*u, <Delta(C), preimages
-    of X>_K) with P the primes of C, u any of the points b/(a_e - 1),
-    Delta(C) their differences and K = F_{p**o_PiP(p)}; the result is
-    independent of the choice of u (checked: RuntimeError otherwise).  For
-    d > 1 every selected group has b = 0 and the join is
-    S(gamma**((q-1)/(d*PiP)), 0, <X>_K).
-    """
-    field = S.field
+    """The subgroup generated by S and a selection of proper supergroups,
+    one ``join_pair`` per selected group."""
     sel = list(selection)
     for T in sel:
         if not (T.contains(S) and T != S):
             raise ValueError(f"{T!r} is not a proper supergroup of {S!r}")
-    if not sel:
-        return S
-    p, q = field.p, field.q
-    if S.d == 1:
-        cpairs = []
-        lines = []
-        for T in sel:
-            if T.d == 1:
-                if not (S.H.issubspace_of(T.H) and T.H.dim == S.H.dim + 1):
-                    raise ValueError(f"{T!r} is not an immediate supergroup of {S!r}")
-                lines.append(T)
-            else:
-                if not (isprime(T.d) and T.H == S.H):
-                    raise ValueError(f"{T!r} is not an immediate supergroup of {S!r}")
-                cpairs.append((T.d, T.b))
-        P = sorted({e for e, _ in cpairs})
-        piP = math.prod(P)
-        K = field.subfield(mult_order(p, piP))
-        points = [field.div(b, field.sub(field.pow(field.gamma, (q - 1) // e), 1))
-                  for e, b in cpairs]
-        deltas = [field.sub(u, v) for u, v in itertools.combinations(points, 2)]
-        vectors = list(S.H.basis) + deltas
-        for T in lines:
-            vectors.extend(T.H.basis)
-        Hnew = span(vectors, K)
-        if not cpairs:
-            return Subgroup(field, 1, 0, Hnew)
-        a_new = field.pow(field.gamma, (q - 1) // piP)
-        b_candidates = {coset_min(field.mul(field.sub(a_new, 1), u), Hnew)
-                        for u in points}
-        if len(b_candidates) != 1:
-            raise RuntimeError("join must not depend on the chosen point, got "
-                               f"b in {sorted(b_candidates)}")
-        return Subgroup(field, piP, b_candidates.pop(), Hnew)
-
-    primes = set()
-    lines = []
-    for T in sel:
-        if T.d == S.d:
-            if not (S.H.issubspace_of(T.H)
-                    and T.H.dim == S.H.dim + mult_order(p, S.d)):
-                raise ValueError(f"{T!r} is not an immediate supergroup of {S!r}")
-            lines.append(T)
-        else:
-            e, rem = divmod(T.d, S.d)
-            if rem or not isprime(e) or T.H != S.H:
-                raise ValueError(f"{T!r} is not an immediate supergroup of {S!r}")
-            primes.add(e)
-    d_new = S.d * math.prod(sorted(primes))
-    K = field.subfield(mult_order(p, d_new))
-    vectors = list(S.H.basis)
-    for T in lines:
-        vectors.extend(T.H.basis)
-    return Subgroup(field, d_new, 0, span(vectors, K))
+    return functools.reduce(join_pair, sel, S)
 
 
 def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
@@ -427,10 +353,6 @@ def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
         raise RuntimeError("join must not depend on the chosen point, got "
                            f"b in {sorted(b_candidates)}")
     return Subgroup(field, d, b_candidates.pop(), Hnew)
-
-
-def orbits(S: Subgroup) -> OrbitPartition:
-    return S.orbits()
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ forms in :mod:`aglstab.counting`:
 * ``count_N_bruteforce``: enumerate only the orbit unions of a subgroup
   (the subsets it fixes setwise) and keep those that no map found by the
   same full scan fixes from outside it.
-* ``count_N_via_lattice``: the alternating sum over selections of
-  immediate supergroups, each join evaluated on descriptors and its
-  fixed-subset count read off the orbit sizes.  When the number of
-  supergroups makes the 2**t walk infeasible, selections are grouped by
-  their join: the aggregated coefficients solve a triangular system
-  over the join closure and give the identical sum.
+* ``count_N_via_lattice``: the alternating sum over all selections of
+  immediate supergroups, with each join computed on descriptors and its
+  fixed-subset count read off the orbit sizes.  The sum is folded in one
+  supergroup at a time (``lattice_terms``), so it never walks the 2**t
+  selections one by one, yet every selection still contributes its sign
+  at its own join.
 
 Subsets are plain integer bitmasks over the canonical element order.
 Budgets are explicit and overruns raise; nothing is ever truncated
@@ -33,14 +33,13 @@ from functools import lru_cache
 
 from sympy import divisors
 
-from .agl import (Subgroup, immediate_supergroups, join, join_pair,
+from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
 from .counting import mult_order, s_qk
 from .ffield import Field, QuotientSpace, Subspace, span, zero_subspace
 
 DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000
-DEFAULT_DIRECT_WALK_LIMIT = 12
 DEFAULT_CLOSURE_LIMIT = 5_000
 DEFAULT_ALL_SUBGROUPS_LIMIT = 64
 
@@ -217,75 +216,49 @@ def full_census(field: Field, k: int,
 # inclusion-exclusion over the supergroup lattice
 
 
-def _closure_terms(S: Subgroup, supers: list[Subgroup],
-                   closure_limit: int) -> Counter:
-    members = {S}
-    frontier = [S]
-    while frontier:
-        new = []
-        for T in frontier:
-            for U in supers:
-                J = join_pair(T, U)
-                if J not in members:
-                    members.add(J)
-                    new.append(J)
-                    if len(members) > closure_limit:
-                        raise BudgetExceededError(
-                            f"join closure exceeds {closure_limit} subgroups")
-        frontier = new
-    ordered = sorted(members,
-                     key=lambda T: (T.order, T.d, T.H.basis, T.b))
-    coeff: dict[Subgroup, int] = {}
-    for idx, T in enumerate(ordered):
-        c = 1 if T == S else 0
-        for U in ordered[:idx]:
-            if U.order < T.order and T.contains(U):
-                c -= coeff[U]
-        coeff[T] = c
-    agg: Counter = Counter()
-    for T, c in coeff.items():
-        if c:
-            agg[(T.d, T.H.size)] += c
-    return agg
-
-
 @lru_cache(maxsize=None)
 def lattice_terms(S: Subgroup,
-                  direct_limit: int = DEFAULT_DIRECT_WALK_LIMIT,
                   closure_limit: int = DEFAULT_CLOSURE_LIMIT,
                   ) -> tuple[tuple[int, int, int], ...]:
     """Signed terms (coefficient, d, |H|) of the inclusion-exclusion for
     N(S, k); k enters only through the fixed-subset counts, so the terms
     are reusable across k.
 
-    With t immediate supergroups the alternating sum has 2**t selections;
-    up to ``direct_limit`` of them it is walked literally (one join per
-    selection), beyond that selections are grouped by their join over the
-    join closure.
+    The sum runs over all 2**t selections X of the t immediate
+    supergroups, with sign (-1)**|X| at join(S, X), folded in one
+    supergroup U at a time: f maps subgroups to coefficients, starts as
+    {S: 1}, and every (T, c) in f adds -c at join(T, U) -- the selections
+    that also take U.  Entries that cancel to zero are dropped after each
+    U; more than ``closure_limit`` nonzero entries raise.
     """
     if S.b != 0:
         raise ValueError("lattice evaluation requires b = 0; conjugate first")
     supers = immediate_supergroups(S)
+    f: dict[Subgroup, int] = {S: 1}
+    for folded, U in enumerate(supers, 1):
+        for T, c in list(f.items()):
+            J = join_pair(T, U)
+            f[J] = f.get(J, 0) - c
+        f = {T: c for T, c in f.items() if c}
+        if len(f) > closure_limit:
+            raise BudgetExceededError(
+                f"the lattice fold holds {len(f)} subgroups after {folded} "
+                f"of {len(supers)} supergroups, over the limit of "
+                f"{closure_limit}")
     agg: Counter = Counter()
-    if len(supers) <= direct_limit:
-        for r in range(len(supers) + 1):
-            for sel in itertools.combinations(supers, r):
-                T = join(S, sel)
-                agg[(T.d, T.H.size)] += (-1) ** r
-    else:
-        agg = _closure_terms(S, supers, closure_limit)
+    for T, c in f.items():
+        agg[(T.d, T.H.size)] += c
     return tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
 
 
 def count_N_via_lattice(S: Subgroup, k: int,
-                        direct_limit: int = DEFAULT_DIRECT_WALK_LIMIT,
                         closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> int:
     """N(S, k) by inclusion-exclusion over the immediate supergroups."""
     if not 0 <= k <= S.field.q:
         raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
     q = S.field.q
     return sum(c * s_qk(q, k, d, h)
-               for c, d, h in lattice_terms(S, direct_limit, closure_limit))
+               for c, d, h in lattice_terms(S, closure_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,17 @@
 A subgroup is the closure of its generators under composition, turned
 into a descriptor only at the end; a map fixes a subset when it sends
 every element of the subset into it, tested one map at a time with
-plain field arithmetic (no translate masks).  Field addition and
-subspace echelon forms are computed on coefficient lists, digit by digit
-mod p (no Zech logarithms, no int rows).
+plain field arithmetic (no translate masks).  The lattice
+inclusion-exclusion visits every selection of immediate supergroups on
+its own (no fold).  Field addition and subspace echelon forms are
+computed on coefficient lists, digit by digit mod p (no Zech logarithms,
+no int rows).
 """
 
-from aglstab.agl import AffineMap, subgroup_from_pairs
+from collections import Counter
+
+from aglstab.agl import (AffineMap, immediate_supergroups, join_pair,
+                         subgroup_from_pairs)
 
 
 def mulclose(maps) -> set[AffineMap]:
@@ -39,6 +44,28 @@ def canonicalize(maps):
     field = maps[0].field
     closure = mulclose(maps)
     return subgroup_from_pairs(field, ((m.a, m.b) for m in closure))
+
+
+def literal_lattice_terms(S) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """Signed (coefficient, d, |H|) terms of the inclusion-exclusion for
+    N(S, k), summed over the 2**t selections of the t immediate
+    supergroups one selection at a time, plus the number of selections
+    visited.  A depth-first walk extends each selection by one later
+    supergroup, so every nonempty selection costs one ``join_pair``."""
+    supers = immediate_supergroups(S)
+    agg: Counter = Counter()
+    visited = 0
+
+    def walk(start, T, sign):
+        nonlocal visited
+        visited += 1
+        agg[(T.d, T.H.size)] += sign
+        for idx in range(start, len(supers)):
+            walk(idx + 1, join_pair(T, supers[idx]), -sign)
+
+    walk(0, S, 1)
+    terms = tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
+    return terms, visited
 
 
 def reference_fixing_maps(field, mask: int):

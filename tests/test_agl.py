@@ -10,10 +10,10 @@ import itertools
 
 import pytest
 
-from aglstab.agl import (AffineMap, Subgroup, class_representative, compose,
+from aglstab.agl import (AffineMap, Subgroup, class_representative,
                          conjugate_to_b_zero, fixed_subset_count, full_group,
-                         immediate_supergroups, join, join_pair, orbits,
-                         subgroup_elements, trivial_subgroup)
+                         immediate_supergroups, join, join_pair,
+                         trivial_subgroup)
 from aglstab.counting import ClassParams, class_shapes, mult_order
 from aglstab.ffield import Subspace, make_field, span, zero_subspace
 from aglstab.oracle import all_subgroups
@@ -61,7 +61,7 @@ def lattice_by_closure(F):
 
 def test_compose_example_q5():
     F = field(5, 1)
-    h = compose(AffineMap(F, 2, 1), AffineMap(F, 3, 2))
+    h = AffineMap(F, 2, 1) * AffineMap(F, 3, 2)
     assert (h.a, h.b) == (1, 0)
     assert h.is_identity
 
@@ -104,11 +104,11 @@ def test_map_rejects_zero_multiplier():
 def test_subgroup_element_counts():
     F = field(5, 1)
     S = Subgroup(F, 2, 0, zero_subspace(F))
-    els = subgroup_elements(S)
+    els = S.elements()
     assert len(els) == 2
     assert {(m.a, m.b) for m in els} == {(1, 0), (4, 0)}
-    assert len(subgroup_elements(trivial_subgroup(F))) == 1
-    assert len(subgroup_elements(full_group(F))) == 20
+    assert len(trivial_subgroup(F).elements()) == 1
+    assert len(full_group(F).elements()) == 20
 
 
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2)])

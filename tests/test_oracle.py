@@ -9,7 +9,8 @@ import random
 import pytest
 
 from aglstab.agl import (Subgroup, class_representative, full_group,
-                         subgroup_from_pairs, trivial_subgroup)
+                         immediate_supergroups, subgroup_from_pairs,
+                         trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
                               mult_order)
 from aglstab.ffield import make_field, span, zero_subspace
@@ -17,7 +18,7 @@ from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             count_N_bruteforce, count_N_via_lattice,
                             fixing_maps, full_census, lattice_terms,
                             mask_elements, stabilizer, subset_mask)
-from reference import reference_fixing_maps
+from reference import literal_lattice_terms, reference_fixing_maps
 
 FIELDS = {}
 
@@ -67,7 +68,7 @@ def test_subgroup_from_pairs_rejects_non_subgroups():
 
 def test_scan_checks_are_raises_not_asserts():
     # python -O strips assert statements; the checks must survive it
-    for obj in (subgroup_from_pairs, fixing_maps):
+    for obj in (subgroup_from_pairs, fixing_maps, lattice_terms):
         tree = ast.parse(inspect.getsource(obj))
         assert not any(isinstance(node, ast.Assert)
                        for node in ast.walk(tree)), obj
@@ -186,7 +187,7 @@ def test_lattice_example_q5():
 
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                      (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
-                                     (5, 2), (3, 3), (2, 5), (7, 2)])
+                                     (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
 def test_closed_form_terms_equal_lattice_terms(p, alpha):
     # one representation for two engines: the same signed (c, d, |H|) terms
     F = field(p, alpha)
@@ -202,20 +203,24 @@ def test_lattice_requires_b_zero():
 
 
 def test_lattice_closure_budget():
+    # the trivial group of F_13 has 27 immediate supergroups: two of
+    # order 2 leave {1, U1, U2, U1 v U2} in the fold, one over the cap
     F = field(13, 1)
-    with pytest.raises(BudgetExceededError):
-        lattice_terms(trivial_subgroup(F), direct_limit=0, closure_limit=3)
+    with pytest.raises(BudgetExceededError,
+                       match=r"holds 4 subgroups after 2 of 27 supergroups, "
+                             r"over the limit of 3"):
+        lattice_terms(trivial_subgroup(F), closure_limit=3)
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
-def test_direct_walk_and_closure_grouping_agree(p, alpha):
+def test_fold_equals_literal_walk(p, alpha):
     F = field(p, alpha)
     for S in all_subgroups(F):
         if S.b != 0:
             continue
-        direct = lattice_terms(S, direct_limit=64)
-        grouped = lattice_terms(S, direct_limit=0)
-        assert direct == grouped, S
+        literal, visited = literal_lattice_terms(S)
+        assert visited == 2 ** len(immediate_supergroups(S))
+        assert lattice_terms(S) == literal, S
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
