@@ -1,15 +1,17 @@
 """The group of affine maps x -> a*x + b on F_q and its subgroup lattice.
 
-Every subgroup is ``S(a, b, H)``: the group generated by one map (a, b)
+A map is the int pair (a, b) with a != 0, and a subset is an int mask
+(see :mod:`aglstab.oracle`); the module keeps no map objects.  Every
+subgroup is ``S(a, b, H)``: the group generated by one map (a, b)
 together with the translations by an F_p-subspace H that is closed under
 multiplication by F_p(a).  The canonical descriptor fixes a = gamma**((q-1)/d)
 for the divisor d = o(a) of q - 1, and reduces b to the least element of
 its coset b + H (with b = 0 forced when d = 1).  Two descriptors are equal
 iff the subgroups are equal, so lattice walks never need element sets.
 
-Composition, inverses and powers follow the 2x2 upper-triangular matrix
-model: (a1, b1) o (a2, b2) = (a1*a2, a1*b2 + b1), (a, b)**l =
-(a**l, (a**l - 1)/(a - 1) * b) with the fraction read as l when a = 1.
+A map (a', b') lies in S iff a' is a power a**l and b' - (a**l - 1)/(a - 1)
+* b lies in H (b' in H when a' = 1): the l-th power of (a, b) is
+(a**l, (a**l - 1)/(a - 1) * b) in the 2x2 upper-triangular matrix model.
 """
 
 from __future__ import annotations
@@ -18,78 +20,10 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .counting import mult_order, prime_set, s_qk
-from .ffield import (Field, QuotientSpace, Subspace, coset_min,
-                     full_subspace, lines_of_quotient, span, zero_subspace)
-
-
-class AffineMap:
-    """The map x -> a*x + b on a fixed field, a != 0."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: Field, a: int, b: int):
-        if a == 0:
-            raise ValueError("the multiplier a must be nonzero")
-        self.field = field
-        self.a = a
-        self.b = b
-
-    @classmethod
-    def identity(cls, field: Field) -> "AffineMap":
-        return cls(field, 1, 0)
-
-    def __call__(self, x: int) -> int:
-        f = self.field
-        return f.add(f.mul(self.a, x), self.b)
-
-    def __mul__(self, other: "AffineMap") -> "AffineMap":
-        if self.field != other.field:
-            raise ValueError("cannot compose maps over different fields")
-        f = self.field
-        return AffineMap(f, f.mul(self.a, other.a),
-                         f.add(f.mul(self.a, other.b), self.b))
-
-    def inverse(self) -> "AffineMap":
-        f = self.field
-        ai = f.inv(self.a)
-        return AffineMap(f, ai, f.neg(f.mul(ai, self.b)))
-
-    def __pow__(self, l: int) -> "AffineMap":
-        f = self.field
-        if self.a == 1:
-            return AffineMap(f, 1, f.smul(l, self.b))
-        al = f.pow(self.a, l)
-        coeff = f.div(f.sub(al, 1), f.sub(self.a, 1))
-        return AffineMap(f, al, f.mul(coeff, self.b))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AffineMap) and self.field == other.field
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"AffineMap(x -> {self.a}*x + {self.b})"
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
-    """The orbits of a subgroup on the field elements, each sorted, listed
-    by least element."""
-
-    orbits: tuple[tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> Counter:
-        return Counter(len(o) for o in self.orbits)
+from .counting import mult_order, prime_set
+from .ffield import (Field, QuotientSpace, Subspace, full_subspace,
+                     lines_of_quotient, span, zero_subspace)
 
 
 class Subgroup:
@@ -111,7 +45,7 @@ class Subgroup:
                 f"translations must be closed under F_{{p^{odp}}} for d = {d}")
         if not 0 <= b < field.q:
             raise ValueError(f"b must be a field element, got {b}")
-        b = coset_min(b, translations)
+        b = translations.reduce(b)
         if d == 1 and b != 0:
             raise ValueError("a pure translation group must have b = 0")
         self.field = field
@@ -120,14 +54,9 @@ class Subgroup:
         self.H = translations
         self.a = field.pow(field.gamma, (field.q - 1) // d)
         self.order = d * translations.size
-        self._pairs: frozenset[tuple[int, int]] | None = None
-        self._orbits: OrbitPartition | None = None
+        self._orbits: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries -------------------------------------------------------
-
-    @property
-    def generator(self) -> AffineMap:
-        return AffineMap(self.field, self.a, self.b)
 
     def hprime(self):
         """The largest subfield acting on the translation subspace."""
@@ -144,42 +73,29 @@ class Subgroup:
                                f"o_d(p)*i = {odp * i}")
         return (self.d, i, j)
 
-    def elements(self) -> tuple[AffineMap, ...]:
+    def contains_map(self, a: int, b: int) -> bool:
+        """True iff the map x -> a*x + b lies in this subgroup."""
         field = self.field
-        gens = [self.generator ** l for l in range(self.d)]
-        out = [AffineMap(field, g.a, field.add(g.b, h))
-               for g in gens for h in self.H.elements()]
-        distinct = len({(m.a, m.b) for m in out})
-        if distinct != self.order:
-            raise RuntimeError(f"{distinct} distinct maps in a group "
-                               f"of order {self.order}")
-        return tuple(out)
-
-    def element_pairs(self) -> frozenset[tuple[int, int]]:
-        if self._pairs is None:
-            self._pairs = frozenset((m.a, m.b) for m in self.elements())
-        return self._pairs
-
-    def contains_map(self, m: AffineMap) -> bool:
-        field = self.field
-        if m.a == 1:
-            return self.H.contains(m.b)
+        if a == 1:
+            return self.H.contains(b)
         if self.d == 1:
             return False
         step = (field.q - 1) // self.d
-        if field.log(m.a) % step:
+        if field.log(a) % step:
             return False
-        factor = field.div(field.sub(m.a, 1), field.sub(self.a, 1))
-        return self.H.contains(field.sub(m.b, field.mul(factor, self.b)))
+        factor = field.div(field.sub(a, 1), field.sub(self.a, 1))
+        return self.H.contains(field.sub(b, field.mul(factor, self.b)))
 
     def contains(self, other: "Subgroup") -> bool:
         """Subgroup containment, decided on descriptors."""
         return (other.H.issubspace_of(self.H)
-                and self.contains_map(other.generator))
+                and self.contains_map(other.a, other.b))
 
     # -- orbits ---------------------------------------------------------------
 
-    def orbits(self) -> OrbitPartition:
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits on the field elements, each sorted, listed by least
+        element."""
         if self._orbits is None:
             field = self.field
             if self.d == 1:
@@ -191,7 +107,6 @@ class Subgroup:
                 center = field.div(field.neg(self.b), field.sub(self.a, 1))
                 orbs = [tuple(sorted(field.add(center, h) for h in h_els))]
                 seen = set(orbs[0])
-                g = self.generator
                 for x in range(field.q):
                     if x in seen:
                         continue
@@ -199,20 +114,19 @@ class Subgroup:
                     y = x
                     for _ in range(self.d):
                         orbit.update(field.add(y, h) for h in h_els)
-                        y = g(y)
+                        y = field.add(field.mul(self.a, y), self.b)
                     if len(orbit) != self.order:
                         raise RuntimeError(f"an orbit of size {len(orbit)} "
                                            f"in a group of order {self.order}")
                     seen.update(orbit)
                     orbs.append(tuple(sorted(orbit)))
                 orbs.sort(key=lambda o: o[0])
-            part = OrbitPartition(tuple(orbs))
-            sizes = part.sizes
-            if self.d > 1 and (sizes[self.H.size] < 1
-                               or sum(n * s for s, n in sizes.items()) != field.q):
-                raise RuntimeError(f"orbit sizes {dict(sizes)} do not cover "
-                                   f"F_{field.q} with a fixed coset of H")
-            self._orbits = part
+                sizes = Counter(len(o) for o in orbs)
+                if (sizes[self.H.size] < 1
+                        or sum(n * s for s, n in sizes.items()) != field.q):
+                    raise RuntimeError(f"orbit sizes {dict(sizes)} do not cover "
+                                       f"F_{field.q} with a fixed coset of H")
+            self._orbits = tuple(orbs)
         return self._orbits
 
     # -- identity --------------------------------------------------------------
@@ -260,19 +174,6 @@ def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
     return Subgroup(field, d, b0, H)
 
 
-def conjugate_to_b_zero(S: Subgroup) -> tuple[Subgroup, AffineMap]:
-    """Translation conjugate of S with b = 0, plus the conjugating map.
-
-    For d > 1 the conjugator is the translation by c = b/(a - 1); a pure
-    translation group already has b = 0.
-    """
-    field = S.field
-    if S.b == 0:
-        return S, AffineMap.identity(field)
-    c = field.div(S.b, field.sub(S.a, 1))
-    return Subgroup(field, S.d, 0, S.H), AffineMap(field, 1, c)
-
-
 # ---------------------------------------------------------------------------
 # lattice steps
 
@@ -307,14 +208,6 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     return out
 
 
-def fixed_subset_count(S: Subgroup, k: int) -> int:
-    """|S'|: the number of k-subsets fixed setwise by every element of S,
-    i.e. unions of S-orbits of total size k."""
-    if not 0 <= k <= S.field.q:
-        raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
-    return s_qk(S.field.q, k, S.d, S.H.size)
-
-
 def join(S: Subgroup, selection) -> Subgroup:
     """The subgroup generated by S and a selection of proper supergroups,
     one ``join_pair`` per selected group."""
@@ -347,7 +240,7 @@ def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
     a_new = field.pow(field.gamma, (field.q - 1) // d)
     if not points:
         return Subgroup(field, d, 0, Hnew)
-    b_candidates = {coset_min(field.mul(field.sub(a_new, 1), u), Hnew)
+    b_candidates = {Hnew.reduce(field.mul(field.sub(a_new, 1), u))
                     for u in points}
     if len(b_candidates) != 1:
         raise RuntimeError("join must not depend on the chosen point, got "

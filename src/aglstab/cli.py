@@ -199,17 +199,6 @@ def _parse_subset(text: str, q: int) -> int:
     return oracle.subset_mask(elements)
 
 
-def _witness_mask(S: agl.Subgroup, k: int, budget: int) -> int:
-    candidates = oracle.n_orbit_unions(S, k)
-    if candidates > budget:
-        raise oracle.BudgetExceededError(
-            f"{candidates} orbit unions exceed the budget of {budget}")
-    for mask in oracle.orbit_union_masks(S, k):
-        if oracle.is_exact_stabilizer(S, mask):
-            return mask
-    raise AssertionError("a witness subset must exist when the count is positive")
-
-
 def cmd_design(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
@@ -242,7 +231,11 @@ def cmd_design(args, out) -> int:
                 f"no {args.k}-subset has a stabilizer of class d = {args.d}: "
                 "the exact count is 0 for every matching (i, j)")
         S = agl.class_representative(field, *chosen)
-        mask = _witness_mask(S, args.k, args.oracle_budget)
+        mask = next(oracle.exact_orbit_unions(S, args.k, args.oracle_budget),
+                    None)
+        if mask is None:
+            raise RuntimeError(
+                "a witness subset must exist when the count is positive")
         stab = S
     params, matrix = designs.orbit_design(field, mask)
     code, words = designs.design_to_code(matrix)

@@ -172,11 +172,6 @@ class ClassParams:
         """|H| = p**beta."""
         return self.p ** self.beta
 
-    @cached_property
-    def hprime_size(self) -> int:
-        """|H'| = p**(o_d(p)*i)."""
-        return self.p ** (self.odp * self.i)
-
     @property
     def group_order(self) -> int:
         return self.d * self.h_size

@@ -9,6 +9,9 @@ gives a constant-weight code of length b, weight r and minimum distance
 resulting exact value A2(q(q-1)/s, 2k(q-k)/s, k(q-1)/s) = q, where s is
 the stabilizer order.
 
+Subsets and blocks are int masks over the points.  The blocks are the q
+translates of a*B for each multiplier a, taken from the translate-mask
+kernel of :mod:`aglstab.oracle` that also drives the stabilizer scan.
 Each incidence row is one int whose bit j is set when the point lies in
 block j.  ``orbit_design`` checks the block count and the block sizes;
 ``design_to_code`` makes the only pass over the row pairs, where constant
@@ -95,7 +98,12 @@ class CodeParams:
 
 def orbit_design(field: Field, mask: int) -> tuple[DesignParams, IncidenceMatrix]:
     """The block design whose blocks are the images of the masked subset
-    under all affine maps, with parameters from the stabilizer order."""
+    under all affine maps, with parameters from the stabilizer order.
+
+    The images of B under the maps with multiplier a are the q
+    translates of a*B, which ``oracle.translate_masks`` returns as
+    (a*B) - z for every z.
+    """
     k = mask.bit_count()
     if k < 2:
         raise ValueError("orbit designs need at least 2 points in the base subset")
@@ -106,12 +114,10 @@ def orbit_design(field: Field, mask: int) -> tuple[DesignParams, IncidenceMatrix
     b = group_order // stab.order
     blocks = set()
     mul = field.mul
-    add = field.add
     elems = oracle.mask_elements(mask)
     for a in range(1, field.q):
-        imgs = [mul(a, x) for x in elems]
-        for t in range(field.q):
-            blocks.add(oracle.subset_mask(add(y, t) for y in imgs))
+        blocks.update(oracle.translate_masks(
+            field, oracle.subset_mask(mul(a, x) for x in elems)))
     if len(blocks) != b:
         raise ValueError(f"the orbit has {len(blocks)} blocks, but the "
                          f"stabilizer order {stab.order} gives b = {b}")

@@ -20,7 +20,6 @@ is one scaled field addition, and a digit is read as x // p**t % p.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from functools import cached_property
 
@@ -265,11 +264,6 @@ class Field:
             raise ValueError("0 has no discrete logarithm")
         return self._log[x]
 
-    def element_order(self, x: int) -> int:
-        if x == 0:
-            raise ValueError("0 has no multiplicative order")
-        return (self.q - 1) // math.gcd(self.q - 1, self._log[x])
-
     # -- structure ----------------------------------------------------------
 
     def element(self, coeffs) -> int:
@@ -277,9 +271,6 @@ class Field:
         if len(cs) != self.alpha:
             raise ValueError(f"expected {self.alpha} coordinates, got {len(cs)}")
         return sum((c % self.p) * w for c, w in zip(cs, self._pows))
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return self._coeffs[x]
 
     def elements(self) -> range:
         return range(self.q)
@@ -314,16 +305,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, alpha={self.alpha})"
-
-
-def make_field(p: int, alpha: int) -> Field:
-    """Construct F_{p**alpha} over the canonical (smallest) modulus."""
-    return Field(p, alpha)
-
-
-def find_generator(field: Field) -> int:
-    """The first element, in canonical order, of multiplicative order q - 1."""
-    return field.gamma
 
 
 class Subfield:
@@ -503,11 +484,6 @@ def subfield_stabilizer(H: Subspace) -> Subfield:
         if all(H.contains(field.mul(g, v)) for v in H.basis):
             return field.subfield(m)
     raise AssertionError("prime subfield always stabilizes")  # unreachable
-
-
-def coset_min(x: int, H: Subspace) -> int:
-    """Least element of the coset x + H in canonical order."""
-    return H.reduce(x)
 
 
 class QuotientSpace:

@@ -1,17 +1,22 @@
 """Independent verification engines for the closed-form counts.
 
 Three routes to the same numbers, none sharing code with the closed
-forms in :mod:`aglstab.counting`:
+forms in :mod:`aglstab.counting`.  A map is the int pair (a, b) of
+x -> a*x + b, and a subset is an int mask over the canonical element
+order.
 
 * ``stabilizer`` / ``full_census``: test all q*(q-1) affine maps against
-  a subset bitmask (``fixing_maps``) and classify every k-subset by its
+  a subset mask (``fixing_maps``) and classify every k-subset by its
   exact stabilizer.  The scan is bit-parallel over translations: once per
-  subset B it builds the q masks ``shifts[z] = {b : z + b in B}``, and
-  for each multiplier a the AND of ``shifts[a*x]`` over x in B holds
-  exactly the b with a*B + b = B, so every map is still decided.
-* ``count_N_bruteforce``: enumerate only the orbit unions of a subgroup
-  (the subsets it fixes setwise) and keep those that no map found by the
-  same full scan fixes from outside it.
+  subset B, ``translate_masks`` builds the q masks ``shifts[z] = {b : z +
+  b in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x
+  in B holds exactly the b with a*B + b = B, so every map is still
+  decided.
+* ``count_N_bruteforce``: enumerate only the orbit unions of a subgroup S
+  (the subsets it fixes setwise) and keep those whose stabilizer is
+  exactly S.  An orbit union is fixed by every map of S, so its
+  stabilizer contains S, and it is exact iff the same full scan finds no
+  more than |S| fixing maps.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
@@ -19,7 +24,6 @@ forms in :mod:`aglstab.counting`:
   selections one by one, yet every selection still contributes its sign
   at its own join.
 
-Subsets are plain integer bitmasks over the canonical element order.
 Budgets are explicit and overruns raise; nothing is ever truncated
 silently.
 """
@@ -79,7 +83,7 @@ def _digit_steps(p: int, alpha: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(steps)
 
 
-def _translate_masks(field: Field, mask: int) -> list[int]:
+def translate_masks(field: Field, mask: int) -> list[int]:
     """``shifts[z]`` has bit b set iff z + b lies in the masked subset.
 
     Field addition is digit-wise mod p on the integer encoding, so adding
@@ -106,7 +110,7 @@ def fixing_maps(field: Field, mask: int):
     """
     q = field.q
     elems = mask_elements(mask)
-    shifts = _translate_masks(field, mask)
+    shifts = translate_masks(field, mask)
     table = field.mul_table
     full = (1 << q) - 1
     for a in range(1, q):
@@ -139,8 +143,8 @@ def stabilizer(field: Field, mask: int,
 def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
     """(base_mask, choosable_orbit_masks, how_many) branches whose unions
     are exactly the size-k orbit unions of S."""
-    part = S.orbits()
-    masks = [subset_mask(o) for o in part.orbits]
+    orbits = S.orbits()
+    masks = [subset_mask(o) for o in orbits]
     h = S.H.size
     branches = []
     if S.d == 1:
@@ -148,8 +152,8 @@ def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
             branches.append((0, masks, k // h))
     else:
         big = S.d * h
-        special = next(m for m, o in zip(masks, part.orbits) if len(o) == h)
-        bigs = [m for o, m in zip(part.orbits, masks) if len(o) == big]
+        special = next(m for m, o in zip(masks, orbits) if len(o) == h)
+        bigs = [m for o, m in zip(orbits, masks) if len(o) == big]
         for base, rem in ((0, k), (special, k - h)):
             if rem >= 0 and rem % big == 0:
                 branches.append((base, bigs, rem // big))
@@ -172,26 +176,40 @@ def orbit_union_masks(S: Subgroup, k: int):
 
 
 def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
-    """True iff no affine map outside S fixes the masked subset.
+    """True iff the masked subset is fixed by exactly |S| affine maps.
 
-    Only meaningful when the subset is a union of S-orbits, so that the
-    stabilizer is known to contain S.
+    Only meaningful when the subset is a union of S-orbits: its
+    stabilizer then contains S, so it equals S iff it has |S| maps.  The
+    scan stops at the first map past |S|.
     """
-    member = S.element_pairs()
-    return all(pair in member for pair in fixing_maps(S.field, mask))
+    found = 0
+    for _ in fixing_maps(S.field, mask):
+        found += 1
+        if found > S.order:
+            return False
+    return found == S.order
 
 
-def count_N_bruteforce(S: Subgroup, k: int,
-                       budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """Count the k-subsets with stabilizer exactly S by scanning every
-    size-k union of S-orbits."""
+def exact_orbit_unions(S: Subgroup, k: int,
+                       budget: int = DEFAULT_SUBSET_BUDGET):
+    """The size-k orbit unions of S whose stabilizer is exactly S, in
+    ``orbit_union_masks`` order.  Raises before the scan starts when
+    there are more than ``budget`` orbit unions."""
     if not 0 <= k <= S.field.q:
         raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
     candidates = n_orbit_unions(S, k)
     if candidates > budget:
         raise BudgetExceededError(
             f"{candidates} orbit unions exceed the budget of {budget}")
-    return sum(is_exact_stabilizer(S, mask) for mask in orbit_union_masks(S, k))
+    return (mask for mask in orbit_union_masks(S, k)
+            if is_exact_stabilizer(S, mask))
+
+
+def count_N_bruteforce(S: Subgroup, k: int,
+                       budget: int = DEFAULT_SUBSET_BUDGET) -> int:
+    """Count the k-subsets with stabilizer exactly S by scanning every
+    size-k union of S-orbits."""
+    return sum(1 for _ in exact_orbit_unions(S, k, budget))
 
 
 def full_census(field: Field, k: int,

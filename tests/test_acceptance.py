@@ -16,7 +16,7 @@ from aglstab.counting import (ClassParams, build_table, class_shapes,
                               count_N, enumerate_params, mult_order, s_qk)
 from aglstab.designs import (a2_determinations, design_to_code, johnson_check,
                              orbit_design)
-from aglstab.ffield import make_field
+from aglstab.ffield import Field
 from aglstab.oracle import (all_subgroups, count_N_bruteforce,
                             count_N_via_lattice, full_census,
                             is_exact_stabilizer, orbit_union_masks,
@@ -35,7 +35,7 @@ FIELDS = {}
 
 def field(p, alpha):
     if (p, alpha) not in FIELDS:
-        FIELDS[(p, alpha)] = make_field(p, alpha)
+        FIELDS[(p, alpha)] = Field(p, alpha)
     return FIELDS[(p, alpha)]
 
 

@@ -16,7 +16,7 @@ from aglstab.counting import (ClassParams, CountRecord, build_table,
                               class_shapes, class_terms, count_N,
                               enumerate_params, moebius_exponent, mult_order,
                               prime_set, q_binomial, s_qk)
-from aglstab.ffield import make_field, span
+from aglstab.ffield import Field, span
 
 
 def test_prime_set():
@@ -55,7 +55,7 @@ def test_q_binomial_examples():
 
 def _count_subspaces_bruteforce(p, alpha, dim):
     """Independent oracle: enumerate all subspaces of F_p^alpha by closure."""
-    F = make_field(p, alpha)
+    F = Field(p, alpha)
     K = F.prime_subfield
     seen = {(): True}
     frontier = [()]
@@ -144,7 +144,7 @@ def test_class_params_computes_odp_once(monkeypatch):
 
     monkeypatch.setattr(counting, "mult_order", counted)
     cp = ClassParams(2, 6, 12, 3, 1, 1)
-    assert (cp.odp, cp.beta, cp.hprime_size) == (2, 2, 4)
+    assert (cp.odp, cp.beta) == (2, 2)
     assert calls == [(2, 3)]
 
 
@@ -154,7 +154,6 @@ def test_class_params_derived_quantities():
     assert cp.odp == 2          # order of 2 mod 3
     assert cp.beta == 2
     assert cp.h_size == 4
-    assert cp.hprime_size == 4
     assert cp.group_order == 12
 
 
@@ -214,7 +213,7 @@ def test_count_N_k1_and_k2_small_fields():
 
 
 def test_enumerate_params_classes_q4():
-    shapes = {(cp.d, cp.h_size, cp.hprime_size)
+    shapes = {(cp.d, cp.h_size, 2 ** (cp.odp * cp.i))
               for cp in enumerate_params(2, 2)}
     assert shapes == {(1, 1, 4), (1, 4, 4), (1, 2, 2), (3, 1, 4), (3, 4, 4)}
 

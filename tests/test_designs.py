@@ -3,6 +3,7 @@
 import ast
 import inspect
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -13,16 +14,16 @@ from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_record,
                              design_to_code, johnson_check, orbit_design)
-from aglstab.ffield import make_field
-from aglstab.oracle import (is_exact_stabilizer, orbit_union_masks,
-                            subset_mask)
+from aglstab.ffield import Field
+from aglstab.oracle import exact_orbit_unions, subset_mask
+from reference import reference_orbit_blocks
 
 FIELDS = {}
 
 
 def field(p, alpha):
     if (p, alpha) not in FIELDS:
-        FIELDS[(p, alpha)] = make_field(p, alpha)
+        FIELDS[(p, alpha)] = Field(p, alpha)
     return FIELDS[(p, alpha)]
 
 
@@ -51,6 +52,18 @@ def test_orbit_design_rejects_degenerate_subsets():
         orbit_design(F, 0)
     with pytest.raises(ValueError):
         orbit_design(F, subset_mask(range(7)))
+
+
+# prime q, p = 2 and odd prime powers: every shape of translate step
+@pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2),
+                                     (3, 3), (2, 5), (7, 2)])
+def test_orbit_design_blocks_equal_image_loop(p, alpha):
+    F = field(p, alpha)
+    rng = random.Random(F.q)
+    for k in range(2, F.q):
+        mask = subset_mask(rng.sample(range(F.q), k))
+        _, matrix = orbit_design(F, mask)
+        assert matrix.blocks == reference_orbit_blocks(F, mask), mask
 
 
 def test_design_to_code_example():
@@ -97,7 +110,7 @@ def test_orbit_design_checks_block_count_and_sizes(monkeypatch):
     # makes 7 one-point blocks
     monkeypatch.setattr(oracle, "stabilizer",
                         lambda field, mask: SimpleNamespace(order=6))
-    broken = make_field(7, 1)
+    broken = Field(7, 1)
     monkeypatch.setattr(broken, "mul", lambda a, x: 0)
     with pytest.raises(ValueError, match="size k = 3"):
         orbit_design(broken, mask)
@@ -165,8 +178,7 @@ def test_orbit_designs_from_witnesses_pass_all_checks(p, alpha):
             cp = ClassParams(p, alpha, k, d, i, j)
             if not cp.congruence_ok or count_N(cp) == 0:
                 continue
-            mask = next(m for m in orbit_union_masks(S, k)
-                        if is_exact_stabilizer(S, m))
+            mask = next(exact_orbit_unions(S, k))
             params, matrix = orbit_design(F, mask)
             assert params.v == q and params.k == k
             assert params.b == q * (q - 1) // S.order

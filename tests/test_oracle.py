@@ -8,24 +8,28 @@ import random
 
 import pytest
 
+from aglstab import oracle
 from aglstab.agl import (Subgroup, class_representative, full_group,
                          immediate_supergroups, subgroup_from_pairs,
                          trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
                               mult_order)
-from aglstab.ffield import make_field, span, zero_subspace
+from aglstab.ffield import Field, span, zero_subspace
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             count_N_bruteforce, count_N_via_lattice,
-                            fixing_maps, full_census, lattice_terms,
-                            mask_elements, stabilizer, subset_mask)
-from reference import literal_lattice_terms, reference_fixing_maps
+                            exact_orbit_unions, fixing_maps, full_census,
+                            is_exact_stabilizer, lattice_terms,
+                            mask_elements, orbit_union_masks, stabilizer,
+                            subset_mask)
+from reference import (literal_lattice_terms, reference_fixing_maps,
+                       subgroup_elements)
 
 FIELDS = {}
 
 
 def field(p, alpha):
     if (p, alpha) not in FIELDS:
-        FIELDS[(p, alpha)] = make_field(p, alpha)
+        FIELDS[(p, alpha)] = Field(p, alpha)
     return FIELDS[(p, alpha)]
 
 
@@ -94,7 +98,7 @@ def test_stabilizer_example_q7():
     F = field(7, 1)
     S = stabilizer(F, subset_mask([1, 2, 4]))
     assert (S.d, S.order, S.H.size) == (3, 3, 1)
-    assert S.contains_map(type(S.generator)(F, 2, 0))
+    assert S.contains_map(2, 0) and not S.contains_map(3, 0)
 
 
 def test_stabilizer_respects_limit():
@@ -105,12 +109,40 @@ def test_stabilizer_respects_limit():
 
 def test_stabilizer_contains_group_of_orbit_unions():
     # Galois property S <= stabilizer(B) for B a union of S-orbits
-    from aglstab.oracle import orbit_union_masks
     F = field(3, 2)
     S = Subgroup(F, 2, 0, span((1,), F.prime_subfield))
     for k in range(F.q + 1):
         for mask in orbit_union_masks(S, k):
             assert stabilizer(F, mask).contains(S)
+
+
+@pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1)])
+def test_is_exact_stabilizer_matches_stabilizer(p, alpha):
+    # every orbit union of every class, so both answers occur
+    F = field(p, alpha)
+    answers = set()
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        for k in range(F.q + 1):
+            for mask in orbit_union_masks(S, k):
+                exact = is_exact_stabilizer(S, mask)
+                assert exact == (stabilizer(F, mask) == S), (S, mask)
+                answers.add(exact)
+    assert answers == {False, True}
+
+
+def test_exact_orbit_unions_checks_the_budget_before_scanning(monkeypatch):
+    F = field(13, 1)
+    S = trivial_subgroup(F)
+    scanned = []
+    monkeypatch.setattr(oracle, "is_exact_stabilizer",
+                        lambda S, mask: scanned.append(mask) or True)
+    with pytest.raises(BudgetExceededError, match="1716 orbit unions"):
+        exact_orbit_unions(S, 6, budget=1715)
+    assert scanned == []
+    # the scan calls the module global, in orbit-union order
+    assert list(exact_orbit_unions(S, 2)) == list(orbit_union_masks(S, 2))
+    assert len(scanned) == 78
 
 
 def test_count_N_bruteforce_examples():
@@ -251,8 +283,8 @@ def test_all_subgroups_respects_limit():
 def test_all_subgroups_closed_under_composition():
     F = field(2, 3)
     for S in all_subgroups(F):
-        pairs = S.element_pairs()
-        els = list(S.elements())
+        els = subgroup_elements(S)
+        pairs = {(m.a, m.b) for m in els}
         for f in els[:4]:
             for g in els:
                 h = f * g
