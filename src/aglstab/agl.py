@@ -21,7 +21,7 @@ import itertools
 import math
 from collections import Counter
 
-from .counting import mult_order, prime_set
+from .counting import check_shape, mult_order, prime_set
 from .ffield import (Field, QuotientSpace, Subspace, full_subspace,
                      lines_of_quotient, span, zero_subspace)
 
@@ -257,26 +257,15 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
 
     H is an F_r-subspace of dimension j over r = p**(o_d(p)*i) whose
     stabilizing subfield is exactly F_r; the first such space in the
-    deterministic span order is returned, so repeated runs agree.
+    deterministic span order is returned, so repeated runs agree.  The
+    shape is checked by ``counting.check_shape``.
     """
-    p, alpha, q = field.p, field.alpha, field.q
-    if d < 1 or (q - 1) % d:
-        raise ValueError(f"d must divide q - 1 = {q - 1}, got {d}")
-    odp = mult_order(p, d)
-    top = alpha // odp
-    if i < 1 or alpha % (odp * i):
-        raise ValueError(f"i must divide alpha/o_d(p) = {top}, got {i}")
-    rdeg = odp * i
-    n = alpha // rdeg
-    if n == 1:
-        if j not in (0, 1):
-            raise ValueError(f"j must be 0 or 1 when i = alpha/o_d(p), got {j}")
+    rdeg = check_shape(field.p, field.alpha, d, i, j) * i
+    if rdeg == field.alpha:
         H = zero_subspace(field) if j == 0 else full_subspace(field)
         return Subgroup(field, d, 0, H)
-    if not 0 < j < n:
-        raise ValueError(f"j must satisfy 0 < j < {n}, got {j}")
     K = field.subfield(rdeg)
-    for combo in itertools.combinations(range(1, q), j):
+    for combo in itertools.combinations(range(1, field.q), j):
         H = span(combo, K)
         if H.dim == rdeg * j and H.stabilizing_degree() == rdeg:
             return Subgroup(field, d, 0, H)

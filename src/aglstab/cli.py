@@ -68,10 +68,7 @@ def _resolve_field(args) -> tuple[int, int]:
     if args.p is None:
         raise CliError("a field is required: give --q or --p (with --alpha)")
     alpha = 1 if args.alpha is None else args.alpha
-    try:
-        ClassParams(args.p, alpha, 0, 1, alpha, 0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    counting.check_field(args.p, alpha)
     return args.p, alpha
 
 
@@ -110,10 +107,7 @@ def cmd_table(args, out) -> int:
 
 def cmd_count(args, out) -> int:
     p, alpha = _resolve_field(args)
-    try:
-        cp = ClassParams(p, alpha, args.k, args.d, args.i, args.j)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cp = ClassParams(p, alpha, args.k, args.d, args.i, args.j)
     violation = cp.congruence_violation()
     if violation is not None:
         raise CliError(violation)
@@ -205,7 +199,7 @@ def cmd_design(args, out) -> int:
     field = _field(p, alpha)
     if args.subset is not None:
         mask = _parse_subset(args.subset, q)
-        stab = oracle.stabilizer(field, mask)
+        S = oracle.stabilizer(field, mask)
     else:
         if args.k is None or args.d is None:
             raise CliError("design needs --subset, or --k with --d")
@@ -236,17 +230,16 @@ def cmd_design(args, out) -> int:
         if mask is None:
             raise RuntimeError(
                 "a witness subset must exist when the count is positive")
-        stab = S
-    params, matrix = designs.orbit_design(field, mask)
+    params, matrix = designs.orbit_design(S, mask)
     code, words = designs.design_to_code(matrix)
     johnson = designs.johnson_check(code)
-    a2 = designs.a2_determinations(field, params.k, stab.order)
+    a2 = designs.a2_determinations(S, params.k)
 
     if args.format == "json":
         record = designs.design_record(params, matrix, code, words)
         record["q"] = q
         record["subset"] = list(oracle.mask_elements(mask))
-        record["stabilizer_order"] = stab.order
+        record["stabilizer_order"] = S.order
         record["johnson_equality"] = johnson
         record["a2"] = {"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}
         json.dump(record, out, indent=2, sort_keys=True)
@@ -255,7 +248,7 @@ def cmd_design(args, out) -> int:
         out.write(designs.blocks_as_text(matrix) + "\n")
     else:
         subset = ",".join(str(x) for x in oracle.mask_elements(mask))
-        out.write(f"q={q} subset={subset} stabilizer order={stab.order}\n")
+        out.write(f"q={q} subset={subset} stabilizer order={S.order}\n")
         out.write(f"design v={params.v} b={params.b} r={params.r} "
                   f"k={params.k} lambda={params.lmbda}\n")
         out.write("blocks:\n" + designs.blocks_as_text(matrix) + "\n")

@@ -25,13 +25,18 @@ once per class and evaluates them for every k that satisfies the
 zero-pattern congruence.  ``enumerate_params`` walks the same tuples as
 validated ``ClassParams``.  Everything is exact integer arithmetic; no
 floating point is used anywhere in this module.
+
+Validity is decided here, once per rule: ``check_field`` (p prime, alpha
+>= 1) and ``check_shape`` (d | q - 1, i | alpha/o_d(p), j in the range i
+allows), which returns o_d(p) for the term sum to take as given.
+``class_shapes`` generates exactly the triples ``check_shape`` accepts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from sympy import divisors, isprime, primefactors
@@ -115,6 +120,38 @@ def s_qk(q: int, k: int, u: int, v: int) -> int:
     return total
 
 
+def check_field(p: int, alpha: int) -> None:
+    """The field rule: F_{p**alpha} exists iff p is prime and alpha >= 1."""
+    if not isprime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+
+
+def check_shape(p: int, alpha: int, d: int, i: int, j: int) -> int:
+    """The shape rule for a class (d, i, j) of a valid field F_{p**alpha};
+    returns o_d(p).
+
+    d divides q - 1; i divides alpha/o_d(p); j is 0 or 1 when i =
+    alpha/o_d(p), and 0 < j < alpha/(o_d(p)*i) otherwise.
+    """
+    q = p ** alpha
+    if d < 1 or (q - 1) % d:
+        raise ValueError(f"d must divide q - 1 = {q - 1}, got {d}")
+    odp = mult_order(p, d)
+    top = alpha // odp
+    if i < 1 or alpha % (odp * i):
+        raise ValueError(f"i must divide alpha/o_d(p) = {top}, got {i}")
+    if i == top:
+        if j not in (0, 1):
+            raise ValueError(
+                f"j must be 0 or 1 when i = alpha/o_d(p), got {j}")
+    elif not 0 < j < top // i:
+        raise ValueError(f"j must satisfy 0 < j < {top // i} "
+                         f"when i < alpha/o_d(p), got {j}")
+    return odp
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Arithmetic description of one subgroup class at one subset size.
@@ -130,38 +167,20 @@ class ClassParams:
     d: int
     i: int
     j: int
+    #: o_d(p), returned by the shape check
+    odp: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p < 2 or not isprime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        check_field(self.p, self.alpha)
         q = self.p ** self.alpha
         if not 0 <= self.k <= q:
             raise ValueError(f"k must lie in [0, {q}], got {self.k}")
-        if self.d < 1 or (q - 1) % self.d:
-            raise ValueError(f"d must divide q - 1 = {q - 1}, got {self.d}")
-        odp = self.odp
-        top = self.alpha // odp
-        if self.i < 1 or self.alpha % (odp * self.i):
-            raise ValueError(
-                f"i must divide alpha/o_d(p) = {top}, got {self.i}")
-        if self.i == top:
-            if self.j not in (0, 1):
-                raise ValueError(
-                    f"j must be 0 or 1 when i = alpha/o_d(p), got {self.j}")
-        elif not 0 < self.j < top // self.i:
-            raise ValueError(
-                f"j must satisfy 0 < j < {top // self.i} "
-                f"when i < alpha/o_d(p), got {self.j}")
+        object.__setattr__(self, "odp", check_shape(
+            self.p, self.alpha, self.d, self.i, self.j))
 
     @cached_property
     def q(self) -> int:
         return self.p ** self.alpha
-
-    @cached_property
-    def odp(self) -> int:
-        return mult_order(self.p, self.d)
 
     @cached_property
     def beta(self) -> int:
@@ -217,6 +236,17 @@ def class_terms(p: int, alpha: int, d: int, i: int,
     (d, i, j) of F_{p**alpha}, merged over equal (u, v), zero terms
     dropped, sorted by (u, v).  N(k) = sum(coeff * s_qk(q, k, u, v)).
 
+    Checks the field and the shape first, raising what ``ClassParams``
+    raises for them.
+    """
+    check_field(p, alpha)
+    return _class_terms(p, alpha, d, i, j, check_shape(p, alpha, d, i, j))
+
+
+def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
+                 odp: int) -> tuple[tuple[int, int, int], ...]:
+    """``class_terms`` for a shape already checked, with o_d(p) given.
+
     The closed form is an inclusion-exclusion over chains of supergroups:
     subsets P of the primes dividing (|H'| - 1)/d select multiplicative
     enlargements of order u = d*prod(P), and subspace dimensions l
@@ -224,13 +254,9 @@ def class_terms(p: int, alpha: int, d: int, i: int,
     select translation enlargements of size v = p**(beta + l*m).  For
     d = 1 the P-sum is scaled by p**(alpha - beta), and a corrective sum
     with leading factor (1 - p**(alpha - beta)) over u = 1 accounts for
-    the coset spread of the multiplicative enlargements.
-
-    (d, i, j) must be an admissible shape, as ``class_shapes`` yields and
-    ``ClassParams`` validates; the divisibilities the sums rely on raise
-    ValueError when it is not.
+    the coset spread of the multiplicative enlargements.  The two
+    divisibilities the sums rely on are guarded by ValueError raises.
     """
-    odp = mult_order(p, d)
     beta = odp * i * j
     free = alpha - beta
     hprime = p ** (odp * i)
@@ -248,7 +274,7 @@ def class_terms(p: int, alpha: int, d: int, i: int,
         scale = p ** free
     for P in _subsets(prime_set(quot)):
         u = d * math.prod(P)
-        m = mult_order(p, u)
+        m = mult_order(p, u) if P else odp
         hi, rem = divmod(free, m)
         if rem:
             raise ValueError(
@@ -268,17 +294,15 @@ def count_N(params: ClassParams) -> int:
     evaluated at k."""
     q, k = params.q, params.k
     return sum(c * s_qk(q, k, u, v) for c, u, v in
-               class_terms(params.p, params.alpha, params.d, params.i,
-                           params.j))
+               _class_terms(params.p, params.alpha, params.d, params.i,
+                            params.j, params.odp))
 
 
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
-    """All admissible (d, i, j) triples for F_{p**alpha}: d ascending over
-    the divisors of q - 1, then i ascending, then j ascending."""
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    """All (d, i, j) triples that ``check_shape`` accepts for F_{p**alpha}:
+    d ascending over the divisors of q - 1, then i ascending, then j
+    ascending."""
+    check_field(p, alpha)
     q = p ** alpha
     shapes = []
     for d in divisors(q - 1):
@@ -324,7 +348,7 @@ def build_table(p: int, alpha: int, k_max: int | None = None) -> list[CountRecor
         beta = odp * i * j
         pb = p ** beta
         shapes.append((d, odp, i, j, beta, pb, d * pb,
-                       class_terms(p, alpha, d, i, j)))
+                       _class_terms(p, alpha, d, i, j, odp)))
     return [
         CountRecord(k, d, odp, i, j, beta,
                     sum(c * s_qk(q, k, u, v) for c, u, v in terms))

@@ -13,7 +13,8 @@ Subsets and blocks are int masks over the points.  The blocks are the q
 translates of a*B for each multiplier a, taken from the translate-mask
 kernel of :mod:`aglstab.oracle` that also drives the stabilizer scan.
 Each incidence row is one int whose bit j is set when the point lies in
-block j.  ``orbit_design`` checks the block count and the block sizes;
+block j.  ``orbit_design`` takes the stabilizer of B as given and checks
+the block count against it and the block sizes;
 ``design_to_code`` makes the only pass over the row pairs, where constant
 row weights and constant pair meets certify r and lambda (counting
 incidences twice gives r*v = b*k and lambda*v*(v-1) = b*k*(k-1)), and
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import oracle
-from .counting import ClassParams, class_shapes, count_N
-from .ffield import Field
+from .agl import Subgroup
+from .counting import ClassParams, count_N
 
 
 @dataclass(frozen=True)
@@ -96,22 +97,22 @@ class CodeParams:
                              f"integer, got {self.d}")
 
 
-def orbit_design(field: Field, mask: int) -> tuple[DesignParams, IncidenceMatrix]:
+def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]:
     """The block design whose blocks are the images of the masked subset
-    under all affine maps, with parameters from the stabilizer order.
+    under all affine maps, where S is the subset's stabilizer.
 
     The images of B under the maps with multiplier a are the q
     translates of a*B, which ``oracle.translate_masks`` returns as
-    (a*B) - z for every z.
+    (a*B) - z for every z.  The orbit must have q(q-1)/|S| blocks, so an
+    S smaller than the true stabilizer raises.
     """
+    field = S.field
     k = mask.bit_count()
     if k < 2:
         raise ValueError("orbit designs need at least 2 points in the base subset")
     if k >= field.q:
         raise ValueError("the full point set gives a degenerate single-block orbit")
-    stab = oracle.stabilizer(field, mask)
-    group_order = field.q * (field.q - 1)
-    b = group_order // stab.order
+    b = field.q * (field.q - 1) // S.order
     blocks = set()
     mul = field.mul
     elems = oracle.mask_elements(mask)
@@ -120,7 +121,7 @@ def orbit_design(field: Field, mask: int) -> tuple[DesignParams, IncidenceMatrix
             field, oracle.subset_mask(mul(a, x) for x in elems)))
     if len(blocks) != b:
         raise ValueError(f"the orbit has {len(blocks)} blocks, but the "
-                         f"stabilizer order {stab.order} gives b = {b}")
+                         f"stabilizer order {S.order} gives b = {b}")
     if any(blk.bit_count() != k for blk in blocks):
         raise ValueError(f"an orbit block does not have size k = {k}")
     v = field.q
@@ -172,22 +173,15 @@ def johnson_check(code: CodeParams) -> bool:
     return code.size * denom == n * delta
 
 
-def a2_determinations(field: Field, k: int, s: int) -> CodeParams:
-    """The exact constant-weight code value certified by a stabilizer class
-    of order s whose count at size k is positive:
+def a2_determinations(S: Subgroup, k: int) -> CodeParams:
+    """The exact constant-weight code value certified by the class of S
+    when its count at size k is positive, with s = |S|:
     A2(q(q-1)/s, 2k(q-k)/s, k(q-1)/s) = q."""
-    p, alpha, q = field.p, field.alpha, field.q
-    if s < 1 or (q * (q - 1)) % s:
-        raise ValueError(f"no subgroup of order {s}: it must divide q(q-1)")
-    witness = None
-    for d, i, j in class_shapes(p, alpha):
-        cp = ClassParams(p, alpha, k, d, i, j)
-        if cp.group_order == s and count_N(cp) > 0:
-            witness = cp
-            break
-    if witness is None:
-        raise ValueError(
-            f"no stabilizer class of order {s} fixes exactly a {k}-subset")
+    field, s, shape = S.field, S.order, S.shape()
+    q = field.q
+    if count_N(ClassParams(field.p, field.alpha, k, *shape)) == 0:
+        raise ValueError(f"the class (d, i, j) = {shape} of order {s} "
+                         f"is the stabilizer of no {k}-subset")
     args = (q * (q - 1), 2 * k * (q - k), k * (q - 1))
     vals = []
     for num in args:

@@ -23,9 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 
-from sympy import isprime
-
-from .counting import prime_set
+from .counting import check_field, prime_set
 
 #: largest field backed by exp/log tables
 MAX_Q = 1 << 16
@@ -129,10 +127,7 @@ class Field:
     """
 
     def __init__(self, p: int, alpha: int):
-        if not isprime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        check_field(p, alpha)
         q = p ** alpha
         if q > MAX_Q:
             raise ValueError(
@@ -142,7 +137,6 @@ class Field:
         self.q = q
         self.modulus = _smallest_irreducible(p, alpha)
         self._pows = tuple(p ** t for t in range(alpha))
-        self._coeffs = tuple(self._digits(x) for x in range(q))
         self.gamma = self._find_generator()
         self._exp, self._log = self._build_tables()
         self._zech = self._build_zech() if p > 2 and alpha > 1 else None
@@ -151,15 +145,15 @@ class Field:
 
     # -- construction internals --------------------------------------------
 
-    def _digits(self, x: int) -> tuple[int, ...]:
+    def _digits(self, x: int) -> list[int]:
         out = []
         for _ in range(self.alpha):
             x, c = divmod(x, self.p)
             out.append(c)
-        return tuple(out)
+        return out
 
     def _mul_raw(self, x: int, y: int) -> int:
-        prod = _pmulmod(list(self._coeffs[x]), list(self._coeffs[y]),
+        prod = _pmulmod(self._digits(x), self._digits(y),
                         list(self.modulus), self.p)
         return sum(c * w for c, w in zip(prod, self._pows))
 
@@ -265,12 +259,6 @@ class Field:
         return self._log[x]
 
     # -- structure ----------------------------------------------------------
-
-    def element(self, coeffs) -> int:
-        cs = list(coeffs)
-        if len(cs) != self.alpha:
-            raise ValueError(f"expected {self.alpha} coordinates, got {len(cs)}")
-        return sum((c % self.p) * w for c, w in zip(cs, self._pows))
 
     def elements(self) -> range:
         return range(self.q)
@@ -500,9 +488,6 @@ class QuotientSpace:
         if len(self.transversal) != self.size:
             raise RuntimeError(f"{len(self.transversal)} coset leaders for "
                                f"{self.size} cosets")
-
-    def rep(self, x: int) -> int:
-        return self.denominator.reduce(x)
 
     def __repr__(self) -> str:
         return f"QuotientSpace(q={self.field.q}, |H|={self.denominator.size})"

@@ -156,21 +156,30 @@ def digits(field, x: int) -> list[int]:
     return out
 
 
+def element(field, coeffs) -> int:
+    """The element with base-p coordinates ``coeffs``, least significant
+    first, each read mod p; the inverse of ``digits``."""
+    cs = list(coeffs)
+    if len(cs) != field.alpha:
+        raise ValueError(f"expected {field.alpha} coordinates, got {len(cs)}")
+    return sum((c % field.p) * field.p ** t for t, c in enumerate(cs))
+
+
 def reference_add(field, x: int, y: int) -> int:
     """x + y as the digit-wise sum mod p of the coordinates."""
     p = field.p
-    return field.element([(a + b) % p
-                          for a, b in zip(digits(field, x), digits(field, y))])
+    return element(field, [(a + b) % p for a, b in
+                           zip(digits(field, x), digits(field, y))])
 
 
 def reference_neg(field, x: int) -> int:
     """-x as the digit-wise negation mod p of the coordinates."""
-    return field.element([(-c) % field.p for c in digits(field, x)])
+    return element(field, [(-c) % field.p for c in digits(field, x)])
 
 
 def reference_smul(field, c: int, x: int) -> int:
     """c*x for an integer c, scaling every coordinate mod p."""
-    return field.element([(c * cf) % field.p for cf in digits(field, x)])
+    return element(field, [(c * cf) % field.p for cf in digits(field, x)])
 
 
 def reference_echelon(field, vectors) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -195,7 +204,7 @@ def reference_echelon(field, vectors) -> tuple[tuple[int, ...], tuple[int, ...]]
         r += 1
         if r == len(rows):
             break
-    return tuple(field.element(row) for row in rows[:r]), tuple(pivots)
+    return tuple(element(field, row) for row in rows[:r]), tuple(pivots)
 
 
 def reference_reduce(field, basis, pivots, x: int) -> int:
@@ -207,4 +216,4 @@ def reference_reduce(field, basis, pivots, x: int) -> int:
         c = cf[piv]
         if c:
             cf = [(a - c * b) % p for a, b in zip(cf, digits(field, v))]
-    return field.element(cf)
+    return element(field, cf)

@@ -180,10 +180,10 @@ def test_criterion_6_design_pipeline(capsys):
                     continue
                 mask = next(m for m in orbit_union_masks(S, k)
                             if is_exact_stabilizer(S, m))
-                params, matrix = orbit_design(F, mask)
+                params, matrix = orbit_design(S, mask)
                 code_params, _ = design_to_code(matrix)
                 assert johnson_check(code_params), (q, k, d, i, j)
-                a2 = a2_determinations(F, k, S.order)
+                a2 = a2_determinations(S, k)
                 assert a2.size == q
                 designs_checked += 1
     with capsys.disabled():

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from aglstab import oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main)
 
 
@@ -145,6 +146,11 @@ def test_count_invalid_tuple_names_condition(capsys):
                        "--i", "1", "--j", "0")
     assert code == EXIT_INPUT
     assert "divide" in err
+    code, out, err = run(capsys, "count", "--p", "2", "--alpha", "4",
+                         "--k", "0", "--d", "1", "--i", "1", "--j", "4")
+    assert code == EXIT_INPUT
+    assert (out, err) == ("", "aglstab: error: j must satisfy 0 < j < 4 "
+                              "when i < alpha/o_d(p), got 4\n")
 
 
 def test_verify_q7(capsys):
@@ -270,3 +276,37 @@ def test_conflicting_field_flags(capsys):
     code, _, err = run(capsys, "table", "--q", "8", "--p", "2")
     assert code == EXIT_INPUT
     assert "not both" in err
+
+
+BAD_FIELDS = [(["--p", "4"], "p must be prime, got 4"),
+              (["--p", "7", "--alpha", "0"], "alpha must be >= 1, got 0")]
+SUBCOMMANDS = [["table"], ["count", "--k", "0", "--d", "1", "--i", "1",
+                           "--j", "0"],
+               ["verify"], ["design", "--k", "2", "--d", "1"]]
+
+
+@pytest.mark.parametrize("flags,message", BAD_FIELDS)
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
+def test_bad_field_exits_1_with_the_shared_message(capsys, argv, flags,
+                                                   message):
+    code, out, err = run(capsys, *argv, *flags)
+    assert code == EXIT_INPUT
+    assert (out, err) == ("", f"aglstab: error: {message}\n")
+
+
+def test_design_scans_the_stabilizer_at_most_once(capsys, monkeypatch):
+    calls = []
+    scan = oracle.stabilizer
+
+    def counted(field, mask):
+        calls.append(mask)
+        return scan(field, mask)
+
+    monkeypatch.setattr(oracle, "stabilizer", counted)
+    code, out, _ = run(capsys, "design", "--q", "7", "--subset", "1,2,4")
+    assert code == EXIT_OK and "stabilizer order=3" in out
+    assert calls == [0b10110]
+    # a class witness is proven exact against S: no scan at all
+    code, out, _ = run(capsys, "design", "--q", "7", "--k", "3", "--d", "3")
+    assert code == EXIT_OK and "stabilizer order=3" in out
+    assert calls == [0b10110]

@@ -7,15 +7,18 @@ the exhaustive stabilizer scan in test_oracle / the acceptance suite.
 
 import itertools
 import math
+import random
 
 import pytest
 import sympy
 
 from aglstab import counting
+from aglstab.agl import class_representative
 from aglstab.counting import (ClassParams, CountRecord, build_table,
-                              class_shapes, class_terms, count_N,
-                              enumerate_params, moebius_exponent, mult_order,
-                              prime_set, q_binomial, s_qk)
+                              check_field, check_shape, class_shapes,
+                              class_terms, count_N, enumerate_params,
+                              moebius_exponent, mult_order, prime_set,
+                              q_binomial, s_qk)
 from aglstab.ffield import Field, span
 
 
@@ -146,6 +149,14 @@ def test_class_params_computes_odp_once(monkeypatch):
     cp = ClassParams(2, 6, 12, 3, 1, 1)
     assert (cp.odp, cp.beta) == (2, 2)
     assert calls == [(2, 3)]
+    # count_N takes o_d(p) from the check and reuses it for u = d
+    count_N(cp)
+    assert calls == [(2, 3)]
+    # class_shapes: one per divisor of 63; build_table: one per shape plus
+    # one per u = d*prod(P) with P nonempty
+    calls.clear()
+    build_table(2, 6)
+    assert len(calls) == 50
 
 
 def test_class_params_derived_quantities():
@@ -179,10 +190,100 @@ def test_class_terms_examples():
 
 
 def test_class_terms_rejects_inadmissible_shape():
-    # i = 3 does not divide alpha / o_1(2) = 4: the order of 2 mod 7 is 3,
-    # which does not divide alpha - beta = 1
-    with pytest.raises(ValueError, match="does not divide"):
+    # i = 3 does not divide alpha / o_1(2) = 4; the shape check says so
+    # before the sums run
+    with pytest.raises(ValueError,
+                       match=r"^i must divide alpha/o_d\(p\) = 4, got 3$"):
         class_terms(2, 4, 1, 3, 1)
+    # past the check the sums still guard their divisibilities: the order
+    # of 2 mod 7 is 3, which does not divide alpha - beta = 1
+    with pytest.raises(ValueError, match="does not divide"):
+        counting._class_terms(2, 4, 1, 3, 1, 1)
+
+
+def _accepts(p, alpha, d, i, j) -> bool:
+    try:
+        check_shape(p, alpha, d, i, j)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_rule_agreement(p, alpha, ds):
+    """Over d in ds, 1 <= i <= alpha and 0 <= j <= alpha, the shape check
+    accepts a triple iff class_shapes yields it; returns how many it
+    accepted and how many it rejected."""
+    shapes = set(class_shapes(p, alpha))
+    grid = [(d, i, j) for d in ds for i in range(1, alpha + 1)
+            for j in range(alpha + 1)]
+    accepted = {t for t in grid if _accepts(p, alpha, *t)}
+    assert accepted == {t for t in shapes if t[0] in ds}, (p, alpha)
+    return len(accepted), len(grid) - len(accepted)
+
+
+def test_shape_check_accepts_exactly_class_shapes():
+    fields = [(p, alpha) for p in sympy.primerange(2, 257)
+              for alpha in range(1, 9) if p ** alpha <= 256]
+    assert len(fields) == 70
+    seen = [_check_rule_agreement(p, alpha, sympy.divisors(p ** alpha - 1))
+            for p, alpha in fields]
+    assert all(map(sum, zip(*seen)))
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 64), (3, 30)])
+def test_shape_check_accepts_exactly_class_shapes_bignum(p, alpha):
+    ds = sympy.divisors(p ** alpha - 1)
+    sample = [1, ds[-1]] + random.Random(alpha).sample(ds[1:-1], 10)
+    assert all(_check_rule_agreement(p, alpha, sample))
+
+
+#: inadmissible (p, alpha, d, i, j); the first four once returned terms
+BAD_SHAPES = [
+    (2, 4, 1, 1, 4),        # j = 4 past 0 < j < 4
+    (2, 4, 1, 4, 2),        # j must be 0 or 1 at i = alpha/o_d(p)
+    (2, 4, 1, 2, 3),        # j = 3 past 0 < j < 2
+    (2, 4, 1, 1, 5),
+    (2, 4, 1, 1, 0),        # j = 0 only at i = alpha/o_d(p)
+    (2, 4, 2, 1, 1),        # 2 does not divide 15
+    (2, 4, 0, 1, 0),
+    (2, 4, 1, 3, 1),        # 3 does not divide 4
+    (2, 4, 1, 0, 1),
+    (2, 6, 3, 2, 1),        # o_3(2) = 2: i = 2 does not divide 3
+    (2, 6, 3, 1, 3),        # j = 3 past 0 < j < 3
+    (3, 2, 2, 1, 2),
+    (7, 1, 3, 1, -1),
+    (7, 1, 6, 1, 2),
+]
+
+
+@pytest.mark.parametrize("p,alpha,d,i,j", BAD_SHAPES)
+def test_every_entry_point_rejects_a_bad_shape_alike(p, alpha, d, i, j):
+    messages = []
+    for build in (lambda: ClassParams(p, alpha, 0, d, i, j),
+                  lambda: class_terms(p, alpha, d, i, j),
+                  lambda: class_representative(Field(p, alpha), d, i, j),
+                  lambda: check_shape(p, alpha, d, i, j)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1, messages
+
+
+@pytest.mark.parametrize("p,alpha,message", [
+    (4, 1, "p must be prime, got 4"),
+    (1, 3, "p must be prime, got 1"),
+    (-7, 1, "p must be prime, got -7"),
+    (7, 0, "alpha must be >= 1, got 0"),
+])
+def test_every_entry_point_rejects_a_bad_field_alike(p, alpha, message):
+    for build in (lambda: ClassParams(p, alpha, 0, 1, 1, 0),
+                  lambda: class_terms(p, alpha, 1, 1, 0),
+                  lambda: class_shapes(p, alpha),
+                  lambda: Field(p, alpha),
+                  lambda: check_field(p, alpha)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_count_N_k0_detects_full_group():

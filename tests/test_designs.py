@@ -9,13 +9,13 @@ from types import SimpleNamespace
 import pytest
 
 from aglstab import designs, oracle
-from aglstab.agl import class_representative
+from aglstab.agl import class_representative, trivial_subgroup
 from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_record,
                              design_to_code, johnson_check, orbit_design)
 from aglstab.ffield import Field
-from aglstab.oracle import exact_orbit_unions, subset_mask
+from aglstab.oracle import exact_orbit_unions, stabilizer, subset_mask
 from reference import reference_orbit_blocks
 
 FIELDS = {}
@@ -27,9 +27,14 @@ def field(p, alpha):
     return FIELDS[(p, alpha)]
 
 
+def design_of(F, mask):
+    """The orbit design of a subset, its stabilizer found by the scan."""
+    return orbit_design(stabilizer(F, mask), mask)
+
+
 def test_orbit_design_example_q7():
     F = field(7, 1)
-    params, matrix = orbit_design(F, subset_mask([1, 2, 4]))
+    params, matrix = design_of(F, subset_mask([1, 2, 4]))
     assert params == DesignParams(v=7, b=14, r=6, k=3, lmbda=2)
     assert matrix.b == 14
     assert all(bin(blk).count("1") == 3 for blk in matrix.blocks)
@@ -38,20 +43,20 @@ def test_orbit_design_example_q7():
 def test_orbit_design_block_count_is_group_over_stabilizer():
     F = field(2, 3)
     for combo in [(0, 1), (1, 2, 4), (0, 1, 2, 3)]:
-        from aglstab.oracle import stabilizer
         mask = subset_mask(combo)
-        params, matrix = orbit_design(F, mask)
-        assert params.b == F.q * (F.q - 1) // stabilizer(F, mask).order
+        S = stabilizer(F, mask)
+        params, matrix = orbit_design(S, mask)
+        assert params.b == F.q * (F.q - 1) // S.order
 
 
 def test_orbit_design_rejects_degenerate_subsets():
     F = field(7, 1)
     with pytest.raises(ValueError):
-        orbit_design(F, subset_mask([3]))
+        design_of(F, subset_mask([3]))
     with pytest.raises(ValueError):
-        orbit_design(F, 0)
+        design_of(F, 0)
     with pytest.raises(ValueError):
-        orbit_design(F, subset_mask(range(7)))
+        design_of(F, subset_mask(range(7)))
 
 
 # prime q, p = 2 and odd prime powers: every shape of translate step
@@ -62,13 +67,13 @@ def test_orbit_design_blocks_equal_image_loop(p, alpha):
     rng = random.Random(F.q)
     for k in range(2, F.q):
         mask = subset_mask(rng.sample(range(F.q), k))
-        _, matrix = orbit_design(F, mask)
+        _, matrix = design_of(F, mask)
         assert matrix.blocks == reference_orbit_blocks(F, mask), mask
 
 
 def test_design_to_code_example():
     F = field(7, 1)
-    _, matrix = orbit_design(F, subset_mask([1, 2, 4]))
+    _, matrix = design_of(F, subset_mask([1, 2, 4]))
     code, words = design_to_code(matrix)
     assert code == CodeParams(n=14, d=8, w=6, size=7)
     assert len(words) == 7
@@ -81,7 +86,7 @@ def test_design_to_code_example():
 
 def test_incidence_rows_put_block_j_at_bit_j():
     F = field(7, 1)
-    _, matrix = orbit_design(F, subset_mask([1, 2, 4]))
+    _, matrix = design_of(F, subset_mask([1, 2, 4]))
     assert len(matrix.rows) == 7
     for x, row in enumerate(matrix.rows):
         assert row.bit_count() == 6
@@ -101,19 +106,16 @@ def test_design_to_code_rejects_unequal_row_weights():
 def test_orbit_design_checks_block_count_and_sizes(monkeypatch):
     F = field(7, 1)
     mask = subset_mask([1, 2, 4])
-    # a stabilizer of order 1 claims 42 blocks; the orbit has 14
-    monkeypatch.setattr(oracle, "stabilizer",
-                        lambda field, mask: SimpleNamespace(order=1))
+    # the trivial group, smaller than the true stabilizer of order 3,
+    # claims 42 blocks; the orbit has 14
     with pytest.raises(ValueError, match="14 blocks"):
-        orbit_design(F, mask)
+        orbit_design(trivial_subgroup(F), mask)
     # order 6 claims 7 blocks; a multiplication that sends everything to 0
     # makes 7 one-point blocks
-    monkeypatch.setattr(oracle, "stabilizer",
-                        lambda field, mask: SimpleNamespace(order=6))
     broken = Field(7, 1)
     monkeypatch.setattr(broken, "mul", lambda a, x: 0)
     with pytest.raises(ValueError, match="size k = 3"):
-        orbit_design(broken, mask)
+        orbit_design(SimpleNamespace(field=broken, order=6), mask)
 
 
 def test_design_checks_are_raises_not_asserts():
@@ -140,21 +142,33 @@ def test_johnson_check():
 
 def test_a2_determinations_examples():
     F = field(7, 1)
-    assert a2_determinations(F, 3, 3) == CodeParams(n=14, d=8, w=6, size=7)
-    assert a2_determinations(F, 3, 2) == CodeParams(n=21, d=12, w=9, size=7)
+    assert (a2_determinations(class_representative(F, 3, 1, 0), 3)
+            == CodeParams(n=14, d=8, w=6, size=7))
+    assert (a2_determinations(class_representative(F, 2, 1, 0), 3)
+            == CodeParams(n=21, d=12, w=9, size=7))
 
 
 def test_a2_determinations_rejects_impossible_orders():
     F = field(7, 1)
-    with pytest.raises(ValueError):
-        a2_determinations(F, 3, 5)       # 5 does not divide 42
-    with pytest.raises(ValueError):
-        a2_determinations(F, 3, 6)       # order-6 classes count 0 at k=3
+    with pytest.raises(ValueError, match="no 3-subset"):
+        a2_determinations(class_representative(F, 6, 1, 0), 3)
+    with pytest.raises(ValueError, match="no 3-subset"):
+        a2_determinations(trivial_subgroup(F), 3)   # the (7, 3, 1) zero
+
+
+def test_a2_determinations_checks_the_class_not_only_the_order():
+    # at q = 16, k = 4 the order-4 class (1, 1, 2) counts 4 and the
+    # order-4 class (1, 2, 1) (an F_4-line of translations) counts 0
+    F = field(2, 4)
+    a2 = a2_determinations(class_representative(F, 1, 1, 2), 4)
+    assert a2 == CodeParams(n=60, d=24, w=15, size=16)
+    with pytest.raises(ValueError, match=r"\(1, 2, 1\) of order 4"):
+        a2_determinations(class_representative(F, 1, 2, 1), 4)
 
 
 def test_serialization_round_trip():
     F = field(7, 1)
-    params, matrix = orbit_design(F, subset_mask([1, 2, 4]))
+    params, matrix = design_of(F, subset_mask([1, 2, 4]))
     code, words = design_to_code(matrix)
     text = blocks_as_text(matrix)
     lines = text.splitlines()
@@ -179,10 +193,10 @@ def test_orbit_designs_from_witnesses_pass_all_checks(p, alpha):
             if not cp.congruence_ok or count_N(cp) == 0:
                 continue
             mask = next(exact_orbit_unions(S, k))
-            params, matrix = orbit_design(F, mask)
+            params, matrix = orbit_design(S, mask)
             assert params.v == q and params.k == k
             assert params.b == q * (q - 1) // S.order
             code, words = design_to_code(matrix)
             assert johnson_check(code)
-            a2 = a2_determinations(F, k, S.order)
+            a2 = a2_determinations(S, k)
             assert (a2.n, a2.d, a2.w) == (params.b, code.d, params.r)
