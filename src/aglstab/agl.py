@@ -55,6 +55,8 @@ class Subgroup:
         self.a = field.pow(field.gamma, (field.q - 1) // d)
         self.order = d * translations.size
         self._orbits: tuple[tuple[int, ...], ...] | None = None
+        #: N(S, k) for k = 0..q, filled by ``oracle.bruteforce_counts``
+        self._bruteforce_counts: tuple[int, ...] | None = None
 
     # -- basic queries -------------------------------------------------------
 

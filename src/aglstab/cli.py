@@ -121,11 +121,11 @@ def cmd_count(args, out) -> int:
 # verify
 
 
-def _verify_class(p: int, alpha: int, d: int, i: int, j: int, k_max: int,
-                  budget: int) -> list[tuple[int, int, int, int]]:
+def _verify_class(p: int, alpha: int, d: int, i: int, j: int, odp: int,
+                  k_max: int, budget: int) -> list[tuple[int, int, int, int]]:
     field = _field(p, alpha)
     S = agl.class_representative(field, d, i, j)
-    closed_terms = counting.class_terms(p, alpha, d, i, j)
+    closed_terms = counting._class_terms(p, alpha, d, i, j, odp)
     lattice_terms = oracle.lattice_terms(S)
     out = []
     for k in range(k_max + 1):
@@ -147,13 +147,16 @@ def cmd_verify(args, out) -> int:
     k_max = args.max_k if args.max_k is not None else q
     if not 0 <= k_max <= q:
         raise CliError(f"--max-k must lie in [0, {q}], got {k_max}")
-    shapes = counting.class_shapes(p, alpha)
-    results = [_verify_class(p, alpha, d, i, j, k_max, args.oracle_budget)
-               for d, i, j in shapes]
+    # the field is checked by _resolve_field, each shape by
+    # class_representative
+    shapes = list(counting._shapes(p, alpha))
+    results = [_verify_class(p, alpha, d, i, j, odp, k_max,
+                             args.oracle_budget)
+               for d, i, j, odp in shapes]
 
     failures = 0
     rows = []
-    for (d, i, j), rws in zip(shapes, results):
+    for (d, i, j, _), rws in zip(shapes, results):
         for k, closed, lattice, brute in rws:
             ok = closed == lattice == brute
             failures += not ok
@@ -168,7 +171,7 @@ def cmd_verify(args, out) -> int:
                   out, indent=2)
         out.write("\n")
     else:
-        for (d, i, j), rws in zip(shapes, results):
+        for (d, i, j, _), rws in zip(shapes, results):
             marks = " ".join(
                 f"k={k}:{'ok' if closed == lattice == brute else 'FAIL'}"
                 for k, closed, lattice, brute in rws)
@@ -300,7 +303,8 @@ def build_parser() -> _Parser:
                     help="largest subset size (default q)")
     sp.add_argument("--oracle-budget", type=int,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
-                    help="max subsets scanned per brute-force count")
+                    help="max size-k orbit unions per brute-force "
+                         "count; the all-k table needs all 2**m within it")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("design",

@@ -303,15 +303,17 @@ def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
     d ascending over the divisors of q - 1, then i ascending, then j
     ascending."""
     check_field(p, alpha)
-    q = p ** alpha
-    shapes = []
-    for d in divisors(q - 1):
+    return [(d, i, j) for d, i, j, _ in _shapes(p, alpha)]
+
+
+def _shapes(p: int, alpha: int):
+    """``class_shapes`` of a field already checked, each with o_d(p)."""
+    for d in divisors(p ** alpha - 1):
         odp = mult_order(p, d)
         top = alpha // odp
         for i in divisors(top):
-            js = (0, 1) if i == top else range(1, top // i)
-            shapes.extend((d, i, j) for j in js)
-    return shapes
+            for j in (0, 1) if i == top else range(1, top // i):
+                yield d, i, j, odp
 
 
 def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[ClassParams]:
@@ -337,14 +339,14 @@ def build_table(p: int, alpha: int, k_max: int | None = None) -> list[CountRecor
     The terms are built once per class shape; each k then costs one
     congruence test and one term evaluation per class.
     """
+    check_field(p, alpha)
     q = p ** alpha
     if k_max is None:
         k_max = q // 2
     if not 0 <= k_max <= q:
         raise ValueError(f"k must lie in [0, {q}], got {k_max}")
     shapes = []
-    for d, i, j in class_shapes(p, alpha):
-        odp = mult_order(p, d)
+    for d, i, j, odp in _shapes(p, alpha):
         beta = odp * i * j
         pb = p ** beta
         shapes.append((d, odp, i, j, beta, pb, d * pb,

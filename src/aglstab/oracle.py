@@ -12,11 +12,20 @@ order.
   b in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x
   in B holds exactly the b with a*B + b = B, so every map is still
   decided.
-* ``count_N_bruteforce``: enumerate only the orbit unions of a subgroup S
+* ``count_N_bruteforce``: look only at the orbit unions of a subgroup S
   (the subsets it fixes setwise) and keep those whose stabilizer is
-  exactly S.  An orbit union is fixed by every map of S, so its
-  stabilizer contains S, and it is exact iff the same full scan finds no
-  more than |S| fixing maps.
+  exactly S.  ``bruteforce_counts`` decides all 2**m of them (m orbits)
+  in one bit-sliced pass: every map (a, b) yields its pairs (orbit(x),
+  orbit(a*x + b)), and the orbit unions it fixes are those closed under
+  its pairs, computed for a whole chunk of candidates with one int AND
+  per pair.  The D maps with no pair between two distinct orbits fix
+  every union; if D > |S| every count is 0, and if D = |S| a union is
+  exact iff no other map fixes it.  Where a class has at most 4q orbit
+  unions, or more than the budget, the size-k unions are instead checked
+  one by one with the same full scan as ``stabilizer`` (exact iff it
+  finds no more than |S| fixing maps, since an orbit union's stabilizer
+  contains S).  Either way every map is decided, and more than
+  ``budget`` size-k unions raise before any scan.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
@@ -162,6 +171,11 @@ def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
 
 def n_orbit_unions(S: Subgroup, k: int) -> int:
     """Number of size-k orbit unions, i.e. |S'|, counted directly."""
+    return _n_orbit_unions(S, k)
+
+
+def _n_orbit_unions(S: Subgroup, k: int) -> int:
+    # the same count for the table's own check, not a query of its own
     return sum(math.comb(len(opts), t) for _, opts, t in _union_branches(S, k))
 
 
@@ -173,6 +187,15 @@ def orbit_union_masks(S: Subgroup, k: int):
             for m in combo:
                 mask |= m
             yield mask
+
+
+def _check_budget(S: Subgroup, k: int, budget: int) -> None:
+    if not 0 <= k <= S.field.q:
+        raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
+    candidates = n_orbit_unions(S, k)
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"{candidates} orbit unions exceed the budget of {budget}")
 
 
 def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
@@ -195,20 +218,156 @@ def exact_orbit_unions(S: Subgroup, k: int,
     """The size-k orbit unions of S whose stabilizer is exactly S, in
     ``orbit_union_masks`` order.  Raises before the scan starts when
     there are more than ``budget`` orbit unions."""
-    if not 0 <= k <= S.field.q:
-        raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
-    candidates = n_orbit_unions(S, k)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} orbit unions exceed the budget of {budget}")
+    _check_budget(S, k, budget)
     return (mask for mask in orbit_union_masks(S, k)
             if is_exact_stabilizer(S, mask))
 
 
+def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
+                                             list[list[int]]]:
+    """(D, pairs, pair sets) over all q*(q-1) maps.
+
+    D counts the maps that send every point into its own S-orbit.  Every
+    other map has the set of its pairs (orbit(x), orbit(a*x + b)) with
+    two distinct orbits, given as indices into ``pairs``; maps with equal
+    pair sets share one entry.
+    """
+    field = S.field
+    q = field.q
+    orbits = S.orbits()
+    m = len(orbits)
+    orbit_of = [0] * q
+    for o, orbit in enumerate(orbits):
+        for x in orbit:
+            orbit_of[x] = o
+    # shifted[b][y] = orbit(y + b)
+    shifted = [[orbit_of[field.add(y, b)] for y in range(q)]
+               for b in range(q)]
+    table = field.mul_table
+    diagonal = 0
+    distinct = set()
+    for a in range(1, q):
+        row = table[a] if table else [field.mul(a, x) for x in range(q)]
+        for img in shifted:
+            key = frozenset(o * m + t for o, t in
+                            zip(orbit_of, map(img.__getitem__, row))
+                            if o != t)
+            if key:
+                distinct.add(key)
+            else:
+                diagonal += 1
+    codes = sorted(set().union(*distinct))
+    index = {code: n for n, code in enumerate(codes)}
+    return (diagonal, [divmod(code, m) for code in codes],
+            [[index[code] for code in sorted(key)] for key in distinct])
+
+
+def _orbit_columns(width: int) -> list[int]:
+    """col[o] over 2**width candidates: bit c is set iff bit o of c is
+    set."""
+    n = 1 << width
+    cols = []
+    for o in range(width):
+        run = 1 << o
+        col, period = ((1 << run) - 1) << run, 2 * run
+        while period < n:
+            col |= col << period
+            period *= 2
+        cols.append(col)
+    return cols
+
+
+#: candidates per chunk of the bit-sliced pass, as a power of two
+CHUNK_BITS = 16
+#: the table pays once a class has more than this many orbit unions per
+#: field element; below, scanning them one by one is faster
+TABLE_UNIONS_PER_POINT = 4
+
+
+def bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
+    """N(S, k) for k = 0..q from one bit-sliced pass over all 2**m orbit
+    unions of S (m = number of S-orbits), cached on S.
+
+    Candidate c is the union of the orbits whose bits are set in c.  The
+    candidates of a chunk are the bits of one int, and ``col[o]`` holds
+    those that contain orbit o; a chunk spans at most 2**CHUNK_BITS
+    candidates, with the top choice bits fixed.  A map with the orbit
+    pair (o, o') moves a point of orbit o into orbit o', so it fixes c
+    only if o' lies in c whenever o does: the candidates it fixes are the
+    AND over its pairs of ``~col[o] | col[o']``, ORed into ``bad``.  The
+    D maps without such a pair fix every candidate.  Every map of S is
+    one of them, so D >= |S|; if D > |S| no candidate has stabilizer
+    exactly S, and if D = |S| a candidate has it iff it is not in
+    ``bad``.  The candidates are split by subset size with one pass over
+    the orbit columns, and each size must hold ``n_orbit_unions`` of
+    them.
+    """
+    if S._bruteforce_counts is None:
+        S._bruteforce_counts = _bruteforce_counts(S)
+    return S._bruteforce_counts
+
+
+def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
+    q = S.field.q
+    diagonal, pairs, pair_sets = _orbit_pair_sets(S)
+    if diagonal < S.order:
+        raise RuntimeError(f"only {diagonal} maps keep every S-orbit in "
+                           f"place, but |S| = {S.order}")
+    if diagonal > S.order:
+        return (0,) * (q + 1)
+    sizes = [len(o) for o in S.orbits()]
+    width = min(len(sizes), CHUNK_BITS)
+    full = (1 << (1 << width)) - 1
+    low = _orbit_columns(width)
+    # the size split of the low orbits; the fixed top choice bits of a
+    # chunk add a constant size
+    by_size = {0: full}
+    for col, w in zip(low, sizes):
+        split: dict[int, int] = {}
+        for s, cand in by_size.items():
+            split[s] = split.get(s, 0) | cand & ~col
+            split[s + w] = split.get(s + w, 0) | cand & col
+        by_size = split
+    high = sizes[width:]
+    counts = [0] * (q + 1)
+    covered = [0] * (q + 1)
+    for top in range(1 << len(high)):
+        chosen = [top >> t & 1 for t in range(len(high))]
+        cols = low + [full if bit else 0 for bit in chosen]
+        terms = [(full ^ cols[o]) | cols[t] for o, t in pairs]
+        bad = 0
+        for indices in pair_sets:
+            fixed = full
+            for n in indices:
+                fixed &= terms[n]
+                if not fixed:
+                    break
+            bad |= fixed
+        offset = sum(w for w, bit in zip(high, chosen) if bit)
+        for s, cand in by_size.items():
+            covered[s + offset] += cand.bit_count()
+            counts[s + offset] += (cand & ~bad).bit_count()
+    for k in range(q + 1):
+        expected = _n_orbit_unions(S, k)
+        if covered[k] != expected:
+            raise RuntimeError(f"the size split holds {covered[k]} orbit "
+                               f"unions of size {k}, not {expected}")
+    return tuple(counts)
+
+
 def count_N_bruteforce(S: Subgroup, k: int,
                        budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """Count the k-subsets with stabilizer exactly S by scanning every
-    size-k union of S-orbits."""
+    """Count the k-subsets with stabilizer exactly S among the size-k
+    unions of S-orbits.
+
+    Raises before any scan when there are more than ``budget`` of them.
+    Reads ``bruteforce_counts(S)`` when all 2**m orbit unions fit in the
+    budget and number more than TABLE_UNIONS_PER_POINT * q, and
+    otherwise scans the size-k ones one by one.
+    """
+    if TABLE_UNIONS_PER_POINT * S.field.q < 1 << len(S.orbits()) <= budget:
+        _check_budget(S, k, budget)
+        return bruteforce_counts(S)[k]
     return sum(1 for _ in exact_orbit_unions(S, k, budget))
 
 

@@ -176,11 +176,16 @@ def test_verify_csv(capsys):
 
 
 # SHA-256 of `aglstab verify --q Q --format csv` stdout, recorded from the
-# map-by-map stabilizer scan that the bit-parallel scan replaced
+# map-by-map stabilizer scan that the bit-parallel scan replaced (q <= 16)
+# and from the per-candidate orbit-union scan that the bit-sliced table
+# replaced (q = 19 and 23, where that scan took 11 s and 180 s on a 2-vCPU
+# host)
 VERIFY_CSV_SHA256 = {
     11: "ad9bc77867c60405816a0276f698266d48f39e05cd7d2cf6d9efb693e88c0eef",
     13: "7c0e767eca9448174990868c6facba6fd88b5523a2935aec8ce286f8036349e0",
     16: "a480329a45583d08302b858edf6517a5bee4d5c27141bb13a10ef0857f2aaaaa",
+    19: "9498f28522050a0673b54880ab7837ba2c69b222f6e86322445201e50e8225fd",
+    23: "a007c3a5c95818075639d3f4382fed099d2c9a9e0e2fe913faa05d2e6e291547",
 }
 
 

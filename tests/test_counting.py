@@ -152,11 +152,11 @@ def test_class_params_computes_odp_once(monkeypatch):
     # count_N takes o_d(p) from the check and reuses it for u = d
     count_N(cp)
     assert calls == [(2, 3)]
-    # class_shapes: one per divisor of 63; build_table: one per shape plus
-    # one per u = d*prod(P) with P nonempty
+    # build_table: one per divisor of 63, whose order every shape of that
+    # d reuses, plus one per u = d*prod(P) with P nonempty
     calls.clear()
     build_table(2, 6)
-    assert len(calls) == 50
+    assert len(calls) == 27
 
 
 def test_class_params_derived_quantities():
@@ -279,6 +279,7 @@ def test_every_entry_point_rejects_a_bad_field_alike(p, alpha, message):
     for build in (lambda: ClassParams(p, alpha, 0, 1, 1, 0),
                   lambda: class_terms(p, alpha, 1, 1, 0),
                   lambda: class_shapes(p, alpha),
+                  lambda: build_table(p, alpha, 0),
                   lambda: Field(p, alpha),
                   lambda: check_field(p, alpha)):
         with pytest.raises(ValueError) as exc:

@@ -16,7 +16,8 @@ from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
                               mult_order)
 from aglstab.ffield import Field, span, zero_subspace
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
-                            count_N_bruteforce, count_N_via_lattice,
+                            bruteforce_counts, count_N_bruteforce,
+                            count_N_via_lattice,
                             exact_orbit_unions, fixing_maps, full_census,
                             is_exact_stabilizer, lattice_terms,
                             mask_elements, orbit_union_masks, stabilizer,
@@ -72,7 +73,8 @@ def test_subgroup_from_pairs_rejects_non_subgroups():
 
 def test_scan_checks_are_raises_not_asserts():
     # python -O strips assert statements; the checks must survive it
-    for obj in (subgroup_from_pairs, fixing_maps, lattice_terms):
+    for obj in (subgroup_from_pairs, fixing_maps, lattice_terms,
+                oracle._bruteforce_counts):
         tree = ast.parse(inspect.getsource(obj))
         assert not any(isinstance(node, ast.Assert)
                        for node in ast.walk(tree)), obj
@@ -156,10 +158,103 @@ def test_count_N_bruteforce_examples():
         assert count_N_bruteforce(half, 2) == (q - 1) // 2
 
 
-def test_count_N_bruteforce_budget():
+def test_count_N_bruteforce_budget(monkeypatch):
     F = field(13, 1)
-    with pytest.raises(BudgetExceededError):
+    scans = []
+    monkeypatch.setattr(oracle, "is_exact_stabilizer",
+                        lambda S, mask: scans.append(mask))
+    monkeypatch.setattr(oracle, "bruteforce_counts", scans.append)
+    with pytest.raises(BudgetExceededError,
+                       match="^1716 orbit unions exceed the budget of 100$"):
         count_N_bruteforce(trivial_subgroup(F), 6, budget=100)
+    assert scans == []
+
+
+# every prime power q <= 17
+@pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                     (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+                                     (17, 1)])
+def test_bruteforce_counts_equal_the_per_candidate_scan(p, alpha):
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        expected = [sum(1 for _ in exact_orbit_unions(S, k))
+                    for k in range(F.q + 1)]
+        assert list(bruteforce_counts(S)) == expected, (d, i, j)
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
+def test_bruteforce_counts_of_every_subgroup(p, alpha):
+    # conjugates with b != 0 and the classes' other members too
+    F = field(p, alpha)
+    for S in all_subgroups(F):
+        expected = [sum(1 for _ in exact_orbit_unions(S, k))
+                    for k in range(F.q + 1)]
+        assert list(bruteforce_counts(S)) == expected, S
+
+
+def test_bruteforce_counts_are_zero_when_more_maps_keep_the_orbits():
+    # the translations by all of F_q have one orbit, which all q(q-1)
+    # maps keep in place, so D = q(q-1) > |S| = q
+    for p, alpha in [(7, 1), (2, 4), (3, 2)]:
+        F = field(p, alpha)
+        S = class_representative(F, 1, alpha, 1)
+        assert (S.d, S.H.size) == (1, F.q)
+        assert bruteforce_counts(S) == (0,) * (F.q + 1)
+
+
+def test_bruteforce_counts_are_cached_on_the_instance(monkeypatch):
+    F = field(7, 1)
+    passes = []
+    scan = oracle._orbit_pair_sets
+    monkeypatch.setattr(oracle, "_orbit_pair_sets",
+                        lambda S: passes.append(S) or scan(S))
+    S = trivial_subgroup(F)
+    assert bruteforce_counts(S) == bruteforce_counts(S)
+    assert [count_N_bruteforce(S, k) for k in range(8)] == list(
+        bruteforce_counts(S))
+    assert len(passes) == 1
+    # an equal descriptor is a new instance and makes its own pass
+    bruteforce_counts(trivial_subgroup(F))
+    assert len(passes) == 2
+
+
+def test_bruteforce_counts_check_their_invariants(monkeypatch):
+    F = field(7, 1)
+    S = class_representative(F, 2, 1, 0)
+    S.orbits()
+    S.order += 1
+    with pytest.raises(RuntimeError, match="only 2 maps keep every S-orbit"):
+        bruteforce_counts(S)
+    monkeypatch.setattr(oracle, "_n_orbit_unions", lambda S, k: 1)
+    with pytest.raises(RuntimeError, match="the size split holds 3 orbit "
+                                           "unions of size 2, not 1"):
+        bruteforce_counts(class_representative(F, 2, 1, 0))
+
+
+def test_count_N_bruteforce_reads_the_table_only_where_it_pays(monkeypatch):
+    def closed(S, k):
+        return count_N(ClassParams(S.field.p, S.field.alpha, k, *S.shape()))
+
+    def fail(*args):
+        raise AssertionError("wrong route")
+
+    # 2**7 = 128 orbit unions, more than 4 per point of F_7: the table
+    F = field(7, 1)
+    monkeypatch.setattr(oracle, "is_exact_stabilizer", fail)
+    S = trivial_subgroup(F)
+    assert [count_N_bruteforce(S, k) for k in range(8)] == [
+        closed(S, k) for k in range(8)]
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "bruteforce_counts", fail)
+    # 2**3 orbit unions: one by one
+    S = class_representative(F, 3, 1, 0)
+    assert [count_N_bruteforce(S, k) for k in range(8)] == [
+        closed(S, k) for k in range(8)]
+    # 2**25 orbit unions exceed the default budget, the 300 of size 2 do
+    # not: one by one
+    S = trivial_subgroup(field(5, 2))
+    assert count_N_bruteforce(S, 2) == closed(S, 2)
 
 
 def test_full_census_q7_k3_ledger():
