@@ -9,9 +9,10 @@ for the divisor d = o(a) of q - 1, and reduces b to the least element of
 its coset b + H (with b = 0 forced when d = 1).  Two descriptors are equal
 iff the subgroups are equal, so lattice walks never need element sets.
 
-A map (a', b') lies in S iff a' is a power a**l and b' - (a**l - 1)/(a - 1)
-* b lies in H (b' in H when a' = 1): the l-th power of (a, b) is
-(a**l, (a**l - 1)/(a - 1) * b) in the 2x2 upper-triangular matrix model.
+Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
+space over it) and, for d > 1, the ``fixed_point`` c = b/(1 - a).  The
+l-th power of (a, b) is (a**l, (1 - a**l)*c), so a map (a', b') lies in S
+iff a' is a power of a and b' - (1 - a')*c lies in H (b' in H if a' = 1).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from collections import Counter
 
-from .counting import check_shape, mult_order, prime_set
+from .counting import check_divisor, check_shape, prime_set
 from .ffield import (Field, QuotientSpace, Subspace, full_subspace,
                      lines_of_quotient, span, zero_subspace)
 
@@ -29,17 +30,15 @@ from .ffield import (Field, QuotientSpace, Subspace, full_subspace,
 class Subgroup:
     """Canonical descriptor of <(gamma**((q-1)/d), b)> x| H-translations.
 
-    Invariants: d divides q - 1; H is closed under F_{p**o_d(p)}; b is the
+    Invariants: d divides q - 1; H is closed under F_{p**odp}; b is the
     least element of its coset b + H, and 0 when d = 1.  The group order
-    is d * |H|.
+    is d * |H|.  ``fixed_point`` (d > 1; else None) solves a*c + b = c.
     """
 
     def __init__(self, field: Field, d: int, b: int, translations: Subspace):
         if translations.field != field:
             raise ValueError("translation subspace lives in a different field")
-        if d < 1 or (field.q - 1) % d:
-            raise ValueError(f"d must divide q - 1 = {field.q - 1}, got {d}")
-        odp = mult_order(field.p, d)
+        odp = check_divisor(field.p, field.alpha, d)
         if translations.stabilizing_degree() % odp:
             raise ValueError(
                 f"translations must be closed under F_{{p^{odp}}} for d = {d}")
@@ -50,9 +49,11 @@ class Subgroup:
             raise ValueError("a pure translation group must have b = 0")
         self.field = field
         self.d = d
+        self.odp = odp
         self.b = b
         self.H = translations
         self.a = field.pow(field.gamma, (field.q - 1) // d)
+        self.fixed_point = field.div(b, field.sub(1, self.a)) if d > 1 else None
         self.order = d * translations.size
         self._orbits: tuple[tuple[int, ...], ...] | None = None
         #: N(S, k) for k = 0..q, filled by ``oracle.bruteforce_counts``
@@ -66,13 +67,12 @@ class Subgroup:
 
     def shape(self) -> tuple[int, int, int]:
         """The class triple (d, i, j) of this subgroup."""
-        odp = mult_order(self.field.p, self.d)
-        i = self.H.stabilizing_degree() // odp
+        i = self.H.stabilizing_degree() // self.odp
         beta = self.H.dim
-        j, rem = divmod(beta, odp * i)
+        j, rem = divmod(beta, self.odp * i)
         if rem:
             raise RuntimeError(f"dim H = {beta} is not a multiple of "
-                               f"o_d(p)*i = {odp * i}")
+                               f"o_d(p)*i = {self.odp * i}")
         return (self.d, i, j)
 
     def contains_map(self, a: int, b: int) -> bool:
@@ -80,13 +80,10 @@ class Subgroup:
         field = self.field
         if a == 1:
             return self.H.contains(b)
-        if self.d == 1:
+        if field.log(a) % ((field.q - 1) // self.d):
             return False
-        step = (field.q - 1) // self.d
-        if field.log(a) % step:
-            return False
-        factor = field.div(field.sub(a, 1), field.sub(self.a, 1))
-        return self.H.contains(field.sub(b, field.mul(factor, self.b)))
+        return self.H.contains(
+            field.sub(b, field.mul(field.sub(1, a), self.fixed_point)))
 
     def contains(self, other: "Subgroup") -> bool:
         """Subgroup containment, decided on descriptors."""
@@ -97,37 +94,31 @@ class Subgroup:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """The orbits on the field elements, each sorted, listed by least
-        element."""
+        element x, where its walk starts: each step adds the coset y + H
+        and moves y to a*y + b, until y falls back into the orbit."""
         if self._orbits is None:
-            field = self.field
-            if self.d == 1:
-                quot = QuotientSpace(field, self.H)
-                orbs = [tuple(sorted(field.add(r, h) for h in self.H.elements()))
-                        for r in quot.transversal]
-            else:
-                h_els = self.H.elements()
-                center = field.div(field.neg(self.b), field.sub(self.a, 1))
-                orbs = [tuple(sorted(field.add(center, h) for h in h_els))]
-                seen = set(orbs[0])
-                for x in range(field.q):
-                    if x in seen:
-                        continue
-                    orbit = set()
-                    y = x
-                    for _ in range(self.d):
-                        orbit.update(field.add(y, h) for h in h_els)
-                        y = field.add(field.mul(self.a, y), self.b)
-                    if len(orbit) != self.order:
-                        raise RuntimeError(f"an orbit of size {len(orbit)} "
-                                           f"in a group of order {self.order}")
-                    seen.update(orbit)
-                    orbs.append(tuple(sorted(orbit)))
-                orbs.sort(key=lambda o: o[0])
-                sizes = Counter(len(o) for o in orbs)
-                if (sizes[self.H.size] < 1
-                        or sum(n * s for s, n in sizes.items()) != field.q):
-                    raise RuntimeError(f"orbit sizes {dict(sizes)} do not cover "
-                                       f"F_{field.q} with a fixed coset of H")
+            field, a, b = self.field, self.a, self.b
+            h_els = self.H.elements()
+            orbs = []
+            seen: set[int] = set()
+            for x in range(field.q):
+                if x in seen:
+                    continue
+                orbit: set[int] = set()
+                y = x
+                while y not in orbit:
+                    orbit.update(field.add(y, h) for h in h_els)
+                    y = field.add(field.mul(a, y), b)
+                if len(orbit) not in (self.H.size, self.order):
+                    raise RuntimeError(f"an orbit of size {len(orbit)} "
+                                       f"in a group of order {self.order}")
+                seen |= orbit
+                orbs.append(tuple(sorted(orbit)))
+            sizes = Counter(len(o) for o in orbs)
+            if ((self.d > 1 and sizes[self.H.size] != 1)
+                    or sum(n * s for s, n in sizes.items()) != field.q):
+                raise RuntimeError(f"orbit sizes {dict(sizes)} do not cover "
+                                   f"F_{field.q} with a fixed coset of H")
             self._orbits = tuple(orbs)
         return self._orbits
 
@@ -204,7 +195,7 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     else:
         for e in prime_set((hprime.size - 1) // S.d):
             out.append(Subgroup(field, S.d * e, 0, S.H))
-        K = field.subfield(mult_order(field.p, S.d))
+        K = field.subfield(S.odp)
         for line in lines_of_quotient(quot, K):
             out.append(Subgroup(field, S.d, 0, line))
     return out
@@ -224,26 +215,25 @@ def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
     """The subgroup generated by two arbitrary subgroups, on descriptors.
 
     The translation part absorbs both H's and, when both groups have a
-    multiplicative part, the difference of their fixed points
-    b/(a - 1); the multiplicative parts combine to order lcm(d1, d2).
+    multiplicative part, the difference of their fixed points; d = lcm(d1,
+    d2), H is a space over F_{p**o_d(p)}, o_d(p) = lcm(o_d1(p), o_d2(p)),
+    and b = (1 - a)*c for either fixed point c, reduced mod H.
     """
     field = T1.field
     if field != T2.field:
         raise ValueError("cannot join subgroups over different fields")
     d = math.lcm(T1.d, T2.d)
-    K = field.subfield(mult_order(field.p, d))
+    K = field.subfield(math.lcm(T1.odp, T2.odp))
     vectors = list(T1.H.basis) + list(T2.H.basis)
-    points = [field.div(T.b, field.sub(T.a, 1)) for T in (T1, T2) if T.d > 1]
+    points = [T.fixed_point for T in (T1, T2) if T.d > 1]
     if len(points) == 2:
         vectors.append(field.sub(points[0], points[1]))
     Hnew = span(vectors, K)
     if d == 1:
         return Subgroup(field, 1, 0, Hnew)
     a_new = field.pow(field.gamma, (field.q - 1) // d)
-    if not points:
-        return Subgroup(field, d, 0, Hnew)
-    b_candidates = {Hnew.reduce(field.mul(field.sub(a_new, 1), u))
-                    for u in points}
+    b_candidates = {Hnew.reduce(field.mul(field.sub(1, a_new), c))
+                    for c in points}
     if len(b_candidates) != 1:
         raise RuntimeError("join must not depend on the chosen point, got "
                            f"b in {sorted(b_candidates)}")

@@ -129,10 +129,8 @@ def _verify_class(p: int, alpha: int, d: int, i: int, j: int, odp: int,
     lattice_terms = oracle.lattice_terms(S)
     out = []
     for k in range(k_max + 1):
-        closed = sum(c * counting.s_qk(field.q, k, u, v)
-                     for c, u, v in closed_terms)
-        lattice = sum(c * counting.s_qk(field.q, k, dd, h)
-                      for c, dd, h in lattice_terms)
+        closed = counting.evaluate_terms(field.q, k, closed_terms)
+        lattice = counting.evaluate_terms(field.q, k, lattice_terms)
         brute = oracle.count_N_bruteforce(S, k, budget=budget)
         out.append((k, closed, lattice, brute))
     return out

@@ -16,9 +16,9 @@ exactly a subgroup of the class (d, i, j) is computed in two steps:
    sorted tuple of signed terms (coeff, u, v), the shape that
    ``oracle.lattice_terms`` also returns.  It depends on the class only,
    not on k.
-2. *Evaluation.*  N = sum(coeff * s_qk(q, k, u, v)), where ``s_qk``
-   counts the k-subsets fixed by a subgroup with multiplicative part of
-   order u and translation part of size v.
+2. *Evaluation.*  ``evaluate_terms``: N = sum(coeff * s_qk(q, k, u, v)),
+   where ``s_qk`` counts the k-subsets fixed by a subgroup with
+   multiplicative part of order u and translation part of size v.
 
 ``count_N`` evaluates one (class, k); ``build_table`` builds the terms
 once per class and evaluates them for every k that satisfies the
@@ -27,8 +27,8 @@ validated ``ClassParams``.  Everything is exact integer arithmetic; no
 floating point is used anywhere in this module.
 
 Validity is decided here, once per rule: ``check_field`` (p prime, alpha
->= 1) and ``check_shape`` (d | q - 1, i | alpha/o_d(p), j in the range i
-allows), which returns o_d(p) for the term sum to take as given.
+>= 1), ``check_divisor`` (d | q - 1) and ``check_shape`` (that rule, i |
+alpha/o_d(p), j in the range i allows); the last two return o_d(p).
 ``class_shapes`` generates exactly the triples ``check_shape`` accepts.
 """
 
@@ -120,6 +120,13 @@ def s_qk(q: int, k: int, u: int, v: int) -> int:
     return total
 
 
+def evaluate_terms(q: int, k: int,
+                   terms: tuple[tuple[int, int, int], ...]) -> int:
+    """N(k) = sum(coeff * s_qk(q, k, u, v)) over signed terms (coeff, u, v),
+    as ``class_terms`` and ``oracle.lattice_terms`` return them."""
+    return sum(c * s_qk(q, k, u, v) for c, u, v in terms)
+
+
 def check_field(p: int, alpha: int) -> None:
     """The field rule: F_{p**alpha} exists iff p is prime and alpha >= 1."""
     if not isprime(p):
@@ -128,17 +135,24 @@ def check_field(p: int, alpha: int) -> None:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
 
 
+def check_divisor(p: int, alpha: int, d: int) -> int:
+    """The divisor rule for the multiplicative part of a valid field
+    F_{p**alpha}: d divides q - 1.  Returns o_d(p), the degree of the least
+    subfield holding the multipliers of order d."""
+    q = p ** alpha
+    if d < 1 or (q - 1) % d:
+        raise ValueError(f"d must divide q - 1 = {q - 1}, got {d}")
+    return mult_order(p, d)
+
+
 def check_shape(p: int, alpha: int, d: int, i: int, j: int) -> int:
     """The shape rule for a class (d, i, j) of a valid field F_{p**alpha};
     returns o_d(p).
 
-    d divides q - 1; i divides alpha/o_d(p); j is 0 or 1 when i =
-    alpha/o_d(p), and 0 < j < alpha/(o_d(p)*i) otherwise.
+    d divides q - 1 (``check_divisor``); i divides alpha/o_d(p); j is 0 or
+    1 when i = alpha/o_d(p), and 0 < j < alpha/(o_d(p)*i) otherwise.
     """
-    q = p ** alpha
-    if d < 1 or (q - 1) % d:
-        raise ValueError(f"d must divide q - 1 = {q - 1}, got {d}")
-    odp = mult_order(p, d)
+    odp = check_divisor(p, alpha, d)
     top = alpha // odp
     if i < 1 or alpha % (odp * i):
         raise ValueError(f"i must divide alpha/o_d(p) = {top}, got {i}")
@@ -292,10 +306,8 @@ def count_N(params: ClassParams) -> int:
     """Exact number of k-subsets of F_q whose affine stabilizer is exactly
     a subgroup of the class described by ``params``: the class's terms
     evaluated at k."""
-    q, k = params.q, params.k
-    return sum(c * s_qk(q, k, u, v) for c, u, v in
-               _class_terms(params.p, params.alpha, params.d, params.i,
-                            params.j, params.odp))
+    return evaluate_terms(params.q, params.k, _class_terms(
+        params.p, params.alpha, params.d, params.i, params.j, params.odp))
 
 
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
@@ -352,8 +364,7 @@ def build_table(p: int, alpha: int, k_max: int | None = None) -> list[CountRecor
         shapes.append((d, odp, i, j, beta, pb, d * pb,
                        _class_terms(p, alpha, d, i, j, odp)))
     return [
-        CountRecord(k, d, odp, i, j, beta,
-                    sum(c * s_qk(q, k, u, v) for c, u, v in terms))
+        CountRecord(k, d, odp, i, j, beta, evaluate_terms(q, k, terms))
         for k in range(k_max + 1)
         for d, odp, i, j, beta, pb, period, terms in shapes
         if k % period in (0, pb)

@@ -275,13 +275,6 @@ class Field:
     def prime_subfield(self) -> "Subfield":
         return self.subfield(1)
 
-    @cached_property
-    def mul_table(self) -> list[list[int]] | None:
-        """Full q x q product table; only materialized for q <= 256."""
-        if self.q > 256:
-            return None
-        return [[self.mul(a, x) for x in range(self.q)] for a in range(self.q)]
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

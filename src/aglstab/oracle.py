@@ -48,7 +48,7 @@ from sympy import divisors
 
 from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import mult_order, s_qk
+from .counting import evaluate_terms, mult_order
 from .ffield import Field, QuotientSpace, Subspace, span, zero_subspace
 
 DEFAULT_STABILIZER_LIMIT = 4096
@@ -120,13 +120,12 @@ def fixing_maps(field: Field, mask: int):
     q = field.q
     elems = mask_elements(mask)
     shifts = translate_masks(field, mask)
-    table = field.mul_table
+    mul = field.mul
     full = (1 << q) - 1
     for a in range(1, q):
-        row = table[a] if table else {x: field.mul(a, x) for x in elems}
         hits = full
         for x in elems:
-            hits &= shifts[row[x]]
+            hits &= shifts[mul(a, x)]
             if not hits:
                 break
         while hits:
@@ -243,11 +242,10 @@ def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
     # shifted[b][y] = orbit(y + b)
     shifted = [[orbit_of[field.add(y, b)] for y in range(q)]
                for b in range(q)]
-    table = field.mul_table
     diagonal = 0
     distinct = set()
     for a in range(1, q):
-        row = table[a] if table else [field.mul(a, x) for x in range(q)]
+        row = [field.mul(a, x) for x in range(q)]
         for img in shifted:
             key = frozenset(o * m + t for o, t in
                             zip(orbit_of, map(img.__getitem__, row))
@@ -433,9 +431,7 @@ def count_N_via_lattice(S: Subgroup, k: int,
     """N(S, k) by inclusion-exclusion over the immediate supergroups."""
     if not 0 <= k <= S.field.q:
         raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
-    q = S.field.q
-    return sum(c * s_qk(q, k, d, h)
-               for c, d, h in lattice_terms(S, closure_limit))
+    return evaluate_terms(S.field.q, k, lattice_terms(S, closure_limit))
 
 
 # ---------------------------------------------------------------------------

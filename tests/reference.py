@@ -9,9 +9,12 @@ translate masks), and an orbit design is the set of images of its base
 block under every map.  The lattice inclusion-exclusion visits every
 selection of immediate supergroups on its own (no fold).  Field addition
 and subspace echelon forms are computed on coefficient lists, digit by
-digit mod p (no Zech logarithms, no int rows).
+digit mod p (no Zech logarithms, no int rows).  ``assert_lines`` reads a
+module's source, which the ``python -O`` guards scan for asserts.
 """
 
+import ast
+import inspect
 from collections import Counter
 
 from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
@@ -217,3 +220,10 @@ def reference_reduce(field, basis, pivots, x: int) -> int:
         if c:
             cf = [(a - c * b) % p for a, b in zip(cf, digits(field, v))]
     return element(field, cf)
+
+
+def assert_lines(module) -> list[int]:
+    """Line numbers of the assert statements in the whole of ``module``."""
+    tree = ast.parse(inspect.getsource(module))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]

@@ -5,11 +5,14 @@ anywhere are the wall-clock bounds stated inline.  Run with -s (or read
 the captured output) to see the per-criterion PASS lines.
 """
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import pytest
 
+import aglstab
 from aglstab.agl import Subgroup, class_representative
 from aglstab.cli import EXIT_OK, main
 from aglstab.counting import (ClassParams, build_table, class_shapes,
@@ -275,3 +278,17 @@ def test_criterion_8_positivity_fixtures():
     assert count_N(ClassParams(2, 6, 12, 3, 1, 1)) == 5
     fixtures += 3
     print(f"\nACCEPTANCE 8 (positivity fixtures: {fixtures} instances): PASS")
+
+
+def test_criterion_9_checks_survive_python_O():
+    # python -O strips assert statements; every check in the library must
+    # be a raise
+    modules = sorted(Path(aglstab.__file__).parent.glob("*.py"))
+    assert len(modules) >= 7
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert not asserts, (path.name, asserts)
+    print(f"\nACCEPTANCE 9 (no assert statement in the {len(modules)} "
+          f"library modules): PASS")

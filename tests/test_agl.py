@@ -8,14 +8,19 @@ objects they compose are the reference ``AffineMap`` of the tests.
 
 import hashlib
 import itertools
+import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from sympy import divisors, primerange
 
+import aglstab
 from aglstab.agl import (Subgroup, class_representative, full_group,
                          immediate_supergroups, join, join_pair,
                          trivial_subgroup)
-from aglstab.counting import ClassParams, class_shapes, s_qk
+from aglstab.counting import (ClassParams, check_shape, class_shapes,
+                              mult_order, s_qk)
 from aglstab.ffield import Field, Subspace, span, zero_subspace
 from aglstab.oracle import all_subgroups
 from reference import AffineMap, canonicalize, mulclose, subgroup_elements
@@ -104,12 +109,54 @@ def test_subgroup_order_formula(p, alpha):
 
 def test_subgroup_rejects_invalid_descriptors():
     F = field(5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as bad_d:
         Subgroup(F, 3, 0, zero_subspace(F))       # 3 does not divide 4
+    with pytest.raises(ValueError) as bad_shape:
+        check_shape(5, 1, 3, 1, 0)
+    assert str(bad_d.value) == str(bad_shape.value)
     F16 = field(2, 4)
     line = span((2,), F16.prime_subfield)         # not an F_4-subspace
     with pytest.raises(ValueError):
         Subgroup(F16, 3, 0, line)                 # o_3(2) = 2 > stab degree
+
+
+def test_divisor_rule_has_one_copy():
+    sources = Path(aglstab.__file__).parent.glob("*.py")
+    assert sum(path.read_text().count("must divide q - 1")
+               for path in sources) == 1
+
+
+#: every prime power q <= 32
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2),
+                (3, 3), (29, 1), (31, 1), (2, 5)]
+
+
+@pytest.mark.parametrize("p,alpha", SMALL_FIELDS)
+def test_subgroup_keeps_odp_and_fixed_point(p, alpha):
+    F = field(p, alpha)
+    for S in all_subgroups(F):
+        assert S.odp == mult_order(p, S.d), S
+        c = S.fixed_point
+        if S.d == 1:
+            assert c is None, S
+        else:
+            assert F.add(F.mul(S.a, c), S.b) == c, S
+
+
+def test_odp_of_an_lcm_is_the_lcm_of_the_odps():
+    # join_pair takes the field of the joined multipliers from this rule
+    pairs = 0
+    for p in primerange(2, 1025):
+        q = p
+        while q <= 1024:
+            divs = divisors(q - 1)
+            for d1, d2 in itertools.product(divs, repeat=2):
+                assert mult_order(p, math.lcm(d1, d2)) == math.lcm(
+                    mult_order(p, d1), mult_order(p, d2)), (q, d1, d2)
+            pairs += len(divs) ** 2
+            q *= p
+    assert pairs == 31202
 
 
 def test_canonicalize_examples():
@@ -157,13 +204,30 @@ def test_orbits_example_q5():
     assert Subgroup(F, 2, 0, zero_subspace(F)).orbits() == ((0,), (1, 4), (2, 3))
 
 
-@pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2)])
+def test_broken_orbit_walk_raises():
+    F = field(7, 1)
+    S = Subgroup(F, 3, 0, zero_subspace(F))
+    S.a = F.neg(1)                              # order 2, not 3
+    with pytest.raises(RuntimeError, match="an orbit of size 2 in a group "
+                                           "of order 3"):
+        S.orbits()
+    S = Subgroup(F, 3, 0, zero_subspace(F))
+    S.a = 1                                     # every point is fixed
+    with pytest.raises(RuntimeError, match="do not cover F_7 with a fixed "
+                                           "coset of H"):
+        S.orbits()
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
+                                     (5, 2)])
 def test_orbit_partition_invariants(p, alpha):
     F = field(p, alpha)
     for S in all_subgroups(F):
         orbits = S.orbits()
         flat = sorted(x for o in orbits for x in o)
         assert flat == list(range(F.q))
+        assert all(list(o) == sorted(o) for o in orbits)
+        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
         if S.d > 1:
             sizes = Counter(len(o) for o in orbits)
             assert sizes[S.H.size] == 1 + (S.order == S.H.size)
