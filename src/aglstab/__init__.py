@@ -3,10 +3,9 @@ with independent brute-force/lattice verification and construction of the
 orbit block designs and Johnson-optimal binary constant-weight codes.
 """
 
-from .counting import (ClassParams, CountRecord, build_table, class_shapes,
-                       class_terms, count_N, enumerate_params,
-                       moebius_exponent, mult_order, prime_set, q_binomial,
-                       s_qk)
+from .counting import (ClassParams, build_table, class_shapes, class_terms,
+                       count_N, enumerate_params, moebius_exponent,
+                       mult_order, prime_set, q_binomial, s_qk)
 from .ffield import (Field, QuotientSpace, Subfield, Subspace,
                      lines_of_quotient, span, subfield_stabilizer)
 from .agl import (Subgroup, class_representative, full_group,

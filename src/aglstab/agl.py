@@ -253,9 +253,6 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
     shape is checked by ``counting.check_shape``.
     """
     rdeg = check_shape(field.p, field.alpha, d, i, j) * i
-    if rdeg == field.alpha:
-        H = zero_subspace(field) if j == 0 else full_subspace(field)
-        return Subgroup(field, d, 0, H)
     K = field.subfield(rdeg)
     for combo in itertools.combinations(range(1, field.q), j):
         H = span(combo, K)

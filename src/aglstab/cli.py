@@ -35,9 +35,20 @@ EXIT_BUDGET = 3
 
 FORMATS = ("csv", "json", "text")
 
+#: column order of the csv and json forms of ``verify``
+VERIFY_COLUMNS = ("d", "i", "j", "k", "closed", "lattice", "brute", "ok")
+
 
 class CliError(Exception):
     """Input-level failure; message goes to stderr, exit code 1."""
+
+
+def _budget(text: str) -> int:
+    """argparse type of ``--oracle-budget``: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,22 +84,27 @@ def _resolve_field(args) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# table
+# rows
 
 
-def _emit_rows(records, fmt: str, out) -> None:
+def _emit_rows(columns, rows, fmt: str, out) -> None:
+    """Write row tuples under ``columns``: csv with a header, json as a
+    list of objects, or text as one ``column=value`` line per row."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rec.as_tuple() for rec in records)
+        writer.writerow(columns)
+        writer.writerows(rows)
     elif fmt == "json":
-        rows = [dict(zip(CSV_COLUMNS, rec.as_tuple())) for rec in records]
-        json.dump(rows, out, indent=2)
+        json.dump([dict(zip(columns, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
-        for rec in records:
-            out.write(f"k={rec.k} d={rec.d} odp={rec.odp} i={rec.i} "
-                      f"j={rec.j} beta={rec.beta} N={rec.count}\n")
+        for row in rows:
+            out.write(" ".join(f"{c}={v}" for c, v in zip(columns, row))
+                      + "\n")
+
+
+# ---------------------------------------------------------------------------
+# table
 
 
 def cmd_table(args, out) -> int:
@@ -97,7 +113,8 @@ def cmd_table(args, out) -> int:
     k_max = args.max_k if args.max_k is not None else q // 2
     if not 0 <= k_max <= q:
         raise CliError(f"--max-k must lie in [0, {q}], got {k_max}")
-    _emit_rows(counting.build_table(p, alpha, k_max), args.format, out)
+    _emit_rows(CSV_COLUMNS, counting.build_table(p, alpha, k_max),
+               args.format, out)
     return EXIT_OK
 
 
@@ -111,9 +128,8 @@ def cmd_count(args, out) -> int:
     violation = cp.congruence_violation()
     if violation is not None:
         raise CliError(violation)
-    rec = counting.CountRecord(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta,
-                               counting.count_N(cp))
-    _emit_rows([rec], args.format, out)
+    row = (cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, counting.count_N(cp))
+    _emit_rows(CSV_COLUMNS, [row], args.format, out)
     return EXIT_OK
 
 
@@ -159,15 +175,8 @@ def cmd_verify(args, out) -> int:
             ok = closed == lattice == brute
             failures += not ok
             rows.append((d, i, j, k, closed, lattice, brute, ok))
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("d", "i", "j", "k", "closed", "lattice", "brute", "ok"))
-        writer.writerows(rows)
-    elif args.format == "json":
-        json.dump([dict(zip(("d", "i", "j", "k", "closed", "lattice",
-                             "brute", "ok"), row)) for row in rows],
-                  out, indent=2)
-        out.write("\n")
+    if args.format != "text":
+        _emit_rows(VERIFY_COLUMNS, rows, args.format, out)
     else:
         for (d, i, j, _), rws in zip(shapes, results):
             marks = " ".join(
@@ -299,7 +308,7 @@ def build_parser() -> _Parser:
     add_field_args(sp)
     sp.add_argument("--max-k", type=int, default=None,
                     help="largest subset size (default q)")
-    sp.add_argument("--oracle-budget", type=int,
+    sp.add_argument("--oracle-budget", type=_budget,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
                     help="max size-k orbit unions per brute-force "
                          "count; the all-k table needs all 2**m within it")
@@ -314,7 +323,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--j", type=int, help="stabilizer class index j")
     sp.add_argument("--subset",
                     help="explicit base subset, comma-separated elements")
-    sp.add_argument("--oracle-budget", type=int,
+    sp.add_argument("--oracle-budget", type=_budget,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
                     help="max subsets scanned while hunting a witness")
     sp.set_defaults(func=cmd_design)

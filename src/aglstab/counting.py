@@ -20,9 +20,11 @@ exactly a subgroup of the class (d, i, j) is computed in two steps:
    where ``s_qk`` counts the k-subsets fixed by a subgroup with
    multiplicative part of order u and translation part of size v.
 
-``count_N`` evaluates one (class, k); ``build_table`` builds the terms
-once per class and evaluates them for every k that satisfies the
-zero-pattern congruence.  ``enumerate_params`` walks the same tuples as
+The closed form is one signed sum over the overgroups of the class (see
+``_class_terms``).  ``count_N`` evaluates one (class, k); ``build_table``
+builds the terms once per class and evaluates them for every k that
+satisfies the zero-pattern congruence, one plain tuple per row in
+``CSV_COLUMNS`` order.  ``enumerate_params`` walks the same tuples as
 validated ``ClassParams``.  Everything is exact integer arithmetic; no
 floating point is used anywhere in this module.
 
@@ -205,10 +207,6 @@ class ClassParams:
         """|H| = p**beta."""
         return self.p ** self.beta
 
-    @property
-    def group_order(self) -> int:
-        return self.d * self.h_size
-
     def congruence_violation(self) -> str | None:
         """Message naming the violated zero-pattern congruence, or None."""
         pb = self.h_size
@@ -221,22 +219,6 @@ class ClassParams:
     @property
     def congruence_ok(self) -> bool:
         return self.congruence_violation() is None
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One table row (k, d, o_d(p), i, j, beta, N)."""
-
-    k: int
-    d: int
-    odp: int
-    i: int
-    j: int
-    beta: int
-    count: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int, int, int]:
-        return (self.k, self.d, self.odp, self.i, self.j, self.beta, self.count)
 
 
 def _subsets(items: tuple[int, ...]):
@@ -261,15 +243,19 @@ def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
                  odp: int) -> tuple[tuple[int, int, int], ...]:
     """``class_terms`` for a shape already checked, with o_d(p) given.
 
-    The closed form is an inclusion-exclusion over chains of supergroups:
-    subsets P of the primes dividing (|H'| - 1)/d select multiplicative
-    enlargements of order u = d*prod(P), and subspace dimensions l
-    (Moebius-weighted, counted by q-binomials over F_{p**m}, m = o_u(p))
-    select translation enlargements of size v = p**(beta + l*m).  For
-    d = 1 the P-sum is scaled by p**(alpha - beta), and a corrective sum
-    with leading factor (1 - p**(alpha - beta)) over u = 1 accounts for
-    the coset spread of the multiplicative enlargements.  The two
-    divisibilities the sums rely on are guarded by ValueError raises.
+    The closed form is one inclusion-exclusion over the overgroups of a
+    class representative S: subsets P of the primes dividing (|H'| - 1)/d
+    select multiplicative enlargements of order u = d*prod(P), and
+    subspace dimensions l (Moebius-weighted, counted by q-binomials over
+    F_{p**m}, m = o_u(p)) select translation enlargements of size
+    v = p**(beta + l*m).  A term carries the sign (-1)**len(P), and for
+    d = 1 every term with P nonempty also carries p**(alpha - beta): S is
+    then a pure translation group, so a multiplicative enlargement of S
+    is fixed only once the coset of H that its multiplier fixes is
+    chosen, one of q/|H| = p**(alpha - beta).  For d > 1 the multiplier
+    of S already fixes that coset, and the terms with P empty add no
+    multiplier, so neither carries the factor.  The two divisibilities
+    the sum relies on are guarded by ValueError raises.
     """
     beta = odp * i * j
     free = alpha - beta
@@ -278,14 +264,6 @@ def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
     if rem:
         raise ValueError(f"d = {d} does not divide |H'| - 1 = {hprime - 1}")
     agg: dict[tuple[int, int], int] = {}
-    scale = 1
-    if d == 1:
-        lead = 1 - p ** free
-        for l in range(free + 1):
-            v = p ** (beta + l)
-            agg[(1, v)] = agg.get((1, v), 0) + (
-                lead * moebius_exponent(l, p) * q_binomial(free, l, p))
-        scale = p ** free
     for P in _subsets(prime_set(quot)):
         u = d * math.prod(P)
         m = mult_order(p, u) if P else odp
@@ -293,7 +271,7 @@ def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
         if rem:
             raise ValueError(
                 f"o_u(p) = {m} does not divide alpha - beta = {free} (u = {u})")
-        sign = scale * (-1) ** len(P)
+        sign = (-1) ** len(P) * (p ** free if d == 1 and P else 1)
         base = p ** m
         for l in range(hi + 1):
             v = p ** (beta + l * m)
@@ -345,8 +323,10 @@ def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[Class
     return out
 
 
-def build_table(p: int, alpha: int, k_max: int | None = None) -> list[CountRecord]:
-    """One CountRecord per enumerate_params tuple, in the same order.
+def build_table(p: int, alpha: int,
+                k_max: int | None = None) -> list[tuple[int, ...]]:
+    """One row (k, d, odp, i, j, beta, N), in ``CSV_COLUMNS`` order, per
+    enumerate_params tuple, in the same order.
 
     The terms are built once per class shape; each k then costs one
     congruence test and one term evaluation per class.
@@ -364,7 +344,7 @@ def build_table(p: int, alpha: int, k_max: int | None = None) -> list[CountRecor
         shapes.append((d, odp, i, j, beta, pb, d * pb,
                        _class_terms(p, alpha, d, i, j, odp)))
     return [
-        CountRecord(k, d, odp, i, j, beta, evaluate_terms(q, k, terms))
+        (k, d, odp, i, j, beta, evaluate_terms(q, k, terms))
         for k in range(k_max + 1)
         for d, odp, i, j, beta, pb, period, terms in shapes
         if k % period in (0, pb)

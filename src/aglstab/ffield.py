@@ -318,11 +318,6 @@ class Subfield:
                                f"{len(els)} elements")
         return tuple(sorted(els))
 
-    def contains(self, x: int) -> bool:
-        if x == 0:
-            return True
-        return self.field.log(x) % ((self.field.q - 1) // (self.size - 1)) == 0
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subfield)
                 and self.field == other.field and self.degree == other.degree)

@@ -206,14 +206,14 @@ def test_criterion_7_table_generation():
         slowest = max(slowest, elapsed)
         assert elapsed < 60, f"table for q={q} took {elapsed:.0f}s"
         shapes = set(class_shapes(p, alpha))
-        for rec in table:
-            cp = ClassParams(p, alpha, rec.k, rec.d, rec.i, rec.j)
-            assert (rec.d, rec.i, rec.j) in shapes
-            assert rec.k <= q // 2
+        for k, d, odp, i, j, beta, N in table:
+            cp = ClassParams(p, alpha, k, d, i, j)
+            assert (d, i, j) in shapes
+            assert k <= q // 2
             assert cp.congruence_ok
-            assert rec.beta == cp.beta and rec.odp == cp.odp
-            assert rec.count >= 0
-            assert rec.count == count_N(cp)
+            assert beta == cp.beta and odp == cp.odp
+            assert N >= 0
+            assert N == count_N(cp)
         rows_total += len(table)
         # the zero pattern: congruence-violating tuples count 0
         for d, i, j in class_shapes(p, alpha):

@@ -21,7 +21,8 @@ from aglstab.agl import (Subgroup, class_representative, full_group,
                          trivial_subgroup)
 from aglstab.counting import (ClassParams, check_shape, class_shapes,
                               mult_order, s_qk)
-from aglstab.ffield import Field, Subspace, span, zero_subspace
+from aglstab.ffield import (Field, Subspace, full_subspace, span,
+                            zero_subspace)
 from aglstab.oracle import all_subgroups
 from reference import AffineMap, canonicalize, mulclose, subgroup_elements
 
@@ -403,6 +404,27 @@ def test_class_representative_round_trip(p, alpha):
         assert S.H.size == cp.h_size
         assert S.hprime().size == p ** (cp.odp * i)
         assert S.shape() == (d, i, j)
+
+
+def test_class_representative_at_i_top_is_zero_space_or_whole_field():
+    # i = alpha/o_d(p): the span search finds the zero space for j = 0
+    # and the span of 1 over F_q, the whole field, for j = 1
+    checked = 0
+    for p in primerange(2, 65):
+        for alpha in range(1, 7):
+            if p ** alpha > 64:
+                break
+            F = field(p, alpha)
+            for d, i, j in class_shapes(p, alpha):
+                if i * mult_order(p, d) != alpha:
+                    continue
+                H = zero_subspace(F) if j == 0 else full_subspace(F)
+                assert (class_representative(F, d, i, j)
+                        == Subgroup(F, d, 0, H)), (p, alpha, d, j)
+                checked += 1
+    assert checked == 2 * sum(len(divisors(p ** alpha - 1))
+                              for p in primerange(2, 65)
+                              for alpha in range(1, 7) if p ** alpha <= 64)
 
 
 #: SHA-256 of repr(((d, i, j, H.basis) for every class shape)), recorded

@@ -79,6 +79,53 @@ def test_table_csv_golden_digest(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[q]
 
 
+# SHA-256 of the json and text forms of `aglstab table --q Q`, recorded
+# from the implementation that kept each row as a frozen record
+TABLE_SHA256 = {
+    (64, "json"):
+        "c310d9fd1825ef6ae8ba300e8d002812ef6907a6c3e2cc62713b5185eb26aeb7",
+    (64, "text"):
+        "c7eeeb5b6430e1915738a36fc1d0c5d98877ef116ae2209fe52d60deb6a67769",
+    (81, "json"):
+        "73731d92de1d9ea1cb959caa06ff59735150031d302a1645a99e5a0c6af2c316",
+    (81, "text"):
+        "c61b61a4267afbdfd40de009960703b736a375909c30da9c95c7786ee80e8eb3",
+}
+
+
+@pytest.mark.parametrize("q,fmt", sorted(TABLE_SHA256))
+def test_table_golden_digest(capsys, q, fmt):
+    code, out, _ = run(capsys, "table", "--q", str(q), "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[q, fmt]
+
+
+# SHA-256 of `aglstab count ARGS --format FMT` stdout, from the same
+# implementation; the second tuple has d = 1
+COUNT_SHA256 = {
+    (("--p", "7", "--k", "3", "--d", "3", "--i", "1", "--j", "0"), "csv"):
+        "76e144b2aabe4241126a6ae5b8fb389117c0b9929f165e34c48fa16d45649b76",
+    (("--p", "7", "--k", "3", "--d", "3", "--i", "1", "--j", "0"), "json"):
+        "c1a30cc4e0138890100812bd5c9e82f46e67a07713fdb1d830523148d35cbd37",
+    (("--p", "7", "--k", "3", "--d", "3", "--i", "1", "--j", "0"), "text"):
+        "cb92b4d6c32f9e2fcb252d2e291711a1cc02284b0e33cf5008c04e9707251c0d",
+    (("--q", "64", "--k", "16", "--d", "1", "--i", "2", "--j", "1"), "csv"):
+        "15cdf36540849f34f3d49cb65891ed21e6de943531334bcb24549973468e325c",
+    (("--q", "64", "--k", "16", "--d", "1", "--i", "2", "--j", "1"), "json"):
+        "9044cd7cbe439862b83755b76d8c93bc303e25dff0c07406644f4f0ff4f2f5c0",
+    (("--q", "64", "--k", "16", "--d", "1", "--i", "2", "--j", "1"), "text"):
+        "caaf576819cb175d74df7efc3d545c2aa381028933e4d40d0e741273d4cf1bcd",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(COUNT_SHA256))
+def test_count_golden_digest(capsys, argv, fmt):
+    code, out, _ = run(capsys, "count", *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == COUNT_SHA256[(argv, fmt)])
+
+
 # SHA-256 of `aglstab design ARGS --format FMT` stdout, recorded from the
 # implementation that held incidence rows as per-bit tuples
 DESIGN_SHA256 = {
@@ -196,6 +243,27 @@ def test_verify_csv_golden_digest(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CSV_SHA256[q]
 
 
+# SHA-256 of the json and text forms of `aglstab verify --q Q`, recorded
+# from the implementation whose verify kept its own row writer
+VERIFY_SHA256 = {
+    (11, "json"):
+        "8e6d4f1d36b043c1158146b642026ba53d4cf43f27ee8297d315165ebe5c43d7",
+    (11, "text"):
+        "b483f00fa9f30cb06a4db163eb0db23aa34f24a97a29b6221286542e1c0f6a02",
+    (16, "json"):
+        "44df255cf1ccbcd87f4ad2adec085f7e2a1b6b401cb3c7f0f013544b3f15536c",
+    (16, "text"):
+        "30deb51629d46a32477fd52e63edd1328b452dfb6e5fdc64b1219133d6f4bb03",
+}
+
+
+@pytest.mark.parametrize("q,fmt", sorted(VERIFY_SHA256))
+def test_verify_golden_digest(capsys, q, fmt):
+    code, out, _ = run(capsys, "verify", "--q", str(q), "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[q, fmt]
+
+
 def test_verify_brute_force_past_q16(capsys):
     code, out, _ = run(capsys, "verify", "--q", "17")
     assert code == EXIT_OK
@@ -275,6 +343,21 @@ def test_byte_identical_reruns(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "5", "--oracle-budget", "-5"],
+    ["design", "--q", "7", "--k", "3", "--d", "3", "--oracle-budget", "0"],
+    ["verify", "--q", "5", "--oracle-budget", "many"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_oracle_budget_below_1_is_an_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --oracle-budget: must be an integer of at least 1, "
+            f"got {argv[-1]!r}") in captured.err
 
 
 def test_conflicting_field_flags(capsys):

@@ -14,11 +14,10 @@ import sympy
 
 from aglstab import counting
 from aglstab.agl import class_representative
-from aglstab.counting import (ClassParams, CountRecord, build_table,
-                              check_field, check_shape, class_shapes,
-                              class_terms, count_N, enumerate_params,
-                              moebius_exponent, mult_order, prime_set,
-                              q_binomial, s_qk)
+from aglstab.counting import (ClassParams, build_table, check_field,
+                              check_shape, class_shapes, class_terms,
+                              count_N, enumerate_params, moebius_exponent,
+                              mult_order, prime_set, q_binomial, s_qk)
 from aglstab.ffield import Field, span
 
 
@@ -165,7 +164,6 @@ def test_class_params_derived_quantities():
     assert cp.odp == 2          # order of 2 mod 3
     assert cp.beta == 2
     assert cp.h_size == 4
-    assert cp.group_order == 12
 
 
 def test_count_N_spot_values():
@@ -337,8 +335,7 @@ def test_enumerate_params_congruence_and_order():
 
 
 def test_build_table_q2():
-    table = build_table(2, 1)
-    assert [rec.as_tuple() for rec in table] == [
+    assert build_table(2, 1) == [
         (0, 1, 1, 1, 0, 0, 0),
         (0, 1, 1, 1, 1, 1, 1),
         (1, 1, 1, 1, 0, 0, 2),
@@ -347,24 +344,19 @@ def test_build_table_q2():
 
 def test_build_table_q5_k2_row():
     table = build_table(5, 1)
-    row = next(rec for rec in table if rec.k == 2 and rec.d == 2)
-    assert row.beta == 0 and row.count == 2
-    assert all(rec.count >= 0 for rec in table)
+    *_, beta, N = next(row for row in table if row[:2] == (2, 2))
+    assert beta == 0 and N == 2
+    assert all(row[-1] >= 0 for row in table)
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 4), (3, 2), (7, 1), (2, 6), (5, 2)])
 def test_build_table_matches_per_tuple_counts(p, alpha):
-    rows = [rec.as_tuple() for rec in build_table(p, alpha)]
-    assert rows == [(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, count_N(cp))
-                    for cp in enumerate_params(p, alpha)]
+    assert build_table(p, alpha) == [
+        (cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, count_N(cp))
+        for cp in enumerate_params(p, alpha)]
 
 
 def test_build_table_k_max_range():
     assert len(build_table(3, 2, 9)) > len(build_table(3, 2))
     with pytest.raises(ValueError):
         build_table(3, 2, 10)
-
-
-def test_count_record_tuple():
-    rec = CountRecord(3, 3, 1, 1, 0, 0, 2)
-    assert rec.as_tuple() == (3, 3, 1, 1, 0, 0, 2)

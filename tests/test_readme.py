@@ -1,7 +1,11 @@
-"""The README's library example runs against the installed names."""
+"""The README's library example and CLI examples run against the
+installed names."""
 
 import re
+import shlex
 from pathlib import Path
+
+from aglstab.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +16,15 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    block, = re.findall(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(),
+                        re.DOTALL | re.MULTILINE)
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("aglstab ")]
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "aglstab"
+        assert main(argv[1:]) == EXIT_OK, argv
+        capsys.readouterr()
