@@ -83,6 +83,16 @@ def _resolve_field(args) -> tuple[int, int]:
     return args.p, alpha
 
 
+def _max_k(args, q: int, default: int) -> int:
+    """The ``--max-k`` of ``table`` and ``verify``: ``default`` when the
+    flag is absent, else an integer in [0, q]."""
+    if args.max_k is None:
+        return default
+    if not 0 <= args.max_k <= q:
+        raise CliError(f"--max-k must lie in [0, {q}], got {args.max_k}")
+    return args.max_k
+
+
 # ---------------------------------------------------------------------------
 # rows
 
@@ -110,10 +120,8 @@ def _emit_rows(columns, rows, fmt: str, out) -> None:
 def cmd_table(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
-    k_max = args.max_k if args.max_k is not None else q // 2
-    if not 0 <= k_max <= q:
-        raise CliError(f"--max-k must lie in [0, {q}], got {k_max}")
-    _emit_rows(CSV_COLUMNS, counting.build_table(p, alpha, k_max),
+    _emit_rows(CSV_COLUMNS,
+               counting.build_table(p, alpha, _max_k(args, q, q // 2)),
                args.format, out)
     return EXIT_OK
 
@@ -155,12 +163,10 @@ def _verify_class(p: int, alpha: int, d: int, i: int, j: int, odp: int,
 def cmd_verify(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
+    k_max = _max_k(args, q, q)
     if q > oracle.DEFAULT_STABILIZER_LIMIT:
         raise oracle.BudgetExceededError(
             f"verification needs q <= {oracle.DEFAULT_STABILIZER_LIMIT}, got {q}")
-    k_max = args.max_k if args.max_k is not None else q
-    if not 0 <= k_max <= q:
-        raise CliError(f"--max-k must lie in [0, {q}], got {k_max}")
     # the field is checked by _resolve_field, each shape by
     # class_representative
     shapes = list(counting._shapes(p, alpha))

@@ -16,15 +16,19 @@ exactly a subgroup of the class (d, i, j) is computed in two steps:
    sorted tuple of signed terms (coeff, u, v), the shape that
    ``oracle.lattice_terms`` also returns.  It depends on the class only,
    not on k.
-2. *Evaluation.*  ``evaluate_terms``: N = sum(coeff * s_qk(q, k, u, v)),
-   where ``s_qk`` counts the k-subsets fixed by a subgroup with
-   multiplicative part of order u and translation part of size v.
+2. *Evaluation.*  N = sum(coeff * s_qk(q, k, u, v)), where ``s_qk``
+   counts the k-subsets fixed by a subgroup with multiplicative part of
+   order u and translation part of size v.  ``count_N`` still evaluates
+   a class's terms per call, through ``evaluate_terms``; ``build_table``
+   reads shared columns k -> s_qk(q, k, u, v), one per distinct (u, v)
+   of the field, each built once by the binomial recurrence.
 
 The closed form is one signed sum over the overgroups of the class (see
 ``_class_terms``).  ``count_N`` evaluates one (class, k); ``build_table``
-builds the terms once per class and evaluates them for every k that
-satisfies the zero-pattern congruence, one plain tuple per row in
-``CSV_COLUMNS`` order.  ``enumerate_params`` walks the same tuples as
+builds the terms once per class, adds coeff * column into the class's
+k -> N map for each term, and reads off every k that satisfies the
+zero-pattern congruence, one plain tuple per row in ``CSV_COLUMNS``
+order.  ``enumerate_params`` walks the same tuples as
 validated ``ClassParams``.  Everything is exact integer arithmetic; no
 floating point is used anywhere in this module.
 
@@ -323,13 +327,42 @@ def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[Class
     return out
 
 
+def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
+    """k -> s_qk(q, k, u, v) at the k <= k_max with k == 0 or v (mod u*v),
+    the only k where it can be nonzero; ``s_qk`` is 0 at every other k.
+
+    One pass over the selectors s = 0, 1, ... builds the binomials
+    C(top, s), top = (q - v)/(u*v), by the exact recurrence
+    C(top, s) = C(top, s - 1)*(top - s + 1)//s and adds each at k = s*u*v
+    and k = s*u*v + v.  When u = 1 the second k is the first of s + 1, so
+    the two add up there.
+    """
+    uv = u * v
+    top, rem = divmod(q - v, uv)
+    col: dict[int, int] = {}
+    if rem:
+        return col
+    binom = 1
+    for s in range(min(top, k_max // uv) + 1):
+        if s:
+            binom = binom * (top - s + 1) // s
+        k = s * uv
+        col[k] = col.get(k, 0) + binom
+        if k + v <= k_max:
+            col[k + v] = binom
+    return col
+
+
 def build_table(p: int, alpha: int,
                 k_max: int | None = None) -> list[tuple[int, ...]]:
     """One row (k, d, odp, i, j, beta, N), in ``CSV_COLUMNS`` order, per
     enumerate_params tuple, in the same order.
 
-    The terms are built once per class shape; each k then costs one
-    congruence test and one term evaluation per class.
+    The table reads shared columns: one ``_column`` per distinct (u, v)
+    among the class terms of the field, built on first use.  Each class
+    adds coeff * column into its own k -> N map for every term, and its
+    rows, one per k that satisfies its congruence, are read off that map.
+    ``count_N`` still evaluates a class's terms per call.
     """
     check_field(p, alpha)
     q = p ** alpha
@@ -337,15 +370,23 @@ def build_table(p: int, alpha: int,
         k_max = q // 2
     if not 0 <= k_max <= q:
         raise ValueError(f"k must lie in [0, {q}], got {k_max}")
-    shapes = []
+    columns: dict[tuple[int, int], dict[int, int]] = {}
+    by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
     for d, i, j, odp in _shapes(p, alpha):
+        counts: dict[int, int] = {}
+        for c, u, v in _class_terms(p, alpha, d, i, j, odp):
+            col = columns.get((u, v))
+            if col is None:
+                col = columns[u, v] = _column(q, u, v, k_max)
+            for k, s in col.items():
+                counts[k] = counts.get(k, 0) + c * s
         beta = odp * i * j
         pb = p ** beta
-        shapes.append((d, odp, i, j, beta, pb, d * pb,
-                       _class_terms(p, alpha, d, i, j, odp)))
-    return [
-        (k, d, odp, i, j, beta, evaluate_terms(q, k, terms))
-        for k in range(k_max + 1)
-        for d, odp, i, j, beta, pb, period, terms in shapes
-        if k % period in (0, pb)
-    ]
+        # the congruence k == 0 or p**beta (mod d*p**beta); for d = 1 the
+        # two residues coincide
+        for k in range(0, k_max + 1, d * pb):
+            by_k[k].append((k, d, odp, i, j, beta, counts.get(k, 0)))
+            if d > 1 and k + pb <= k_max:
+                by_k[k + pb].append(
+                    (k + pb, d, odp, i, j, beta, counts.get(k + pb, 0)))
+    return [row for rows in by_k for row in rows]

@@ -9,8 +9,10 @@ translate masks), and an orbit design is the set of images of its base
 block under every map.  The lattice inclusion-exclusion visits every
 selection of immediate supergroups on its own (no fold).  Field addition
 and subspace echelon forms are computed on coefficient lists, digit by
-digit mod p (no Zech logarithms, no int rows).  ``assert_lines`` reads a
-module's source, which the ``python -O`` guards scan for asserts.
+digit mod p (no Zech logarithms, no int rows).  ``table_by_terms``
+evaluates every table row from its class terms on its own (no shared
+binomial columns).  ``assert_lines`` reads a module's source, which the
+``python -O`` guards scan for asserts.
 """
 
 import ast
@@ -18,6 +20,8 @@ import inspect
 from collections import Counter
 
 from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
+from aglstab.counting import (_class_terms, _shapes, check_field,
+                              evaluate_terms)
 
 
 class AffineMap:
@@ -220,6 +224,29 @@ def reference_reduce(field, basis, pivots, x: int) -> int:
         if c:
             cf = [(a - c * b) % p for a, b in zip(cf, digits(field, v))]
     return element(field, cf)
+
+
+def table_by_terms(p: int, alpha: int,
+                   k_max: int | None = None) -> list[tuple[int, ...]]:
+    """The rows of ``counting.build_table``, each evaluated on its own:
+    one ``evaluate_terms`` call per row, so one ``s_qk`` per term, every
+    binomial built from scratch."""
+    check_field(p, alpha)
+    q = p ** alpha
+    if k_max is None:
+        k_max = q // 2
+    shapes = []
+    for d, i, j, odp in _shapes(p, alpha):
+        beta = odp * i * j
+        pb = p ** beta
+        shapes.append((d, odp, i, j, beta, pb, d * pb,
+                       _class_terms(p, alpha, d, i, j, odp)))
+    return [
+        (k, d, odp, i, j, beta, evaluate_terms(q, k, terms))
+        for k in range(k_max + 1)
+        for d, odp, i, j, beta, pb, period, terms in shapes
+        if k % period in (0, pb)
+    ]
 
 
 def assert_lines(module) -> list[int]:

@@ -79,6 +79,30 @@ def test_table_csv_golden_digest(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[q]
 
 
+# SHA-256 of `aglstab table ARGS --format csv` stdout for larger fields,
+# and for one table that runs past q/2 to k = q, recorded from the
+# per-row term evaluation that the shared binomial columns replaced
+LARGE_TABLE_CSV_SHA256 = {
+    ("--q", "729"):
+        "eb53a9787059ff21e67fedd7e7b6ea187b9e9cfa4078b5a44a5eceb261f8904e",
+    ("--q", "1021"):
+        "9275dc79f5de0dcc9eecd975854feff405831433e448ea424a3b4896380e91ae",
+    ("--q", "1024"):
+        "b8d25cbe6cfab58ecb4cba5ea369f11ce580345e651dca78fad5c87795b960cb",
+    ("--p", "3", "--alpha", "2", "--max-k", "9"):
+        "69693956cf0b246bc6dbd0e96dff6f583efcc106dcbbb4ab0f9daa15a09b3e4b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_TABLE_CSV_SHA256),
+                         ids=" ".join)
+def test_large_table_csv_golden_digest(capsys, argv):
+    code, out, _ = run(capsys, "table", *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == LARGE_TABLE_CSV_SHA256[argv])
+
+
 # SHA-256 of the json and text forms of `aglstab table --q Q`, recorded
 # from the implementation that kept each row as a frozen record
 TABLE_SHA256 = {
@@ -274,6 +298,27 @@ def test_verify_budget_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--q", "1024")
     assert code == EXIT_BUDGET
     assert "budget" in err.lower() or "closure" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "8192", "--max-k", "-1"],
+    ["verify", "--q", "8", "--max-k", "9"],
+    ["table", "--q", "64", "--max-k", "65"],
+    ["table", "--q", "64", "--max-k", "-1"],
+], ids=" ".join)
+def test_max_k_out_of_range_is_an_input_error(capsys, argv):
+    # checked before the q cap of verify, so q = 8192 still exits 1
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"--max-k must lie in [0, {argv[2]}], got {argv[4]}" in err
+
+
+def test_verify_past_the_q_cap_exits_3(capsys):
+    code, out, err = run(capsys, "verify", "--q", "8192")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "verification needs q <= 4096" in err
 
 
 def test_design_q7_text(capsys):

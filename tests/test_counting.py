@@ -19,6 +19,7 @@ from aglstab.counting import (ClassParams, build_table, check_field,
                               count_N, enumerate_params, moebius_exponent,
                               mult_order, prime_set, q_binomial, s_qk)
 from aglstab.ffield import Field, span
+from reference import table_by_terms
 
 
 def test_prime_set():
@@ -360,3 +361,81 @@ def test_build_table_k_max_range():
     assert len(build_table(3, 2, 9)) > len(build_table(3, 2))
     with pytest.raises(ValueError):
         build_table(3, 2, 10)
+
+
+def _prime_powers(lo, hi):
+    """(p, alpha) for every prime power lo <= q <= hi, ascending in q."""
+    out = []
+    for q in range(lo, hi + 1):
+        fac = sympy.factorint(q)
+        if len(fac) == 1:
+            out.extend(fac.items())
+    return out
+
+
+@pytest.mark.parametrize("p,alpha", _prime_powers(2, 256))
+def test_build_table_matches_table_by_terms(p, alpha):
+    q = p ** alpha
+    for k_max in (None, 0, 1, q // 3, q):
+        assert build_table(p, alpha, k_max) == table_by_terms(
+            p, alpha, k_max), k_max
+
+
+@pytest.mark.parametrize("q", [729, 961, 1021, 1024])
+def test_build_table_matches_table_by_terms_large(q):
+    (p, alpha), = sympy.factorint(q).items()
+    assert build_table(p, alpha) == table_by_terms(p, alpha)
+
+
+# (q, u, v, k_max).  u = v = 1: both selectors hit adjacent k.  u = 1: the
+# second selector of s lands on the first of s + 1.  u*v not dividing
+# q - v: an empty column.  k_max = q: the recurrence runs to s = top.
+COLUMN_CASES = [
+    (7, 1, 1, 7), (1021, 1, 1, 510), (16, 1, 2, 16), (81, 1, 9, 81),
+    (7, 4, 1, 7), (9, 4, 3, 9), (16, 3, 2, 16), (1021, 7, 1, 1021),
+    (25, 3, 1, 25), (64, 7, 8, 64), (1024, 31, 1, 1024), (729, 13, 1, 0),
+    (729, 13, 1, 1), (243, 2, 243, 243),
+]
+
+
+@pytest.mark.parametrize("q,u,v,k_max", COLUMN_CASES)
+def test_column_matches_s_qk(q, u, v, k_max):
+    col = counting._column(q, u, v, k_max)
+    assert all(0 <= k <= k_max for k in col)
+    assert (not col) == bool((q - v) % (u * v))
+    for k in range(q + 1):
+        assert col.get(k, 0) == (s_qk(q, k, u, v) if k <= k_max else 0), k
+
+
+@pytest.mark.parametrize("p,alpha", _prime_powers(2, 16))
+def test_column_matches_s_qk_on_small_fields(p, alpha):
+    q = p ** alpha
+    for u in range(1, q + 1):
+        for v in (p ** b for b in range(alpha + 1)):
+            for k_max in (0, 1, q // 2, q):
+                col = counting._column(q, u, v, k_max)
+                assert [col.get(k, 0) for k in range(q + 1)] == [
+                    s_qk(q, k, u, v) if k <= k_max else 0
+                    for k in range(q + 1)], (u, v, k_max)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (2, 10), (1021, 1)])
+def test_build_table_builds_each_column_once(monkeypatch, p, alpha):
+    built, evaluated = [], []
+    column = counting._column
+
+    def counted_column(q, u, v, k_max):
+        built.append((u, v))
+        return column(q, u, v, k_max)
+
+    def counted_s_qk(*args):
+        evaluated.append(args)
+        return s_qk(*args)
+
+    monkeypatch.setattr(counting, "_column", counted_column)
+    monkeypatch.setattr(counting, "s_qk", counted_s_qk)
+    build_table(p, alpha)
+    assert evaluated == []
+    distinct = {(u, v) for d, i, j in class_shapes(p, alpha)
+                for _, u, v in class_terms(p, alpha, d, i, j)}
+    assert sorted(built) == sorted(distinct)
