@@ -214,6 +214,11 @@ def cmd_design(args, out) -> int:
     q = p ** alpha
     field = _field(p, alpha)
     if args.subset is not None:
+        mixed = [f"--{name}" for name in ("k", "d", "i", "j")
+                 if getattr(args, name) is not None]
+        if mixed:
+            raise CliError("--subset cannot be combined with "
+                           f"{', '.join(mixed)}: the subset fixes the class")
         mask = _parse_subset(args.subset, q)
         S = oracle.stabilizer(field, mask)
     else:
@@ -328,7 +333,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--i", type=int, help="stabilizer class index i")
     sp.add_argument("--j", type=int, help="stabilizer class index j")
     sp.add_argument("--subset",
-                    help="explicit base subset, comma-separated elements")
+                    help="explicit base subset, comma-separated elements; "
+                         "not with --k, --d, --i or --j")
     sp.add_argument("--oracle-budget", type=_budget,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
                     help="max subsets scanned while hunting a witness")

@@ -18,18 +18,21 @@ exactly a subgroup of the class (d, i, j) is computed in two steps:
    not on k.
 2. *Evaluation.*  N = sum(coeff * s_qk(q, k, u, v)), where ``s_qk``
    counts the k-subsets fixed by a subgroup with multiplicative part of
-   order u and translation part of size v.  ``count_N`` still evaluates
-   a class's terms per call, through ``evaluate_terms``; ``build_table``
-   reads shared columns k -> s_qk(q, k, u, v), one per distinct (u, v)
-   of the field, each built once by the binomial recurrence.
+   order u and translation part of size v.  ``count_N`` evaluates, through
+   ``evaluate_terms``, only the terms that can be nonzero at its k;
+   ``build_table`` reads shared columns k -> s_qk(q, k, u, v), one per
+   distinct (u, v) of the field, each built once by the binomial
+   recurrence.
 
 The closed form is one signed sum over the overgroups of the class (see
-``_class_terms``).  ``count_N`` evaluates one (class, k); ``build_table``
-builds the terms once per class, adds coeff * column into the class's
-k -> N map for each term, and reads off every k that satisfies the
-zero-pattern congruence, one plain tuple per row in ``CSV_COLUMNS``
-order.  ``enumerate_params`` walks the same tuples as
-validated ``ClassParams``.  Everything is exact integer arithmetic; no
+``_class_terms``).  A term can be nonzero at k only if v | k and u | k or
+u | k - p**beta, so ``count_N`` walks only the overgroups that pass that
+test at its k; at k = 0 every overgroup passes, and that walk gives
+``class_terms``.  ``build_table`` builds the terms once per class, adds
+coeff * column into the class's k -> N map for each term, and reads off
+every k that satisfies the zero-pattern congruence, one plain tuple per
+row in ``CSV_COLUMNS`` order.  ``enumerate_params`` walks the same tuples
+as validated ``ClassParams``.  Everything is exact integer arithmetic; no
 floating point is used anywhere in this module.
 
 Validity is decided here, once per rule: ``check_field`` (p prime, alpha
@@ -75,32 +78,6 @@ def mult_order(v: int, u: int) -> int:
         x = x * v % u
         m += 1
     return m
-
-
-def q_binomial(n: int, m: int, base: int) -> int:
-    """Number of m-dimensional subspaces of an n-dimensional space over a
-    field with ``base`` elements, as an exact integer."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if m < 0 or m > n:
-        return 0
-    num = den = 1
-    for t in range(m):
-        num *= base ** (n - t) - 1
-        den *= base ** (t + 1) - 1
-    quot, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(
-            f"q-binomial [{n} choose {m}]_{base} is not integral")
-    return quot
-
-
-def moebius_exponent(dim_quotient: int, base: int) -> int:
-    """Moebius value (-1)**l * base**C(l, 2) for an interval of subspaces
-    whose quotient has dimension l over the base field."""
-    if dim_quotient < 0:
-        raise ValueError(f"dimension must be >= 0, got {dim_quotient}")
-    return (-1) ** dim_quotient * base ** math.comb(dim_quotient, 2)
 
 
 def s_qk(q: int, k: int, u: int, v: int) -> int:
@@ -233,8 +210,8 @@ def _subsets(items: tuple[int, ...]):
 def class_terms(p: int, alpha: int, d: int, i: int,
                 j: int) -> tuple[tuple[int, int, int], ...]:
     """Signed terms (coeff, u, v) of the closed form for the class
-    (d, i, j) of F_{p**alpha}, merged over equal (u, v), zero terms
-    dropped, sorted by (u, v).  N(k) = sum(coeff * s_qk(q, k, u, v)).
+    (d, i, j) of F_{p**alpha}, one per (u, v), none zero, sorted by
+    (u, v).  N(k) = sum(coeff * s_qk(q, k, u, v)).
 
     Checks the field and the shape first, raising what ``ClassParams``
     raises for them.
@@ -243,9 +220,11 @@ def class_terms(p: int, alpha: int, d: int, i: int,
     return _class_terms(p, alpha, d, i, j, check_shape(p, alpha, d, i, j))
 
 
-def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
-                 odp: int) -> tuple[tuple[int, int, int], ...]:
-    """``class_terms`` for a shape already checked, with o_d(p) given.
+def _class_terms(p: int, alpha: int, d: int, i: int, j: int, odp: int,
+                 k: int = 0) -> tuple[tuple[int, int, int], ...]:
+    """``class_terms`` for a shape already checked, with o_d(p) given,
+    restricted to the terms that can be nonzero at k.  At k = 0 every
+    term is kept.
 
     The closed form is one inclusion-exclusion over the overgroups of a
     class representative S: subsets P of the primes dividing (|H'| - 1)/d
@@ -260,6 +239,13 @@ def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
     of S already fixes that coset, and the terms with P empty add no
     multiplier, so neither carries the factor.  The two divisibilities
     the sum relies on are guarded by ValueError raises.
+
+    ``s_qk(q, k, u, v)`` is nonzero only if v | k and u | k or
+    u | k - p**beta (u is prime to p and p**m == 1 mod u, so
+    v == p**beta mod u).  So P is drawn from the primes of
+    gcd((|H'| - 1)/d, r/d) for r in {k, k - p**beta} with r >= 0 and
+    d | r, and l stops at the first v that does not divide k.  Every
+    number divides 0, so k = 0 walks every P and every l.
     """
     beta = odp * i * j
     free = alpha - beta
@@ -267,8 +253,14 @@ def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
     quot, rem = divmod(hprime - 1, d)
     if rem:
         raise ValueError(f"d = {d} does not divide |H'| - 1 = {hprime - 1}")
-    agg: dict[tuple[int, int], int] = {}
-    for P in _subsets(prime_set(quot)):
+    pb = p ** beta
+    # for d = 1 both residues can hold; their prime sets are disjoint
+    # (a common prime would divide p**beta), so only P = () repeats
+    walk = dict.fromkeys(
+        P for r in (k, k - pb) if r >= 0 and r % d == 0
+        for P in _subsets(prime_set(math.gcd(quot, r // d))))
+    terms = []
+    for P in walk:
         u = d * math.prod(P)
         m = mult_order(p, u) if P else odp
         hi, rem = divmod(free, m)
@@ -277,19 +269,37 @@ def _class_terms(p: int, alpha: int, d: int, i: int, j: int,
                 f"o_u(p) = {m} does not divide alpha - beta = {free} (u = {u})")
         sign = (-1) ** len(P) * (p ** free if d == 1 and P else 1)
         base = p ** m
-        for l in range(hi + 1):
-            v = p ** (beta + l * m)
-            agg[(u, v)] = agg.get((u, v), 0) + (
-                sign * moebius_exponent(l, base) * q_binomial(hi, l, base))
-    return tuple((c, u, v) for (u, v), c in sorted(agg.items()) if c)
+        v = pb
+        for w in _moebius_weights(hi, base):
+            if k % v:
+                break
+            terms.append((sign * w, u, v))
+            v *= base
+    terms.sort(key=lambda t: (t[1], t[2]))
+    return tuple(terms)
+
+
+def _moebius_weights(n: int, base: int):
+    """(-1)**l * base**C(l, 2) * [n choose l]_base for l = 0, 1, ..., n:
+    the Moebius value of an l-dimensional quotient times the number of
+    l-dimensional subspaces of an n-dimensional space over a field with
+    ``base`` elements.  Each weight comes from the one before it by the
+    exact recurrence w(l + 1) = -w(l)*base**l*(base**(n-l) - 1)
+    // (base**(l+1) - 1)."""
+    w, bl = 1, 1
+    for l in range(n + 1):
+        yield w
+        w = -w * bl * (base ** (n - l) - 1) // (bl * base - 1)
+        bl *= base
 
 
 def count_N(params: ClassParams) -> int:
     """Exact number of k-subsets of F_q whose affine stabilizer is exactly
     a subgroup of the class described by ``params``: the class's terms
-    evaluated at k."""
+    that can be nonzero at k, evaluated there."""
     return evaluate_terms(params.q, params.k, _class_terms(
-        params.p, params.alpha, params.d, params.i, params.j, params.odp))
+        params.p, params.alpha, params.d, params.i, params.j, params.odp,
+        params.k))
 
 
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
@@ -362,7 +372,6 @@ def build_table(p: int, alpha: int,
     among the class terms of the field, built on first use.  Each class
     adds coeff * column into its own k -> N map for every term, and its
     rows, one per k that satisfies its congruence, are read off that map.
-    ``count_N`` still evaluates a class's terms per call.
     """
     check_field(p, alpha)
     q = p ** alpha

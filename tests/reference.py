@@ -9,7 +9,10 @@ translate masks), and an orbit design is the set of images of its base
 block under every map.  The lattice inclusion-exclusion visits every
 selection of immediate supergroups on its own (no fold).  Field addition
 and subspace echelon forms are computed on coefficient lists, digit by
-digit mod p (no Zech logarithms, no int rows).  ``table_by_terms``
+digit mod p (no Zech logarithms, no int rows).  ``overgroup_terms`` walks
+every overgroup of a class and weighs it by ``moebius_exponent`` times
+``q_binomial``, each computed from scratch (no recurrence, no pruning
+by k).  ``table_by_terms``
 evaluates every table row from its class terms on its own (no shared
 binomial columns).  ``assert_lines`` reads a module's source, which the
 ``python -O`` guards scan for asserts.
@@ -17,11 +20,13 @@ binomial columns).  ``assert_lines`` reads a module's source, which the
 
 import ast
 import inspect
+import itertools
+import math
 from collections import Counter
 
 from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
 from aglstab.counting import (_class_terms, _shapes, check_field,
-                              evaluate_terms)
+                              evaluate_terms, mult_order, prime_set)
 
 
 class AffineMap:
@@ -224,6 +229,58 @@ def reference_reduce(field, basis, pivots, x: int) -> int:
         if c:
             cf = [(a - c * b) % p for a, b in zip(cf, digits(field, v))]
     return element(field, cf)
+
+
+def q_binomial(n: int, m: int, base: int) -> int:
+    """Number of m-dimensional subspaces of an n-dimensional space over a
+    field with ``base`` elements, as an exact integer."""
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    if m < 0 or m > n:
+        return 0
+    num = den = 1
+    for t in range(m):
+        num *= base ** (n - t) - 1
+        den *= base ** (t + 1) - 1
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"q-binomial [{n} choose {m}]_{base} is not integral")
+    return quot
+
+
+def moebius_exponent(dim_quotient: int, base: int) -> int:
+    """Moebius value (-1)**l * base**C(l, 2) for an interval of subspaces
+    whose quotient has dimension l over the base field."""
+    if dim_quotient < 0:
+        raise ValueError(f"dimension must be >= 0, got {dim_quotient}")
+    return (-1) ** dim_quotient * base ** math.comb(dim_quotient, 2)
+
+
+def overgroup_terms(p: int, alpha: int, d: int, i: int, j: int,
+                    odp: int) -> tuple[tuple[int, int, int], ...]:
+    """Every term of the closed form of the class (d, i, j), as
+    ``counting._class_terms`` documents it: all subsets P of the primes
+    of (|H'| - 1)/d, all dimensions l, each weight one
+    ``moebius_exponent`` times one ``q_binomial``, merged over equal
+    (u, v) with zero terms dropped, sorted by (u, v)."""
+    beta = odp * i * j
+    free = alpha - beta
+    quot = (p ** (odp * i) - 1) // d
+    primes = prime_set(quot)
+    agg: dict[tuple[int, int], int] = {}
+    for P in itertools.chain.from_iterable(
+            itertools.combinations(primes, r) for r in range(len(primes) + 1)):
+        u = d * math.prod(P)
+        m = mult_order(p, u)
+        hi = free // m
+        sign = (-1) ** len(P) * (p ** free if d == 1 and P else 1)
+        base = p ** m
+        for l in range(hi + 1):
+            v = p ** (beta + l * m)
+            agg[(u, v)] = agg.get((u, v), 0) + (
+                sign * moebius_exponent(l, base) * q_binomial(hi, l, base))
+    return tuple((c, u, v) for (u, v), c in sorted(agg.items()) if c)
 
 
 def table_by_terms(p: int, alpha: int,

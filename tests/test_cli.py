@@ -380,6 +380,22 @@ def test_design_needs_subset_or_class(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--k", "3"], "--k"),
+    (["--d", "3"], "--d"),
+    (["--i", "1"], "--i"),
+    (["--j", "0"], "--j"),
+    (["--k", "3", "--d", "3", "--i", "1", "--j", "0"],
+     "--k, --d, --i, --j")])
+def test_design_subset_with_class_flags_is_an_input_error(capsys, flags,
+                                                          named):
+    code, out, err = run(capsys, "design", "--q", "7", "--subset", "1,2",
+                         *flags)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"--subset cannot be combined with {named}" in err
+
+
 def test_byte_identical_reruns(capsys):
     for argv in (["table", "--q", "8", "--format", "csv"],
                  ["verify", "--q", "5", "--format", "json"],

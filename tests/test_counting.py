@@ -16,10 +16,11 @@ from aglstab import counting
 from aglstab.agl import class_representative
 from aglstab.counting import (ClassParams, build_table, check_field,
                               check_shape, class_shapes, class_terms,
-                              count_N, enumerate_params, moebius_exponent,
-                              mult_order, prime_set, q_binomial, s_qk)
+                              count_N, enumerate_params, evaluate_terms,
+                              mult_order, prime_set, s_qk)
 from aglstab.ffield import Field, span
-from reference import table_by_terms
+from reference import (moebius_exponent, overgroup_terms, q_binomial,
+                       table_by_terms)
 
 
 def test_prime_set():
@@ -54,6 +55,11 @@ def test_q_binomial_examples():
     assert q_binomial(2, 1, 3) == 4
     assert q_binomial(2, 3, 2) == 0
     assert q_binomial(4, -1, 2) == 0
+    # the recurrence of the closed form gives the same weights
+    for n, base in ((0, 2), (1, 5), (3, 2), (4, 3), (6, 4)):
+        assert list(counting._moebius_weights(n, base)) == [
+            moebius_exponent(l, base) * q_binomial(n, l, base)
+            for l in range(n + 1)]
 
 
 def _count_subspaces_bruteforce(p, alpha, dim):
@@ -79,7 +85,10 @@ def _count_subspaces_bruteforce(p, alpha, dim):
 
 @pytest.mark.parametrize("p,alpha,dim", [(2, 4, 1), (2, 4, 2), (3, 2, 1), (2, 3, 2)])
 def test_q_binomial_counts_subspaces(p, alpha, dim):
-    assert q_binomial(alpha, dim, p) == _count_subspaces_bruteforce(p, alpha, dim)
+    count = _count_subspaces_bruteforce(p, alpha, dim)
+    assert q_binomial(alpha, dim, p) == count
+    weights = list(counting._moebius_weights(alpha, p))
+    assert weights[dim] == moebius_exponent(dim, p) * count
 
 
 def test_moebius_exponent():
@@ -87,6 +96,10 @@ def test_moebius_exponent():
     assert moebius_exponent(1, 5) == -1
     assert moebius_exponent(2, 2) == 2
     assert moebius_exponent(3, 2) == -8
+    # weight l of an l-dimensional space is its Moebius value alone
+    for l in range(5):
+        weights = list(counting._moebius_weights(l, 5))
+        assert weights[l] == moebius_exponent(l, 5)
 
 
 def test_s_qk_examples():
@@ -439,3 +452,75 @@ def test_build_table_builds_each_column_once(monkeypatch, p, alpha):
     distinct = {(u, v) for d, i, j in class_shapes(p, alpha)
                 for _, u, v in class_terms(p, alpha, d, i, j)}
     assert sorted(built) == sorted(distinct)
+
+
+@pytest.mark.parametrize("p,alpha", _prime_powers(2, 256))
+def test_count_N_matches_every_term_at_every_k(p, alpha):
+    q = p ** alpha
+    for d, i, j, odp in counting._shapes(p, alpha):
+        terms = counting._class_terms(p, alpha, d, i, j, odp)
+        assert terms == overgroup_terms(p, alpha, d, i, j, odp), (d, i, j)
+        for k in range(q + 1):
+            assert count_N(ClassParams(p, alpha, k, d, i, j)) == (
+                evaluate_terms(q, k, terms)), (d, i, j, k)
+
+
+def _congruent_ks(rng, p, alpha, d, beta, quot):
+    """0, p**beta, q and about ten k == 0 or p**beta (mod d*p**beta) in
+    [0, q] whose binomials stay small: k = t*d*p**beta (+ p**beta) with
+    t <= 2**12 a product of small primes of quot times a power of p, so
+    that several overgroups and dimensions stay, and k = q - p**beta -
+    t*d*p**beta (+ p**beta) for small t, near the top."""
+    q, pb = p ** alpha, p ** beta
+    small = [r for r in prime_set(quot) if r < 64]
+    ks = {0, pb, q}
+    for _ in range(5):
+        t = math.prod(rng.sample(small, rng.randint(0, len(small))))
+        t *= p ** rng.randint(0, 6)
+        if t <= 2 ** 12:
+            ks.add(t * d * pb + rng.choice((0, pb)))
+        ks.add(q - pb - rng.randint(0, 64) * d * pb + rng.choice((0, pb)))
+    return sorted(k for k in ks if 0 <= k <= q)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 64), (3, 30), (5, 20), (2, 48)])
+def test_count_N_keeps_every_contributing_term_bignum(p, alpha):
+    rng = random.Random(p ** alpha)
+    q = p ** alpha
+    for d, i, j, odp in rng.sample(list(counting._shapes(p, alpha)), 8):
+        terms = counting._class_terms(p, alpha, d, i, j, odp)
+        assert terms == overgroup_terms(p, alpha, d, i, j, odp), (d, i, j)
+        quot = (p ** (odp * i) - 1) // d
+        for k in _congruent_ks(rng, p, alpha, d, odp * i * j, quot):
+            kept = counting._class_terms(p, alpha, d, i, j, odp, k)
+            assert set(kept) <= set(terms)
+            assert all(s_qk(q, k, u, v) == 0
+                       for _, u, v in set(terms) - set(kept)), (d, i, j, k)
+            assert count_N(ClassParams(p, alpha, k, d, i, j)) == (
+                evaluate_terms(q, k, terms)), (d, i, j, k)
+
+
+@pytest.mark.parametrize("args,kept,total", [
+    ((2, 48, 3134, 241, 2, 0), 2, 544),
+    ((5, 20, 449, 8, 10, 0), 2, 568)])
+def test_count_N_walks_only_contributing_overgroups(monkeypatch, args, kept,
+                                                    total):
+    cp = ClassParams(*args)
+    assert len(class_terms(cp.p, cp.alpha, cp.d, cp.i, cp.j)) == total
+    calls, evaluated = [], []
+    evaluate = counting.evaluate_terms
+
+    def counted_order(v, u):
+        calls.append((v, u))
+        return mult_order(v, u)
+
+    def counted_evaluate(q, k, terms):
+        evaluated.append(terms)
+        return evaluate(q, k, terms)
+
+    monkeypatch.setattr(counting, "mult_order", counted_order)
+    monkeypatch.setattr(counting, "evaluate_terms", counted_evaluate)
+    count_N(cp)
+    # the one overgroup with P nonempty; u = d reuses o_d(p)
+    assert len(calls) == 1
+    assert [len(terms) for terms in evaluated] == [kept]
