@@ -3,15 +3,15 @@ with independent brute-force/lattice verification and construction of the
 orbit block designs and Johnson-optimal binary constant-weight codes.
 """
 
-from .counting import (ClassParams, build_table, class_shapes, class_terms,
-                       count_N, enumerate_params, mult_order, prime_set, s_qk)
-from .ffield import (Field, QuotientSpace, Subfield, Subspace,
-                     lines_of_quotient, span, subfield_stabilizer)
+from .counting import (BudgetExceededError, ClassParams, build_table,
+                       class_shapes, class_terms, count_N, enumerate_params,
+                       mult_order, prime_set, s_qk)
+from .ffield import (Field, Subfield, Subspace, lines_of_quotient, span,
+                     subfield_stabilizer)
 from .agl import (Subgroup, class_representative, full_group,
                   immediate_supergroups, join, join_pair, trivial_subgroup)
-from .oracle import (BudgetExceededError, all_subgroups, count_N_bruteforce,
-                     count_N_via_lattice, full_census, lattice_terms,
-                     stabilizer, subset_mask)
+from .oracle import (all_subgroups, count_N_bruteforce, count_N_via_lattice,
+                     full_census, lattice_terms, stabilizer, subset_mask)
 from .designs import (CodeParams, DesignParams, IncidenceMatrix,
                       a2_determinations, design_to_code, johnson_check,
                       orbit_design)

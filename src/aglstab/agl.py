@@ -23,8 +23,8 @@ import math
 from collections import Counter
 
 from .counting import check_divisor, check_shape, prime_set
-from .ffield import (Field, QuotientSpace, Subspace, full_subspace,
-                     lines_of_quotient, span, zero_subspace)
+from .ffield import (Field, Subspace, full_subspace, lines_of_quotient,
+                     span, zero_subspace)
 
 
 class Subgroup:
@@ -186,17 +186,16 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     field = S.field
     hprime = S.hprime()
     out: list[Subgroup] = []
-    quot = QuotientSpace(field, S.H)
     if S.d == 1:
         for e in prime_set(hprime.size - 1):
-            out.extend(Subgroup(field, e, b, S.H) for b in quot.transversal)
-        for line in lines_of_quotient(quot, field.prime_subfield):
+            out.extend(Subgroup(field, e, b, S.H) for b in S.H.coset_leaders())
+        for line in lines_of_quotient(S.H, field.prime_subfield):
             out.append(Subgroup(field, 1, 0, line))
     else:
         for e in prime_set((hprime.size - 1) // S.d):
             out.append(Subgroup(field, S.d * e, 0, S.H))
         K = field.subfield(S.odp)
-        for line in lines_of_quotient(quot, K):
+        for line in lines_of_quotient(S.H, K):
             out.append(Subgroup(field, S.d, 0, line))
     return out
 

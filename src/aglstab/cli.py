@@ -22,7 +22,7 @@ import json
 import sys
 from functools import lru_cache
 
-from sympy import factorint
+from sympy import isprime, perfect_power
 
 from . import agl, counting, designs, oracle
 from .counting import CSV_COLUMNS, ClassParams
@@ -65,16 +65,17 @@ def _field(p: int, alpha: int) -> Field:
 
 
 def _resolve_field(args) -> tuple[int, int]:
-    """(p, alpha) from --p/--alpha or from --q (factored, prime power)."""
+    """(p, alpha) from --p/--alpha or from --q (a prime power)."""
     if args.q is not None:
         if args.p is not None or args.alpha is not None:
             raise CliError("give either --q or --p/--alpha, not both")
         if args.q < 2:
             raise CliError(f"q must be at least 2, got {args.q}")
-        fac = factorint(args.q)
-        if len(fac) != 1:
+        # the largest exponent, so a prime power gives its prime; no
+        # factoring, which can run for minutes on a large semiprime
+        p, alpha = perfect_power(args.q) or (args.q, 1)
+        if not isprime(p):
             raise CliError(f"q must be a prime power, got {args.q}")
-        (p, alpha), = fac.items()
         return int(p), int(alpha)
     if args.p is None:
         raise CliError("a field is required: give --q or --p (with --alpha)")
@@ -165,7 +166,7 @@ def cmd_verify(args, out) -> int:
     q = p ** alpha
     k_max = _max_k(args, q, q)
     if q > oracle.DEFAULT_STABILIZER_LIMIT:
-        raise oracle.BudgetExceededError(
+        raise counting.BudgetExceededError(
             f"verification needs q <= {oracle.DEFAULT_STABILIZER_LIMIT}, got {q}")
     # the field is checked by _resolve_field, each shape by
     # class_representative
@@ -297,7 +298,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--p", type=int, help="field characteristic (prime)")
         sp.add_argument("--alpha", type=int, help="field degree (default 1)")
         sp.add_argument("--q", type=int,
-                        help="prime power q = p**alpha, auto-factored")
+                        help="prime power q = p**alpha")
         sp.add_argument("--format", choices=FORMATS, default="text")
 
     sp = sub.add_parser("table", help="emit the full count table")
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"aglstab: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except oracle.BudgetExceededError as exc:
+    except counting.BudgetExceededError as exc:
         print(f"aglstab: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     sys.stdout.write(buffer.getvalue())

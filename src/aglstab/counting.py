@@ -53,6 +53,13 @@ from sympy import divisors, isprime, primefactors
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
 
+#: most rows ``build_table`` will build
+MAX_TABLE_ROWS = 10_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed its configured budget."""
+
 
 def prime_set(u: int) -> tuple[int, ...]:
     """Distinct prime divisors of u in ascending order; empty for u = 1."""
@@ -372,6 +379,8 @@ def build_table(p: int, alpha: int,
     among the class terms of the field, built on first use.  Each class
     adds coeff * column into its own k -> N map for every term, and its
     rows, one per k that satisfies its congruence, are read off that map.
+    A table of more than ``MAX_TABLE_ROWS`` rows raises
+    ``BudgetExceededError`` before anything is built.
     """
     check_field(p, alpha)
     q = p ** alpha
@@ -379,9 +388,21 @@ def build_table(p: int, alpha: int,
         k_max = q // 2
     if not 0 <= k_max <= q:
         raise ValueError(f"k must lie in [0, {q}], got {k_max}")
+    shapes = list(_shapes(p, alpha))
+    rows = 0
+    for d, i, j, odp in shapes:
+        # as many rows as the loop below writes for this class
+        pb = p ** (odp * i * j)
+        rows += k_max // (d * pb) + 1
+        if d > 1:
+            rows += (k_max - pb) // (d * pb) + 1
+    if rows > MAX_TABLE_ROWS:
+        raise BudgetExceededError(
+            f"the table of q = {q} up to k = {k_max} has {rows} rows, "
+            f"over the limit of {MAX_TABLE_ROWS}")
     columns: dict[tuple[int, int], dict[int, int]] = {}
     by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
-    for d, i, j, odp in _shapes(p, alpha):
+    for d, i, j, odp in shapes:
         counts: dict[int, int] = {}
         for c, u, v in _class_terms(p, alpha, d, i, j, odp):
             col = columns.get((u, v))

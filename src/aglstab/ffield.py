@@ -7,6 +7,13 @@ this module -- the modulus, the multiplicative generator, subspace bases
 and coset representatives -- is minimal in that integer order, so
 independent runs produce identical output byte for byte.
 
+The tables are built from one multiplication in F_p[X]/(X**alpha + tail),
+done directly on that int encoding: a digit-wise c*x + y is
+sum((c*(x//w) + y//w) % p * w) over w = p**t, a product is a Horner pass
+over the digits of one factor, and powers use square-and-multiply.  The
+modulus is the first tail that passes Rabin's irreducibility test, whose
+gcd step becomes a unit check (see ``_Ring.is_field``).
+
 Arithmetic is table-backed.  Multiplication uses discrete exp/log
 tables over the generator.  Addition is XOR for p = 2 and mod p for prime
 fields; for odd p with alpha > 1 it uses a Zech-logarithm table,
@@ -15,7 +22,9 @@ The tables cap usable fields at q <= 2**16; the closed-form counting in
 :mod:`aglstab.counting` needs no field object and has no such cap.
 
 Subspaces hold their reduced-echelon basis as plain ints: a row operation
-is one scaled field addition, and a digit is read as x // p**t % p.
+is one scaled field addition, and a digit is read as x // p**t % p.  A
+subspace H also gives the coset leaders of F_q/H, and
+``lines_of_quotient`` the lines of F_q/H over a subfield.
 """
 
 from __future__ import annotations
@@ -30,91 +39,67 @@ MAX_Q = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, ascending degree, trimmed)
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+# construction: the ring F_p[X]/(X**alpha + tail) on the base-p int encoding
 
 
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    a = a[:]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and a:
-        shift = len(a) - 1 - df
-        factor = (a[-1] * inv_lead) % p
-        for t, cf in enumerate(f):
-            a[shift + t] = (a[shift + t] - factor * cf) % p
-        _ptrim(a)
-    return a
+class _Ring:
+    """F_p[X]/(X**alpha + tail), with sum(c_t * X**t) encoded as
+    sum(c_t * p**t) like the field elements.  It only builds a field's
+    tables, so it is short rather than fast."""
 
+    def __init__(self, p: int, alpha: int, tail: int):
+        self.p = p
+        self.pows = tuple(p ** t for t in range(alpha))
+        self.minus_tail = self.axpy(p - 1, tail, 0)
+        self.x = self.times_x(1)
 
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for s, ca in enumerate(a):
-        if ca:
-            for t, cb in enumerate(b):
-                out[s + t] = (out[s + t] + ca * cb) % p
-    return _pmod(out, f, p)
+    def axpy(self, c: int, x: int, y: int) -> int:
+        """Digit-wise c*x + y.  The digits of x // p**t above the lowest
+        come in multiples of p, so no digit is extracted on its own."""
+        p = self.p
+        return sum((c * (x // w) + y // w) % p * w for w in self.pows)
 
+    def times_x(self, r: int) -> int:
+        """r*X: a shift by one digit, with X**alpha = -tail."""
+        c, r = divmod(r, self.pows[-1])
+        return self.axpy(c, self.minus_tail, r * self.p) if c else r * self.p
 
-def _ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a[:], f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
+    def mul(self, x: int, y: int) -> int:
+        """x*y by a Horner pass over the digits of y, most significant
+        first, skipping zero digits."""
+        p = self.p
+        r = 0
+        for w in reversed(self.pows):
+            if r:
+                r = self.times_x(r)
+            c = y // w % p
+            if c:
+                r = self.axpy(c, x, r)
+        return r
 
+    def pow(self, x: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return r
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: f (monic, degree n >= 1) is irreducible over F_p iff
-    x**(p**n) == x mod f and gcd(x**(p**(n/e)) - x, f) = 1 for primes e | n."""
-    n = len(f) - 1
-    x = [0, 1]
-    xq = _ppowmod(x, p ** n, f, p)
-    diff = xq[:] + [0] * (2 - len(xq))
-    diff[1] = (diff[1] - 1) % p
-    if _ptrim(diff):
-        return False
-    for e in prime_set(n):
-        xm = _ppowmod(x, p ** (n // e), f, p)
-        diff = xm[:] + [0] * (2 - len(xm))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f, _ptrim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _smallest_irreducible(p: int, alpha: int) -> tuple[int, ...]:
-    if alpha == 1:
-        return (0, 1)
-    for tail in range(p ** alpha):
-        coeffs, t = [], tail
-        for _ in range(alpha):
-            t, c = divmod(t, p)
-            coeffs.append(c)
-        poly = coeffs + [1]
-        if _is_irreducible(poly, p):
-            return tuple(poly)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-# ---------------------------------------------------------------------------
+    def is_field(self) -> bool:
+        """Rabin's test that X**alpha + tail is irreducible, with its gcd
+        step as a unit check: X**q = X, and X**(p**(alpha/e)) - X is a
+        unit for each prime e | alpha.  Once X**q = X the modulus is
+        squarefree and each of its factors has a degree dividing alpha, so
+        the ring is a product of fields whose unit groups have orders
+        dividing q - 1, and y is a unit iff y**(q - 1) = 1."""
+        p, x = self.p, self.x
+        alpha = len(self.pows)
+        q = p ** alpha
+        return self.pow(x, q) == x and all(
+            self.pow(self.axpy(p - 1, x, self.pow(x, p ** (alpha // e))),
+                     q - 1) == 1
+            for e in prime_set(alpha))
 
 
 class Field:
@@ -135,52 +120,27 @@ class Field:
         self.p = p
         self.alpha = alpha
         self.q = q
-        self.modulus = _smallest_irreducible(p, alpha)
-        self._pows = tuple(p ** t for t in range(alpha))
-        self.gamma = self._find_generator()
-        self._exp, self._log = self._build_tables()
+        tail = next(t for t in range(q) if _Ring(p, alpha, t).is_field())
+        ring = _Ring(p, alpha, tail)
+        self._pows = ring.pows
+        self.modulus = tuple(tail // w % p for w in ring.pows) + (1,)
+        self.gamma = next(x for x in range(1, q)
+                          if all(ring.pow(x, (q - 1) // e) != 1
+                                 for e in prime_set(q - 1)))
+        self._exp, self._log = self._build_tables(ring)
         self._zech = self._build_zech() if p > 2 and alpha > 1 else None
         self._subfields: dict[int, Subfield] = {}
         self._stab_degrees: dict[tuple[int, ...], int] = {}
 
     # -- construction internals --------------------------------------------
 
-    def _digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.alpha):
-            x, c = divmod(x, self.p)
-            out.append(c)
-        return out
-
-    def _mul_raw(self, x: int, y: int) -> int:
-        prod = _pmulmod(self._digits(x), self._digits(y),
-                        list(self.modulus), self.p)
-        return sum(c * w for c, w in zip(prod, self._pows))
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return result
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        primes = prime_set(n) if n > 1 else ()
-        for x in range(1, self.q):
-            if all(self._pow_raw(x, n // e) != 1 for e in primes):
-                return x
-        raise AssertionError("no generator found")  # unreachable
-
-    def _build_tables(self) -> tuple[list[int], list[int]]:
+    def _build_tables(self, ring: _Ring) -> tuple[list[int], list[int]]:
         """exp[t] = gamma**t, stored twice over (0 <= t < 2(q - 1)) so a
         sum of two logarithms needs no reduction mod q - 1; log[0] = -1."""
         exp = [1]
         for _ in range(self.q - 2):
-            exp.append(self._mul_raw(exp[-1], self.gamma))
-        if self._mul_raw(exp[-1], self.gamma) != 1:
+            exp.append(ring.mul(exp[-1], self.gamma))
+        if ring.mul(exp[-1], self.gamma) != 1:
             raise RuntimeError(f"gamma = {self.gamma} does not have order "
                                f"q - 1 = {self.q - 1}")
         log = [-1] * self.q
@@ -379,6 +339,7 @@ class Subspace:
         self.dim = len(self.basis)
         self.size = field.p ** self.dim
         self._elements: tuple[int, ...] | None = None
+        self._leaders: tuple[int, ...] | None = None
 
     def reduce(self, x: int) -> int:
         """Least element of the coset x + (this subspace): echelon reduction
@@ -410,6 +371,18 @@ class Subspace:
                                    f"{len(els)} elements")
             self._elements = els
         return self._elements
+
+    def coset_leaders(self) -> tuple[int, ...]:
+        """The least element of each coset, in increasing order (0 first):
+        the transversal of F_q/(this subspace)."""
+        if self._leaders is None:
+            leaders = tuple(sorted({self.reduce(x)
+                                    for x in range(self.field.q)}))
+            if len(leaders) != self.field.q // self.size:
+                raise RuntimeError(f"{len(leaders)} coset leaders for "
+                                   f"{self.field.q // self.size} cosets")
+            self._leaders = leaders
+        return self._leaders
 
     def stabilizing_degree(self) -> int:
         """Degree of the largest subfield mapping this subspace into itself,
@@ -462,40 +435,22 @@ def subfield_stabilizer(H: Subspace) -> Subfield:
     raise AssertionError("prime subfield always stabilizes")  # unreachable
 
 
-class QuotientSpace:
-    """F_q / H with least-element coset representatives."""
-
-    def __init__(self, field: Field, denominator: Subspace):
-        if denominator.field != field:
-            raise ValueError("denominator lives in a different field")
-        self.field = field
-        self.denominator = denominator
-        self.transversal = tuple(sorted({denominator.reduce(x)
-                                         for x in range(field.q)}))
-        self.size = field.q // denominator.size
-        if len(self.transversal) != self.size:
-            raise RuntimeError(f"{len(self.transversal)} coset leaders for "
-                               f"{self.size} cosets")
-
-    def __repr__(self) -> str:
-        return f"QuotientSpace(q={self.field.q}, |H|={self.denominator.size})"
-
-
-def lines_of_quotient(Q: QuotientSpace, K: Subfield) -> list[Subspace]:
+def lines_of_quotient(H: Subspace, K: Subfield) -> list[Subspace]:
     """The 1-dimensional K-subspaces of F_q/H, each returned once as its
     full preimage in F_q (a K-subspace containing H)."""
-    field, H = Q.field, Q.denominator
+    field = H.field
     if K.field != field:
         raise ValueError("subfield belongs to a different field")
     if H.stabilizing_degree() % K.degree:
         raise ValueError("denominator is not a K-subspace")
-    expected, rem = divmod(Q.size - 1, K.size - 1)
+    leaders = H.coset_leaders()
+    expected, rem = divmod(len(leaders) - 1, K.size - 1)
     if rem:
-        raise RuntimeError(f"|F_q/H| - 1 = {Q.size - 1} is not a multiple "
-                           f"of |K| - 1 = {K.size - 1}")
+        raise RuntimeError(f"|F_q/H| - 1 = {len(leaders) - 1} is not a "
+                           f"multiple of |K| - 1 = {K.size - 1}")
     seen = set()
     out = []
-    for r in Q.transversal[1:]:
+    for r in leaders[1:]:
         W = Subspace(field,
                      H.basis + tuple(field.mul(kb, r) for kb in K.basis))
         if W.basis not in seen:

@@ -48,17 +48,13 @@ from sympy import divisors
 
 from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import evaluate_terms, mult_order
-from .ffield import Field, QuotientSpace, Subspace, span, zero_subspace
+from .counting import BudgetExceededError, evaluate_terms, mult_order
+from .ffield import Field, Subspace, span, zero_subspace
 
 DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000
 DEFAULT_CLOSURE_LIMIT = 5_000
 DEFAULT_ALL_SUBGROUPS_LIMIT = 64
-
-
-class BudgetExceededError(RuntimeError):
-    """An oracle scan would exceed its configured budget."""
 
 
 def subset_mask(elements) -> int:
@@ -475,6 +471,6 @@ def all_subgroups(field: Field,
             if d == 1:
                 out.append(Subgroup(field, 1, 0, H))
             else:
-                quot = QuotientSpace(field, H)
-                out.extend(Subgroup(field, d, b, H) for b in quot.transversal)
+                out.extend(Subgroup(field, d, b, H)
+                           for b in H.coset_leaders())
     return out

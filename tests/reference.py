@@ -15,7 +15,8 @@ every overgroup of a class and weighs it by ``moebius_exponent`` times
 by k).  ``table_by_terms``
 evaluates every table row from its class terms on its own (no shared
 binomial columns).  ``assert_lines`` reads a module's source, which the
-``python -O`` guards scan for asserts.
+``python -O`` guards scan for asserts, and ``prime_powers`` lists the
+fields that the sweeps run over.
 """
 
 import ast
@@ -23,6 +24,8 @@ import inspect
 import itertools
 import math
 from collections import Counter
+
+from sympy import factorint
 
 from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
 from aglstab.counting import (_class_terms, _shapes, check_field,
@@ -311,3 +314,13 @@ def assert_lines(module) -> list[int]:
     tree = ast.parse(inspect.getsource(module))
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
+
+
+def prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:
+    """(p, alpha) for every prime power lo <= q <= hi, ascending in q."""
+    out = []
+    for q in range(lo, hi + 1):
+        fac = factorint(q)
+        if len(fac) == 1:
+            out.extend(fac.items())
+    return out

@@ -4,11 +4,20 @@ import csv
 import hashlib
 import io
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from aglstab import oracle
-from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main)
+import aglstab
+from aglstab import counting, oracle
+from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
+                         _resolve_field, build_parser, main)
 
 
 def run(capsys, *argv):
@@ -47,6 +56,74 @@ def test_table_rejects_non_prime_power(capsys):
     assert "prime" in err
     code, _, err = run(capsys, "table", "--q", "12")
     assert code == EXIT_INPUT
+
+
+#: (10**29 + 319) * (3 * 10**30 + 91), a product of two primes
+SEMIPRIME = 300000000000000000000000000966100000000000000000000000029029
+
+
+def run_process(*argv):
+    """The CLI in a process of its own, under a 2 GiB address-space limit
+    and a 60 s timeout, so that a regression fails instead of taking the
+    host's memory or time; returns the process and its wall seconds."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(aglstab.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "aglstab.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit_memory)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("q,field", [(7, (7, 1)), (64, (2, 6)),
+                                     (2 ** 64, (2, 64)), (3 ** 40, (3, 40)),
+                                     (1021 ** 2, (1021, 2))])
+def test_q_resolves_to_its_prime_and_exponent(q, field):
+    assert _resolve_field(build_parser().parse_args(
+        ["table", "--q", str(q)])) == field
+
+
+@pytest.mark.parametrize("q", [36, 216, 1000, 2 ** 64 - 1])
+def test_q_that_is_no_prime_power_exits_1(capsys, q):
+    code, out, err = run(capsys, "table", "--q", str(q))
+    assert code == EXIT_INPUT
+    assert (out, err) == ("", f"aglstab: error: q must be a prime power, "
+                              f"got {q}\n")
+
+
+def test_semiprime_q_exits_1_without_factoring():
+    assert SEMIPRIME == (10 ** 29 + 319) * (3 * 10 ** 30 + 91)
+    proc, seconds = run_process("table", "--q", str(SEMIPRIME))
+    assert proc.returncode == EXIT_INPUT
+    assert (proc.stdout, proc.stderr) == (
+        "", f"aglstab: error: q must be a prime power, got {SEMIPRIME}\n")
+    assert seconds < 10
+
+
+def test_table_past_the_row_limit_exits_3_at_once():
+    # the default --max-k of q // 2 = 2**63 on q = 2**64
+    proc, seconds = run_process("table", "--q", str(2 ** 64))
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("aglstab: budget exceeded: the table of "
+                                  f"q = {2 ** 64} up to k = {2 ** 63} has ")
+    assert proc.stderr.endswith(" rows, over the limit of 10000000\n")
+    assert seconds < 10
+
+
+def test_bounded_table_of_a_bignum_field_prints_its_rows(capsys):
+    code, out, err = run(capsys, "table", "--q", str(2 ** 64), "--max-k",
+                         "10", "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["k", "d", "odp", "i", "j", "beta", "N"]
+    assert len(rows) - 1 == len(counting.enumerate_params(2, 64, 10))
+    assert {int(row[0]) for row in rows[1:]} == set(range(11))
+    assert all(0 <= int(row[-1]) <= math.comb(2 ** 64, int(row[0]))
+               for row in rows[1:])
 
 
 def test_workers_rejected_by_every_subcommand(capsys):

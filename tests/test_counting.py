@@ -12,15 +12,18 @@ import random
 import pytest
 import sympy
 
+import aglstab
+import aglstab.oracle
 from aglstab import counting
 from aglstab.agl import class_representative
-from aglstab.counting import (ClassParams, build_table, check_field,
-                              check_shape, class_shapes, class_terms,
-                              count_N, enumerate_params, evaluate_terms,
-                              mult_order, prime_set, s_qk)
+from aglstab.counting import (BudgetExceededError, ClassParams,
+                              build_table, check_field, check_shape,
+                              class_shapes, class_terms, count_N,
+                              enumerate_params, evaluate_terms, mult_order,
+                              prime_set, s_qk)
 from aglstab.ffield import Field, span
-from reference import (moebius_exponent, overgroup_terms, q_binomial,
-                       table_by_terms)
+from reference import (moebius_exponent, overgroup_terms, prime_powers,
+                       q_binomial, table_by_terms)
 
 
 def test_prime_set():
@@ -376,17 +379,7 @@ def test_build_table_k_max_range():
         build_table(3, 2, 10)
 
 
-def _prime_powers(lo, hi):
-    """(p, alpha) for every prime power lo <= q <= hi, ascending in q."""
-    out = []
-    for q in range(lo, hi + 1):
-        fac = sympy.factorint(q)
-        if len(fac) == 1:
-            out.extend(fac.items())
-    return out
-
-
-@pytest.mark.parametrize("p,alpha", _prime_powers(2, 256))
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 256))
 def test_build_table_matches_table_by_terms(p, alpha):
     q = p ** alpha
     for k_max in (None, 0, 1, q // 3, q):
@@ -420,7 +413,7 @@ def test_column_matches_s_qk(q, u, v, k_max):
         assert col.get(k, 0) == (s_qk(q, k, u, v) if k <= k_max else 0), k
 
 
-@pytest.mark.parametrize("p,alpha", _prime_powers(2, 16))
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 16))
 def test_column_matches_s_qk_on_small_fields(p, alpha):
     q = p ** alpha
     for u in range(1, q + 1):
@@ -430,6 +423,41 @@ def test_column_matches_s_qk_on_small_fields(p, alpha):
                 assert [col.get(k, 0) for k in range(q + 1)] == [
                     s_qk(q, k, u, v) if k <= k_max else 0
                     for k in range(q + 1)], (u, v, k_max)
+
+
+# k_max below p**beta for some d > 1 class (q = 64, 81), q // 2, q
+@pytest.mark.parametrize("p,alpha,k_max", [(2, 6, 3), (2, 6, None), (2, 6, 64),
+                                           (3, 4, 2), (3, 4, 81), (7, 2, None),
+                                           (2, 1, 2), (1021, 1, None)])
+def test_table_row_limit_counts_the_rows_exactly(monkeypatch, p, alpha,
+                                                 k_max):
+    rows = len(build_table(p, alpha, k_max))
+    monkeypatch.setattr(counting, "MAX_TABLE_ROWS", rows)
+    assert len(build_table(p, alpha, k_max)) == rows
+    monkeypatch.setattr(counting, "MAX_TABLE_ROWS", rows - 1)
+    monkeypatch.setattr(counting, "_column",
+                        lambda *args: pytest.fail("built past the limit"))
+    message = f" has {rows} rows, over the limit of {rows - 1}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        build_table(p, alpha, k_max)
+
+
+def test_table_row_limit_raises_before_allocating_a_bignum_table():
+    # k_max = 2**63 would ask for 2**63 + 1 row lists
+    assert counting.MAX_TABLE_ROWS == 10 ** 7
+    with pytest.raises(BudgetExceededError,
+                       match=f"up to k = {2 ** 63} has 37985558454274872956 "
+                             "rows, over the limit of 10000000$"):
+        build_table(2, 64)
+
+
+def test_largest_field_table_fits_the_row_limit():
+    assert len(build_table(2, 16)) == 134_846
+
+
+def test_budget_error_is_one_class():
+    assert aglstab.oracle.BudgetExceededError is BudgetExceededError
+    assert aglstab.BudgetExceededError is BudgetExceededError
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (2, 10), (1021, 1)])
@@ -454,7 +482,7 @@ def test_build_table_builds_each_column_once(monkeypatch, p, alpha):
     assert sorted(built) == sorted(distinct)
 
 
-@pytest.mark.parametrize("p,alpha", _prime_powers(2, 256))
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 256))
 def test_count_N_matches_every_term_at_every_k(p, alpha):
     q = p ** alpha
     for d, i, j, odp in counting._shapes(p, alpha):

@@ -1,21 +1,25 @@
-"""Field arithmetic, subspaces, quotients: canonical choices and axioms."""
+"""Field construction and arithmetic, subspaces, coset leaders and lines
+of quotients: canonical choices and axioms."""
 
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
+import sympy
 
 import aglstab.agl
 import aglstab.cli
 import aglstab.counting
 import aglstab.ffield
 from aglstab.counting import prime_set
-from aglstab.ffield import (Field, QuotientSpace, Subspace, full_subspace,
+from aglstab.ffield import (Field, Subspace, _Ring, full_subspace,
                             lines_of_quotient, span, subfield_stabilizer,
                             zero_subspace)
-from reference import (assert_lines, digits, element, reference_add,
-                       reference_echelon, reference_neg, reference_reduce,
-                       reference_smul)
+from reference import (assert_lines, digits, element, prime_powers,
+                       reference_add, reference_echelon, reference_neg,
+                       reference_reduce, reference_smul)
 
 
 def test_make_field_moduli():
@@ -23,6 +27,104 @@ def test_make_field_moduli():
     assert Field(2, 3).modulus == (1, 1, 0, 1)    # x^3 + x + 1
     assert Field(5, 1).modulus == (0, 1)          # prime field convention
     assert Field(3, 2).modulus == (1, 0, 1)       # x^2 + 1 over F_3
+
+
+# ---------------------------------------------------------------------------
+# construction: modulus, generator and tables
+
+#: sha256 of repr((p, alpha, modulus, gamma, exp)) for every prime power
+#: q <= 4096 in increasing order, exp being (gamma**t for t < q - 1)
+SMALL_FIELDS_SHA256 = ("2060ead7e6e3e6ff5e82a3e2c4fb72f1"
+                       "c3fcbbc13818b2af6d909a692a66efa5")
+
+#: modulus, gamma and sha256 of repr((p, alpha, modulus, gamma, exp, log))
+LARGE_FIELDS = {
+    (2, 16): ((1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3,
+              "6e7965991a638d992c422669259ea274"
+              "f945087a4306683f52e507e16a5bcdbd"),
+    (3, 10): ((1, 0, 2) + (0,) * 7 + (1,), 34,
+              "b5aa9e48410931880507e8fa2a3773a8"
+              "5ce84be36600c36a7ca9722a7cb35e5e"),
+}
+
+
+def _exp(F) -> tuple[int, ...]:
+    return tuple(F._exp[:F.q - 1])
+
+
+def test_field_tables_golden_digest():
+    digest = hashlib.sha256()
+    for p, alpha in prime_powers(2, 4096):
+        F = Field(p, alpha)
+        digest.update(repr((p, alpha, F.modulus, F.gamma, _exp(F))).encode())
+    assert digest.hexdigest() == SMALL_FIELDS_SHA256
+
+
+@pytest.mark.parametrize("p,alpha", sorted(LARGE_FIELDS))
+def test_large_field_tables_golden_digest(p, alpha):
+    F = Field(p, alpha)
+    modulus, gamma, sha256 = LARGE_FIELDS[p, alpha]
+    assert (F.modulus, F.gamma) == (modulus, gamma)
+    record = (p, alpha, F.modulus, F.gamma, _exp(F), tuple(F._log))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == sha256
+
+
+def _is_irreducible(coeffs, p) -> bool:
+    """sympy's irreducibility of the polynomial with ascending ``coeffs``."""
+    return sympy.Poly(coeffs[::-1], sympy.Symbol("x"),
+                      modulus=p).is_irreducible
+
+
+def test_modulus_and_gamma_are_the_first_that_qualify():
+    for p, alpha in prime_powers(2, 4096):
+        F = Field(p, alpha)
+        assert F.modulus[-1] == 1 and len(F.modulus) == alpha + 1
+        assert _is_irreducible(F.modulus, p), (p, alpha)
+        for tail in range(element(F, F.modulus[:-1])):
+            assert not _is_irreducible(digits(F, tail) + [1], p), (p, tail)
+        n = F.q - 1
+        assert math.gcd(F.log(F.gamma), n) == 1
+        for x in range(1, F.gamma):
+            assert math.gcd(F.log(x), n) > 1, (p, alpha, x)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in sympy.primerange(2, 33)
+                                 for n in range(2, 11) if p ** n <= 1024])
+def test_unit_form_of_rabin_matches_sympy(p, n):
+    for tail in range(p ** n):
+        coeffs = [tail // p ** t % p for t in range(n)] + [1]
+        assert _Ring(p, n, tail).is_field() == _is_irreducible(coeffs, p), \
+            coeffs
+
+
+def test_rabin_rejects_a_squarefree_product_with_x_to_the_q_equal_x():
+    # (x^3+x+1)(x^3+x^2+1) = x^6+x^5+x^4+x^3+x^2+x+1 over F_2: both
+    # factors have degree 3 | 6, so X**64 = X, but X**8 - X is no unit
+    ring = _Ring(2, 6, 0b111111)
+    assert ring.pow(ring.x, 64) == ring.x
+    assert ring.pow(ring.axpy(1, ring.x, ring.pow(ring.x, 8)), 63) != 1
+    assert not ring.is_field()
+    assert not _is_irreducible([1] * 7, 2)
+
+
+@pytest.mark.parametrize("p,alpha,tail", [(2, 1, 0), (2, 1, 1), (5, 1, 3),
+                                          (2, 6, 0b111111), (3, 4, 50),
+                                          (7, 3, 0), (2, 8, 0b00011011)])
+def test_ring_mul_matches_sympy(p, alpha, tail):
+    x = sympy.Symbol("x")
+    ring = _Ring(p, alpha, tail)
+    modulus = [tail // p ** t % p for t in range(alpha)] + [1]
+    f = sympy.Poly(modulus[::-1], x, modulus=p)
+
+    def poly(a):
+        return sympy.Poly([a // p ** t % p for t in range(alpha)][::-1], x,
+                          modulus=p)
+
+    rng = random.Random(p ** alpha + tail)
+    for _ in range(40):
+        a, b = rng.randrange(p ** alpha), rng.randrange(p ** alpha)
+        assert poly(ring.mul(a, b)) == (poly(a) * poly(b)).rem(f), (a, b)
+    assert poly(ring.x) == sympy.Poly(x, x, modulus=p).rem(f)
 
 
 def test_make_field_prime_field_is_mod_p():
@@ -167,37 +269,42 @@ def test_reduce_is_coset_minimum():
             assert H.reduce(x) == expected
 
 
-def test_quotient_transversal():
+def test_coset_leaders():
     F8 = Field(2, 3)
     H = span((3,), F8.prime_subfield)
-    Q = QuotientSpace(F8, H)
-    assert len(Q.transversal) == 8 // 2
+    leaders = H.coset_leaders()
+    assert len(leaders) == 8 // 2
+    assert list(leaders) == sorted(leaders)
     seen = set()
     for x in F8.elements():
-        r = Q.denominator.reduce(x)
-        assert r in Q.transversal
+        r = H.reduce(x)
+        assert r in leaders
         seen.add(r)
-    assert seen == set(Q.transversal)
-    assert Q.transversal[0] == 0
+    assert seen == set(leaders)
+    assert leaders[0] == 0
+    assert H.coset_leaders() is leaders     # computed once
+
+
+def test_coset_leaders_count_is_checked(monkeypatch):
+    H = span((3,), Field(2, 3).prime_subfield)
+    monkeypatch.setattr(H, "reduce", lambda x: x % 2)
+    with pytest.raises(RuntimeError, match="2 coset leaders for 4 cosets"):
+        H.coset_leaders()
 
 
 def test_lines_of_quotient_counts():
     F4 = Field(2, 2)
-    assert len(lines_of_quotient(QuotientSpace(F4, zero_subspace(F4)),
-                                 F4.prime_subfield)) == 3
+    assert len(lines_of_quotient(zero_subspace(F4), F4.prime_subfield)) == 3
     F8 = Field(2, 3)
-    assert len(lines_of_quotient(QuotientSpace(F8, zero_subspace(F8)),
-                                 F8.prime_subfield)) == 7
-    assert lines_of_quotient(QuotientSpace(F8, full_subspace(F8)),
-                             F8.prime_subfield) == []
+    assert len(lines_of_quotient(zero_subspace(F8), F8.prime_subfield)) == 7
+    assert lines_of_quotient(full_subspace(F8), F8.prime_subfield) == []
 
 
 def test_lines_of_quotient_structure():
     F16 = Field(2, 4)
     H = span((1,), F16.subfield(2))    # the copy of F_4
-    Q = QuotientSpace(F16, H)
     K = F16.subfield(2)
-    lines = lines_of_quotient(Q, K)
+    lines = lines_of_quotient(H, K)
     assert len(lines) == (4 - 1) // (4 - 1)  # (16/4 - 1)/(|K| - 1)
     for W in lines:
         assert H.issubspace_of(W)
@@ -206,7 +313,7 @@ def test_lines_of_quotient_structure():
             for v in W.basis:
                 assert W.contains(F16.mul(x, v))
     # lines over the prime field instead
-    lines2 = lines_of_quotient(Q, F16.prime_subfield)
+    lines2 = lines_of_quotient(H, F16.prime_subfield)
     assert len(lines2) == (4 - 1) // (2 - 1)
     assert len({W.basis for W in lines2}) == 3
 
@@ -215,9 +322,8 @@ def test_lines_reject_non_module_denominator():
     F16 = Field(2, 4)
     H = span((1, 2), F16.prime_subfield)
     assert subfield_stabilizer(H).degree == 1
-    Q = QuotientSpace(F16, H)
     with pytest.raises(ValueError):
-        lines_of_quotient(Q, F16.subfield(2))
+        lines_of_quotient(H, F16.subfield(2))
 
 
 def test_prime_set_reexport_sanity():
