@@ -6,8 +6,7 @@ orbit block designs and Johnson-optimal binary constant-weight codes.
 from .counting import (BudgetExceededError, ClassParams, build_table,
                        class_shapes, class_terms, count_N, enumerate_params,
                        mult_order, prime_set, s_qk)
-from .ffield import (Field, Subfield, Subspace, lines_of_quotient, span,
-                     subfield_stabilizer)
+from .ffield import Field, Subspace, lines_of_quotient, span
 from .agl import (Subgroup, class_representative, full_group,
                   immediate_supergroups, join, join_pair, trivial_subgroup)
 from .oracle import (all_subgroups, count_N_bruteforce, count_N_via_lattice,

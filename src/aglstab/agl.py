@@ -61,10 +61,6 @@ class Subgroup:
 
     # -- basic queries -------------------------------------------------------
 
-    def hprime(self):
-        """The largest subfield acting on the translation subspace."""
-        return self.field.subfield(self.H.stabilizing_degree())
-
     def shape(self) -> tuple[int, int, int]:
         """The class triple (d, i, j) of this subgroup."""
         i = self.H.stabilizing_degree() // self.odp
@@ -174,29 +170,21 @@ def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
 def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     """The minimal elements above S in the subgroup lattice.
 
-    Requires b = 0 (conjugate first).  For a pure translation group with
-    translations H these are the groups generated by one extra map of
-    prime order e | |H'| - 1 over each coset of H, plus the translation
-    groups of the lines of F_q/H over F_p; for d > 1 the multiplicative
-    part grows by a prime e | (|H'| - 1)/d, or H grows by a line of
-    F_q/H over F_{p**o_d(p)}.
+    Requires b = 0 (conjugate first).  The multiplicative part grows by
+    a prime e | (|H'| - 1)/d, or H grows by a line of F_q/H over
+    F_{p**o_d(p)} (F_p when d = 1).  A pure translation group (d = 1)
+    takes its new map of order e about each coset of H; for d > 1 the
+    fixed point stays at 0.
     """
     if S.b != 0:
         raise ValueError("supergroup enumeration requires b = 0; conjugate first")
-    field = S.field
-    hprime = S.hprime()
-    out: list[Subgroup] = []
-    if S.d == 1:
-        for e in prime_set(hprime.size - 1):
-            out.extend(Subgroup(field, e, b, S.H) for b in S.H.coset_leaders())
-        for line in lines_of_quotient(S.H, field.prime_subfield):
-            out.append(Subgroup(field, 1, 0, line))
-    else:
-        for e in prime_set((hprime.size - 1) // S.d):
-            out.append(Subgroup(field, S.d * e, 0, S.H))
-        K = field.subfield(S.odp)
-        for line in lines_of_quotient(S.H, K):
-            out.append(Subgroup(field, S.d, 0, line))
+    field, d, H = S.field, S.d, S.H
+    h_prime = field.p ** H.stabilizing_degree()
+    points = H.coset_leaders() if d == 1 else (0,)
+    out = [Subgroup(field, d * e, b, H)
+           for e in prime_set((h_prime - 1) // d) for b in points]
+    out.extend(Subgroup(field, d, 0, line)
+               for line in lines_of_quotient(H, S.odp))
     return out
 
 
@@ -222,12 +210,11 @@ def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
     if field != T2.field:
         raise ValueError("cannot join subgroups over different fields")
     d = math.lcm(T1.d, T2.d)
-    K = field.subfield(math.lcm(T1.odp, T2.odp))
     vectors = list(T1.H.basis) + list(T2.H.basis)
     points = [T.fixed_point for T in (T1, T2) if T.d > 1]
     if len(points) == 2:
         vectors.append(field.sub(points[0], points[1]))
-    Hnew = span(vectors, K)
+    Hnew = span(field, vectors, math.lcm(T1.odp, T2.odp))
     if d == 1:
         return Subgroup(field, 1, 0, Hnew)
     a_new = field.pow(field.gamma, (field.q - 1) // d)
@@ -252,9 +239,8 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
     shape is checked by ``counting.check_shape``.
     """
     rdeg = check_shape(field.p, field.alpha, d, i, j) * i
-    K = field.subfield(rdeg)
     for combo in itertools.combinations(range(1, field.q), j):
-        H = span(combo, K)
+        H = span(field, combo, rdeg)
         if H.dim == rdeg * j and H.stabilizing_degree() == rdeg:
             return Subgroup(field, d, 0, H)
     raise AssertionError("no subspace with the requested class exists")

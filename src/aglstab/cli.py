@@ -22,7 +22,7 @@ import json
 import sys
 from functools import lru_cache
 
-from sympy import isprime, perfect_power
+from sympy import factorint, isprime, perfect_power
 
 from . import agl, counting, designs, oracle
 from .counting import CSV_COLUMNS, ClassParams
@@ -34,6 +34,12 @@ EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 
 FORMATS = ("csv", "json", "text")
+
+#: every command factors q - 1; a larger q is refused outright
+MAX_FACTORED_Q = 1 << 2048
+#: the trial-division bound of that factoring; past it sympy's factorint
+#: gives up, and a q - 1 it leaves with a composite factor is refused
+FACTOR_LIMIT = 10 ** 5
 
 #: column order of the csv and json forms of ``verify``
 VERIFY_COLUMNS = ("d", "i", "j", "k", "closed", "lattice", "brute", "ok")
@@ -65,7 +71,8 @@ def _field(p: int, alpha: int) -> Field:
 
 
 def _resolve_field(args) -> tuple[int, int]:
-    """(p, alpha) from --p/--alpha or from --q (a prime power)."""
+    """(p, alpha) from --p/--alpha or from --q (a prime power); exit 3
+    unless q <= MAX_FACTORED_Q and q - 1 factors within FACTOR_LIMIT."""
     if args.q is not None:
         if args.p is not None or args.alpha is not None:
             raise CliError("give either --q or --p/--alpha, not both")
@@ -76,12 +83,25 @@ def _resolve_field(args) -> tuple[int, int]:
         p, alpha = perfect_power(args.q) or (args.q, 1)
         if not isprime(p):
             raise CliError(f"q must be a prime power, got {args.q}")
-        return int(p), int(alpha)
-    if args.p is None:
+        p, alpha = int(p), int(alpha)
+    elif args.p is None:
         raise CliError("a field is required: give --q or --p (with --alpha)")
-    alpha = 1 if args.alpha is None else args.alpha
-    counting.check_field(args.p, alpha)
-    return args.p, alpha
+    else:
+        p, alpha = args.p, 1 if args.alpha is None else args.alpha
+        counting.check_field(p, alpha)
+    # alpha > 2048 already puts q past the cap, without computing p**alpha
+    factored = alpha <= 2048 and p ** alpha <= MAX_FACTORED_Q
+    try:
+        factored = factored and all(
+            isprime(f) for f in factorint(p ** alpha - 1, limit=FACTOR_LIMIT))
+    except ValueError:      # sympy 1.14 raises on some, such as 3^1292 - 1
+        factored = False
+    if not factored:
+        raise counting.BudgetExceededError(
+            f"q = {p}^{alpha} is refused: q must be at most 2^2048, and q - 1 "
+            f"must factor completely within factorint's limit of "
+            f"{FACTOR_LIMIT}")
+    return p, alpha
 
 
 def _max_k(args, q: int, default: int) -> int:

@@ -23,14 +23,17 @@ The tables cap usable fields at q <= 2**16; the closed-form counting in
 
 Subspaces hold their reduced-echelon basis as plain ints: a row operation
 is one scaled field addition, and a digit is read as x // p**t % p.  A
-subspace H also gives the coset leaders of F_q/H, and
-``lines_of_quotient`` the lines of F_q/H over a subfield.
+subfield is named by its degree m | alpha, as the paper names o_d(p) and
+o_d(p)*i: ``Field.subfield(m)`` is its F_p-basis, ``span`` and
+``lines_of_quotient`` take m, and ``Subspace.stabilizing_degree`` is the
+degree of H', the largest subfield mapping H into itself.  A subspace H
+also gives the coset leaders of F_q/H, and ``lines_of_quotient`` the
+lines of F_q/H over F_{p**m}.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
 
 from .counting import check_field, prime_set
 
@@ -129,7 +132,7 @@ class Field:
                                  for e in prime_set(q - 1)))
         self._exp, self._log = self._build_tables(ring)
         self._zech = self._build_zech() if p > 2 and alpha > 1 else None
-        self._subfields: dict[int, Subfield] = {}
+        self._subfield_bases: dict[int, tuple[int, ...]] = {}
         self._stab_degrees: dict[tuple[int, ...], int] = {}
 
     # -- construction internals --------------------------------------------
@@ -223,17 +226,19 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def subfield(self, degree: int) -> "Subfield":
-        try:
-            return self._subfields[degree]
-        except KeyError:
-            sf = Subfield(self, degree)
-            self._subfields[degree] = sf
-            return sf
-
-    @property
-    def prime_subfield(self) -> "Subfield":
-        return self.subfield(1)
+    def subfield(self, degree: int) -> tuple[int, ...]:
+        """F_p-basis (1, g, ..., g**(degree-1)) of the subfield of order
+        p**degree, g = gamma**((q-1)/(p**degree - 1)) its primitive
+        element; built once per degree."""
+        basis = self._subfield_bases.get(degree)
+        if basis is None:
+            if degree < 1 or self.alpha % degree:
+                raise ValueError(f"subfield degree must divide alpha = "
+                                 f"{self.alpha}, got {degree}")
+            g = self.pow(self.gamma, (self.q - 1) // (self.p ** degree - 1))
+            basis = self._subfield_bases[degree] = tuple(
+                self.pow(g, t) for t in range(degree))
+        return basis
 
     # -- identity -----------------------------------------------------------
 
@@ -246,47 +251,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, alpha={self.alpha})"
-
-
-class Subfield:
-    """The unique copy of F_{p**degree} inside an ambient field (degree | alpha)."""
-
-    def __init__(self, field: Field, degree: int):
-        if degree < 1 or field.alpha % degree:
-            raise ValueError(
-                f"subfield degree must divide alpha = {field.alpha}, got {degree}")
-        self.field = field
-        self.degree = degree
-        self.size = field.p ** degree
-
-    @cached_property
-    def generator(self) -> int:
-        """A primitive element: gamma**((q-1)/(size-1)); equals 1 for F_2."""
-        return self.field.pow(self.field.gamma, (self.field.q - 1) // (self.size - 1))
-
-    @cached_property
-    def basis(self) -> tuple[int, ...]:
-        """F_p-basis (1, g, ..., g**(degree-1)) with g the generator."""
-        return tuple(self.field.pow(self.generator, t) for t in range(self.degree))
-
-    @cached_property
-    def elements(self) -> tuple[int, ...]:
-        els = {0}
-        els.update(self.field.pow(self.generator, t) for t in range(self.size - 1))
-        if len(els) != self.size:
-            raise RuntimeError(f"the generator of F_{self.size} spans "
-                               f"{len(els)} elements")
-        return tuple(sorted(els))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subfield)
-                and self.field == other.field and self.degree == other.degree)
-
-    def __hash__(self) -> int:
-        return hash(("Subfield", self.field, self.degree))
-
-    def __repr__(self) -> str:
-        return f"Subfield(p={self.field.p}, degree={self.degree} in alpha={self.field.alpha})"
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +349,22 @@ class Subspace:
         return self._leaders
 
     def stabilizing_degree(self) -> int:
-        """Degree of the largest subfield mapping this subspace into itself,
-        memoized on the field per basis."""
-        known = self.field._stab_degrees
+        """Degree m of the largest subfield F_{p**m} mapping this subspace
+        into itself, memoized on the field per basis.
+
+        Checked on the primitive element g of each candidate subfield,
+        largest degree first: g*H <= H already forces F_p(g)*H <= H by
+        F_p-linearity, and the prime field (m = 1) always qualifies.
+        """
+        field = self.field
+        known = field._stab_degrees
         degree = known.get(self.basis)
         if degree is None:
-            degree = known[self.basis] = subfield_stabilizer(self).degree
+            degree = known[self.basis] = next(
+                (m for m in range(field.alpha, 1, -1)
+                 if field.alpha % m == 0
+                 and all(self.contains(field.mul(field.subfield(m)[1], v))
+                         for v in self.basis)), 1)
         return degree
 
     def __eq__(self, other) -> bool:
@@ -412,53 +386,33 @@ def full_subspace(field: Field) -> Subspace:
     return Subspace(field, field._pows)
 
 
-def span(elements, K: Subfield) -> Subspace:
-    """Smallest K-subspace of the ambient field containing ``elements``."""
-    field = K.field
-    vectors = [field.mul(kb, x) for x in elements for kb in K.basis]
-    return Subspace(field, vectors)
+def span(field: Field, elements, degree: int) -> Subspace:
+    """Smallest F_{p**degree}-subspace of the field containing
+    ``elements``: the F_p-span of each element times the subfield basis."""
+    basis = field.subfield(degree)
+    return Subspace(field, [field.mul(kb, x) for x in elements for kb in basis])
 
 
-def subfield_stabilizer(H: Subspace) -> Subfield:
-    """The largest subfield K of F_q with K*H inside H.
-
-    Checked on a primitive element g of each candidate subfield, largest
-    degree first: g*H <= H already forces K*H <= H by F_p-linearity.
-    """
+def lines_of_quotient(H: Subspace, degree: int) -> list[Subspace]:
+    """The 1-dimensional F_{p**degree}-subspaces of F_q/H, each returned
+    once as its full preimage in F_q (a space over that subfield
+    containing H).  H must itself be a space over F_{p**degree}."""
     field = H.field
-    for m in range(field.alpha, 0, -1):
-        if field.alpha % m:
-            continue
-        g = field.subfield(m).generator
-        if all(H.contains(field.mul(g, v)) for v in H.basis):
-            return field.subfield(m)
-    raise AssertionError("prime subfield always stabilizes")  # unreachable
-
-
-def lines_of_quotient(H: Subspace, K: Subfield) -> list[Subspace]:
-    """The 1-dimensional K-subspaces of F_q/H, each returned once as its
-    full preimage in F_q (a K-subspace containing H)."""
-    field = H.field
-    if K.field != field:
-        raise ValueError("subfield belongs to a different field")
-    if H.stabilizing_degree() % K.degree:
-        raise ValueError("denominator is not a K-subspace")
+    basis = field.subfield(degree)
+    if H.stabilizing_degree() % degree:
+        raise ValueError(f"denominator is not a space over F_p^{degree}")
+    size = field.p ** degree
     leaders = H.coset_leaders()
-    expected, rem = divmod(len(leaders) - 1, K.size - 1)
+    expected, rem = divmod(len(leaders) - 1, size - 1)
     if rem:
         raise RuntimeError(f"|F_q/H| - 1 = {len(leaders) - 1} is not a "
-                           f"multiple of |K| - 1 = {K.size - 1}")
-    seen = set()
-    out = []
+                           f"multiple of |K| - 1 = {size - 1}")
+    lines: dict[tuple[int, ...], Subspace] = {}
     for r in leaders[1:]:
-        W = Subspace(field,
-                     H.basis + tuple(field.mul(kb, r) for kb in K.basis))
-        if W.basis not in seen:
-            seen.add(W.basis)
-            if W.dim != H.dim + K.degree:
-                raise RuntimeError(f"a line over F_{K.size} raised dim "
-                                   f"{H.dim} to {W.dim}")
-            out.append(W)
-    if len(out) != expected:
-        raise RuntimeError(f"found {len(out)} lines, expected {expected}")
-    return out
+        W = Subspace(field, H.basis + tuple(field.mul(kb, r) for kb in basis))
+        if lines.setdefault(W.basis, W).dim != H.dim + degree:
+            raise RuntimeError(f"a line over F_{size} raised dim "
+                               f"{H.dim} to {W.dim}")
+    if len(lines) != expected:
+        raise RuntimeError(f"found {len(lines)} lines, expected {expected}")
+    return list(lines.values())

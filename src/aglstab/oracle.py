@@ -130,13 +130,14 @@ def fixing_maps(field: Field, mask: int):
             hits ^= low
 
 
-def stabilizer(field: Field, mask: int,
-               q_limit: int = DEFAULT_STABILIZER_LIMIT) -> Subgroup:
+def stabilizer(field: Field, mask: int) -> Subgroup:
     """Canonical descriptor of the setwise stabilizer of a subset,
-    computed by testing every affine map."""
-    if field.q > q_limit:
+    computed by testing every affine map; q is capped by
+    DEFAULT_STABILIZER_LIMIT."""
+    if field.q > DEFAULT_STABILIZER_LIMIT:
         raise BudgetExceededError(
-            f"stabilizer scan needs q <= {q_limit}, got q = {field.q}")
+            f"stabilizer scan needs q <= {DEFAULT_STABILIZER_LIMIT}, "
+            f"got q = {field.q}")
     return subgroup_from_pairs(field, fixing_maps(field, mask))
 
 
@@ -388,9 +389,7 @@ def full_census(field: Field, k: int,
 
 
 @lru_cache(maxsize=None)
-def lattice_terms(S: Subgroup,
-                  closure_limit: int = DEFAULT_CLOSURE_LIMIT,
-                  ) -> tuple[tuple[int, int, int], ...]:
+def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
     """Signed terms (coefficient, d, |H|) of the inclusion-exclusion for
     N(S, k); k enters only through the fixed-subset counts, so the terms
     are reusable across k.
@@ -400,7 +399,7 @@ def lattice_terms(S: Subgroup,
     supergroup U at a time: f maps subgroups to coefficients, starts as
     {S: 1}, and every (T, c) in f adds -c at join(T, U) -- the selections
     that also take U.  Entries that cancel to zero are dropped after each
-    U; more than ``closure_limit`` nonzero entries raise.
+    U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.
     """
     if S.b != 0:
         raise ValueError("lattice evaluation requires b = 0; conjugate first")
@@ -411,31 +410,31 @@ def lattice_terms(S: Subgroup,
             J = join_pair(T, U)
             f[J] = f.get(J, 0) - c
         f = {T: c for T, c in f.items() if c}
-        if len(f) > closure_limit:
+        if len(f) > DEFAULT_CLOSURE_LIMIT:
             raise BudgetExceededError(
                 f"the lattice fold holds {len(f)} subgroups after {folded} "
                 f"of {len(supers)} supergroups, over the limit of "
-                f"{closure_limit}")
+                f"{DEFAULT_CLOSURE_LIMIT}")
     agg: Counter = Counter()
     for T, c in f.items():
         agg[(T.d, T.H.size)] += c
     return tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
 
 
-def count_N_via_lattice(S: Subgroup, k: int,
-                        closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> int:
+def count_N_via_lattice(S: Subgroup, k: int) -> int:
     """N(S, k) by inclusion-exclusion over the immediate supergroups."""
     if not 0 <= k <= S.field.q:
         raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
-    return evaluate_terms(S.field.q, k, lattice_terms(S, closure_limit))
+    return evaluate_terms(S.field.q, k, lattice_terms(S))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive subgroup enumeration
 
 
-def all_subspaces(field: Field, K) -> list[Subspace]:
-    """Every K-subspace of the field, ordered by (dimension, basis)."""
+def all_subspaces(field: Field, degree: int) -> list[Subspace]:
+    """Every F_{p**degree}-subspace of the field, ordered by (dimension,
+    basis)."""
     zero = zero_subspace(field)
     out = {zero.basis: zero}
     frontier = [zero]
@@ -445,7 +444,7 @@ def all_subspaces(field: Field, K) -> list[Subspace]:
             for x in range(1, field.q):
                 if W.contains(x):
                     continue
-                W2 = span(W.basis + (x,), K)
+                W2 = span(field, W.basis + (x,), degree)
                 if W2.basis not in out:
                     out[W2.basis] = W2
                     new.append(W2)
@@ -453,24 +452,21 @@ def all_subspaces(field: Field, K) -> list[Subspace]:
     return sorted(out.values(), key=lambda W: (W.dim, W.basis))
 
 
-def all_subgroups(field: Field,
-                  q_limit: int = DEFAULT_ALL_SUBGROUPS_LIMIT) -> list[Subgroup]:
+def all_subgroups(field: Field) -> list[Subgroup]:
     """Every subgroup of the affine group on F_q, each exactly once.
 
     Walks d over the divisors of q - 1, H over the F_{p**o_d(p)}-subspaces
     and b over the coset representatives of H (b = 0 when d = 1); the
     canonical-descriptor uniqueness makes the enumeration duplicate-free.
+    q is capped by DEFAULT_ALL_SUBGROUPS_LIMIT.
     """
-    if field.q > q_limit:
+    if field.q > DEFAULT_ALL_SUBGROUPS_LIMIT:
         raise BudgetExceededError(
-            f"subgroup enumeration needs q <= {q_limit}, got q = {field.q}")
+            f"subgroup enumeration needs q <= {DEFAULT_ALL_SUBGROUPS_LIMIT}, "
+            f"got q = {field.q}")
     out = []
     for d in divisors(field.q - 1):
-        K = field.subfield(mult_order(field.p, d))
-        for H in all_subspaces(field, K):
-            if d == 1:
-                out.append(Subgroup(field, 1, 0, H))
-            else:
-                out.extend(Subgroup(field, d, b, H)
-                           for b in H.coset_leaders())
+        for H in all_subspaces(field, mult_order(field.p, d)):
+            points = (0,) if d == 1 else H.coset_leaders()
+            out.extend(Subgroup(field, d, b, H) for b in points)
     return out

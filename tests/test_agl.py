@@ -116,7 +116,7 @@ def test_subgroup_rejects_invalid_descriptors():
         check_shape(5, 1, 3, 1, 0)
     assert str(bad_d.value) == str(bad_shape.value)
     F16 = field(2, 4)
-    line = span((2,), F16.prime_subfield)         # not an F_4-subspace
+    line = span(F16, (2,), 1)         # not an F_4-subspace
     with pytest.raises(ValueError):
         Subgroup(F16, 3, 0, line)                 # o_3(2) = 2 > stab degree
 
@@ -191,7 +191,7 @@ def test_every_subgroup_has_a_canonical_descriptor(p, alpha):
 
 def test_orbits_translation_group_gives_cosets():
     F = field(2, 3)
-    H = span((3,), F.prime_subfield)
+    H = span(F, (3,), 1)
     orbits = Subgroup(F, 1, 0, H).orbits()
     assert all(len(o) == 2 for o in orbits)
     assert len(orbits) == 4
@@ -261,7 +261,7 @@ def test_fixed_subset_count_matches_direct_enumeration(p, alpha):
 
 def test_fixed_subset_count_examples():
     F8 = field(2, 3)
-    H = span((2,), F8.prime_subfield)
+    H = span(F8, (2,), 1)
     assert s_qk(8, 2, 1, H.size) == 4
     assert s_qk(7, 2, 3, 1) == 0                    # 2 not 0 or 1 mod 3
     for S in all_subgroups(field(7, 1)):
@@ -402,7 +402,7 @@ def test_class_representative_round_trip(p, alpha):
         cp = ClassParams(p, alpha, 0, d, i, j)
         assert S.b == 0 and S.d == d
         assert S.H.size == cp.h_size
-        assert S.hprime().size == p ** (cp.odp * i)
+        assert S.H.stabilizing_degree() == cp.odp * i
         assert S.shape() == (d, i, j)
 
 

@@ -17,7 +17,8 @@ import pytest
 import aglstab
 from aglstab import counting, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
-                         _resolve_field, build_parser, main)
+                         FACTOR_LIMIT, MAX_FACTORED_Q, _resolve_field,
+                         build_parser, main)
 
 
 def run(capsys, *argv):
@@ -124,6 +125,45 @@ def test_bounded_table_of_a_bignum_field_prints_its_rows(capsys):
     assert {int(row[0]) for row in rows[1:]} == set(range(11))
     assert all(0 <= int(row[-1]) <= math.comb(2 ** 64, int(row[0]))
                for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv,power", [
+    (("table", "--p", "2", "--alpha", "1000", "--max-k", "2"), "2^1000"),
+    (("count", "--p", "3", "--alpha", "500", "--k", "0", "--d", "1",
+      "--i", "500", "--j", "0"), "3^500"),
+])
+def test_field_whose_q_minus_1_does_not_factor_exits_3_at_once(argv, power):
+    # sympy's unbounded factorint ran past 15 s on both q - 1
+    proc, seconds = run_process(*argv)
+    assert proc.returncode == EXIT_BUDGET
+    assert (proc.stdout, proc.stderr) == ("", _refusal(power))
+    assert seconds < 5
+
+
+def _refusal(power):
+    return (f"aglstab: budget exceeded: q = {power} is refused: q must be at "
+            f"most 2^2048, and q - 1 must factor completely within "
+            f"factorint's limit of {FACTOR_LIMIT}\n")
+
+
+@pytest.mark.parametrize("argv,power", [
+    (("--p", "2", "--alpha", "2049"), "2^2049"),
+    (("--q", str(3 ** 1293)), "3^1293"),              # just past 2^2048
+    # sympy's bounded factorint raises ValueError on this q - 1
+    (("--p", "3", "--alpha", "1292"), "3^1292"),
+])
+def test_field_past_the_factoring_cap_exits_3(capsys, argv, power):
+    assert 3 ** 1292 < MAX_FACTORED_Q == 2 ** 2048 < 3 ** 1293
+    code, out, err = run(capsys, "table", *argv, "--max-k", "1")
+    assert (code, out, err) == (EXIT_BUDGET, "", _refusal(power))
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 64), (3, 30), (5, 20), (2, 48),
+                                     (2, 128)])
+def test_q_minus_1_of_a_bignum_field_factors_within_the_limit(p, alpha):
+    args = build_parser().parse_args(
+        ["table", "--p", str(p), "--alpha", str(alpha)])
+    assert _resolve_field(args) == (p, alpha)
 
 
 def test_workers_rejected_by_every_subcommand(capsys):

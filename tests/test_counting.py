@@ -68,17 +68,16 @@ def test_q_binomial_examples():
 def _count_subspaces_bruteforce(p, alpha, dim):
     """Independent oracle: enumerate all subspaces of F_p^alpha by closure."""
     F = Field(p, alpha)
-    K = F.prime_subfield
     seen = {(): True}
     frontier = [()]
     while frontier:
         new = []
         for basis in frontier:
-            W = span(basis, K)
+            W = span(F, basis, 1)
             for x in range(1, F.q):
                 if W.contains(x):
                     continue
-                W2 = span(basis + (x,), K)
+                W2 = span(F, basis + (x,), 1)
                 if W2.basis not in seen:
                     seen[W2.basis] = True
                     new.append(W2.basis)

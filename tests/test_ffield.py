@@ -15,8 +15,8 @@ import aglstab.counting
 import aglstab.ffield
 from aglstab.counting import prime_set
 from aglstab.ffield import (Field, Subspace, _Ring, full_subspace,
-                            lines_of_quotient, span, subfield_stabilizer,
-                            zero_subspace)
+                            lines_of_quotient, span, zero_subspace)
+from aglstab.oracle import all_subspaces
 from reference import (assert_lines, digits, element, prime_powers,
                        reference_add, reference_echelon, reference_neg,
                        reference_reduce, reference_smul)
@@ -188,28 +188,56 @@ def test_element_coeff_roundtrip():
         assert element(F, digits(F, x)) == x
 
 
+def _subfield_elements(F, degree):
+    """0 and the powers of the subfield's primitive element, built apart
+    from any span."""
+    g = F.pow(F.gamma, (F.q - 1) // (F.p ** degree - 1))
+    return tuple(sorted({0} | {F.pow(g, t) for t in range(F.p ** degree - 1)}))
+
+
 def test_subfield_basics():
     F16 = Field(2, 4)
-    K = F16.subfield(2)
-    assert K.size == 4
-    assert len(K.elements) == 4
-    g = K.generator
+    basis = F16.subfield(2)
+    g = basis[1]
+    assert basis == (1, g)
     assert F16.pow(g, 3) == 1 and g != 1
+    els = _subfield_elements(F16, 2)
+    assert len(els) == 4
+    assert Subspace(F16, basis).elements() == els
     # closed under multiplication and addition
-    for x, y in itertools.product(K.elements, repeat=2):
-        assert F16.mul(x, y) in K.elements
-        assert F16.add(x, y) in K.elements
-    with pytest.raises(ValueError):
-        F16.subfield(3)
+    for x, y in itertools.product(els, repeat=2):
+        assert F16.mul(x, y) in els
+        assert F16.add(x, y) in els
+    assert F16.subfield(1) == (1,)
+    for bad in (3, 0, 8):
+        with pytest.raises(ValueError, match="must divide alpha = 4"):
+            F16.subfield(bad)
+
+
+def test_subfield_basis_is_built_once(monkeypatch):
+    F = Field(3, 4)
+    basis = F.subfield(2)
+    monkeypatch.setattr(F, "pow", lambda x, e: pytest.fail("basis rebuilt"))
+    assert F.subfield(2) is basis
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 4), (3, 2), (2, 6), (3, 4)])
+def test_subfield_basis_spans_the_subfield(p, alpha):
+    F = Field(p, alpha)
+    for degree in sympy.divisors(alpha):
+        basis = F.subfield(degree)
+        assert len(basis) == degree and basis[0] == 1
+        assert Subspace(F, basis).elements() == _subfield_elements(F, degree)
 
 
 def test_subfield_stabilizer_examples():
+    # H', the subfield stabilizer of H, by its degree
     F16 = Field(2, 4)
-    assert subfield_stabilizer(full_subspace(F16)).degree == 4
-    assert subfield_stabilizer(zero_subspace(F16)).degree == 4
+    assert full_subspace(F16).stabilizing_degree() == 4
+    assert zero_subspace(F16).stabilizing_degree() == 4
     F4 = Field(2, 2)
     line = Subspace(F4, (1,))
-    assert subfield_stabilizer(line).degree == 1
+    assert line.stabilizing_degree() == 1
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 4), (3, 2), (2, 6)])
@@ -218,42 +246,46 @@ def test_subfield_stabilizer_is_a_field_and_stabilizes(p, alpha):
     samples = [Subspace(F, combo) for combo in
                itertools.combinations(range(1, min(F.q, 12)), 2)]
     for H in samples:
-        K = subfield_stabilizer(H)
-        for x in K.elements:
+        m = H.stabilizing_degree()
+        els = _subfield_elements(F, m)
+        for x in els:
             for v in H.basis:
                 assert H.contains(F.mul(x, v))
-        for x, y in itertools.product(K.elements, repeat=2):
-            assert F.mul(x, y) in K.elements
+        for x, y in itertools.product(els, repeat=2):
+            assert F.mul(x, y) in els
+        # no larger subfield maps H into itself
+        for bigger in sympy.divisors(alpha):
+            if bigger > m:
+                assert not all(H.contains(F.mul(x, v))
+                               for x in _subfield_elements(F, bigger)
+                               for v in H.basis), (H, bigger)
 
 
 def test_span_examples():
     F4 = Field(2, 2)
-    assert span((), F4.prime_subfield).basis == ()
+    assert span(F4, (), 1).basis == ()
     g = F4.gamma
-    line = span((g,), F4.prime_subfield)
+    line = span(F4, (g,), 1)
     assert line.elements() == (0, g)
 
     F16 = Field(2, 4)
-    K4 = F16.subfield(2)
-    copy_of_f4 = span((1,), K4)
-    assert copy_of_f4.elements() == K4.elements
+    copy_of_f4 = span(F16, (1,), 2)
+    assert copy_of_f4.elements() == _subfield_elements(F16, 2)
 
 
 def test_span_idempotent_and_monotone():
     F8 = Field(2, 3)
-    K = F8.prime_subfield
     for combo in itertools.combinations(range(1, 8), 2):
-        W = span(combo, K)
-        assert span(W.basis, K) == W
-        bigger = span(combo + (5,), K)
+        W = span(F8, combo, 1)
+        assert span(F8, W.basis, 1) == W
+        bigger = span(F8, combo + (5,), 1)
         assert W.issubspace_of(bigger)
 
 
 def test_subspace_canonical_equality():
     F8 = Field(2, 3)
-    K = F8.prime_subfield
-    a = span((1, 2, 3), K)
-    b = span((3, 2), K)       # 1 = 2 ^ 3 is dependent
+    a = span(F8, (1, 2, 3), 1)
+    b = span(F8, (3, 2), 1)       # 1 = 2 ^ 3 is dependent
     assert a == b
     assert hash(a) == hash(b)
     assert a.basis == b.basis
@@ -262,7 +294,7 @@ def test_subspace_canonical_equality():
 def test_reduce_is_coset_minimum():
     F9 = Field(3, 2)
     for basis in [(4,), (1,), (5,)]:
-        H = span(basis, F9.prime_subfield)
+        H = span(F9, basis, 1)
         hels = H.elements()
         for x in F9.elements():
             expected = min(F9.add(x, h) for h in hels)
@@ -271,7 +303,7 @@ def test_reduce_is_coset_minimum():
 
 def test_coset_leaders():
     F8 = Field(2, 3)
-    H = span((3,), F8.prime_subfield)
+    H = span(F8, (3,), 1)
     leaders = H.coset_leaders()
     assert len(leaders) == 8 // 2
     assert list(leaders) == sorted(leaders)
@@ -286,7 +318,7 @@ def test_coset_leaders():
 
 
 def test_coset_leaders_count_is_checked(monkeypatch):
-    H = span((3,), Field(2, 3).prime_subfield)
+    H = span(Field(2, 3), (3,), 1)
     monkeypatch.setattr(H, "reduce", lambda x: x % 2)
     with pytest.raises(RuntimeError, match="2 coset leaders for 4 cosets"):
         H.coset_leaders()
@@ -294,36 +326,62 @@ def test_coset_leaders_count_is_checked(monkeypatch):
 
 def test_lines_of_quotient_counts():
     F4 = Field(2, 2)
-    assert len(lines_of_quotient(zero_subspace(F4), F4.prime_subfield)) == 3
+    assert len(lines_of_quotient(zero_subspace(F4), 1)) == 3
     F8 = Field(2, 3)
-    assert len(lines_of_quotient(zero_subspace(F8), F8.prime_subfield)) == 7
-    assert lines_of_quotient(full_subspace(F8), F8.prime_subfield) == []
+    assert len(lines_of_quotient(zero_subspace(F8), 1)) == 7
+    assert lines_of_quotient(full_subspace(F8), 1) == []
 
 
 def test_lines_of_quotient_structure():
     F16 = Field(2, 4)
-    H = span((1,), F16.subfield(2))    # the copy of F_4
-    K = F16.subfield(2)
-    lines = lines_of_quotient(H, K)
+    H = span(F16, (1,), 2)    # the copy of F_4
+    lines = lines_of_quotient(H, 2)
     assert len(lines) == (4 - 1) // (4 - 1)  # (16/4 - 1)/(|K| - 1)
     for W in lines:
         assert H.issubspace_of(W)
-        assert W.dim == H.dim + K.degree
-        for x in K.elements:
+        assert W.dim == H.dim + 2
+        for x in _subfield_elements(F16, 2):
             for v in W.basis:
                 assert W.contains(F16.mul(x, v))
     # lines over the prime field instead
-    lines2 = lines_of_quotient(H, F16.prime_subfield)
+    lines2 = lines_of_quotient(H, 1)
     assert len(lines2) == (4 - 1) // (2 - 1)
     assert len({W.basis for W in lines2}) == 3
 
 
 def test_lines_reject_non_module_denominator():
     F16 = Field(2, 4)
-    H = span((1, 2), F16.prime_subfield)
-    assert subfield_stabilizer(H).degree == 1
+    H = span(F16, (1, 2), 1)
+    assert H.stabilizing_degree() == 1
     with pytest.raises(ValueError):
-        lines_of_quotient(H, F16.subfield(2))
+        lines_of_quotient(H, 2)
+    for bad in (3, 0):                              # not divisors of 4
+        with pytest.raises(ValueError, match="must divide alpha = 4"):
+            lines_of_quotient(zero_subspace(F16), bad)
+
+
+#: sha256 over every prime power q <= 64, every degree m | alpha and every
+#: F_{p**m}-subspace H from ``all_subspaces``, in that order, of
+#: repr((q, m, H.basis, H.stabilizing_degree(), bases of the lines of
+#: F_q/H over F_{p**m})), pinned so a change to the subspace layer
+#: must reproduce it
+SUBSPACE_LAYER_SHA256 = ("3e8055175733d8cbee0ed4a2c3178dd0"
+                         "5040151afbacef307c2ff25fe659b56b")
+
+
+def test_subspace_layer_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for p, alpha in prime_powers(2, 64):
+        F = Field(p, alpha)
+        for m in sympy.divisors(alpha):
+            for H in all_subspaces(F, m):
+                lines = [W.basis for W in lines_of_quotient(H, m)]
+                digest.update(repr((F.q, m, H.basis, H.stabilizing_degree(),
+                                    lines)).encode())
+                count += 1
+    assert count == 3455
+    assert digest.hexdigest() == SUBSPACE_LAYER_SHA256
 
 
 def test_prime_set_reexport_sanity():
@@ -392,10 +450,11 @@ def test_subspace_matches_coefficient_list_reference(p, alpha):
 
 def test_stabilizing_degree_is_memoized_per_basis(monkeypatch):
     F = Field(2, 6)
-    H = span((1, 2), F.prime_subfield)
+    H = span(F, (1, 2), 1)
     degree = H.stabilizing_degree()
-    monkeypatch.setattr("aglstab.ffield.subfield_stabilizer",
-                        lambda W: pytest.fail("stabilizer recomputed"))
+    # the generator check reads membership; a memo hit reads none
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda W, x: pytest.fail("stabilizer recomputed"))
     assert Subspace(F, H.basis[::-1]).stabilizing_degree() == degree
     assert H.stabilizing_degree() == degree
 

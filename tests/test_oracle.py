@@ -97,16 +97,18 @@ def test_stabilizer_example_q7():
     assert S.contains_map(2, 0) and not S.contains_map(3, 0)
 
 
-def test_stabilizer_respects_limit():
+def test_stabilizer_respects_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_STABILIZER_LIMIT", 8)
     F = field(2, 4)
-    with pytest.raises(BudgetExceededError):
-        stabilizer(F, 0b11, q_limit=8)
+    with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
+        stabilizer(F, 0b11)
+    assert stabilizer(field(2, 3), 0b11).order == 2
 
 
 def test_stabilizer_contains_group_of_orbit_unions():
     # Galois property S <= stabilizer(B) for B a union of S-orbits
     F = field(3, 2)
-    S = Subgroup(F, 2, 0, span((1,), F.prime_subfield))
+    S = Subgroup(F, 2, 0, span(F, (1,), 1))
     for k in range(F.q + 1):
         for mask in orbit_union_masks(S, k):
             assert stabilizer(F, mask).contains(S)
@@ -323,14 +325,19 @@ def test_lattice_requires_b_zero():
         count_N_via_lattice(Subgroup(F, 3, 1, zero_subspace(F)), 3)
 
 
-def test_lattice_closure_budget():
+def test_lattice_closure_budget(monkeypatch):
     # the trivial group of F_13 has 27 immediate supergroups: two of
-    # order 2 leave {1, U1, U2, U1 v U2} in the fold, one over the cap
+    # order 2 leave {1, U1, U2, U1 v U2} in the fold, one over the cap;
+    # the cache is cleared so the fold runs under the patched limit
     F = field(13, 1)
+    lattice_terms.cache_clear()
+    monkeypatch.setattr(oracle, "DEFAULT_CLOSURE_LIMIT", 3)
     with pytest.raises(BudgetExceededError,
                        match=r"holds 4 subgroups after 2 of 27 supergroups, "
                              r"over the limit of 3"):
-        lattice_terms(trivial_subgroup(F), closure_limit=3)
+        lattice_terms(trivial_subgroup(F))
+    with pytest.raises(BudgetExceededError):
+        count_N_via_lattice(trivial_subgroup(F), 1)
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
@@ -364,9 +371,11 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(field(3, 1))) == 6      # the symmetric group S_3
 
 
-def test_all_subgroups_respects_limit():
-    with pytest.raises(BudgetExceededError):
-        all_subgroups(field(2, 4), q_limit=8)
+def test_all_subgroups_respects_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_ALL_SUBGROUPS_LIMIT", 8)
+    with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
+        all_subgroups(field(2, 4))
+    assert len(all_subgroups(field(2, 3))) > 0
 
 
 def test_all_subgroups_closed_under_composition():
