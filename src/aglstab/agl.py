@@ -10,15 +10,14 @@ its coset b + H (with b = 0 forced when d = 1).  Two descriptors are equal
 iff the subgroups are equal, so lattice walks never need element sets.
 
 Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
-space over it) and, for d > 1, the ``fixed_point`` c = b/(1 - a).  The
-l-th power of (a, b) is (a**l, (1 - a**l)*c), so a map (a', b') lies in S
-iff a' is a power of a and b' - (1 - a')*c lies in H (b' in H if a' = 1).
+space over it) and, for d > 1, the ``fixed_point`` c = b/(1 - a).
+Containment needs no test of its own: T contains S iff the group that
+the two generate, ``join_pair(T, S)``, is T.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 
@@ -70,21 +69,6 @@ class Subgroup:
             raise RuntimeError(f"dim H = {beta} is not a multiple of "
                                f"o_d(p)*i = {self.odp * i}")
         return (self.d, i, j)
-
-    def contains_map(self, a: int, b: int) -> bool:
-        """True iff the map x -> a*x + b lies in this subgroup."""
-        field = self.field
-        if a == 1:
-            return self.H.contains(b)
-        if field.log(a) % ((field.q - 1) // self.d):
-            return False
-        return self.H.contains(
-            field.sub(b, field.mul(field.sub(1, a), self.fixed_point)))
-
-    def contains(self, other: "Subgroup") -> bool:
-        """Subgroup containment, decided on descriptors."""
-        return (other.H.issubspace_of(self.H)
-                and self.contains_map(other.a, other.b))
 
     # -- orbits ---------------------------------------------------------------
 
@@ -190,10 +174,11 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
 
 def join(S: Subgroup, selection) -> Subgroup:
     """The subgroup generated by S and a selection of proper supergroups,
-    one ``join_pair`` per selected group."""
+    one ``join_pair`` per selected group.  T is a supergroup of S iff
+    ``join_pair(T, S)`` is T."""
     sel = list(selection)
     for T in sel:
-        if not (T.contains(S) and T != S):
+        if T == S or join_pair(T, S) != T:
             raise ValueError(f"{T!r} is not a proper supergroup of {S!r}")
     return functools.reduce(join_pair, sel, S)
 
@@ -234,13 +219,26 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
     """A concrete subgroup S(gamma**((q-1)/d), 0, H) of class (d, i, j).
 
     H is an F_r-subspace of dimension j over r = p**(o_d(p)*i) whose
-    stabilizing subfield is exactly F_r; the first such space in the
-    deterministic span order is returned, so repeated runs agree.  The
+    stabilizing subfield is exactly F_r: the span of the first j-combination
+    of nonzero elements, in lexicographic order, that is independent over
+    F_r and spans such a space.  The search runs depth first and skips
+    every x already in the span of its prefix, since every extension of
+    a dependent prefix is dependent too; the first hit is the same.  The
     shape is checked by ``counting.check_shape``.
     """
     rdeg = check_shape(field.p, field.alpha, d, i, j) * i
-    for combo in itertools.combinations(range(1, field.q), j):
-        H = span(field, combo, rdeg)
-        if H.dim == rdeg * j and H.stabilizing_degree() == rdeg:
-            return Subgroup(field, d, 0, H)
-    raise AssertionError("no subspace with the requested class exists")
+
+    def first(W: Subspace, start: int, depth: int) -> Subspace | None:
+        if depth == j:
+            return W if W.stabilizing_degree() == rdeg else None
+        for x in range(start, field.q):
+            if not W.contains(x):
+                H = first(span(field, W.basis + (x,), rdeg), x + 1, depth + 1)
+                if H is not None:
+                    return H
+        return None
+
+    H = first(zero_subspace(field), 1, 0)
+    if H is None:
+        raise RuntimeError("no subspace with the requested class exists")
+    return Subgroup(field, d, 0, H)

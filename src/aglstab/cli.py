@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from functools import lru_cache
@@ -43,10 +44,6 @@ FACTOR_LIMIT = 10 ** 5
 
 #: column order of the csv and json forms of ``verify``
 VERIFY_COLUMNS = ("d", "i", "j", "k", "closed", "lattice", "brute", "ok")
-
-
-class CliError(Exception):
-    """Input-level failure; message goes to stderr, exit code 1."""
 
 
 def _budget(text: str) -> int:
@@ -75,17 +72,17 @@ def _resolve_field(args) -> tuple[int, int]:
     unless q <= MAX_FACTORED_Q and q - 1 factors within FACTOR_LIMIT."""
     if args.q is not None:
         if args.p is not None or args.alpha is not None:
-            raise CliError("give either --q or --p/--alpha, not both")
+            raise ValueError("give either --q or --p/--alpha, not both")
         if args.q < 2:
-            raise CliError(f"q must be at least 2, got {args.q}")
+            raise ValueError(f"q must be at least 2, got {args.q}")
         # the largest exponent, so a prime power gives its prime; no
         # factoring, which can run for minutes on a large semiprime
         p, alpha = perfect_power(args.q) or (args.q, 1)
         if not isprime(p):
-            raise CliError(f"q must be a prime power, got {args.q}")
+            raise ValueError(f"q must be a prime power, got {args.q}")
         p, alpha = int(p), int(alpha)
     elif args.p is None:
-        raise CliError("a field is required: give --q or --p (with --alpha)")
+        raise ValueError("a field is required: give --q or --p (with --alpha)")
     else:
         p, alpha = args.p, 1 if args.alpha is None else args.alpha
         counting.check_field(p, alpha)
@@ -110,7 +107,7 @@ def _max_k(args, q: int, default: int) -> int:
     if args.max_k is None:
         return default
     if not 0 <= args.max_k <= q:
-        raise CliError(f"--max-k must lie in [0, {q}], got {args.max_k}")
+        raise ValueError(f"--max-k must lie in [0, {q}], got {args.max_k}")
     return args.max_k
 
 
@@ -156,7 +153,7 @@ def cmd_count(args, out) -> int:
     cp = ClassParams(p, alpha, args.k, args.d, args.i, args.j)
     violation = cp.congruence_violation()
     if violation is not None:
-        raise CliError(violation)
+        raise ValueError(violation)
     row = (cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, counting.count_N(cp))
     _emit_rows(CSV_COLUMNS, [row], args.format, out)
     return EXIT_OK
@@ -191,24 +188,18 @@ def cmd_verify(args, out) -> int:
     # the field is checked by _resolve_field, each shape by
     # class_representative
     shapes = list(counting._shapes(p, alpha))
-    results = [_verify_class(p, alpha, d, i, j, odp, k_max,
-                             args.oracle_budget)
-               for d, i, j, odp in shapes]
-
-    failures = 0
-    rows = []
-    for (d, i, j, _), rws in zip(shapes, results):
-        for k, closed, lattice, brute in rws:
-            ok = closed == lattice == brute
-            failures += not ok
-            rows.append((d, i, j, k, closed, lattice, brute, ok))
+    rows = [(d, i, j, k, closed, lattice, brute, closed == lattice == brute)
+            for d, i, j, odp in shapes
+            for k, closed, lattice, brute in _verify_class(
+                p, alpha, d, i, j, odp, k_max, args.oracle_budget)]
+    failures = sum(not row[-1] for row in rows)
     if args.format != "text":
         _emit_rows(VERIFY_COLUMNS, rows, args.format, out)
     else:
-        for (d, i, j, _), rws in zip(shapes, results):
-            marks = " ".join(
-                f"k={k}:{'ok' if closed == lattice == brute else 'FAIL'}"
-                for k, closed, lattice, brute in rws)
+        # one line per class: its rows are consecutive
+        for (d, i, j), group in itertools.groupby(rows, lambda row: row[:3]):
+            marks = " ".join(f"k={row[3]}:{'ok' if row[-1] else 'FAIL'}"
+                             for row in group)
             out.write(f"q={q} d={d} i={i} j={j}: {marks}\n")
         verdict = "PASS" if failures == 0 else f"FAIL ({failures} mismatches)"
         out.write(f"verify q={q}: {len(shapes)} classes x {k_max + 1} "
@@ -224,9 +215,9 @@ def _parse_subset(text: str, q: int) -> int:
     try:
         elements = sorted({int(tok) for tok in text.split(",")})
     except ValueError:
-        raise CliError(f"--subset must be comma-separated integers, got {text!r}")
+        raise ValueError(f"--subset must be comma-separated integers, got {text!r}")
     if not elements or not all(0 <= x < q for x in elements):
-        raise CliError(f"subset elements must lie in [0, {q})")
+        raise ValueError(f"subset elements must lie in [0, {q})")
     return oracle.subset_mask(elements)
 
 
@@ -238,24 +229,24 @@ def cmd_design(args, out) -> int:
         mixed = [f"--{name}" for name in ("k", "d", "i", "j")
                  if getattr(args, name) is not None]
         if mixed:
-            raise CliError("--subset cannot be combined with "
-                           f"{', '.join(mixed)}: the subset fixes the class")
+            raise ValueError("--subset cannot be combined with "
+                             f"{', '.join(mixed)}: the subset fixes the class")
         mask = _parse_subset(args.subset, q)
         S = oracle.stabilizer(field, mask)
     else:
         if args.k is None or args.d is None:
-            raise CliError("design needs --subset, or --k with --d")
+            raise ValueError("design needs --subset, or --k with --d")
         shapes = [(d, i, j) for d, i, j in counting.class_shapes(p, alpha)
                   if d == args.d]
         if not shapes:
-            raise CliError(f"no stabilizer class with d = {args.d}")
+            raise ValueError(f"no stabilizer class with d = {args.d}")
         matching = [(d, i, j) for d, i, j in shapes
                     if (args.i is None or i == args.i)
                     and (args.j is None or j == args.j)]
         if not matching:
             pairs = ", ".join(f"({i}, {j})" for _, i, j in shapes)
-            raise CliError(f"no stabilizer class with d = {args.d} passes "
-                           f"the --i/--j filter; its (i, j) are {pairs}")
+            raise ValueError(f"no stabilizer class with d = {args.d} passes "
+                             f"the --i/--j filter; its (i, j) are {pairs}")
         chosen = None
         for d, i, j in matching:
             cp = ClassParams(p, alpha, args.k, d, i, j)
@@ -263,13 +254,18 @@ def cmd_design(args, out) -> int:
                 chosen = (d, i, j)
                 break
         if chosen is None:
-            raise CliError(
+            raise ValueError(
                 f"no {args.k}-subset has a stabilizer of class d = {args.d}: "
                 "the exact count is 0 for every matching (i, j)")
         S = agl.class_representative(field, *chosen)
-        mask = next(oracle.exact_orbit_unions(S, args.k, args.oracle_budget),
-                    None)
+        unions = oracle.orbit_union_masks(S, args.k)
+        mask = next((m for m in itertools.islice(unions, args.oracle_budget)
+                     if oracle.is_exact_stabilizer(S, m)), None)
         if mask is None:
+            if next(unions, None) is not None:
+                raise counting.BudgetExceededError(
+                    f"no witness among the first {args.oracle_budget} orbit "
+                    f"unions, the budget of {args.oracle_budget}")
             raise RuntimeError(
                 "a witness subset must exist when the count is positive")
     params, matrix = designs.orbit_design(S, mask)
@@ -367,17 +363,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     buffer = io.StringIO()
+    # a count of q >= 14641 can pass the 4300 digits that str(int) allows
+    # by default (Python >= 3.10.7); lift that for this run only
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args, buffer)
-    except CliError as exc:
-        print(f"aglstab: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"aglstab: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except counting.BudgetExceededError as exc:
         print(f"aglstab: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     sys.stdout.write(buffer.getvalue())
     return code
 

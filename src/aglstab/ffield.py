@@ -215,12 +215,6 @@ class Field:
         elements are the integers 0..p-1)."""
         return self.mul(c % self.p, x)
 
-    def log(self, x: int) -> int:
-        """Discrete logarithm base gamma; defined for x != 0."""
-        if x == 0:
-            raise ValueError("0 has no discrete logarithm")
-        return self._log[x]
-
     # -- structure ----------------------------------------------------------
 
     def elements(self) -> range:
@@ -318,9 +312,6 @@ class Subspace:
 
     def contains(self, x: int) -> bool:
         return self.reduce(x) == 0
-
-    def issubspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
 
     def elements(self) -> tuple[int, ...]:
         if self._elements is None:

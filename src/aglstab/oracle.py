@@ -11,7 +11,9 @@ order.
   subset B, ``translate_masks`` builds the q masks ``shifts[z] = {b : z +
   b in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x
   in B holds exactly the b with a*B + b = B, so every map is still
-  decided.
+  decided.  ``fixing_maps`` is the one map-by-map scan, so its cap
+  q <= DEFAULT_STABILIZER_LIMIT covers every caller, the witness scan of
+  ``aglstab design`` included.
 * ``count_N_bruteforce``: look only at the orbit unions of a subgroup S
   (the subsets it fixes setwise) and keep those whose stabilizer is
   exactly S.  ``bruteforce_counts`` decides all 2**m of them (m orbits)
@@ -24,8 +26,9 @@ order.
   unions, or more than the budget, the size-k unions are instead checked
   one by one with the same full scan as ``stabilizer`` (exact iff it
   finds no more than |S| fixing maps, since an orbit union's stabilizer
-  contains S).  Either way every map is decided, and more than
-  ``budget`` size-k unions raise before any scan.
+  contains S).  Either way every map is decided.  The budget is checked
+  once, before either path: more than ``budget`` size-k unions raise
+  before any scan.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
@@ -111,9 +114,13 @@ def fixing_maps(field: Field, mask: int):
 
     All q*(q-1) maps are tested, the q translations of one multiplier at
     once: bit b of AND over x in B of shifts[a*x] is set iff a*x + b lies
-    in B for every x in B.
+    in B for every x in B.  q is capped by DEFAULT_STABILIZER_LIMIT,
+    checked before the first map is tested.
     """
     q = field.q
+    if q > DEFAULT_STABILIZER_LIMIT:
+        raise BudgetExceededError(
+            f"map scan needs q <= {DEFAULT_STABILIZER_LIMIT}, got q = {q}")
     elems = mask_elements(mask)
     shifts = translate_masks(field, mask)
     mul = field.mul
@@ -132,12 +139,8 @@ def fixing_maps(field: Field, mask: int):
 
 def stabilizer(field: Field, mask: int) -> Subgroup:
     """Canonical descriptor of the setwise stabilizer of a subset,
-    computed by testing every affine map; q is capped by
-    DEFAULT_STABILIZER_LIMIT."""
-    if field.q > DEFAULT_STABILIZER_LIMIT:
-        raise BudgetExceededError(
-            f"stabilizer scan needs q <= {DEFAULT_STABILIZER_LIMIT}, "
-            f"got q = {field.q}")
+    computed by testing every affine map with ``fixing_maps``, which caps
+    q."""
     return subgroup_from_pairs(field, fixing_maps(field, mask))
 
 
@@ -209,12 +212,10 @@ def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
     return found == S.order
 
 
-def exact_orbit_unions(S: Subgroup, k: int,
-                       budget: int = DEFAULT_SUBSET_BUDGET):
+def exact_orbit_unions(S: Subgroup, k: int):
     """The size-k orbit unions of S whose stabilizer is exactly S, in
-    ``orbit_union_masks`` order.  Raises before the scan starts when
-    there are more than ``budget`` orbit unions."""
-    _check_budget(S, k, budget)
+    ``orbit_union_masks`` order.  It checks no budget: the caller bounds
+    the scan."""
     return (mask for mask in orbit_union_masks(S, k)
             if is_exact_stabilizer(S, mask))
 
@@ -355,26 +356,26 @@ def count_N_bruteforce(S: Subgroup, k: int,
     """Count the k-subsets with stabilizer exactly S among the size-k
     unions of S-orbits.
 
-    Raises before any scan when there are more than ``budget`` of them.
-    Reads ``bruteforce_counts(S)`` when all 2**m orbit unions fit in the
-    budget and number more than TABLE_UNIONS_PER_POINT * q, and
+    Raises before either path when there are more than ``budget`` of
+    them.  Reads ``bruteforce_counts(S)`` when all 2**m orbit unions fit
+    in the budget and number more than TABLE_UNIONS_PER_POINT * q, and
     otherwise scans the size-k ones one by one.
     """
+    _check_budget(S, k, budget)
     if TABLE_UNIONS_PER_POINT * S.field.q < 1 << len(S.orbits()) <= budget:
-        _check_budget(S, k, budget)
         return bruteforce_counts(S)[k]
-    return sum(1 for _ in exact_orbit_unions(S, k, budget))
+    return sum(1 for _ in exact_orbit_unions(S, k))
 
 
-def full_census(field: Field, k: int,
-                budget: int = DEFAULT_SUBSET_BUDGET) -> dict[Subgroup, int]:
-    """Stabilizer of every k-subset of F_q, grouped by canonical descriptor."""
+def full_census(field: Field, k: int) -> dict[Subgroup, int]:
+    """Stabilizer of every k-subset of F_q, grouped by canonical descriptor;
+    more than DEFAULT_SUBSET_BUDGET subsets raise before any scan."""
     if not 0 <= k <= field.q:
         raise ValueError(f"k must lie in [0, {field.q}], got {k}")
     total = math.comb(field.q, k)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} subsets exceed the budget of {budget}")
+    if total > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(f"{total} subsets exceed the budget of "
+                                  f"{DEFAULT_SUBSET_BUDGET}")
     census: Counter[Subgroup] = Counter()
     for combo in itertools.combinations(range(field.q), k):
         census[stabilizer(field, subset_mask(combo))] += 1

@@ -9,6 +9,7 @@ objects they compose are the reference ``AffineMap`` of the tests.
 import hashlib
 import itertools
 import math
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from aglstab.counting import (ClassParams, check_shape, class_shapes,
 from aglstab.ffield import (Field, Subspace, full_subspace, span,
                             zero_subspace)
 from aglstab.oracle import all_subgroups
-from reference import AffineMap, canonicalize, mulclose, subgroup_elements
+from reference import (AffineMap, canonicalize, mulclose, prime_powers,
+                       subgroup_elements)
 
 FIELDS = {}
 
@@ -318,6 +320,9 @@ def test_join_rejects_non_supergroups():
     S = Subgroup(F, 2, 0, zero_subspace(F))
     with pytest.raises(ValueError):
         join(S, [trivial_subgroup(F)])
+    # S contains itself, but it is no proper supergroup
+    with pytest.raises(ValueError, match="is not a proper supergroup"):
+        join(S, [S])
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -387,10 +392,12 @@ def test_join_handles_multi_prime_selections():
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2)])
 def test_contains_matches_element_sets(p, alpha):
+    # containment is decided by the join: T2 <= T1 iff <T1, T2> = T1
     F = field(p, alpha)
     groups = all_subgroups(F)
     for T1, T2 in itertools.product(groups, repeat=2):
-        assert T1.contains(T2) == (pairs_of(T2) <= pairs_of(T1))
+        assert ((join_pair(T1, T2) == T1)
+                == (pairs_of(T2) <= pairs_of(T1))), (T1, T2)
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 2), (7, 1), (2, 3), (3, 2), (2, 4),
@@ -446,6 +453,37 @@ def test_class_representative_bases_golden_digest(p, alpha):
                  for d, i, j in class_shapes(p, alpha))
     digest = hashlib.sha256(repr(reps).encode()).hexdigest()
     assert digest == CLASS_REPRESENTATIVE_SHA256[(p, alpha)]
+
+
+#: SHA-256 over repr((q, d, i, j, S.d, S.b, S.H.basis)) of the 330 class
+#: representatives of every q <= 64 and of q = 128, recorded while the
+#: search still ran through every j-combination
+ALL_REPRESENTATIVES_SHA256 = (
+    "ce8b5a57099f1d55f4a3dede77fe19a3ce35f9ff941689304202b16413e6e416")
+
+
+def test_class_representatives_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for p, alpha in prime_powers(2, 64) + [(2, 7)]:
+        F = field(p, alpha)
+        for d, i, j in class_shapes(p, alpha):
+            S = class_representative(F, d, i, j)
+            digest.update(repr((F.q, d, i, j, S.d, S.b, S.H.basis)).encode())
+            count += 1
+    assert count == 330
+    assert digest.hexdigest() == ALL_REPRESENTATIVES_SHA256
+
+
+@pytest.mark.parametrize("p,alpha,shape", [(2, 7, (1, 1, 6)),
+                                           (2, 8, (1, 1, 7))])
+def test_class_representative_is_fast_for_large_j(p, alpha, shape):
+    # the search through every j-combination took seconds to minutes here
+    F = field(p, alpha)
+    start = time.perf_counter()
+    S = class_representative(F, *shape)
+    assert time.perf_counter() - start < 1
+    assert S.shape() == shape
 
 
 def test_class_representative_rejects_bad_shape():

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -63,17 +64,18 @@ def test_table_rejects_non_prime_power(capsys):
 SEMIPRIME = 300000000000000000000000000966100000000000000000000000029029
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=60):
     """The CLI in a process of its own, under a 2 GiB address-space limit
-    and a 60 s timeout, so that a regression fails instead of taking the
-    host's memory or time; returns the process and its wall seconds."""
+    and a timeout (60 s by default), so that a regression fails instead of
+    taking the host's memory or time; returns the process and its wall
+    seconds."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = Path(aglstab.__file__).resolve().parents[1]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "aglstab.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": str(src)},
                           preexec_fn=limit_memory)
     return proc, time.perf_counter() - start
@@ -558,6 +560,101 @@ def test_bad_field_exits_1_with_the_shared_message(capsys, argv, flags,
     code, out, err = run(capsys, *argv, *flags)
     assert code == EXIT_INPUT
     assert (out, err) == ("", f"aglstab: error: {message}\n")
+
+
+def test_design_witness_past_the_orbit_union_count_budget(capsys):
+    # 348330136 orbit unions exceed the default budget, but the witness is
+    # the second one scanned
+    code, out, err = run(capsys, "design", "--q", "37", "--k", "10",
+                         "--d", "1", "--i", "1", "--j", "0")
+    assert (code, err) == (EXIT_OK, "")
+    assert "johnson equality: 359640/9720 = 37: PASS" in out
+
+
+def test_design_witness_scan_stops_at_the_budget(capsys):
+    # the first orbit union {0, 1, 2} is fixed by x -> 2 - x, the second
+    # is a witness
+    argv = ["design", "--q", "11", "--k", "3", "--d", "1", "--i", "1",
+            "--j", "0", "--oracle-budget"]
+    code, out, err = run(capsys, *argv, "1")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == ("aglstab: budget exceeded: no witness among the first 1 "
+                   "orbit unions, the budget of 1\n")
+    code, out, err = run(capsys, *argv, "2")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("q=11 subset=0,1,3 stabilizer order=1\n")
+
+
+def test_design_scan_without_a_witness_is_an_internal_error(monkeypatch):
+    # all 35 orbit unions fit in the budget: a positive count without a
+    # witness means the routes disagree
+    monkeypatch.setattr(oracle, "is_exact_stabilizer", lambda S, mask: False)
+    with pytest.raises(RuntimeError, match="a witness subset must exist"):
+        main(["design", "--q", "7", "--k", "3", "--d", "3"])
+
+
+def test_design_witness_scan_is_capped_in_q():
+    proc, seconds = run_process("design", "--q", "8192", "--k", "4", "--d",
+                                "1", timeout=5)
+    assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, "")
+    assert proc.stderr == ("aglstab: budget exceeded: map scan needs "
+                           "q <= 4096, got q = 8192\n")
+
+
+@contextlib.contextmanager
+def any_int_digits():
+    """Lift the digit limit of int <-> str (Python >= 3.10.7) for a block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_count_of_more_than_4300_digits(capsys):
+    code, out, err = run(capsys, "count", "--q", str(2 ** 64), "--k", "1000",
+                         "--d", "1", "--i", "64", "--j", "0", "--format",
+                         "csv")
+    assert (code, err) == (EXIT_OK, "")
+    header, row = out.splitlines()
+    *head, digits = row.split(",")
+    assert head == ["1000", "1", "1", "64", "0", "0"] and len(digits) == 16699
+    with any_int_digits():
+        assert int(digits) == counting.count_N(
+            counting.ClassParams(2, 64, 1000, 1, 64, 0))
+
+
+def test_table_with_counts_past_4300_digits():
+    proc, _ = run_process("table", "--q", "14641", "--format", "csv")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    rows = proc.stdout.splitlines()
+    last = [int(x) for x in rows[-1].split(",")]
+    k, d, _, i, j, _, n = last
+    assert n == counting.count_N(counting.ClassParams(11, 4, k, d, i, j))
+    widest = max(rows[1:], key=len).split(",")
+    assert len(widest[-1]) == 4406
+    k, d, _, i, j, _ = map(int, widest[:-1])
+    with any_int_digits():
+        assert int(widest[-1]) == counting.count_N(
+            counting.ClassParams(11, 4, k, d, i, j))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", str(2 ** 64), "--k", "1000", "--d", "1", "--i", "64",
+     "--j", "0"],
+    ["count", "--q", "12", "--k", "0", "--d", "1", "--i", "1", "--j", "0"],
+    ["table", "--q", str(2 ** 64)],
+], ids=["ok", "input-error", "budget"])
+def test_main_restores_the_int_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    main(argv)
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_design_scans_the_stabilizer_at_most_once(capsys, monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from aglstab import oracle
 from aglstab.agl import (Subgroup, class_representative, full_group,
-                         immediate_supergroups, subgroup_from_pairs,
-                         trivial_subgroup)
+                         immediate_supergroups, join_pair,
+                         subgroup_from_pairs, trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
                               mult_order)
 from aglstab.ffield import Field, span, zero_subspace
@@ -94,7 +94,8 @@ def test_stabilizer_example_q7():
     F = field(7, 1)
     S = stabilizer(F, subset_mask([1, 2, 4]))
     assert (S.d, S.order, S.H.size) == (3, 3, 1)
-    assert S.contains_map(2, 0) and not S.contains_map(3, 0)
+    maps = {(m.a, m.b) for m in subgroup_elements(S)}
+    assert (2, 0) in maps and (3, 0) not in maps
 
 
 def test_stabilizer_respects_limit(monkeypatch):
@@ -105,13 +106,24 @@ def test_stabilizer_respects_limit(monkeypatch):
     assert stabilizer(field(2, 3), 0b11).order == 2
 
 
+def test_every_map_scan_respects_the_limit(monkeypatch):
+    # the cap lives in fixing_maps, so the witness check obeys it too
+    monkeypatch.setattr(oracle, "DEFAULT_STABILIZER_LIMIT", 8)
+    F = field(2, 4)
+    with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
+        next(fixing_maps(F, 0b11))
+    with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
+        is_exact_stabilizer(trivial_subgroup(F), 0b11)
+
+
 def test_stabilizer_contains_group_of_orbit_unions():
     # Galois property S <= stabilizer(B) for B a union of S-orbits
     F = field(3, 2)
     S = Subgroup(F, 2, 0, span(F, (1,), 1))
     for k in range(F.q + 1):
         for mask in orbit_union_masks(S, k):
-            assert stabilizer(F, mask).contains(S)
+            T = stabilizer(F, mask)
+            assert join_pair(T, S) == T
 
 
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1)])
@@ -129,15 +141,13 @@ def test_is_exact_stabilizer_matches_stabilizer(p, alpha):
     assert answers == {False, True}
 
 
-def test_exact_orbit_unions_checks_the_budget_before_scanning(monkeypatch):
+def test_exact_orbit_unions_scans_in_orbit_union_order(monkeypatch):
+    # the budget is the caller's: see test_count_N_bruteforce_budget
     F = field(13, 1)
     S = trivial_subgroup(F)
     scanned = []
     monkeypatch.setattr(oracle, "is_exact_stabilizer",
                         lambda S, mask: scanned.append(mask) or True)
-    with pytest.raises(BudgetExceededError, match="1716 orbit unions"):
-        exact_orbit_unions(S, 6, budget=1715)
-    assert scanned == []
     # the scan calls the module global, in orbit-union order
     assert list(exact_orbit_unions(S, 2)) == list(orbit_union_masks(S, 2))
     assert len(scanned) == 78
@@ -272,10 +282,13 @@ def test_full_census_complement_symmetry():
     assert a == b
 
 
-def test_full_census_budget():
+def test_full_census_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_SUBSET_BUDGET", 1000)
     F = field(13, 1)
-    with pytest.raises(BudgetExceededError):
-        full_census(F, 6, budget=1000)
+    with pytest.raises(BudgetExceededError,
+                       match="^1716 subsets exceed the budget of 1000$"):
+        full_census(F, 6)
+    assert sum(full_census(F, 2).values()) == math.comb(13, 2)
 
 
 @pytest.mark.parametrize("p,alpha,ks", [(7, 1, (2, 3)), (2, 3, (2, 4)),
