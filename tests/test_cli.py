@@ -586,7 +586,7 @@ def test_design_witness_scan_stops_at_the_budget(capsys):
 
 
 def test_design_scan_without_a_witness_is_an_internal_error(monkeypatch):
-    # all 35 orbit unions fit in the budget: a positive count without a
+    # both orbit unions fit in the budget: a positive count without a
     # witness means the routes disagree
     monkeypatch.setattr(oracle, "is_exact_stabilizer", lambda S, mask: False)
     with pytest.raises(RuntimeError, match="a witness subset must exist"):
