@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import sys
 from functools import lru_cache
-
-from sympy import factorint, isprime, perfect_power
 
 from . import agl, counting, designs, oracle
 from .counting import CSV_COLUMNS, ClassParams
@@ -35,12 +32,6 @@ EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 
 FORMATS = ("csv", "json", "text")
-
-#: every command factors q - 1; a larger q is refused outright
-MAX_FACTORED_Q = 1 << 2048
-#: the trial-division bound of that factoring; past it sympy's factorint
-#: gives up, and a q - 1 it leaves with a composite factor is refused
-FACTOR_LIMIT = 10 ** 5
 
 #: column order of the csv and json forms of ``verify``
 VERIFY_COLUMNS = ("d", "i", "j", "k", "closed", "lattice", "brute", "ok")
@@ -68,36 +59,18 @@ def _field(p: int, alpha: int) -> Field:
 
 
 def _resolve_field(args) -> tuple[int, int]:
-    """(p, alpha) from --p/--alpha or from --q (a prime power); exit 3
-    unless q <= MAX_FACTORED_Q and q - 1 factors within FACTOR_LIMIT."""
+    """(p, alpha) from --p/--alpha or from --q (a prime power); exit 3 when
+    ``counting.check_factored`` refuses the field, as the library does."""
     if args.q is not None:
         if args.p is not None or args.alpha is not None:
             raise ValueError("give either --q or --p/--alpha, not both")
-        if args.q < 2:
-            raise ValueError(f"q must be at least 2, got {args.q}")
-        # the largest exponent, so a prime power gives its prime; no
-        # factoring, which can run for minutes on a large semiprime
-        p, alpha = perfect_power(args.q) or (args.q, 1)
-        if not isprime(p):
-            raise ValueError(f"q must be a prime power, got {args.q}")
-        p, alpha = int(p), int(alpha)
+        p, alpha = counting.prime_power(args.q)
     elif args.p is None:
         raise ValueError("a field is required: give --q or --p (with --alpha)")
     else:
         p, alpha = args.p, 1 if args.alpha is None else args.alpha
         counting.check_field(p, alpha)
-    # alpha > 2048 already puts q past the cap, without computing p**alpha
-    factored = alpha <= 2048 and p ** alpha <= MAX_FACTORED_Q
-    try:
-        factored = factored and all(
-            isprime(f) for f in factorint(p ** alpha - 1, limit=FACTOR_LIMIT))
-    except ValueError:      # sympy 1.14 raises on some, such as 3^1292 - 1
-        factored = False
-    if not factored:
-        raise counting.BudgetExceededError(
-            f"q = {p}^{alpha} is refused: q must be at most 2^2048, and q - 1 "
-            f"must factor completely within factorint's limit of "
-            f"{FACTOR_LIMIT}")
+    counting.check_factored(p, alpha)
     return p, alpha
 
 
@@ -362,14 +335,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    buffer = io.StringIO()
     # a count of q >= 14641 can pass the 4300 digits that str(int) allows
     # by default (Python >= 3.10.7); lift that for this run only
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args, buffer)
+        # each command computes its whole result before its first write
+        return args.func(args, sys.stdout)
     except ValueError as exc:
         print(f"aglstab: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -379,8 +352,6 @@ def main(argv=None) -> int:
     finally:
         if digits is not None:
             sys.set_int_max_str_digits(digits)
-    sys.stdout.write(buffer.getvalue())
-    return code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ Validity is decided here, once per rule: ``check_field`` (p prime, alpha
 >= 1), ``check_divisor`` (d | q - 1) and ``check_shape`` (that rule, i |
 alpha/o_d(p), j in the range i allows); the last two return o_d(p).
 ``class_shapes`` generates exactly the triples ``check_shape`` accepts.
+Only this module uses sympy.  ``prime_set`` holds the one bounded factoring
+rule, and ``check_factored`` applies it to q - 1: class enumeration refuses
+at once every field that the CLI refuses, ``class_shapes(2, 256)`` among
+them, and ``count_N`` a class whose (|H'| - 1)/d does not factor.
 """
 
 from __future__ import annotations
@@ -48,13 +52,17 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from sympy import divisors, isprime, primefactors
+from sympy import divisors, factorint, isprime, perfect_power
 
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
 
 #: most rows ``build_table`` will build
 MAX_TABLE_ROWS = 10_000_000
+#: ``prime_set`` refuses a larger number outright
+MAX_FACTORED_Q = 1 << 2048
+#: factorint's trial-division bound; a number it leaves composite is refused
+FACTOR_LIMIT = 10 ** 5
 
 
 class BudgetExceededError(RuntimeError):
@@ -62,10 +70,23 @@ class BudgetExceededError(RuntimeError):
 
 
 def prime_set(u: int) -> tuple[int, ...]:
-    """Distinct prime divisors of u in ascending order; empty for u = 1."""
+    """Distinct prime divisors of u in ascending order; empty for u = 1.
+    Refuses (``BudgetExceededError``) a u above MAX_FACTORED_Q, or one that
+    ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor."""
     if u <= 0:
         raise ValueError(f"expected a positive integer, got {u}")
-    return tuple(primefactors(u))
+    primes = None       # past the cap, neither factorint nor isprime runs
+    if u <= MAX_FACTORED_Q:
+        try:
+            primes = factorint(u, limit=FACTOR_LIMIT)
+        except ValueError:  # sympy 1.14 raises on some, such as 3^1292 - 1
+            pass
+    if primes is None or not all(map(isprime, primes)):
+        raise BudgetExceededError(
+            f"a {u.bit_length()}-bit number is refused: it must be at most "
+            f"2^2048 and factor completely within factorint's limit of "
+            f"{FACTOR_LIMIT}")
+    return tuple(sorted(primes))
 
 
 def mult_order(v: int, u: int) -> int:
@@ -123,6 +144,36 @@ def check_field(p: int, alpha: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, alpha) with q = p**alpha and p prime, else ValueError; no
+    factoring, which can run for minutes on a large semiprime."""
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
+    p, alpha = perfect_power(q) or (q, 1)
+    if not isprime(p):
+        raise ValueError(f"q must be a prime power, got {q}")
+    return int(p), int(alpha)
+
+
+def check_factored(p: int, alpha: int) -> None:
+    """The factoring rule for a valid field F_{p**alpha}: ``prime_set``
+    accepts q - 1.  alpha > 2048 is past the cap without computing q."""
+    try:
+        prime_set(MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1)
+    except BudgetExceededError:
+        raise BudgetExceededError(
+            f"q = {p}^{alpha} is refused: q must be at most 2^2048, and "
+            f"q - 1 must factor completely within factorint's limit of "
+            f"{FACTOR_LIMIT}") from None
+
+
+def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
+    """(d, o_d(p)) for d ascending over the divisors of q - 1 of a valid
+    field; a field that ``check_factored`` refuses raises first."""
+    check_factored(p, alpha)
+    return [(d, mult_order(p, d)) for d in divisors(p ** alpha - 1)]
 
 
 def check_divisor(p: int, alpha: int, d: int) -> int:
@@ -319,8 +370,7 @@ def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
 
 def _shapes(p: int, alpha: int):
     """``class_shapes`` of a field already checked, each with o_d(p)."""
-    for d in divisors(p ** alpha - 1):
-        odp = mult_order(p, d)
+    for d, odp in divisor_orders(p, alpha):
         top = alpha // odp
         for i in divisors(top):
             for j in (0, 1) if i == top else range(1, top // i):

@@ -11,9 +11,9 @@ order.
   subset B, ``translate_masks`` builds the q masks ``shifts[z] = {b : z +
   b in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x
   in B holds exactly the b with a*B + b = B, so every map is still
-  decided.  ``fixing_maps`` is the one map-by-map scan, so its cap
-  q <= DEFAULT_STABILIZER_LIMIT covers every caller, the witness scan of
-  ``aglstab design`` included.
+  decided.  Both scans over all maps, ``fixing_maps`` and the pass of
+  ``bruteforce_counts``, check the cap q <= DEFAULT_STABILIZER_LIMIT,
+  the witness scan of ``aglstab design`` included.
 * ``count_N_bruteforce``: look only at the orbit unions of a subgroup S
   (the subsets it fixes setwise) and keep those whose stabilizer is
   exactly S.  ``bruteforce_counts`` decides all 2**m of them (m orbits)
@@ -47,11 +47,9 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from sympy import divisors
-
 from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import BudgetExceededError, evaluate_terms, mult_order
+from .counting import BudgetExceededError, divisor_orders, evaluate_terms
 from .ffield import Field, Subspace, span, zero_subspace
 
 DEFAULT_STABILIZER_LIMIT = 4096
@@ -108,6 +106,14 @@ def translate_masks(field: Field, mask: int) -> list[int]:
     return shifts
 
 
+def _check_map_scan(q: int) -> int:
+    """The cap of both scans over all q*(q-1) maps; returns q."""
+    if q > DEFAULT_STABILIZER_LIMIT:
+        raise BudgetExceededError(
+            f"map scan needs q <= {DEFAULT_STABILIZER_LIMIT}, got q = {q}")
+    return q
+
+
 def fixing_maps(field: Field, mask: int):
     """Every (a, b) with a != 0 whose map x -> a*x + b fixes the masked
     subset setwise, in increasing (a, b) order.
@@ -117,10 +123,7 @@ def fixing_maps(field: Field, mask: int):
     in B for every x in B.  q is capped by DEFAULT_STABILIZER_LIMIT,
     checked before the first map is tested.
     """
-    q = field.q
-    if q > DEFAULT_STABILIZER_LIMIT:
-        raise BudgetExceededError(
-            f"map scan needs q <= {DEFAULT_STABILIZER_LIMIT}, got q = {q}")
+    q = _check_map_scan(field.q)
     elems = mask_elements(mask)
     shifts = translate_masks(field, mask)
     mul = field.mul
@@ -230,7 +233,7 @@ def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
     pair sets share one entry.
     """
     field = S.field
-    q = field.q
+    q = _check_map_scan(field.q)
     orbits = S.orbits()
     m = len(orbits)
     orbit_of = [0] * q
@@ -466,8 +469,8 @@ def all_subgroups(field: Field) -> list[Subgroup]:
             f"subgroup enumeration needs q <= {DEFAULT_ALL_SUBGROUPS_LIMIT}, "
             f"got q = {field.q}")
     out = []
-    for d in divisors(field.q - 1):
-        for H in all_subspaces(field, mult_order(field.p, d)):
+    for d, odp in divisor_orders(field.p, field.alpha):
+        for H in all_subspaces(field, odp):
             points = (0,) if d == 1 else H.coset_leaders()
             out.extend(Subgroup(field, d, b, H) for b in points)
     return out

@@ -15,15 +15,24 @@ every overgroup of a class and weighs it by ``moebius_exponent`` times
 by k).  ``table_by_terms``
 evaluates every table row from its class terms on its own (no shared
 binomial columns).  ``assert_lines`` reads a module's source, which the
-``python -O`` guards scan for asserts, and ``prime_powers`` lists the
-fields that the sweeps run over.
+``python -O`` guards scan for asserts, ``prime_powers`` lists the
+fields that the sweeps run over, and ``run_python`` runs a call that
+could hang in a process of its own.
 """
 
 import ast
 import inspect
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
+
+import aglstab
 
 from sympy import factorint
 
@@ -324,3 +333,20 @@ def prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:
         if len(fac) == 1:
             out.extend(fac.items())
     return out
+
+
+def run_python(*args, timeout=60):
+    """``python *args`` in a process of its own, with this checkout's
+    aglstab importable, under a 2 GiB address-space limit and a timeout
+    (60 s by default), so that a regression fails instead of taking the
+    host's memory or time; returns the process and its wall seconds."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(aglstab.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit_memory)
+    return proc, time.perf_counter() - start

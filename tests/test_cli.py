@@ -6,20 +6,15 @@ import hashlib
 import io
 import json
 import math
-import os
-import resource
-import subprocess
 import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import aglstab
 from aglstab import counting, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
-                         FACTOR_LIMIT, MAX_FACTORED_Q, _resolve_field,
-                         build_parser, main)
+                         _resolve_field, build_parser, main)
+from aglstab.counting import FACTOR_LIMIT, MAX_FACTORED_Q
+from reference import run_python
 
 
 def run(capsys, *argv):
@@ -65,20 +60,8 @@ SEMIPRIME = 300000000000000000000000000966100000000000000000000000029029
 
 
 def run_process(*argv, timeout=60):
-    """The CLI in a process of its own, under a 2 GiB address-space limit
-    and a timeout (60 s by default), so that a regression fails instead of
-    taking the host's memory or time; returns the process and its wall
-    seconds."""
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    src = Path(aglstab.__file__).resolve().parents[1]
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "aglstab.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          preexec_fn=limit_memory)
-    return proc, time.perf_counter() - start
+    """The CLI under ``run_python``: the process and its wall seconds."""
+    return run_python("-m", "aglstab.cli", *argv, timeout=timeout)
 
 
 @pytest.mark.parametrize("q,field", [(7, (7, 1)), (64, (2, 6)),

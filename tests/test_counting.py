@@ -5,9 +5,11 @@ q-binomials against a subspace enumeration, and the spot counts against
 the exhaustive stabilizer scan in test_oracle / the acceptance suite.
 """
 
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -23,7 +25,7 @@ from aglstab.counting import (BudgetExceededError, ClassParams,
                               prime_set, s_qk)
 from aglstab.ffield import Field, span
 from reference import (moebius_exponent, overgroup_terms, prime_powers,
-                       q_binomial, table_by_terms)
+                       q_binomial, run_python, table_by_terms)
 
 
 def test_prime_set():
@@ -33,6 +35,66 @@ def test_prime_set():
     assert prime_set(60) == (2, 3, 5)
     with pytest.raises(ValueError):
         prime_set(0)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 64), (3, 30), (5, 20), (2, 48),
+                                     (2, 128)])
+def test_prime_set_matches_sympy_on_the_divisors_of_q_minus_1(p, alpha):
+    for u in sympy.divisors(p ** alpha - 1):
+        assert prime_set(u) == tuple(sympy.primefactors(u)), u
+
+
+def test_prime_set_matches_sympy_below_10_000():
+    for u in range(1, 10 ** 4):
+        assert prime_set(u) == tuple(sympy.primefactors(u)), u
+
+
+def test_prime_set_refuses_past_the_cap_without_factoring(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("called past the cap")
+
+    monkeypatch.setattr(counting, "isprime", forbidden)
+    monkeypatch.setattr(counting, "factorint", forbidden)
+    with pytest.raises(BudgetExceededError) as refused:
+        prime_set(2 ** 2048 + 1)
+    assert str(refused.value) == (
+        "a 2049-bit number is refused: it must be at most 2^2048 and factor "
+        "completely within factorint's limit of 100000")
+    with pytest.raises(RuntimeError, match="called past the cap"):
+        prime_set(2 ** 2048)        # at the cap, so factored
+
+
+@pytest.mark.parametrize("call,verdict", [
+    ("counting.class_shapes(2, 1000)", "q = 2^1000 is refused"),
+    ("counting.build_table(2, 1000, 2)", "q = 2^1000 is refused"),
+    ("counting.count_N(counting.ClassParams(2, 1000, 0, 1, 1000, 0))",
+     "a 1000-bit number is refused"),
+    ("counting.class_shapes(2, 256)", "q = 2^256 is refused"),
+    ("counting.class_shapes(7, 100)", "q = 7^100 is refused"),
+])
+def test_library_refuses_what_the_cli_refuses_at_once(call, verdict):
+    # each factored without a bound when only the CLI bounded it: the
+    # first three ran past 20 s, the last two took 10.8 s and 7.3 s
+    proc, seconds = run_python(
+        "-c", f"from aglstab import counting; {call}")
+    assert proc.stderr.splitlines()[-1].startswith(
+        f"aglstab.counting.BudgetExceededError: {verdict}: ")
+    assert seconds < 5
+
+
+def test_only_counting_imports_sympy():
+    users = set()
+    for path in Path(aglstab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                users.add(path.name)
+    assert users == {"counting.py"}
 
 
 def test_mult_order():

@@ -21,7 +21,7 @@ from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             mask_elements, orbit_union_masks, stabilizer,
                             subset_mask)
 from reference import (assert_lines, literal_lattice_terms,
-                       reference_fixing_maps, subgroup_elements)
+                       reference_fixing_maps, run_python, subgroup_elements)
 
 FIELDS = {}
 
@@ -107,13 +107,32 @@ def test_stabilizer_respects_limit(monkeypatch):
 
 
 def test_every_map_scan_respects_the_limit(monkeypatch):
-    # the cap lives in fixing_maps, so the witness check obeys it too
+    # both scans over all maps check the cap: fixing_maps, and with it the
+    # witness check, and the table pass of count_N_bruteforce
     monkeypatch.setattr(oracle, "DEFAULT_STABILIZER_LIMIT", 8)
     F = field(2, 4)
     with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
         next(fixing_maps(F, 0b11))
     with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
         is_exact_stabilizer(trivial_subgroup(F), 0b11)
+    # 8 orbits of size 2: 2**8 > 4q unions, so the bit-sliced table pass
+    S = class_representative(F, 1, 1, 1)
+    assert len(S.orbits()) == 8
+    with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
+        count_N_bruteforce(S, 2)
+
+
+def test_bruteforce_table_pass_refuses_q_8192_at_once():
+    # 16 orbits of a 9-dimensional H: the table pass, which ran past 30 s
+    # over its q x q list before it checked the cap
+    proc, seconds = run_python("-c", (
+        "from aglstab import agl, oracle; from aglstab.ffield import Field; "
+        "oracle.count_N_bruteforce("
+        "agl.class_representative(Field(2, 13), 1, 1, 9), 512)"))
+    assert proc.stderr.splitlines()[-1] == (
+        "aglstab.counting.BudgetExceededError: map scan needs q <= 4096, "
+        "got q = 8192")
+    assert seconds < 5
 
 
 def test_stabilizer_contains_group_of_orbit_unions():
