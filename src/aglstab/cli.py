@@ -10,13 +10,13 @@ Subcommands:
   code, check Johnson equality, and report the certified A2 value.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 budget
-exceeded.  Identical invocations produce byte-identical output.
+exceeded.  Identical invocations produce byte-identical output.  The
+parser is built once per process; ``main`` reuses it on every call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -91,17 +91,17 @@ def _max_k(args, q: int, default: int) -> int:
 def _emit_rows(columns, rows, fmt: str, out) -> None:
     """Write row tuples under ``columns``: csv with a header, json as a
     list of objects, or text as one ``column=value`` line per row."""
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-    elif fmt == "json":
+    if fmt == "json":
         json.dump([dict(zip(columns, row)) for row in rows], out, indent=2)
         out.write("\n")
+        return
+    # one % string per row: ints and bools, which csv.writer never quotes
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
+        line = ",".join(["%s"] * len(columns)) + "\n"
     else:
-        for row in rows:
-            out.write(" ".join(f"{c}={v}" for c, v in zip(columns, row))
-                      + "\n")
+        line = " ".join(f"{c}=%s" for c in columns) + "\n"
+    out.writelines(line % row for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,7 @@ def cmd_design(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="aglstab",
                      description="Exact stabilizer-class counts for the "
@@ -333,8 +334,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # a count of q >= 14641 can pass the 4300 digits that str(int) allows
     # by default (Python >= 3.10.7); lift that for this run only
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -427,8 +427,8 @@ def build_table(p: int, alpha: int,
 
     The table reads shared columns: one ``_column`` per distinct (u, v)
     among the class terms of the field, built on first use.  Each class
-    adds coeff * column into its own k -> N map for every term, and its
-    rows, one per k that satisfies its congruence, are read off that map.
+    adds coeff * column into slots preset at the k of its congruence and
+    reads its rows off them; a column key off it would raise ``KeyError``.
     A table of more than ``MAX_TABLE_ROWS`` rows raises
     ``BudgetExceededError`` before anything is built.
     """
@@ -453,20 +453,20 @@ def build_table(p: int, alpha: int,
     columns: dict[tuple[int, int], dict[int, int]] = {}
     by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
     for d, i, j, odp in shapes:
-        counts: dict[int, int] = {}
+        beta = odp * i * j
+        pb = p ** beta
+        # one slot per k == 0 or p**beta (mod d*p**beta).  Every column key
+        # has one: d | u, p**beta | v, and v == p**beta (mod d*p**beta)
+        # since d | u and p**o_u(p) == 1 (mod u)
+        counts = dict.fromkeys(range(0, k_max + 1, d * pb), 0)
+        if d > 1:
+            counts.update(dict.fromkeys(range(pb, k_max + 1, d * pb), 0))
         for c, u, v in _class_terms(p, alpha, d, i, j, odp):
             col = columns.get((u, v))
             if col is None:
                 col = columns[u, v] = _column(q, u, v, k_max)
             for k, s in col.items():
-                counts[k] = counts.get(k, 0) + c * s
-        beta = odp * i * j
-        pb = p ** beta
-        # the congruence k == 0 or p**beta (mod d*p**beta); for d = 1 the
-        # two residues coincide
-        for k in range(0, k_max + 1, d * pb):
-            by_k[k].append((k, d, odp, i, j, beta, counts.get(k, 0)))
-            if d > 1 and k + pb <= k_max:
-                by_k[k + pb].append(
-                    (k + pb, d, odp, i, j, beta, counts.get(k + pb, 0)))
+                counts[k] += c * s
+        for k, n in counts.items():
+            by_k[k].append((k, d, odp, i, j, beta, n))
     return [row for rows in by_k for row in rows]

@@ -14,14 +14,18 @@ every overgroup of a class and weighs it by ``moebius_exponent`` times
 ``q_binomial``, each computed from scratch (no recurrence, no pruning
 by k).  ``table_by_terms``
 evaluates every table row from its class terms on its own (no shared
-binomial columns).  ``assert_lines`` reads a module's source, which the
-``python -O`` guards scan for asserts, ``prime_powers`` lists the
-fields that the sweeps run over, and ``run_python`` runs a call that
-could hang in a process of its own.
+binomial columns).  ``csv_writer_rows`` and ``text_rows`` write rows as
+``csv.writer`` does and as ``column=value`` pairs joined one value at a
+time (no format string).  ``assert_lines`` reads a module's source,
+which the ``python -O`` guards scan for asserts, ``prime_powers`` lists
+the fields that the sweeps run over, and ``run_python`` runs a call
+that could hang in a process of its own.
 """
 
 import ast
+import csv
 import inspect
+import io
 import itertools
 import math
 import os
@@ -316,6 +320,21 @@ def table_by_terms(p: int, alpha: int,
         for d, odp, i, j, beta, pb, period, terms in shapes
         if k % period in (0, pb)
     ]
+
+
+def csv_writer_rows(columns, rows) -> str:
+    """``columns`` and then ``rows``, written by ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def text_rows(columns, rows) -> str:
+    """One line of space-separated ``column=value`` pairs per row."""
+    return "".join(" ".join(f"{c}={v}" for c, v in zip(columns, row)) + "\n"
+                   for row in rows)
 
 
 def assert_lines(module) -> list[int]:

@@ -12,9 +12,10 @@ import pytest
 
 from aglstab import counting, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
-                         _resolve_field, build_parser, main)
-from aglstab.counting import FACTOR_LIMIT, MAX_FACTORED_Q
-from reference import run_python
+                         VERIFY_COLUMNS, _emit_rows, _resolve_field,
+                         _verify_class, build_parser, main)
+from aglstab.counting import CSV_COLUMNS, FACTOR_LIMIT, MAX_FACTORED_Q
+from reference import csv_writer_rows, run_python, text_rows
 
 
 def run(capsys, *argv):
@@ -613,6 +614,10 @@ def test_count_of_more_than_4300_digits(capsys):
 def test_table_with_counts_past_4300_digits():
     proc, _ = run_process("table", "--q", "14641", "--format", "csv")
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    # recorded from the csv.writer form of the row writer
+    assert len(proc.stdout) == 49_314_018
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "e931a18aa34cee7d92ebe3cae1f70db891a0fcf9a64952b84dd589ec2f1d5dbd")
     rows = proc.stdout.splitlines()
     last = [int(x) for x in rows[-1].split(",")]
     k, d, _, i, j, _, n = last
@@ -623,6 +628,62 @@ def test_table_with_counts_past_4300_digits():
     with any_int_digits():
         assert int(widest[-1]) == counting.count_N(
             counting.ClassParams(11, 4, k, d, i, j))
+
+
+def writer_rows(name):
+    """(columns, rows) of one row set that ``_emit_rows`` writes."""
+    kind, q = name.split("-")
+    if kind == "count":
+        cp = counting.ClassParams(2, 64, 1000, 1, 64, 0)
+        return CSV_COLUMNS, [(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta,
+                              counting.count_N(cp))]
+    p, alpha = counting.prime_power(int(q))
+    if kind == "table":
+        return CSV_COLUMNS, counting.build_table(p, alpha)
+    # as cmd_verify builds them, with the bool ok column last
+    return VERIFY_COLUMNS, [
+        (d, i, j, k, closed, lattice, brute, closed == lattice == brute)
+        for d, i, j, odp in counting._shapes(p, alpha)
+        for k, closed, lattice, brute in _verify_class(
+            p, alpha, d, i, j, odp, int(q), oracle.DEFAULT_SUBSET_BUDGET)]
+
+
+@pytest.mark.parametrize("name", ["table-64", "table-729", "table-1024",
+                                  "verify-7", "count-2^64"])
+def test_row_writer_matches_csv_writer_and_joined_text(name):
+    columns, rows = writer_rows(name)
+    with any_int_digits():
+        if name == "verify-7":
+            assert {type(row[-1]) for row in rows} == {bool}
+        if name == "count-2^64":
+            assert len(str(rows[0][-1])) == 16699
+        for fmt, reference in (("csv", csv_writer_rows), ("text", text_rows)):
+            out = io.StringIO()
+            _emit_rows(columns, rows, fmt, out)
+            assert out.getvalue() == reference(columns, rows), fmt
+
+
+def test_main_reuses_one_parser_without_leaking_defaults(capsys,
+                                                         monkeypatch):
+    assert build_parser() is build_parser()
+    # usage lines wrap at the terminal width: pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = []
+    for argv in (["table", "--q", "12"],
+                 ["table", "--q", "9", "--max-k", "3"],
+                 ["table", "--q", "9"],
+                 ["table", "--q", "9", "--unknown"],
+                 ["table", "--q", "9", "--max-k", "3"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc, _ = run_process(*argv)
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(code)
+    assert codes == [EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK]
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -5,9 +5,16 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from aglstab.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def run_block(block: str) -> None:
+    """Run one python block with its asserts kept, even under python -O."""
+    exec(compile(block, str(README), "exec", optimize=0), {})
 
 
 def test_readme_python_blocks_run():
@@ -15,7 +22,12 @@ def test_readme_python_blocks_run():
                         re.DOTALL | re.MULTILINE)
     assert blocks
     for block in blocks:
-        exec(compile(block, str(README), "exec"), {})
+        run_block(block)
+
+
+def test_run_block_keeps_asserts():
+    with pytest.raises(AssertionError):
+        run_block("assert False\n")
 
 
 def test_readme_cli_examples_exit_0(capsys):
