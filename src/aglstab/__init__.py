@@ -3,9 +3,9 @@ with independent brute-force/lattice verification and construction of the
 orbit block designs and Johnson-optimal binary constant-weight codes.
 """
 
-from .counting import (BudgetExceededError, ClassParams, build_table,
-                       class_shapes, class_terms, count_N, enumerate_params,
-                       mult_order, prime_set, s_qk)
+from .counting import (BudgetExceededError, ClassParams, StabilizerClass,
+                       build_table, class_shapes, classes, count_N,
+                       enumerate_params, mult_order, prime_set, s_qk)
 from .ffield import Field, Subspace, lines_of_quotient, span
 from .agl import (Subgroup, class_representative, full_group,
                   immediate_supergroups, join, join_pair, trivial_subgroup)

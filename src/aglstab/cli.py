@@ -124,7 +124,7 @@ def cmd_table(args, out) -> int:
 def cmd_count(args, out) -> int:
     p, alpha = _resolve_field(args)
     cp = ClassParams(p, alpha, args.k, args.d, args.i, args.j)
-    violation = cp.congruence_violation()
+    violation = cp.congruence_violation(cp.k)
     if violation is not None:
         raise ValueError(violation)
     row = (cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta, counting.count_N(cp))
@@ -136,11 +136,11 @@ def cmd_count(args, out) -> int:
 # verify
 
 
-def _verify_class(p: int, alpha: int, d: int, i: int, j: int, odp: int,
-                  k_max: int, budget: int) -> list[tuple[int, int, int, int]]:
-    field = _field(p, alpha)
-    S = agl.class_representative(field, d, i, j)
-    closed_terms = counting._class_terms(p, alpha, d, i, j, odp)
+def _verify_class(c: counting.StabilizerClass, k_max: int,
+                  budget: int) -> list[tuple[int, int, int, int]]:
+    field = _field(c.p, c.alpha)
+    S = agl.class_representative(field, c.d, c.i, c.j)
+    closed_terms = c.terms()
     lattice_terms = oracle.lattice_terms(S)
     out = []
     for k in range(k_max + 1):
@@ -158,13 +158,12 @@ def cmd_verify(args, out) -> int:
     if q > oracle.DEFAULT_STABILIZER_LIMIT:
         raise counting.BudgetExceededError(
             f"verification needs q <= {oracle.DEFAULT_STABILIZER_LIMIT}, got {q}")
-    # the field is checked by _resolve_field, each shape by
-    # class_representative
-    shapes = list(counting._shapes(p, alpha))
-    rows = [(d, i, j, k, closed, lattice, brute, closed == lattice == brute)
-            for d, i, j, odp in shapes
+    shapes = counting.classes(p, alpha)
+    rows = [(c.d, c.i, c.j, k, closed, lattice, brute,
+             closed == lattice == brute)
+            for c in shapes
             for k, closed, lattice, brute in _verify_class(
-                p, alpha, d, i, j, odp, k_max, args.oracle_budget)]
+                c, k_max, args.oracle_budget)]
     failures = sum(not row[-1] for row in rows)
     if args.format != "text":
         _emit_rows(VERIFY_COLUMNS, rows, args.format, out)
@@ -209,28 +208,26 @@ def cmd_design(args, out) -> int:
     else:
         if args.k is None or args.d is None:
             raise ValueError("design needs --subset, or --k with --d")
-        shapes = [(d, i, j) for d, i, j in counting.class_shapes(p, alpha)
-                  if d == args.d]
+        shapes = [c for c in counting.classes(p, alpha) if c.d == args.d]
         if not shapes:
             raise ValueError(f"no stabilizer class with d = {args.d}")
-        matching = [(d, i, j) for d, i, j in shapes
-                    if (args.i is None or i == args.i)
-                    and (args.j is None or j == args.j)]
+        matching = [c for c in shapes
+                    if (args.i is None or c.i == args.i)
+                    and (args.j is None or c.j == args.j)]
         if not matching:
-            pairs = ", ".join(f"({i}, {j})" for _, i, j in shapes)
+            pairs = ", ".join(f"({c.i}, {c.j})" for c in shapes)
             raise ValueError(f"no stabilizer class with d = {args.d} passes "
                              f"the --i/--j filter; its (i, j) are {pairs}")
-        chosen = None
-        for d, i, j in matching:
-            cp = ClassParams(p, alpha, args.k, d, i, j)
-            if cp.congruence_ok and counting.count_N(cp) > 0:
-                chosen = (d, i, j)
-                break
+        if not 0 <= args.k <= q:
+            raise ValueError(f"k must lie in [0, {q}], got {args.k}")
+        chosen = next((c for c in matching
+                       if c.congruence_violation(args.k) is None
+                       and c.count(args.k) > 0), None)
         if chosen is None:
             raise ValueError(
                 f"no {args.k}-subset has a stabilizer of class d = {args.d}: "
                 "the exact count is 0 for every matching (i, j)")
-        S = agl.class_representative(field, *chosen)
+        S = agl.class_representative(field, chosen.d, chosen.i, chosen.j)
         unions = oracle.orbit_union_masks(S, args.k)
         mask = next((m for m in itertools.islice(unions, args.oracle_budget)
                      if oracle.is_exact_stabilizer(S, m)), None)

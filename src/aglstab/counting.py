@@ -10,38 +10,41 @@ F_p-subspace H, and its conjugacy data reduce to an arithmetic tuple:
           is the largest subfield of F_q mapping H into itself.
 
 The number N of k-element subsets of F_q whose setwise stabilizer is
-exactly a subgroup of the class (d, i, j) is computed in two steps:
+exactly a subgroup of the class (d, i, j) is read off one record,
+``StabilizerClass``.  It holds the class's facts, each set once when it
+is built: o_d(p), beta, |H| = p**beta, and the zero-pattern congruence
+k == 0 or p**beta (mod d*p**beta), stated as a ``period`` and its
+``residues``.  ``classes`` lists the records of a field, and
+``ClassParams`` is the record of one class at one subset size k.
 
-1. *Terms.*  ``class_terms`` reduces the closed form for one class to a
-   sorted tuple of signed terms (coeff, u, v), the shape that
-   ``oracle.lattice_terms`` also returns.  It depends on the class only,
-   not on k.
+1. *Terms.*  ``StabilizerClass.terms`` reduces the closed form for the
+   class to a sorted tuple of signed terms (coeff, u, v), the shape that
+   ``oracle.lattice_terms`` also returns.  The closed form is one signed
+   sum over the overgroups of the class.  A term can be nonzero at k only
+   if v | k and u | k or u | k - p**beta, so ``terms(k)`` walks only the
+   overgroups that pass that test at k; at k = 0 every overgroup passes,
+   and that walk gives every term.
 2. *Evaluation.*  N = sum(coeff * s_qk(q, k, u, v)), where ``s_qk``
    counts the k-subsets fixed by a subgroup with multiplicative part of
-   order u and translation part of size v.  ``count_N`` evaluates, through
-   ``evaluate_terms``, only the terms that can be nonzero at its k;
-   ``build_table`` reads shared columns k -> s_qk(q, k, u, v), one per
-   distinct (u, v) of the field, each built once by the binomial
-   recurrence.
+   order u and translation part of size v.  ``StabilizerClass.count``,
+   and ``count_N`` through it, evaluates ``terms(k)`` with
+   ``evaluate_terms``.  ``build_table`` reads shared columns
+   k -> s_qk(q, k, u, v), one per distinct (u, v) of the field, each
+   built once by the binomial recurrence; each class adds coeff * column
+   into slots preset at the k of its congruence and reads its rows off
+   them, one plain tuple per row in ``CSV_COLUMNS`` order.
 
-The closed form is one signed sum over the overgroups of the class (see
-``_class_terms``).  A term can be nonzero at k only if v | k and u | k or
-u | k - p**beta, so ``count_N`` walks only the overgroups that pass that
-test at its k; at k = 0 every overgroup passes, and that walk gives
-``class_terms``.  ``build_table`` builds the terms once per class, adds
-coeff * column into the class's k -> N map for each term, and reads off
-every k that satisfies the zero-pattern congruence, one plain tuple per
-row in ``CSV_COLUMNS`` order.  ``enumerate_params`` walks the same tuples
-as validated ``ClassParams``.  Everything is exact integer arithmetic; no
-floating point is used anywhere in this module.
+Everything is exact integer arithmetic; no floating point is used
+anywhere in this module.
 
 Validity is decided here, once per rule: ``check_field`` (p prime, alpha
 >= 1), ``check_divisor`` (d | q - 1) and ``check_shape`` (that rule, i |
 alpha/o_d(p), j in the range i allows); the last two return o_d(p).
-``class_shapes`` generates exactly the triples ``check_shape`` accepts.
+``classes`` builds exactly the records of the triples ``check_shape``
+accepts, so it runs no shape check, and ``ClassParams`` runs it once.
 Only this module uses sympy.  ``prime_set`` holds the one bounded factoring
 rule, and ``check_factored`` applies it to q - 1: class enumeration refuses
-at once every field that the CLI refuses, ``class_shapes(2, 256)`` among
+at once every field that the CLI refuses, ``classes(2, 256)`` among
 them, and ``count_N`` a class whose (|H'| - 1)/d does not factor.
 """
 
@@ -49,8 +52,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from sympy import divisors, factorint, isprime, perfect_power
 
@@ -134,7 +135,7 @@ def s_qk(q: int, k: int, u: int, v: int) -> int:
 def evaluate_terms(q: int, k: int,
                    terms: tuple[tuple[int, int, int], ...]) -> int:
     """N(k) = sum(coeff * s_qk(q, k, u, v)) over signed terms (coeff, u, v),
-    as ``class_terms`` and ``oracle.lattice_terms`` return them."""
+    as ``StabilizerClass.terms`` and ``oracle.lattice_terms`` return them."""
     return sum(c * s_qk(q, k, u, v) for c, u, v in terms)
 
 
@@ -207,134 +208,9 @@ def check_shape(p: int, alpha: int, d: int, i: int, j: int) -> int:
     return odp
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Arithmetic description of one subgroup class at one subset size.
-
-    Structural constraints are enforced at construction; the congruence
-    k == 0 or p**beta (mod d*p**beta) is *not* (counts for violating k
-    are well defined and equal to 0), query it via congruence_violation.
-    """
-
-    p: int
-    alpha: int
-    k: int
-    d: int
-    i: int
-    j: int
-    #: o_d(p), returned by the shape check
-    odp: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_field(self.p, self.alpha)
-        q = self.p ** self.alpha
-        if not 0 <= self.k <= q:
-            raise ValueError(f"k must lie in [0, {q}], got {self.k}")
-        object.__setattr__(self, "odp", check_shape(
-            self.p, self.alpha, self.d, self.i, self.j))
-
-    @cached_property
-    def q(self) -> int:
-        return self.p ** self.alpha
-
-    @cached_property
-    def beta(self) -> int:
-        return self.odp * self.i * self.j
-
-    @cached_property
-    def h_size(self) -> int:
-        """|H| = p**beta."""
-        return self.p ** self.beta
-
-    def congruence_violation(self) -> str | None:
-        """Message naming the violated zero-pattern congruence, or None."""
-        pb = self.h_size
-        c = self.k % (self.d * pb)
-        if c == 0 or c == pb:
-            return None
-        return (f"k = {self.k} is {c} mod d*p^beta = {self.d * pb}; "
-                f"it must be 0 or p^beta = {pb}")
-
-    @property
-    def congruence_ok(self) -> bool:
-        return self.congruence_violation() is None
-
-
 def _subsets(items: tuple[int, ...]):
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
-
-
-def class_terms(p: int, alpha: int, d: int, i: int,
-                j: int) -> tuple[tuple[int, int, int], ...]:
-    """Signed terms (coeff, u, v) of the closed form for the class
-    (d, i, j) of F_{p**alpha}, one per (u, v), none zero, sorted by
-    (u, v).  N(k) = sum(coeff * s_qk(q, k, u, v)).
-
-    Checks the field and the shape first, raising what ``ClassParams``
-    raises for them.
-    """
-    check_field(p, alpha)
-    return _class_terms(p, alpha, d, i, j, check_shape(p, alpha, d, i, j))
-
-
-def _class_terms(p: int, alpha: int, d: int, i: int, j: int, odp: int,
-                 k: int = 0) -> tuple[tuple[int, int, int], ...]:
-    """``class_terms`` for a shape already checked, with o_d(p) given,
-    restricted to the terms that can be nonzero at k.  At k = 0 every
-    term is kept.
-
-    The closed form is one inclusion-exclusion over the overgroups of a
-    class representative S: subsets P of the primes dividing (|H'| - 1)/d
-    select multiplicative enlargements of order u = d*prod(P), and
-    subspace dimensions l (Moebius-weighted, counted by q-binomials over
-    F_{p**m}, m = o_u(p)) select translation enlargements of size
-    v = p**(beta + l*m).  A term carries the sign (-1)**len(P), and for
-    d = 1 every term with P nonempty also carries p**(alpha - beta): S is
-    then a pure translation group, so a multiplicative enlargement of S
-    is fixed only once the coset of H that its multiplier fixes is
-    chosen, one of q/|H| = p**(alpha - beta).  For d > 1 the multiplier
-    of S already fixes that coset, and the terms with P empty add no
-    multiplier, so neither carries the factor.  The two divisibilities
-    the sum relies on are guarded by ValueError raises.
-
-    ``s_qk(q, k, u, v)`` is nonzero only if v | k and u | k or
-    u | k - p**beta (u is prime to p and p**m == 1 mod u, so
-    v == p**beta mod u).  So P is drawn from the primes of
-    gcd((|H'| - 1)/d, r/d) for r in {k, k - p**beta} with r >= 0 and
-    d | r, and l stops at the first v that does not divide k.  Every
-    number divides 0, so k = 0 walks every P and every l.
-    """
-    beta = odp * i * j
-    free = alpha - beta
-    hprime = p ** (odp * i)
-    quot, rem = divmod(hprime - 1, d)
-    if rem:
-        raise ValueError(f"d = {d} does not divide |H'| - 1 = {hprime - 1}")
-    pb = p ** beta
-    # for d = 1 both residues can hold; their prime sets are disjoint
-    # (a common prime would divide p**beta), so only P = () repeats
-    walk = dict.fromkeys(
-        P for r in (k, k - pb) if r >= 0 and r % d == 0
-        for P in _subsets(prime_set(math.gcd(quot, r // d))))
-    terms = []
-    for P in walk:
-        u = d * math.prod(P)
-        m = mult_order(p, u) if P else odp
-        hi, rem = divmod(free, m)
-        if rem:
-            raise ValueError(
-                f"o_u(p) = {m} does not divide alpha - beta = {free} (u = {u})")
-        sign = (-1) ** len(P) * (p ** free if d == 1 and P else 1)
-        base = p ** m
-        v = pb
-        for w in _moebius_weights(hi, base):
-            if k % v:
-                break
-            terms.append((sign * w, u, v))
-            v *= base
-    terms.sort(key=lambda t: (t[1], t[2]))
-    return tuple(terms)
 
 
 def _moebius_weights(n: int, base: int):
@@ -351,47 +227,160 @@ def _moebius_weights(n: int, base: int):
         bl *= base
 
 
+class StabilizerClass:
+    """The stabilizer class (d, i, j) of a valid field F_{p**alpha}, with
+    o_d(p) = ``odp`` given and every fact derived from them set once.
+
+    The zero-pattern congruence is ``k % period in residues``: k == 0 or
+    p**beta (mod d*p**beta), the one residue 0 when d = 1.  Counts at a
+    violating k are well defined and equal to 0.  The record trusts its
+    shape: ``classes`` builds it from the divisors of q - 1, and
+    ``ClassParams`` checks the shape first.
+    """
+
+    __slots__ = ("p", "alpha", "d", "i", "j", "odp", "q", "beta", "h_size",
+                 "period", "residues")
+
+    def __init__(self, p: int, alpha: int, d: int, i: int, j: int,
+                 odp: int):
+        self.p = p
+        self.alpha = alpha
+        self.d = d
+        self.i = i
+        self.j = j
+        self.odp = odp
+        self.q = p ** alpha
+        self.beta = odp * i * j
+        #: |H| = p**beta
+        self.h_size = p ** self.beta
+        self.period = d * self.h_size
+        self.residues = (0,) if d == 1 else (0, self.h_size)
+
+    def congruence_violation(self, k: int) -> str | None:
+        """Message naming the violated zero-pattern congruence, or None."""
+        c = k % self.period
+        if c in self.residues:
+            return None
+        return (f"k = {k} is {c} mod d*p^beta = {self.period}; "
+                f"it must be 0 or p^beta = {self.h_size}")
+
+    def terms(self, k: int = 0) -> tuple[tuple[int, int, int], ...]:
+        """Signed terms (coeff, u, v) of the closed form, one per (u, v),
+        none zero, sorted by (u, v), restricted to the terms that can be
+        nonzero at k.  At k = 0 every term is kept, and
+        N(k) = sum(coeff * s_qk(q, k, u, v)) at every k.
+
+        The closed form is one inclusion-exclusion over the overgroups of a
+        class representative S: subsets P of the primes dividing (|H'| - 1)/d
+        select multiplicative enlargements of order u = d*prod(P), and
+        subspace dimensions l (Moebius-weighted, counted by q-binomials over
+        F_{p**m}, m = o_u(p)) select translation enlargements of size
+        v = p**(beta + l*m).  A term carries the sign (-1)**len(P), and for
+        d = 1 every term with P nonempty also carries p**(alpha - beta): S is
+        then a pure translation group, so a multiplicative enlargement of S
+        is fixed only once the coset of H that its multiplier fixes is
+        chosen, one of q/|H| = p**(alpha - beta).  For d > 1 the multiplier
+        of S already fixes that coset, and the terms with P empty add no
+        multiplier, so neither carries the factor.  The two divisibilities
+        the sum relies on are guarded by ValueError raises.
+
+        ``s_qk(q, k, u, v)`` is nonzero only if v | k and u | k or
+        u | k - p**beta (u is prime to p and p**m == 1 mod u, so
+        v == p**beta mod u).  So P is drawn from the primes of
+        gcd((|H'| - 1)/d, r/d) for r in {k, k - p**beta} with r >= 0 and
+        d | r, and l stops at the first v that does not divide k.  Every
+        number divides 0, so k = 0 walks every P and every l.
+        """
+        p, d, odp, pb = self.p, self.d, self.odp, self.h_size
+        free = self.alpha - self.beta
+        hprime = p ** (odp * self.i)
+        quot, rem = divmod(hprime - 1, d)
+        if rem:
+            raise ValueError(
+                f"d = {d} does not divide |H'| - 1 = {hprime - 1}")
+        # for d = 1 both residues can hold; their prime sets are disjoint
+        # (a common prime would divide p**beta), so only P = () repeats
+        walk = dict.fromkeys(
+            P for r in (k, k - pb) if r >= 0 and r % d == 0
+            for P in _subsets(prime_set(math.gcd(quot, r // d))))
+        terms = []
+        for P in walk:
+            u = d * math.prod(P)
+            m = mult_order(p, u) if P else odp
+            hi, rem = divmod(free, m)
+            if rem:
+                raise ValueError(f"o_u(p) = {m} does not divide "
+                                 f"alpha - beta = {free} (u = {u})")
+            sign = (-1) ** len(P) * (p ** free if d == 1 and P else 1)
+            base = p ** m
+            v = pb
+            for w in _moebius_weights(hi, base):
+                if k % v:
+                    break
+                terms.append((sign * w, u, v))
+                v *= base
+        terms.sort(key=lambda t: (t[1], t[2]))
+        return tuple(terms)
+
+    def count(self, k: int) -> int:
+        """Exact number of k-subsets of F_q whose affine stabilizer is
+        exactly a subgroup of this class: ``terms(k)`` evaluated at k."""
+        return evaluate_terms(self.q, k, self.terms(k))
+
+
+class ClassParams(StabilizerClass):
+    """The record of one class at one subset size k, built from an
+    unchecked tuple: the field, then 0 <= k <= q, then the shape, each
+    checked once, in that order.  The congruence is *not* enforced.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, p: int, alpha: int, k: int, d: int, i: int, j: int):
+        check_field(p, alpha)
+        q = p ** alpha
+        if not 0 <= k <= q:
+            raise ValueError(f"k must lie in [0, {q}], got {k}")
+        super().__init__(p, alpha, d, i, j, check_shape(p, alpha, d, i, j))
+        self.k = k
+
+
 def count_N(params: ClassParams) -> int:
     """Exact number of k-subsets of F_q whose affine stabilizer is exactly
-    a subgroup of the class described by ``params``: the class's terms
-    that can be nonzero at k, evaluated there."""
-    return evaluate_terms(params.q, params.k, _class_terms(
-        params.p, params.alpha, params.d, params.i, params.j, params.odp,
-        params.k))
+    a subgroup of the class described by ``params``, at its k."""
+    return params.count(params.k)
 
 
-def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
-    """All (d, i, j) triples that ``check_shape`` accepts for F_{p**alpha}:
-    d ascending over the divisors of q - 1, then i ascending, then j
-    ascending."""
+def classes(p: int, alpha: int) -> list[StabilizerClass]:
+    """Every stabilizer class of F_{p**alpha}, exactly the triples that
+    ``check_shape`` accepts: d ascending over the divisors of q - 1, then
+    i ascending, then j ascending.  Refuses a field that ``check_field`` or
+    ``check_factored`` refuses."""
     check_field(p, alpha)
-    return [(d, i, j) for d, i, j, _ in _shapes(p, alpha)]
-
-
-def _shapes(p: int, alpha: int):
-    """``class_shapes`` of a field already checked, each with o_d(p)."""
+    out = []
     for d, odp in divisor_orders(p, alpha):
         top = alpha // odp
         for i in divisors(top):
             for j in (0, 1) if i == top else range(1, top // i):
-                yield d, i, j, odp
+                out.append(StabilizerClass(p, alpha, d, i, j, odp))
+    return out
+
+
+def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
+    """The (d, i, j) triples of ``classes``, in the same order."""
+    return [(c.d, c.i, c.j) for c in classes(p, alpha)]
 
 
 def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[ClassParams]:
     """All table tuples with 0 <= k <= k_max (default q // 2) satisfying
     the zero-pattern congruence, in emission order: k outermost, then d
     ascending, then i, then j."""
-    shapes = class_shapes(p, alpha)
-    q = p ** alpha
+    shapes = classes(p, alpha)
     if k_max is None:
-        k_max = q // 2
-    out = []
-    for k in range(k_max + 1):
-        for d, i, j in shapes:
-            cp = ClassParams(p, alpha, k, d, i, j)
-            if cp.congruence_ok:
-                out.append(cp)
-    return out
+        k_max = p ** alpha // 2
+    return [ClassParams(p, alpha, k, c.d, c.i, c.j)
+            for k in range(k_max + 1) for c in shapes
+            if c.congruence_violation(k) is None]
 
 
 def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
@@ -432,41 +421,36 @@ def build_table(p: int, alpha: int,
     A table of more than ``MAX_TABLE_ROWS`` rows raises
     ``BudgetExceededError`` before anything is built.
     """
-    check_field(p, alpha)
+    shapes = classes(p, alpha)
     q = p ** alpha
     if k_max is None:
         k_max = q // 2
     if not 0 <= k_max <= q:
         raise ValueError(f"k must lie in [0, {q}], got {k_max}")
-    shapes = list(_shapes(p, alpha))
-    rows = 0
-    for d, i, j, odp in shapes:
-        # as many rows as the loop below writes for this class
-        pb = p ** (odp * i * j)
-        rows += k_max // (d * pb) + 1
-        if d > 1:
-            rows += (k_max - pb) // (d * pb) + 1
+    # as many rows as the slots below; no len(range(...)), which overflows
+    # past sys.maxsize
+    rows = sum((k_max - r) // c.period + 1
+               for c in shapes for r in c.residues)
     if rows > MAX_TABLE_ROWS:
         raise BudgetExceededError(
             f"the table of q = {q} up to k = {k_max} has {rows} rows, "
             f"over the limit of {MAX_TABLE_ROWS}")
     columns: dict[tuple[int, int], dict[int, int]] = {}
     by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
-    for d, i, j, odp in shapes:
-        beta = odp * i * j
-        pb = p ** beta
-        # one slot per k == 0 or p**beta (mod d*p**beta).  Every column key
-        # has one: d | u, p**beta | v, and v == p**beta (mod d*p**beta)
-        # since d | u and p**o_u(p) == 1 (mod u)
-        counts = dict.fromkeys(range(0, k_max + 1, d * pb), 0)
-        if d > 1:
-            counts.update(dict.fromkeys(range(pb, k_max + 1, d * pb), 0))
-        for c, u, v in _class_terms(p, alpha, d, i, j, odp):
+    for c in shapes:
+        # one slot per k of the congruence.  Every column key has one:
+        # d | u, p**beta | v, and v == p**beta (mod d*p**beta) since d | u
+        # and p**o_u(p) == 1 (mod u)
+        counts = {}
+        for r in c.residues:
+            counts.update(dict.fromkeys(range(r, k_max + 1, c.period), 0))
+        for coeff, u, v in c.terms():
             col = columns.get((u, v))
             if col is None:
                 col = columns[u, v] = _column(q, u, v, k_max)
             for k, s in col.items():
-                counts[k] += c * s
+                counts[k] += coeff * s
+        d, odp, i, j, beta = c.d, c.odp, c.i, c.j, c.beta
         for k, n in counts.items():
             by_k[k].append((k, d, odp, i, j, beta, n))
     return [row for rows in by_k for row in rows]

@@ -41,8 +41,8 @@ import aglstab
 from sympy import factorint
 
 from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
-from aglstab.counting import (_class_terms, _shapes, check_field,
-                              evaluate_terms, mult_order, prime_set)
+from aglstab.counting import (classes, evaluate_terms, mult_order,
+                              prime_set)
 
 
 class AffineMap:
@@ -276,8 +276,8 @@ def moebius_exponent(dim_quotient: int, base: int) -> int:
 def overgroup_terms(p: int, alpha: int, d: int, i: int, j: int,
                     odp: int) -> tuple[tuple[int, int, int], ...]:
     """Every term of the closed form of the class (d, i, j), as
-    ``counting._class_terms`` documents it: all subsets P of the primes
-    of (|H'| - 1)/d, all dimensions l, each weight one
+    ``counting.StabilizerClass.terms`` documents it: all subsets P of the
+    primes of (|H'| - 1)/d, all dimensions l, each weight one
     ``moebius_exponent`` times one ``q_binomial``, merged over equal
     (u, v) with zero terms dropped, sorted by (u, v)."""
     beta = odp * i * j
@@ -304,21 +304,15 @@ def table_by_terms(p: int, alpha: int,
     """The rows of ``counting.build_table``, each evaluated on its own:
     one ``evaluate_terms`` call per row, so one ``s_qk`` per term, every
     binomial built from scratch."""
-    check_field(p, alpha)
+    shapes = [(c, c.terms()) for c in classes(p, alpha)]
     q = p ** alpha
     if k_max is None:
         k_max = q // 2
-    shapes = []
-    for d, i, j, odp in _shapes(p, alpha):
-        beta = odp * i * j
-        pb = p ** beta
-        shapes.append((d, odp, i, j, beta, pb, d * pb,
-                       _class_terms(p, alpha, d, i, j, odp)))
     return [
-        (k, d, odp, i, j, beta, evaluate_terms(q, k, terms))
+        (k, c.d, c.odp, c.i, c.j, c.beta, evaluate_terms(q, k, terms))
         for k in range(k_max + 1)
-        for d, odp, i, j, beta, pb, period, terms in shapes
-        if k % period in (0, pb)
+        for c, terms in shapes
+        if k % (c.d * c.h_size) in (0, c.h_size)
     ]
 
 

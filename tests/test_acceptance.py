@@ -179,7 +179,7 @@ def test_criterion_6_design_pipeline(capsys):
             S = class_representative(F, d, i, j)
             for k in range(2, q // 2 + 1):
                 cp = ClassParams(p, alpha, k, d, i, j)
-                if not cp.congruence_ok or count_N(cp) == 0:
+                if cp.congruence_violation(k) is not None or count_N(cp) == 0:
                     continue
                 mask = next(m for m in orbit_union_masks(S, k)
                             if is_exact_stabilizer(S, m))
@@ -210,7 +210,7 @@ def test_criterion_7_table_generation():
             cp = ClassParams(p, alpha, k, d, i, j)
             assert (d, i, j) in shapes
             assert k <= q // 2
-            assert cp.congruence_ok
+            assert cp.congruence_violation(k) is None
             assert beta == cp.beta and odp == cp.odp
             assert N >= 0
             assert N == count_N(cp)
@@ -220,7 +220,7 @@ def test_criterion_7_table_generation():
             for k in range(min(q, 2 * d * p ** (ClassParams(
                     p, alpha, 0, d, i, j).beta)) + 1):
                 cp = ClassParams(p, alpha, k, d, i, j)
-                if not cp.congruence_ok:
+                if cp.congruence_violation(k) is not None:
                     assert count_N(cp) == 0, (q, d, i, j, k)
     print(f"\nACCEPTANCE 7 (tables for all q<=101; {rows_total} rows, "
           f"slowest field {slowest:.1f}s < 60s): PASS")

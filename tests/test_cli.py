@@ -327,6 +327,24 @@ def test_count_invalid_tuple_names_condition(capsys):
                               "when i < alpha/o_d(p), got 4\n")
 
 
+# each input breaks two rules; the first rule checked names the error
+@pytest.mark.parametrize("argv,message", [
+    (("count", "--q", "11", "--k", "99", "--d", "3", "--i", "1", "--j", "0"),
+     "k must lie in [0, 11], got 99"),
+    (("design", "--q", "16", "--k", "40", "--d", "3"),
+     "k must lie in [0, 16], got 40"),
+    (("design", "--q", "16", "--k", "40", "--d", "4"),
+     "no stabilizer class with d = 4"),
+    (("design", "--q", "16", "--k", "40", "--d", "3", "--i", "9"),
+     "no stabilizer class with d = 3 passes the --i/--j filter; its (i, j) "
+     "are (1, 1), (2, 0), (2, 1)"),
+])
+def test_doubly_bad_input_reports_the_first_rule_checked(capsys, argv,
+                                                         message):
+    assert run(capsys, *argv) == (EXIT_INPUT, "",
+                                  f"aglstab: error: {message}\n")
+
+
 def test_verify_q7(capsys):
     code, out, _ = run(capsys, "verify", "--q", "7")
     assert code == EXIT_OK
@@ -642,10 +660,10 @@ def writer_rows(name):
         return CSV_COLUMNS, counting.build_table(p, alpha)
     # as cmd_verify builds them, with the bool ok column last
     return VERIFY_COLUMNS, [
-        (d, i, j, k, closed, lattice, brute, closed == lattice == brute)
-        for d, i, j, odp in counting._shapes(p, alpha)
+        (c.d, c.i, c.j, k, closed, lattice, brute, closed == lattice == brute)
+        for c in counting.classes(p, alpha)
         for k, closed, lattice, brute in _verify_class(
-            p, alpha, d, i, j, odp, int(q), oracle.DEFAULT_SUBSET_BUDGET)]
+            c, int(q), oracle.DEFAULT_SUBSET_BUDGET)]
 
 
 @pytest.mark.parametrize("name", ["table-64", "table-729", "table-1024",

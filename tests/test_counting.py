@@ -6,6 +6,7 @@ the exhaustive stabilizer scan in test_oracle / the acceptance suite.
 """
 
 import ast
+import hashlib
 import itertools
 import math
 import random
@@ -19,8 +20,8 @@ import aglstab.oracle
 from aglstab import counting
 from aglstab.agl import class_representative
 from aglstab.counting import (BudgetExceededError, ClassParams,
-                              build_table, check_field, check_shape,
-                              class_shapes, class_terms, count_N,
+                              StabilizerClass, build_table, check_field,
+                              check_shape, class_shapes, classes, count_N,
                               enumerate_params, evaluate_terms, mult_order,
                               prime_set, s_qk)
 from aglstab.ffield import Field, span
@@ -208,32 +209,94 @@ def test_class_params_validation():
 
 
 def test_class_params_congruence():
-    assert ClassParams(7, 1, 3, 3, 1, 0).congruence_ok
-    assert ClassParams(7, 1, 4, 3, 1, 0).congruence_ok          # 4 = 1 mod 3
-    assert not ClassParams(7, 1, 5, 3, 1, 0).congruence_ok      # 5 = 2 mod 3
-    msg = ClassParams(7, 1, 5, 3, 1, 0).congruence_violation()
+    assert ClassParams(7, 1, 3, 3, 1, 0).congruence_violation(3) is None
+    assert ClassParams(7, 1, 4, 3, 1, 0).congruence_violation(4) is None
+    assert ClassParams(7, 1, 5, 3, 1, 0).congruence_violation(5) is not None
+    msg = ClassParams(7, 1, 5, 3, 1, 0).congruence_violation(5)
     assert "mod" in msg
 
 
+def test_class_params_validation_order():
+    # k is out of range and 3 does not divide q - 1 = 10: the k range is
+    # checked before the shape
+    with pytest.raises(ValueError, match=r"^k must lie in \[0, 11\], got 99$"):
+        ClassParams(11, 1, 99, 3, 1, 0)
+    with pytest.raises(ValueError, match=r"^p must be prime, got 6$"):
+        ClassParams(6, 1, 99, 4, 1, 0)
+
+
 def test_class_params_computes_odp_once(monkeypatch):
-    calls = []
+    calls, shape_checks = [], []
+    check = counting.check_shape
 
     def counted(v, u):
         calls.append((v, u))
         return mult_order(v, u)
 
+    def counted_check(*args):
+        shape_checks.append(args)
+        return check(*args)
+
     monkeypatch.setattr(counting, "mult_order", counted)
+    monkeypatch.setattr(counting, "check_shape", counted_check)
     cp = ClassParams(2, 6, 12, 3, 1, 1)
     assert (cp.odp, cp.beta) == (2, 2)
     assert calls == [(2, 3)]
+    assert shape_checks == [(2, 6, 3, 1, 1)]
     # count_N takes o_d(p) from the check and reuses it for u = d
     count_N(cp)
     assert calls == [(2, 3)]
+    # classes and build_table trust the orders that divisor_orders returns
+    shape_checks.clear()
+    classes(2, 6)
     # build_table: one per divisor of 63, whose order every shape of that
     # d reuses, plus one per u = d*prod(P) with P nonempty
     calls.clear()
     build_table(2, 6)
     assert len(calls) == 27
+    assert shape_checks == []
+
+
+#: sha256 over every class of every prime power q <= 256, in enumeration
+#: order, of repr((p, alpha, d, i, j, odp, beta, p**beta, terms at k = 0)),
+#: recorded from the enumeration and term walk that the record replaced
+CLASS_FACTS_DIGEST = (
+    "e430765a8853ee47230e3648f6a0c431a71d256fd7a53831bd1aa72406a18407")
+#: the same over repr((p, alpha, [(d, i, j, odp, beta), ...])) per field
+BIGNUM_SHAPES_DIGEST = (
+    "a039e6c853f42861606290bb38a14d74b6d9ab959f94ec0108f3cd684cc9caad")
+
+
+def test_class_records_carry_the_recorded_facts():
+    digest = hashlib.sha256()
+    seen = 0
+    for p, alpha in prime_powers(2, 256):
+        for c in classes(p, alpha):
+            digest.update(repr((p, alpha, c.d, c.i, c.j, c.odp, c.beta,
+                                c.h_size, c.terms())).encode())
+            seen += 1
+    assert (seen, digest.hexdigest()) == (1181, CLASS_FACTS_DIGEST)
+    digest = hashlib.sha256()
+    for p, alpha in [(2, 64), (3, 30), (5, 20), (2, 48)]:
+        shapes = [(c.d, c.i, c.j, c.odp, c.beta) for c in classes(p, alpha)]
+        digest.update(repr((p, alpha, shapes)).encode())
+    assert digest.hexdigest() == BIGNUM_SHAPES_DIGEST
+
+
+def test_congruence_holds_exactly_where_orbit_unions_exist():
+    # the orbit route: a size-k union of the representative's orbits
+    # exists iff the record's congruence admits k, both ways
+    checked = 0
+    for p, alpha in prime_powers(2, 64):
+        F = Field(p, alpha)
+        for c in classes(p, alpha):
+            S = class_representative(F, c.d, c.i, c.j)
+            for k in range(F.q + 1):
+                assert (c.congruence_violation(k) is None) == (
+                    aglstab.oracle.n_orbit_unions(S, k) > 0), (
+                    F.q, c.d, c.i, c.j, k)
+                checked += 1
+    assert checked == 11_119
 
 
 def test_class_params_derived_quantities():
@@ -256,13 +319,14 @@ def test_count_N_spot_values():
 def test_class_terms_examples():
     # q = 7, d = 3, H = 0: the two immediate supergroups (d = 6, H = 0)
     # and (d = 3, H = F_7) are subtracted, their join (6, F_7) added back
-    assert class_terms(7, 1, 3, 1, 0) == (
+    assert ClassParams(7, 1, 0, 3, 1, 0).terms() == (
         (1, 3, 1), (-1, 3, 7), (-1, 6, 1), (1, 6, 7))
     # the full group of F_2 has the single term s_qk(2, k, 1, 2)
-    assert class_terms(2, 1, 1, 1, 1) == ((1, 1, 2),)
+    assert ClassParams(2, 1, 0, 1, 1, 1).terms() == ((1, 1, 2),)
     # q = 64, d = 3, H = F_4: the five 2-dimensional and the one
     # 3-dimensional F_4-subspaces above H, Moebius weights -1 and 4
-    assert class_terms(2, 6, 3, 1, 1) == ((1, 3, 4), (-5, 3, 16), (4, 3, 64))
+    assert ClassParams(2, 6, 0, 3, 1, 1).terms() == (
+        (1, 3, 4), (-5, 3, 16), (4, 3, 64))
 
 
 def test_class_terms_rejects_inadmissible_shape():
@@ -270,11 +334,11 @@ def test_class_terms_rejects_inadmissible_shape():
     # before the sums run
     with pytest.raises(ValueError,
                        match=r"^i must divide alpha/o_d\(p\) = 4, got 3$"):
-        class_terms(2, 4, 1, 3, 1)
+        ClassParams(2, 4, 0, 1, 3, 1).terms()
     # past the check the sums still guard their divisibilities: the order
     # of 2 mod 7 is 3, which does not divide alpha - beta = 1
     with pytest.raises(ValueError, match="does not divide"):
-        counting._class_terms(2, 4, 1, 3, 1, 1)
+        StabilizerClass(2, 4, 1, 3, 1, 1).terms()
 
 
 def _accepts(p, alpha, d, i, j) -> bool:
@@ -336,7 +400,7 @@ BAD_SHAPES = [
 def test_every_entry_point_rejects_a_bad_shape_alike(p, alpha, d, i, j):
     messages = []
     for build in (lambda: ClassParams(p, alpha, 0, d, i, j),
-                  lambda: class_terms(p, alpha, d, i, j),
+                  lambda: ClassParams(p, alpha, 0, d, i, j).terms(),
                   lambda: class_representative(Field(p, alpha), d, i, j),
                   lambda: check_shape(p, alpha, d, i, j)):
         with pytest.raises(ValueError) as exc:
@@ -353,7 +417,7 @@ def test_every_entry_point_rejects_a_bad_shape_alike(p, alpha, d, i, j):
 ])
 def test_every_entry_point_rejects_a_bad_field_alike(p, alpha, message):
     for build in (lambda: ClassParams(p, alpha, 0, 1, 1, 0),
-                  lambda: class_terms(p, alpha, 1, 1, 0),
+                  lambda: classes(p, alpha),
                   lambda: class_shapes(p, alpha),
                   lambda: build_table(p, alpha, 0),
                   lambda: Field(p, alpha),
@@ -405,7 +469,7 @@ def test_enumerate_params_prime_field_betas():
 def test_enumerate_params_congruence_and_order():
     params = enumerate_params(3, 2)
     for cp in params:
-        assert cp.congruence_ok
+        assert cp.congruence_violation(cp.k) is None
         assert 0 <= cp.k <= 4
     # k outermost, then d ascending, then i, then j
     keys = [(cp.k, cp.d, cp.i, cp.j) for cp in params]
@@ -538,17 +602,17 @@ def test_build_table_builds_each_column_once(monkeypatch, p, alpha):
     monkeypatch.setattr(counting, "s_qk", counted_s_qk)
     build_table(p, alpha)
     assert evaluated == []
-    distinct = {(u, v) for d, i, j in class_shapes(p, alpha)
-                for _, u, v in class_terms(p, alpha, d, i, j)}
+    distinct = {(u, v) for c in classes(p, alpha) for _, u, v in c.terms()}
     assert sorted(built) == sorted(distinct)
 
 
 @pytest.mark.parametrize("p,alpha", prime_powers(2, 256))
 def test_count_N_matches_every_term_at_every_k(p, alpha):
     q = p ** alpha
-    for d, i, j, odp in counting._shapes(p, alpha):
-        terms = counting._class_terms(p, alpha, d, i, j, odp)
-        assert terms == overgroup_terms(p, alpha, d, i, j, odp), (d, i, j)
+    for c in classes(p, alpha):
+        d, i, j = c.d, c.i, c.j
+        terms = c.terms()
+        assert terms == overgroup_terms(p, alpha, d, i, j, c.odp), (d, i, j)
         for k in range(q + 1):
             assert count_N(ClassParams(p, alpha, k, d, i, j)) == (
                 evaluate_terms(q, k, terms)), (d, i, j, k)
@@ -576,12 +640,13 @@ def _congruent_ks(rng, p, alpha, d, beta, quot):
 def test_count_N_keeps_every_contributing_term_bignum(p, alpha):
     rng = random.Random(p ** alpha)
     q = p ** alpha
-    for d, i, j, odp in rng.sample(list(counting._shapes(p, alpha)), 8):
-        terms = counting._class_terms(p, alpha, d, i, j, odp)
+    for c in rng.sample(classes(p, alpha), 8):
+        d, i, j, odp = c.d, c.i, c.j, c.odp
+        terms = c.terms()
         assert terms == overgroup_terms(p, alpha, d, i, j, odp), (d, i, j)
         quot = (p ** (odp * i) - 1) // d
         for k in _congruent_ks(rng, p, alpha, d, odp * i * j, quot):
-            kept = counting._class_terms(p, alpha, d, i, j, odp, k)
+            kept = c.terms(k)
             assert set(kept) <= set(terms)
             assert all(s_qk(q, k, u, v) == 0
                        for _, u, v in set(terms) - set(kept)), (d, i, j, k)
@@ -595,7 +660,7 @@ def test_count_N_keeps_every_contributing_term_bignum(p, alpha):
 def test_count_N_walks_only_contributing_overgroups(monkeypatch, args, kept,
                                                     total):
     cp = ClassParams(*args)
-    assert len(class_terms(cp.p, cp.alpha, cp.d, cp.i, cp.j)) == total
+    assert len(cp.terms()) == total
     calls, evaluated = [], []
     evaluate = counting.evaluate_terms
 

@@ -185,7 +185,7 @@ def test_orbit_designs_from_witnesses_pass_all_checks(p, alpha):
         S = class_representative(F, d, i, j)
         for k in range(2, q // 2 + 1):
             cp = ClassParams(p, alpha, k, d, i, j)
-            if not cp.congruence_ok or count_N(cp) == 0:
+            if cp.congruence_violation(k) is not None or count_N(cp) == 0:
                 continue
             mask = next(exact_orbit_unions(S, k))
             params, matrix = orbit_design(S, mask)

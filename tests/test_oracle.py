@@ -10,7 +10,7 @@ from aglstab import oracle
 from aglstab.agl import (Subgroup, class_representative, full_group,
                          immediate_supergroups, join_pair,
                          subgroup_from_pairs, trivial_subgroup)
-from aglstab.counting import (ClassParams, class_shapes, class_terms, count_N,
+from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
                               mult_order)
 from aglstab.ffield import Field, span, zero_subspace
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
@@ -346,9 +346,9 @@ def test_lattice_example_q5():
 def test_closed_form_terms_equal_lattice_terms(p, alpha):
     # one representation for two engines: the same signed (c, d, |H|) terms
     F = field(p, alpha)
-    for d, i, j in class_shapes(p, alpha):
-        S = class_representative(F, d, i, j)
-        assert class_terms(p, alpha, d, i, j) == lattice_terms(S), (d, i, j)
+    for c in classes(p, alpha):
+        S = class_representative(F, c.d, c.i, c.j)
+        assert c.terms() == lattice_terms(S), (c.d, c.i, c.j)
 
 
 def test_lattice_requires_b_zero():
