@@ -59,8 +59,8 @@ def _field(p: int, alpha: int) -> Field:
 
 
 def _resolve_field(args) -> tuple[int, int]:
-    """(p, alpha) from --p/--alpha or from --q (a prime power); exit 3 when
-    ``counting.check_factored`` refuses the field, as the library does."""
+    """(p, alpha) from --p/--alpha or from --q (a prime power), admitted by
+    ``counting.check_factored``: exit 1 for a bad field, 3 for a refused one."""
     if args.q is not None:
         if args.p is not None or args.alpha is not None:
             raise ValueError("give either --q or --p/--alpha, not both")
@@ -69,12 +69,11 @@ def _resolve_field(args) -> tuple[int, int]:
         raise ValueError("a field is required: give --q or --p (with --alpha)")
     else:
         p, alpha = args.p, 1 if args.alpha is None else args.alpha
-        counting.check_field(p, alpha)
     counting.check_factored(p, alpha)
     return p, alpha
 
 
-def _max_k(args, q: int, default: int) -> int:
+def _max_k(args, q: int, default: int | None = None) -> int | None:
     """The ``--max-k`` of ``table`` and ``verify``: ``default`` when the
     flag is absent, else an integer in [0, q]."""
     if args.max_k is None:
@@ -110,9 +109,8 @@ def _emit_rows(columns, rows, fmt: str, out) -> None:
 
 def cmd_table(args, out) -> int:
     p, alpha = _resolve_field(args)
-    q = p ** alpha
     _emit_rows(CSV_COLUMNS,
-               counting.build_table(p, alpha, _max_k(args, q, q // 2)),
+               counting.build_table(p, alpha, _max_k(args, p ** alpha)),
                args.format, out)
     return EXIT_OK
 
@@ -155,6 +153,8 @@ def cmd_verify(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
     k_max = _max_k(args, q, q)
+    # oracle's map-scan cap fires only after the field tables, a class
+    # representative and its lattice fold are built; this one fires first
     if q > oracle.DEFAULT_STABILIZER_LIMIT:
         raise counting.BudgetExceededError(
             f"verification needs q <= {oracle.DEFAULT_STABILIZER_LIMIT}, got {q}")
@@ -218,8 +218,7 @@ def cmd_design(args, out) -> int:
             pairs = ", ".join(f"({c.i}, {c.j})" for c in shapes)
             raise ValueError(f"no stabilizer class with d = {args.d} passes "
                              f"the --i/--j filter; its (i, j) are {pairs}")
-        if not 0 <= args.k <= q:
-            raise ValueError(f"k must lie in [0, {q}], got {args.k}")
+        counting.check_subset_size(q, args.k)
         chosen = next((c for c in matching
                        if c.congruence_violation(args.k) is None
                        and c.count(args.k) > 0), None)

@@ -38,14 +38,15 @@ Everything is exact integer arithmetic; no floating point is used
 anywhere in this module.
 
 Validity is decided here, once per rule: ``check_field`` (p prime, alpha
->= 1), ``check_divisor`` (d | q - 1) and ``check_shape`` (that rule, i |
-alpha/o_d(p), j in the range i allows); the last two return o_d(p).
-``classes`` builds exactly the records of the triples ``check_shape``
-accepts, so it runs no shape check, and ``ClassParams`` runs it once.
-Only this module uses sympy.  ``prime_set`` holds the one bounded factoring
-rule, and ``check_factored`` applies it to q - 1: class enumeration refuses
-at once every field that the CLI refuses, ``classes(2, 256)`` among
-them, and ``count_N`` a class whose (|H'| - 1)/d does not factor.
+>= 1), ``check_subset_size`` (0 <= k <= q), ``check_divisor`` (d | q - 1)
+and ``check_shape`` (that rule, i | alpha/o_d(p), j in the range i
+allows); the last two return o_d(p).  ``ClassParams`` runs the shape rule
+once, and ``classes`` builds only the triples it accepts.  Only this module
+uses sympy.  ``prime_set`` holds the one bounded factoring rule, and
+``check_factored``, the admission of a field, runs ``check_field`` and then
+that rule on q - 1: ``classes`` and ``build_table`` refuse at once every
+field that the CLI refuses, and ``count_N`` a class whose (|H'| - 1)/d
+does not factor.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from sympy import divisors, factorint, isprime, perfect_power
+from sympy import factorint, isprime, perfect_power
 
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
@@ -70,10 +71,10 @@ class BudgetExceededError(RuntimeError):
     """A computation would exceed its configured budget."""
 
 
-def prime_set(u: int) -> tuple[int, ...]:
-    """Distinct prime divisors of u in ascending order; empty for u = 1.
-    Refuses (``BudgetExceededError``) a u above MAX_FACTORED_Q, or one that
-    ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor."""
+def _factorization(u: int) -> dict[int, int]:
+    """u as {prime: exponent}.  Refuses (``BudgetExceededError``) a u above
+    MAX_FACTORED_Q, or one that ``factorint(u, limit=FACTOR_LIMIT)`` leaves
+    with a composite factor."""
     if u <= 0:
         raise ValueError(f"expected a positive integer, got {u}")
     primes = None       # past the cap, neither factorint nor isprime runs
@@ -87,7 +88,13 @@ def prime_set(u: int) -> tuple[int, ...]:
             f"a {u.bit_length()}-bit number is refused: it must be at most "
             f"2^2048 and factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}")
-    return tuple(sorted(primes))
+    return primes
+
+
+def prime_set(u: int) -> tuple[int, ...]:
+    """Distinct prime divisors of u in ascending order; empty for u = 1.
+    A u that ``_factorization`` refuses raises."""
+    return tuple(sorted(_factorization(u)))
 
 
 def mult_order(v: int, u: int) -> int:
@@ -158,11 +165,20 @@ def prime_power(q: int) -> tuple[int, int]:
     return int(p), int(alpha)
 
 
-def check_factored(p: int, alpha: int) -> None:
-    """The factoring rule for a valid field F_{p**alpha}: ``prime_set``
-    accepts q - 1.  alpha > 2048 is past the cap without computing q."""
+def check_subset_size(q: int, k: int) -> None:
+    """The subset-size rule: a subset of F_q has 0 <= k <= q elements."""
+    if not 0 <= k <= q:
+        raise ValueError(f"k must lie in [0, {q}], got {k}")
+
+
+def check_factored(p: int, alpha: int) -> dict[int, int]:
+    """The admission of a field F_{p**alpha}: ``check_field``, then the
+    factoring rule, that ``prime_set`` accepts q - 1.  alpha > 2048 is past
+    the cap without computing q.  Returns q - 1 as {prime: exponent}."""
+    check_field(p, alpha)
     try:
-        prime_set(MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1)
+        return _factorization(
+            MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1)
     except BudgetExceededError:
         raise BudgetExceededError(
             f"q = {p}^{alpha} is refused: q must be at most 2^2048, and "
@@ -170,11 +186,13 @@ def check_factored(p: int, alpha: int) -> None:
             f"{FACTOR_LIMIT}") from None
 
 
-def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
-    """(d, o_d(p)) for d ascending over the divisors of q - 1 of a valid
-    field; a field that ``check_factored`` refuses raises first."""
-    check_factored(p, alpha)
-    return [(d, mult_order(p, d)) for d in divisors(p ** alpha - 1)]
+def divisor_orders(p: int, factors: dict[int, int]) -> list[tuple[int, int]]:
+    """(d, o_d(p)) for d ascending over the divisors of q - 1, taken by
+    plain arithmetic from q - 1 factored, as ``check_factored`` returns it."""
+    divs = [1]
+    for r, e in factors.items():
+        divs = [x * r ** t for x in divs for t in range(e + 1)]
+    return [(d, mult_order(p, d)) for d in sorted(divs)]
 
 
 def check_divisor(p: int, alpha: int, d: int) -> int:
@@ -338,9 +356,7 @@ class ClassParams(StabilizerClass):
 
     def __init__(self, p: int, alpha: int, k: int, d: int, i: int, j: int):
         check_field(p, alpha)
-        q = p ** alpha
-        if not 0 <= k <= q:
-            raise ValueError(f"k must lie in [0, {q}], got {k}")
+        check_subset_size(p ** alpha, k)
         super().__init__(p, alpha, d, i, j, check_shape(p, alpha, d, i, j))
         self.k = k
 
@@ -351,19 +367,20 @@ def count_N(params: ClassParams) -> int:
     return params.count(params.k)
 
 
-def classes(p: int, alpha: int) -> list[StabilizerClass]:
+def classes(p: int, alpha: int, factors: dict[int, int] | None = None
+            ) -> list[StabilizerClass]:
     """Every stabilizer class of F_{p**alpha}, exactly the triples that
     ``check_shape`` accepts: d ascending over the divisors of q - 1, then
-    i ascending, then j ascending.  Refuses a field that ``check_field`` or
-    ``check_factored`` refuses."""
-    check_field(p, alpha)
-    out = []
-    for d, odp in divisor_orders(p, alpha):
-        top = alpha // odp
-        for i in divisors(top):
-            for j in (0, 1) if i == top else range(1, top // i):
-                out.append(StabilizerClass(p, alpha, d, i, j, odp))
-    return out
+    i ascending over the divisors of alpha/o_d(p), then j ascending.
+    ``check_factored`` admits the field first, unless the caller did and
+    passes the ``factors`` it returned."""
+    if factors is None:
+        factors = check_factored(p, alpha)
+    return [StabilizerClass(p, alpha, d, i, j, odp)
+            for d, odp in divisor_orders(p, factors)
+            for i in range(1, alpha // odp + 1) if alpha % (odp * i) == 0
+            for j in ((0, 1) if odp * i == alpha
+                      else range(1, alpha // (odp * i)))]
 
 
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
@@ -372,15 +389,9 @@ def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
 
 
 def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[ClassParams]:
-    """All table tuples with 0 <= k <= k_max (default q // 2) satisfying
-    the zero-pattern congruence, in emission order: k outermost, then d
-    ascending, then i, then j."""
-    shapes = classes(p, alpha)
-    if k_max is None:
-        k_max = p ** alpha // 2
-    return [ClassParams(p, alpha, k, c.d, c.i, c.j)
-            for k in range(k_max + 1) for c in shapes
-            if c.congruence_violation(k) is None]
+    """The ``ClassParams`` of the rows of ``build_table``, in its order."""
+    return [ClassParams(p, alpha, k, d, i, j)
+            for k, d, _, i, j, _, _ in build_table(p, alpha, k_max)]
 
 
 def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
@@ -411,22 +422,32 @@ def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
 
 def build_table(p: int, alpha: int,
                 k_max: int | None = None) -> list[tuple[int, ...]]:
-    """One row (k, d, odp, i, j, beta, N), in ``CSV_COLUMNS`` order, per
-    enumerate_params tuple, in the same order.
+    """One row (k, d, odp, i, j, beta, N), in ``CSV_COLUMNS`` order, for
+    each 0 <= k <= k_max (default q // 2) and each class whose zero-pattern
+    congruence admits k: k outermost, then the classes in ``classes`` order.
 
     The table reads shared columns: one ``_column`` per distinct (u, v)
     among the class terms of the field, built on first use.  Each class
     adds coeff * column into slots preset at the k of its congruence and
     reads its rows off them; a column key off it would raise ``KeyError``.
     A table of more than ``MAX_TABLE_ROWS`` rows raises
-    ``BudgetExceededError`` before anything is built.
+    ``BudgetExceededError`` before anything is built, and so, before the
+    classes are enumerated, does a field with over MAX_TABLE_ROWS/2
+    divisors of q - 1.
     """
-    shapes = classes(p, alpha)
+    factors = check_factored(p, alpha)
     q = p ** alpha
     if k_max is None:
         k_max = q // 2
-    if not 0 <= k_max <= q:
-        raise ValueError(f"k must lie in [0, {q}], got {k_max}")
+    check_subset_size(q, k_max)
+    # each divisor d of q - 1 has the classes (d, alpha/o_d(p), 0) and
+    # (d, alpha/o_d(p), 1), each with a row at k = 0
+    least = 2 * math.prod(e + 1 for e in factors.values())
+    if least > MAX_TABLE_ROWS:
+        raise BudgetExceededError(
+            f"the table of q = {q} has at least {least} rows, two for each "
+            f"divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
+    shapes = classes(p, alpha, factors)
     # as many rows as the slots below; no len(range(...)), which overflows
     # past sys.maxsize
     rows = sum((k_max - r) // c.period + 1

@@ -49,7 +49,8 @@ from functools import lru_cache
 
 from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import BudgetExceededError, divisor_orders, evaluate_terms
+from .counting import (BudgetExceededError, check_factored,
+                       check_subset_size, divisor_orders, evaluate_terms)
 from .ffield import Field, Subspace, span, zero_subspace
 
 DEFAULT_STABILIZER_LIMIT = 4096
@@ -192,8 +193,7 @@ def orbit_union_masks(S: Subgroup, k: int):
 
 
 def _check_budget(S: Subgroup, k: int, budget: int) -> None:
-    if not 0 <= k <= S.field.q:
-        raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
+    check_subset_size(S.field.q, k)
     candidates = n_orbit_unions(S, k)
     if candidates > budget:
         raise BudgetExceededError(
@@ -373,8 +373,7 @@ def count_N_bruteforce(S: Subgroup, k: int,
 def full_census(field: Field, k: int) -> dict[Subgroup, int]:
     """Stabilizer of every k-subset of F_q, grouped by canonical descriptor;
     more than DEFAULT_SUBSET_BUDGET subsets raise before any scan."""
-    if not 0 <= k <= field.q:
-        raise ValueError(f"k must lie in [0, {field.q}], got {k}")
+    check_subset_size(field.q, k)
     total = math.comb(field.q, k)
     if total > DEFAULT_SUBSET_BUDGET:
         raise BudgetExceededError(f"{total} subsets exceed the budget of "
@@ -427,8 +426,7 @@ def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
 
 def count_N_via_lattice(S: Subgroup, k: int) -> int:
     """N(S, k) by inclusion-exclusion over the immediate supergroups."""
-    if not 0 <= k <= S.field.q:
-        raise ValueError(f"k must lie in [0, {S.field.q}], got {k}")
+    check_subset_size(S.field.q, k)
     return evaluate_terms(S.field.q, k, lattice_terms(S))
 
 
@@ -469,7 +467,8 @@ def all_subgroups(field: Field) -> list[Subgroup]:
             f"subgroup enumeration needs q <= {DEFAULT_ALL_SUBGROUPS_LIMIT}, "
             f"got q = {field.q}")
     out = []
-    for d, odp in divisor_orders(field.p, field.alpha):
+    for d, odp in divisor_orders(field.p,
+                                 check_factored(field.p, field.alpha)):
         for H in all_subspaces(field, odp):
             points = (0,) if d == 1 else H.coset_leaders()
             out.extend(Subgroup(field, d, b, H) for b in points)

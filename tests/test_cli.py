@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from aglstab import counting, oracle
+from aglstab import agl, cli, counting, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
                          VERIFY_COLUMNS, _emit_rows, _resolve_field,
                          _verify_class, build_parser, main)
@@ -124,6 +124,52 @@ def test_field_whose_q_minus_1_does_not_factor_exits_3_at_once(argv, power):
     assert proc.returncode == EXIT_BUDGET
     assert (proc.stdout, proc.stderr) == ("", _refusal(power))
     assert seconds < 5
+
+
+#: sha256 of `table --q 2^64 --max-k 10 --format csv`, recorded before the
+#: table bounded its rows by the divisors of q - 1
+BIGNUM_TABLE_SHA256 = (
+    "a41c66c88e52638f4ea0a7936d2dcdcb1234aac843d84d971c4a95ae6f5f3883")
+
+
+def test_table_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
+    # 2^180 - 1 has 6,291,456 divisors; listing them and their orders ran
+    # for minutes when the table counted its rows only after the classes
+    proc, seconds = run_process("table", "--p", "2", "--alpha", "180",
+                                "--max-k", "1", timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    assert (proc.stdout, proc.stderr) == (
+        "", f"aglstab: budget exceeded: the table of q = {2 ** 180} has at "
+            "least 12582912 rows, two for each divisor of q - 1, over the "
+            "limit of 10000000\n")
+    assert seconds < 5
+    # a q - 1 with few divisors still prints its rows
+    proc, _ = run_process("table", "--q", str(2 ** 64), "--max-k", "10",
+                          "--format", "csv")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert hashlib.sha256(
+        proc.stdout.encode()).hexdigest() == BIGNUM_TABLE_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--q", "64"],
+    ["count", "--q", "64", "--k", "4", "--d", "3", "--i", "1", "--j", "1"],
+    ["verify", "--q", "5"],
+    ["design", "--q", "7", "--k", "3", "--d", "3"],
+], ids=" ".join)
+def test_cli_and_library_each_admit_the_field_once(capsys, monkeypatch, argv):
+    admitted = []
+    check = counting.check_factored
+
+    def counted(p, alpha):
+        admitted.append((p, alpha))
+        return check(p, alpha)
+
+    monkeypatch.setattr(counting, "check_factored", counted)
+    assert run(capsys, *argv)[0] == EXIT_OK
+    # ClassParams applies no factoring rule, so count admits only once
+    field = admitted[0]
+    assert admitted == [field] * (1 if argv[0] == "count" else 2)
 
 
 def _refusal(power):
@@ -440,6 +486,18 @@ def test_verify_past_the_q_cap_exits_3(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert "verification needs q <= 4096" in err
+
+
+def test_verify_cap_fires_before_any_field_work(capsys, monkeypatch):
+    # the map-scan cap in oracle would fire only after these ran
+    def forbidden(*args):
+        raise AssertionError("field work ran past the verify cap")
+
+    monkeypatch.setattr(cli, "_field", forbidden)
+    monkeypatch.setattr(agl, "class_representative", forbidden)
+    assert run(capsys, "verify", "--q", "8192") == (
+        EXIT_BUDGET, "", "aglstab: budget exceeded: verification needs "
+                         "q <= 4096, got 8192\n")
 
 
 def test_design_q7_text(capsys):

@@ -7,6 +7,7 @@ the exhaustive stabilizer scan in test_oracle / the acceptance suite.
 
 import ast
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -17,13 +18,14 @@ import sympy
 
 import aglstab
 import aglstab.oracle
-from aglstab import counting
+from aglstab import counting, oracle
 from aglstab.agl import class_representative
+from aglstab.cli import build_parser, cmd_design
 from aglstab.counting import (BudgetExceededError, ClassParams,
-                              StabilizerClass, build_table, check_field,
-                              check_shape, class_shapes, classes, count_N,
-                              enumerate_params, evaluate_terms, mult_order,
-                              prime_set, s_qk)
+                              StabilizerClass, build_table, check_factored,
+                              check_field, check_shape, class_shapes, classes,
+                              count_N, divisor_orders, enumerate_params,
+                              evaluate_terms, mult_order, prime_set, s_qk)
 from aglstab.ffield import Field, span
 from reference import (moebius_exponent, overgroup_terms, prime_powers,
                        q_binomial, run_python, table_by_terms)
@@ -421,10 +423,52 @@ def test_every_entry_point_rejects_a_bad_field_alike(p, alpha, message):
                   lambda: class_shapes(p, alpha),
                   lambda: build_table(p, alpha, 0),
                   lambda: Field(p, alpha),
-                  lambda: check_field(p, alpha)):
+                  lambda: check_field(p, alpha),
+                  lambda: check_factored(p, alpha)):
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def _design(q, k):
+    args = build_parser().parse_args(
+        ["design", "--q", str(q), "--k", str(k), "--d", "1"])
+    return cmd_design(args, io.StringIO())
+
+
+@pytest.mark.parametrize("entry", [
+    lambda q, k: ClassParams(q, 1, k, 1, 1, 0),
+    lambda q, k: build_table(q, 1, k),
+    _design,
+    lambda q, k: oracle.count_N_bruteforce(
+        class_representative(Field(q, 1), 1, 1, 0), k),
+    lambda q, k: oracle.count_N_via_lattice(
+        class_representative(Field(q, 1), 1, 1, 0), k),
+    lambda q, k: oracle.full_census(Field(q, 1), k),
+], ids=["ClassParams", "build_table", "cmd_design", "count_N_bruteforce",
+        "count_N_via_lattice", "full_census"])
+@pytest.mark.parametrize("k", [-1, 8])
+def test_every_entry_point_rejects_a_bad_subset_size_alike(entry, k):
+    with pytest.raises(ValueError) as exc:
+        entry(7, k)
+    assert str(exc.value) == f"k must lie in [0, 7], got {k}"
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 1), (2, 6), (3, 4), (7, 2), (1021, 1),
+                                     (2, 64), (3, 30), (5, 20), (2, 48)])
+def test_classes_take_the_divisors_from_the_admission(monkeypatch, p,
+                                                      alpha):
+    q = p ** alpha
+    factors = check_factored(p, alpha)
+    assert factors == sympy.factorint(q - 1)
+    orders = divisor_orders(p, factors)
+    assert [d for d, _ in orders] == sympy.divisors(q - 1)
+    assert all(odp == sympy.n_order(p, d) for d, odp in orders[1:])
+    shapes = [(c.d, c.i, c.j) for c in classes(p, alpha)]
+    # given the factors of an admitted field, no second admission runs
+    monkeypatch.setattr(counting, "check_factored",
+                        lambda *args: pytest.fail("admitted twice"))
+    assert [(c.d, c.i, c.j) for c in classes(p, alpha, factors)] == shapes
 
 
 def test_count_N_k0_detects_full_group():
@@ -574,6 +618,37 @@ def test_table_row_limit_raises_before_allocating_a_bignum_table():
                        match=f"up to k = {2 ** 63} has 37985558454274872956 "
                              "rows, over the limit of 10000000$"):
         build_table(2, 64)
+
+
+def test_table_of_too_many_divisors_raises_before_enumerating_classes(
+        monkeypatch):
+    # 2^180 - 1 has 6,291,456 divisors, each with two classes and a row
+    # at k = 0; listing them ran for minutes
+    monkeypatch.setattr(counting, "mult_order",
+                        lambda *args: pytest.fail("enumerated the divisors"))
+    with pytest.raises(BudgetExceededError,
+                       match=f"^the table of q = {2 ** 180} has at least "
+                             "12582912 rows, two for each divisor of q - 1, "
+                             "over the limit of 10000000$"):
+        build_table(2, 180, 1)
+    # the field rule first, then the k range, then the bound
+    with pytest.raises(ValueError, match=r"^k must lie in \[0, \d+\], got -1$"):
+        build_table(2, 180, -1)
+    with pytest.raises(BudgetExceededError, match="q = 2\\^1000 is refused"):
+        build_table(2, 1000, -1)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (1021, 1)])
+def test_every_table_has_two_rows_per_divisor_at_least(monkeypatch, p,
+                                                        alpha):
+    # at k_max = 0 the table has one row per class; the bound is tight
+    # when every d has only the classes (d, alpha/o_d(p), 0) and (..., 1)
+    rows = len(build_table(p, alpha, 0))
+    least = 2 * len(sympy.divisors(p ** alpha - 1))
+    assert rows >= least
+    monkeypatch.setattr(counting, "MAX_TABLE_ROWS", least - 1)
+    with pytest.raises(BudgetExceededError, match=f"has at least {least} "):
+        build_table(p, alpha, 0)
 
 
 def test_largest_field_table_fits_the_row_limit():
