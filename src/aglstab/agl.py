@@ -1,7 +1,7 @@
 """The group of affine maps x -> a*x + b on F_q and its subgroup lattice.
 
 A map is the int pair (a, b) with a != 0, and a subset is an int mask
-(see :mod:`aglstab.oracle`); the module keeps no map objects.  Every
+(see :mod:`aglstab.ffield`); the module keeps no map objects.  Every
 subgroup is ``S(a, b, H)``: the group generated by one map (a, b)
 together with the translations by an F_p-subspace H that is closed under
 multiplication by F_p(a).  The canonical descriptor fixes a = gamma**((q-1)/d)

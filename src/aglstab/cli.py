@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import agl, counting, designs, oracle
 from .counting import CSV_COLUMNS, ClassParams
-from .ffield import Field
+from .ffield import Field, mask_elements, subset_mask
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -153,11 +153,7 @@ def cmd_verify(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
     k_max = _max_k(args, q, q)
-    # oracle's map-scan cap fires only after the field tables, a class
-    # representative and its lattice fold are built; this one fires first
-    if q > oracle.DEFAULT_STABILIZER_LIMIT:
-        raise counting.BudgetExceededError(
-            f"verification needs q <= {oracle.DEFAULT_STABILIZER_LIMIT}, got {q}")
+    oracle.check_map_scan(q)
     shapes = counting.classes(p, alpha)
     rows = [(c.d, c.i, c.j, k, closed, lattice, brute,
              closed == lattice == brute)
@@ -190,13 +186,12 @@ def _parse_subset(text: str, q: int) -> int:
         raise ValueError(f"--subset must be comma-separated integers, got {text!r}")
     if not elements or not all(0 <= x < q for x in elements):
         raise ValueError(f"subset elements must lie in [0, {q})")
-    return oracle.subset_mask(elements)
+    return subset_mask(elements)
 
 
 def cmd_design(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
-    field = _field(p, alpha)
     if args.subset is not None:
         mixed = [f"--{name}" for name in ("k", "d", "i", "j")
                  if getattr(args, name) is not None]
@@ -204,7 +199,9 @@ def cmd_design(args, out) -> int:
             raise ValueError("--subset cannot be combined with "
                              f"{', '.join(mixed)}: the subset fixes the class")
         mask = _parse_subset(args.subset, q)
-        S = oracle.stabilizer(field, mask)
+        oracle.check_map_scan(q)
+        S = oracle.stabilizer(_field(p, alpha), mask)
+        designs.check_design_size(q, S.order)
     else:
         if args.k is None or args.d is None:
             raise ValueError("design needs --subset, or --k with --d")
@@ -219,6 +216,7 @@ def cmd_design(args, out) -> int:
             raise ValueError(f"no stabilizer class with d = {args.d} passes "
                              f"the --i/--j filter; its (i, j) are {pairs}")
         counting.check_subset_size(q, args.k)
+        oracle.check_map_scan(q)
         chosen = next((c for c in matching
                        if c.congruence_violation(args.k) is None
                        and c.count(args.k) > 0), None)
@@ -226,7 +224,9 @@ def cmd_design(args, out) -> int:
             raise ValueError(
                 f"no {args.k}-subset has a stabilizer of class d = {args.d}: "
                 "the exact count is 0 for every matching (i, j)")
-        S = agl.class_representative(field, chosen.d, chosen.i, chosen.j)
+        designs.check_design_size(q, chosen.period)
+        S = agl.class_representative(_field(p, alpha), chosen.d, chosen.i,
+                                     chosen.j)
         unions = oracle.orbit_union_masks(S, args.k)
         mask = next((m for m in itertools.islice(unions, args.oracle_budget)
                      if oracle.is_exact_stabilizer(S, m)), None)
@@ -245,7 +245,7 @@ def cmd_design(args, out) -> int:
     if args.format == "json":
         record = designs.design_record(params, matrix, code, words)
         record["q"] = q
-        record["subset"] = list(oracle.mask_elements(mask))
+        record["subset"] = list(mask_elements(mask))
         record["stabilizer_order"] = S.order
         record["johnson_equality"] = johnson
         record["a2"] = {"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}
@@ -254,7 +254,7 @@ def cmd_design(args, out) -> int:
     elif args.format == "csv":
         out.write(designs.blocks_as_text(matrix) + "\n")
     else:
-        subset = ",".join(str(x) for x in oracle.mask_elements(mask))
+        subset = ",".join(str(x) for x in mask_elements(mask))
         out.write(f"q={q} subset={subset} stabilizer order={S.order}\n")
         out.write(f"design v={params.v} b={params.b} r={params.r} "
                   f"k={params.k} lambda={params.lmbda}\n")

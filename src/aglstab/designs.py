@@ -9,11 +9,13 @@ gives a constant-weight code of length b, weight r and minimum distance
 resulting exact value A2(q(q-1)/s, 2k(q-k)/s, k(q-1)/s) = q, where s is
 the stabilizer order.
 
-Subsets and blocks are int masks over the points.  The blocks are the q
-translates of a*B for each multiplier a, taken from the translate-mask
-kernel of :mod:`aglstab.oracle` that also drives the stabilizer scan.
-Each incidence row is one int whose bit j is set when the point lies in
-block j.  ``orbit_design`` takes the stabilizer of B as given and checks
+Subsets and blocks are int masks over the points, in the format of
+:mod:`aglstab.ffield`.  The blocks are the q translates of a*B for each
+multiplier a, read from ``ffield.translate_masks``, which also drives the
+stabilizer scan.  Each incidence row is one int whose bit j is set when
+the point lies in block j.  A design of b blocks is b*q bits of codewords,
+and ``check_design_size`` refuses more than MAX_DESIGN_BITS of them.
+``orbit_design`` takes the stabilizer of B as given and checks
 the block count against it and the block sizes;
 ``design_to_code`` makes the only pass over the row pairs, where constant
 row weights and constant pair meets certify r and lambda (counting
@@ -27,9 +29,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import oracle
 from .agl import Subgroup
-from .counting import ClassParams, count_N
+from .counting import BudgetExceededError, ClassParams, count_N
+from .ffield import mask_elements, subset_mask, translate_masks
+
+#: most codeword bits (b*q) of one design; the slowest design measured
+#: under it, q = 128 with |S| = 1 and k = 120 (2,080,768 bits), prints
+#: 22 MB of json in about 6 s on a 2-vCPU host
+MAX_DESIGN_BITS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -71,14 +78,9 @@ class IncidenceMatrix:
         rows = [0] * self.v
         for j, blk in enumerate(self.blocks):
             bit = 1 << j
-            while blk:
-                low = blk & -blk
-                rows[low.bit_length() - 1] |= bit
-                blk ^= low
+            for x in mask_elements(blk):
+                rows[x] |= bit
         return tuple(rows)
-
-    def block_elements(self, j: int) -> tuple[int, ...]:
-        return oracle.mask_elements(self.blocks[j])
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,22 @@ class CodeParams:
                              f"integer, got {self.d}")
 
 
+def check_design_size(q: int, order: int) -> None:
+    """Refuse a design whose b = q(q-1)/order blocks hold more than
+    MAX_DESIGN_BITS codeword bits, before any of it is built."""
+    b = q * (q - 1) // order
+    if b * q > MAX_DESIGN_BITS:
+        raise BudgetExceededError(
+            f"the design has {b} blocks of {q} points, {b * q} codeword "
+            f"bits, over the limit of {MAX_DESIGN_BITS}")
+
+
 def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]:
     """The block design whose blocks are the images of the masked subset
     under all affine maps, where S is the subset's stabilizer.
 
     The images of B under the maps with multiplier a are the q
-    translates of a*B, which ``oracle.translate_masks`` returns as
+    translates of a*B, which ``ffield.translate_masks`` returns as
     (a*B) - z for every z.  The orbit must have q(q-1)/|S| blocks, so an
     S smaller than the true stabilizer raises.
     """
@@ -115,10 +127,10 @@ def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]
     b = field.q * (field.q - 1) // S.order
     blocks = set()
     mul = field.mul
-    elems = oracle.mask_elements(mask)
+    elems = mask_elements(mask)
     for a in range(1, field.q):
-        blocks.update(oracle.translate_masks(
-            field, oracle.subset_mask(mul(a, x) for x in elems)))
+        blocks.update(translate_masks(
+            field, subset_mask(mul(a, x) for x in elems)))
     if len(blocks) != b:
         raise ValueError(f"the orbit has {len(blocks)} blocks, but the "
                          f"stabilizer order {S.order} gives b = {b}")
@@ -198,8 +210,8 @@ def a2_determinations(S: Subgroup, k: int) -> CodeParams:
 
 def blocks_as_text(matrix: IncidenceMatrix) -> str:
     """One block per line, as sorted comma-separated element indices."""
-    return "\n".join(",".join(str(x) for x in matrix.block_elements(j))
-                     for j in range(matrix.b))
+    return "\n".join(",".join(str(x) for x in mask_elements(blk))
+                     for blk in matrix.blocks)
 
 
 def design_record(params: DesignParams, matrix: IncidenceMatrix,
@@ -208,7 +220,7 @@ def design_record(params: DesignParams, matrix: IncidenceMatrix,
     return {
         "params": {"v": params.v, "b": params.b, "r": params.r,
                    "k": params.k, "lambda": params.lmbda},
-        "blocks": [list(matrix.block_elements(j)) for j in range(matrix.b)],
+        "blocks": [list(mask_elements(blk)) for blk in matrix.blocks],
         "code": {"n": code.n, "d": code.d, "w": code.w, "size": code.size},
         "codewords": list(codewords),
     }

@@ -5,7 +5,9 @@ polynomial-basis coordinates (c_0, ..., c_{alpha-1}) relative to a fixed
 monic irreducible modulus is sum(c_i * p**i).  Every canonical choice in
 this module -- the modulus, the multiplicative generator, subspace bases
 and coset representatives -- is minimal in that integer order, so
-independent runs produce identical output byte for byte.
+independent runs produce identical output byte for byte.  A subset is an
+int mask over these codes for every module, and ``translate_masks`` gives
+its q translates by digit-wise addition.
 
 The tables are built from one multiplication in F_p[X]/(X**alpha + tail),
 done directly on that int encoding: a digit-wise c*x + y is
@@ -34,6 +36,7 @@ lines of F_q/H over F_{p**m}.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 
 from .counting import check_field, prime_set
 
@@ -245,6 +248,58 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, alpha={self.alpha})"
+
+
+# ---------------------------------------------------------------------------
+# subsets as int masks over the element codes
+
+
+def subset_mask(elements) -> int:
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def mask_elements(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _digit_steps(p: int, alpha: int) -> tuple[tuple[int, int, int], ...]:
+    """(p**t, low, top) for each base-p digit t: ``top`` masks the
+    elements whose digit t is p - 1, ``low`` the other elements."""
+    steps = []
+    for t in range(alpha):
+        step = p ** t
+        top = 0
+        for x in range(p ** alpha):
+            if x // step % p == p - 1:
+                top |= 1 << x
+        steps.append((step, ((1 << p ** alpha) - 1) ^ top, top))
+    return tuple(steps)
+
+
+def translate_masks(field: Field, mask: int) -> list[int]:
+    """``shifts[z]`` has bit b set iff z + b lies in the masked subset.
+
+    Field addition is digit-wise mod p on the integer encoding, so adding
+    the unit of digit t to b gives b + p**t, or b - (p-1)*p**t where digit
+    t of b is p - 1.  One shift-and-mask step thus turns shifts[z - p**t]
+    into shifts[z]: a rotation for prime q, a block swap for p = 2.
+    """
+    shifts = [mask]
+    for step, low, top in _digit_steps(field.p, field.alpha):
+        up = (field.p - 1) * step
+        for z in range(step, field.p * step):
+            m = shifts[z - step]
+            shifts.append((m >> step) & low | (m << up) & top)
+    return shifts
 
 
 # ---------------------------------------------------------------------------

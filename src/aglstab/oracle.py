@@ -2,18 +2,18 @@
 
 Three routes to the same numbers, none sharing code with the closed
 forms in :mod:`aglstab.counting`.  A map is the int pair (a, b) of
-x -> a*x + b, and a subset is an int mask over the canonical element
-order.
+x -> a*x + b, and a subset is an int mask over the element codes, as
+:mod:`aglstab.ffield` defines it.
 
 * ``stabilizer`` / ``full_census``: test all q*(q-1) affine maps against
   a subset mask (``fixing_maps``) and classify every k-subset by its
   exact stabilizer.  The scan is bit-parallel over translations: once per
-  subset B, ``translate_masks`` builds the q masks ``shifts[z] = {b : z +
-  b in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x
-  in B holds exactly the b with a*B + b = B, so every map is still
-  decided.  Both scans over all maps, ``fixing_maps`` and the pass of
-  ``bruteforce_counts``, check the cap q <= DEFAULT_STABILIZER_LIMIT,
-  the witness scan of ``aglstab design`` included.
+  subset B, ``ffield.translate_masks`` builds the q masks ``shifts[z] =
+  {b : z + b in B}``, and for each multiplier a the AND of ``shifts[a*x]``
+  over x in B holds exactly the b with a*B + b = B, so every map is still
+  decided.  Every scan over all maps, and ``aglstab verify`` and
+  ``design`` before they build the field, check the cap q <=
+  DEFAULT_STABILIZER_LIMIT with ``check_map_scan``.
 * ``count_N_bruteforce``: look only at the orbit unions of a subgroup S
   (the subsets it fixes setwise) and keep those whose stabilizer is
   exactly S.  ``bruteforce_counts`` decides all 2**m of them (m orbits)
@@ -47,6 +47,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
+from . import ffield
 from .agl import (Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
 from .counting import (BudgetExceededError, check_subset_size,
@@ -59,56 +60,8 @@ DEFAULT_CLOSURE_LIMIT = 5_000
 DEFAULT_ALL_SUBGROUPS_LIMIT = 64
 
 
-def subset_mask(elements) -> int:
-    mask = 0
-    for x in elements:
-        mask |= 1 << x
-    return mask
-
-
-def mask_elements(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _digit_steps(p: int, alpha: int) -> tuple[tuple[int, int, int], ...]:
-    """(p**t, low, top) for each base-p digit t: ``top`` masks the
-    elements whose digit t is p - 1, ``low`` the other elements."""
-    steps = []
-    for t in range(alpha):
-        step = p ** t
-        top = 0
-        for x in range(p ** alpha):
-            if x // step % p == p - 1:
-                top |= 1 << x
-        steps.append((step, ((1 << p ** alpha) - 1) ^ top, top))
-    return tuple(steps)
-
-
-def translate_masks(field: Field, mask: int) -> list[int]:
-    """``shifts[z]`` has bit b set iff z + b lies in the masked subset.
-
-    Field addition is digit-wise mod p on the integer encoding, so adding
-    the unit of digit t to b gives b + p**t, or b - (p-1)*p**t where digit
-    t of b is p - 1.  One shift-and-mask step thus turns shifts[z - p**t]
-    into shifts[z]: a rotation for prime q, a block swap for p = 2.
-    """
-    shifts = [mask]
-    for step, low, top in _digit_steps(field.p, field.alpha):
-        up = (field.p - 1) * step
-        for z in range(step, field.p * step):
-            m = shifts[z - step]
-            shifts.append((m >> step) & low | (m << up) & top)
-    return shifts
-
-
-def _check_map_scan(q: int) -> int:
-    """The cap of both scans over all q*(q-1) maps; returns q."""
+def check_map_scan(q: int) -> int:
+    """The cap of every scan over all q*(q-1) maps; returns q."""
     if q > DEFAULT_STABILIZER_LIMIT:
         raise BudgetExceededError(
             f"map scan needs q <= {DEFAULT_STABILIZER_LIMIT}, got q = {q}")
@@ -124,9 +77,9 @@ def fixing_maps(field: Field, mask: int):
     in B for every x in B.  q is capped by DEFAULT_STABILIZER_LIMIT,
     checked before the first map is tested.
     """
-    q = _check_map_scan(field.q)
-    elems = mask_elements(mask)
-    shifts = translate_masks(field, mask)
+    q = check_map_scan(field.q)
+    elems = ffield.mask_elements(mask)
+    shifts = ffield.translate_masks(field, mask)
     mul = field.mul
     full = (1 << q) - 1
     for a in range(1, q):
@@ -135,10 +88,9 @@ def fixing_maps(field: Field, mask: int):
             hits &= shifts[mul(a, x)]
             if not hits:
                 break
-        while hits:
-            low = hits & -hits
-            yield a, low.bit_length() - 1
-            hits ^= low
+        if hits:
+            for b in ffield.mask_elements(hits):
+                yield a, b
 
 
 def stabilizer(field: Field, mask: int) -> Subgroup:
@@ -156,7 +108,7 @@ def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
     """(base_mask, choosable_orbit_masks, how_many) branches whose unions
     are exactly the size-k orbit unions of S."""
     orbits = S.orbits()
-    masks = [subset_mask(o) for o in orbits]
+    masks = [ffield.subset_mask(o) for o in orbits]
     h = S.H.size
     branches = []
     if S.d == 1:
@@ -233,7 +185,7 @@ def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
     pair sets share one entry.
     """
     field = S.field
-    q = _check_map_scan(field.q)
+    q = check_map_scan(field.q)
     orbits = S.orbits()
     m = len(orbits)
     orbit_of = [0] * q
@@ -380,7 +332,7 @@ def full_census(field: Field, k: int) -> dict[Subgroup, int]:
                                   f"{DEFAULT_SUBSET_BUDGET}")
     census: Counter[Subgroup] = Counter()
     for combo in itertools.combinations(range(field.q), k):
-        census[stabilizer(field, subset_mask(combo))] += 1
+        census[stabilizer(field, ffield.subset_mask(combo))] += 1
     if sum(census.values()) != total:
         raise RuntimeError(f"the census classified {sum(census.values())} "
                            f"of the {total} subsets")

@@ -19,11 +19,11 @@ from aglstab.counting import (ClassParams, build_table, class_shapes,
                               count_N, enumerate_params, mult_order, s_qk)
 from aglstab.designs import (a2_determinations, design_to_code, johnson_check,
                              orbit_design)
-from aglstab.ffield import Field
+from aglstab.ffield import Field, subset_mask
 from aglstab.oracle import (all_subgroups, count_N_bruteforce,
                             count_N_via_lattice, full_census,
                             is_exact_stabilizer, orbit_union_masks,
-                            stabilizer, subset_mask)
+                            stabilizer)
 
 PRIME_POWERS_101 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from aglstab import agl, cli, counting, oracle
+from aglstab import agl, cli, counting, designs, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
                          VERIFY_COLUMNS, _emit_rows, _resolve_field,
                          _verify_class, build_parser, main)
@@ -390,6 +390,11 @@ def test_count_invalid_tuple_names_condition(capsys):
     (("design", "--q", "16", "--k", "40", "--d", "3", "--i", "9"),
      "no stabilizer class with d = 3 passes the --i/--j filter; its (i, j) "
      "are (1, 1), (2, 0), (2, 1)"),
+    # past the map-scan cap too, which design checks after its input
+    (("design", "--q", "65537", "--subset", "1,65537"),
+     "subset elements must lie in [0, 65537)"),
+    (("design", "--q", "8192", "--k", "2", "--d", "3"),
+     "no stabilizer class with d = 3"),
 ])
 def test_doubly_bad_input_reports_the_first_rule_checked(capsys, argv,
                                                          message):
@@ -487,23 +492,42 @@ def test_max_k_out_of_range_is_an_input_error(capsys, argv):
     assert f"--max-k must lie in [0, {argv[2]}], got {argv[4]}" in err
 
 
+def map_scan_refusal(q):
+    return ("aglstab: budget exceeded: map scan needs q <= 4096, "
+            f"got q = {q}\n")
+
+
 def test_verify_past_the_q_cap_exits_3(capsys):
     code, out, err = run(capsys, "verify", "--q", "8192")
     assert code == EXIT_BUDGET
     assert out == ""
-    assert "verification needs q <= 4096" in err
+    assert err == map_scan_refusal(8192)
 
 
-def test_verify_cap_fires_before_any_field_work(capsys, monkeypatch):
-    # the map-scan cap in oracle would fire only after these ran
+def forbid_field_work(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("field work ran past the verify cap")
+        raise AssertionError("field work ran past the map-scan cap")
 
     monkeypatch.setattr(cli, "_field", forbidden)
     monkeypatch.setattr(agl, "class_representative", forbidden)
+
+
+def test_verify_cap_fires_before_any_field_work(capsys, monkeypatch):
+    forbid_field_work(monkeypatch)
     assert run(capsys, "verify", "--q", "8192") == (
-        EXIT_BUDGET, "", "aglstab: budget exceeded: verification needs "
-                         "q <= 4096, got 8192\n")
+        EXIT_BUDGET, "", map_scan_refusal(8192))
+
+
+# 65536 would build its 2**16-element field first; 65537 has no field
+# tables and exited 1 with the table cap's message
+@pytest.mark.parametrize("q", [8192, 65536, 65537])
+@pytest.mark.parametrize("flags", [("--k", "2", "--d", "1"),
+                                   ("--subset", "1,2,3")], ids=" ".join)
+def test_design_cap_fires_before_any_field_work(capsys, monkeypatch, q,
+                                                flags):
+    forbid_field_work(monkeypatch)
+    assert run(capsys, "design", "--q", str(q), *flags) == (
+        EXIT_BUDGET, "", map_scan_refusal(q))
 
 
 def test_design_q7_text(capsys):
@@ -665,6 +689,48 @@ def test_design_witness_scan_is_capped_in_q():
     assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, "")
     assert proc.stderr == ("aglstab: budget exceeded: map scan needs "
                            "q <= 4096, got q = 8192\n")
+
+
+def design_size_refusal(b, q):
+    return (f"aglstab: budget exceeded: the design has {b} blocks of {q} "
+            f"points, {b * q} codeword bits, over the limit of "
+            f"{designs.MAX_DESIGN_BITS}\n")
+
+
+def test_design_past_the_size_budget_exits_3_at_once():
+    # the class of order 2 was still running after 3.5 min at 681 MB RSS
+    proc, seconds = run_process("design", "--q", "4096", "--k", "2", "--d",
+                                "1", timeout=5)
+    assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, "")
+    assert proc.stderr == design_size_refusal(4096 * 4095 // 2, 4096)
+
+
+def test_design_size_budget_follows_the_stabilizer_scan(capsys):
+    # 62 MB of json in 9.3 s before the budget: |S| = 1, so b = q(q - 1)
+    code, out, err = run(capsys, "design", "--q", "256", "--subset",
+                         ",".join(map(str, range(1, 65))))
+    assert (code, out, err) == (EXIT_BUDGET, "",
+                                design_size_refusal(256 * 255, 256))
+
+
+@pytest.mark.parametrize("flags", [("--k", "3", "--d", "3"),
+                                   ("--subset", "1,2,4")], ids=" ".join)
+def test_design_size_budget_is_checked_before_the_design(capsys, monkeypatch,
+                                                         flags):
+    # both give the 14 blocks of the order-3 class: 98 bits at q = 7
+    monkeypatch.setattr(designs, "MAX_DESIGN_BITS", 98)
+    code, out, _ = run(capsys, "design", "--q", "7", *flags)
+    assert code == EXIT_OK and "design v=7 b=14" in out
+
+    def forbidden(*args):
+        raise AssertionError("the design was built past its budget")
+
+    monkeypatch.setattr(designs, "MAX_DESIGN_BITS", 97)
+    monkeypatch.setattr(designs, "orbit_design", forbidden)
+    if flags[0] == "--k":
+        monkeypatch.setattr(agl, "class_representative", forbidden)
+    assert run(capsys, "design", "--q", "7", *flags) == (
+        EXIT_BUDGET, "", design_size_refusal(14, 7))
 
 
 @contextlib.contextmanager

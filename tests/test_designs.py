@@ -12,8 +12,8 @@ from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_record,
                              design_to_code, johnson_check, orbit_design)
-from aglstab.ffield import Field
-from aglstab.oracle import exact_orbit_unions, stabilizer, subset_mask
+from aglstab.ffield import Field, mask_elements, subset_mask
+from aglstab.oracle import exact_orbit_unions, stabilizer
 from reference import assert_lines, reference_orbit_blocks
 
 FIELDS = {}
@@ -168,7 +168,7 @@ def test_serialization_round_trip():
     text = blocks_as_text(matrix)
     lines = text.splitlines()
     assert len(lines) == 14
-    assert lines[0] == ",".join(str(x) for x in matrix.block_elements(0))
+    assert lines[0] == ",".join(map(str, mask_elements(matrix.blocks[0])))
     record = design_record(params, matrix, code, words)
     assert record["params"]["lambda"] == 2
     assert record["code"] == {"n": 14, "d": 8, "w": 6, "size": 7}

@@ -1,10 +1,12 @@
 """Field construction and arithmetic, subspaces, coset leaders and lines
 of quotients: canonical choices and axioms."""
 
+import ast
 import hashlib
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,6 +15,7 @@ import aglstab.agl
 import aglstab.cli
 import aglstab.counting
 import aglstab.ffield
+import aglstab.oracle
 from aglstab.counting import prime_set
 from aglstab.ffield import (Field, Subspace, _Ring, full_subspace,
                             lines_of_quotient, span, zero_subspace)
@@ -469,3 +472,51 @@ def test_field_checks_are_raises_not_asserts():
     for module in (aglstab.ffield, aglstab.agl, aglstab.counting,
                    aglstab.cli):
         assert assert_lines(module) == [], module.__name__
+
+
+def _source_trees():
+    src = Path(aglstab.ffield.__file__).parent
+    return {path.name: (path.read_text(), ast.parse(path.read_text(),
+                                                    str(path)))
+            for path in sorted(src.glob("*.py"))}
+
+
+def _span_of(tree, name):
+    node = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def test_subset_masks_and_the_map_scan_cap_have_one_home():
+    trees = _source_trees()
+    # designs reaches the mask format through ffield, not the engines
+    for node in ast.walk(trees["designs.py"][1]):
+        if isinstance(node, ast.Import):
+            assert all("oracle" not in a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert "oracle" not in (node.module or "")
+            assert all(a.name != "oracle" for a in node.names)
+    helpers = ("subset_mask", "mask_elements", "translate_masks",
+               "_digit_steps")
+    homes = {name: set() for name in helpers}
+    for file, (_, tree) in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in homes:
+                homes[node.name].add(file)
+    assert homes == {name: {"ffield.py"} for name in helpers}
+    assert not [name for name in helpers if hasattr(aglstab.oracle, name)]
+    # mask_elements is the one set-bit walk
+    walk = _span_of(trees["ffield.py"][1], "mask_elements")
+    for file, (text, _) in trees.items():
+        for n, line in enumerate(text.splitlines(), 1):
+            if "& -" in line:
+                assert (file, n in walk) == ("ffield.py", True), (file, n)
+    # the q cap of the map scans is read in check_map_scan alone
+    gate = _span_of(trees["oracle.py"][1], "check_map_scan")
+    for file, (_, tree) in trees.items():
+        for node in ast.walk(tree):
+            if "DEFAULT_STABILIZER_LIMIT" in (getattr(node, "id", None),
+                                              getattr(node, "attr", None)):
+                if isinstance(node.ctx, ast.Load):
+                    assert (file, node.lineno in gate) == ("oracle.py",
+                                                           True)

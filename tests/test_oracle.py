@@ -12,14 +12,14 @@ from aglstab.agl import (Subgroup, class_representative, full_group,
                          subgroup_from_pairs, trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
                               mult_order)
-from aglstab.ffield import Field, span, zero_subspace
+from aglstab.ffield import (Field, mask_elements, span, subset_mask,
+                            zero_subspace)
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             bruteforce_counts, count_N_bruteforce,
                             count_N_via_lattice,
                             exact_orbit_unions, fixing_maps, full_census,
                             is_exact_stabilizer, lattice_terms,
-                            mask_elements, orbit_union_masks, stabilizer,
-                            subset_mask)
+                            orbit_union_masks, stabilizer)
 from reference import (assert_lines, literal_lattice_terms,
                        reference_fixing_maps, run_python, subgroup_elements)
 
