@@ -12,7 +12,8 @@ iff the subgroups are equal, so lattice walks never need element sets.
 Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
 space over it) and, for d > 1, the ``fixed_point`` c = b/(1 - a).
 Containment needs no test of its own: T contains S iff the group that
-the two generate, ``join_pair(T, S)``, is T.
+the two generate, ``join_pair(T, S)``, is T.  A ``JoinTable`` lets many
+joins share the spans, coset leaders and descriptors they build.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class Subgroup:
         self.a = field.pow(field.gamma, (field.q - 1) // d)
         self.fixed_point = field.div(b, field.sub(1, self.a)) if d > 1 else None
         self.order = d * translations.size
+        self._hash = hash((field, d, b, translations.basis))
         self._orbits: tuple[tuple[int, ...], ...] | None = None
         #: N(S, k) for k = 0..q, filled by ``oracle.bruteforce_counts``
         self._bruteforce_counts: tuple[int, ...] | None = None
@@ -110,7 +112,7 @@ class Subgroup:
                 and self.H == other.H)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.d, self.b, self.H.basis))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subgroup(q={self.field.q}, d={self.d}, b={self.b}, |H|={self.H.size})"
@@ -183,32 +185,70 @@ def join(S: Subgroup, selection) -> Subgroup:
     return functools.reduce(join_pair, sel, S)
 
 
-def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
+class JoinTable:
+    """The parts of the joins made for one lattice fold, each built once
+    per distinct input: spans keyed by (basis, basis, fixed-point
+    difference, degree), coset leaders by (basis of H, element), and
+    subgroups by (d, b, basis of H).  The fold creates one and drops it
+    when it returns, so nothing outlives the call."""
+
+    __slots__ = ("spans", "leaders", "subgroups")
+
+    def __init__(self):
+        self.spans: dict[tuple, Subspace] = {}
+        self.leaders: dict[tuple[tuple[int, ...], int], int] = {}
+        self.subgroups: dict[tuple[int, int, tuple[int, ...]], Subgroup] = {}
+
+
+def join_pair(T1: Subgroup, T2: Subgroup,
+              table: JoinTable | None = None) -> Subgroup:
     """The subgroup generated by two arbitrary subgroups, on descriptors.
 
     The translation part absorbs both H's and, when both groups have a
     multiplicative part, the difference of their fixed points; d = lcm(d1,
     d2), H is a space over F_{p**o_d(p)}, o_d(p) = lcm(o_d1(p), o_d2(p)),
-    and b = (1 - a)*c for either fixed point c, reduced mod H.
+    and b = (1 - a)*c for either fixed point c, reduced mod H; both
+    candidates are computed and must agree.  A ``table`` shared across
+    calls builds each span, coset leader and ``Subgroup`` once per
+    distinct input; the first build of a subgroup runs all of its checks,
+    and a repeat returns that same object.  Without one, every part is
+    built afresh.
     """
     field = T1.field
     if field != T2.field:
         raise ValueError("cannot join subgroups over different fields")
+    if table is None:
+        table = JoinTable()
     d = math.lcm(T1.d, T2.d)
-    vectors = list(T1.H.basis) + list(T2.H.basis)
+    odp = math.lcm(T1.odp, T2.odp)
     points = [T.fixed_point for T in (T1, T2) if T.d > 1]
-    if len(points) == 2:
-        vectors.append(field.sub(points[0], points[1]))
-    Hnew = span(field, vectors, math.lcm(T1.odp, T2.odp))
+    diff = field.sub(points[0], points[1]) if len(points) == 2 else None
+    key = (T1.H.basis, T2.H.basis, diff, odp)
+    Hnew = table.spans.get(key)
+    if Hnew is None:
+        vectors = T1.H.basis + T2.H.basis + (() if diff is None else (diff,))
+        Hnew = table.spans[key] = span(field, vectors, odp)
     if d == 1:
-        return Subgroup(field, 1, 0, Hnew)
-    a_new = field.pow(field.gamma, (field.q - 1) // d)
-    b_candidates = {Hnew.reduce(field.mul(field.sub(1, a_new), c))
-                    for c in points}
-    if len(b_candidates) != 1:
-        raise RuntimeError("join must not depend on the chosen point, got "
-                           f"b in {sorted(b_candidates)}")
-    return Subgroup(field, d, b_candidates.pop(), Hnew)
+        b = 0
+    else:
+        a_new = (T1.a if d == T1.d else T2.a if d == T2.d
+                 else field.pow(field.gamma, (field.q - 1) // d))
+        one_minus_a = field.sub(1, a_new)
+        b_candidates = set()
+        for c in points:
+            x = field.mul(one_minus_a, c)
+            leader = table.leaders.get((Hnew.basis, x))
+            if leader is None:
+                leader = table.leaders[(Hnew.basis, x)] = Hnew.reduce(x)
+            b_candidates.add(leader)
+        if len(b_candidates) != 1:
+            raise RuntimeError("join must not depend on the chosen point, got "
+                               f"b in {sorted(b_candidates)}")
+        b = b_candidates.pop()
+    J = table.subgroups.get((d, b, Hnew.basis))
+    if J is None:
+        J = table.subgroups[(d, b, Hnew.basis)] = Subgroup(field, d, b, Hnew)
+    return J
 
 
 # ---------------------------------------------------------------------------

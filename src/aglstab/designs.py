@@ -115,8 +115,11 @@ def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]
 
     The images of B under the maps with multiplier a are the q
     translates of a*B, which ``ffield.translate_masks`` returns as
-    (a*B) - z for every z.  The orbit must have q(q-1)/|S| blocks, so an
-    S smaller than the true stabilizer raises.
+    (a*B) - z for every z.  Where a*B is already a block, so is each of
+    its translates, and a is skipped: the translates are built once for
+    each of the (q-1)/d cosets of the multipliers of the stabilizer.  The
+    orbit must have q(q-1)/|S| blocks, so an S smaller than the true
+    stabilizer raises.
     """
     field = S.field
     k = mask.bit_count()
@@ -129,8 +132,9 @@ def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]
     mul = field.mul
     elems = mask_elements(mask)
     for a in range(1, field.q):
-        blocks.update(translate_masks(
-            field, subset_mask(mul(a, x) for x in elems)))
+        image = subset_mask(mul(a, x) for x in elems)
+        if image not in blocks:
+            blocks.update(translate_masks(field, image))
     if len(blocks) != b:
         raise ValueError(f"the orbit has {len(blocks)} blocks, but the "
                          f"stabilizer order {S.order} gives b = {b}")

@@ -34,7 +34,9 @@ x -> a*x + b, and a subset is an int mask over the element codes, as
   fixed-subset count read off the orbit sizes.  The sum is folded in one
   supergroup at a time (``lattice_terms``), so it never walks the 2**t
   selections one by one, yet every selection still contributes its sign
-  at its own join.
+  at its own join.  The fold's joins share one ``agl.JoinTable``, which
+  lives for one call, so each distinct span, coset leader and subgroup
+  is built once.
 
 Budgets are explicit and overruns raise; nothing is ever truncated
 silently.
@@ -48,7 +50,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import ffield
-from .agl import (Subgroup, immediate_supergroups, join_pair,
+from .agl import (JoinTable, Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
 from .counting import (BudgetExceededError, check_subset_size,
                        divisor_orders, evaluate_terms)
@@ -354,15 +356,19 @@ def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
     supergroup U at a time: f maps subgroups to coefficients, starts as
     {S: 1}, and every (T, c) in f adds -c at join(T, U) -- the selections
     that also take U.  Entries that cancel to zero are dropped after each
-    U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.
+    U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.  Every join
+    goes through ``join_pair`` with one ``JoinTable`` for the call, so each
+    span, coset leader and subgroup is built once per distinct input, and
+    the table is dropped on return.
     """
     if S.b != 0:
         raise ValueError("lattice evaluation requires b = 0; conjugate first")
     supers = immediate_supergroups(S)
     f: dict[Subgroup, int] = {S: 1}
+    table = JoinTable()
     for folded, U in enumerate(supers, 1):
         for T, c in list(f.items()):
-            J = join_pair(T, U)
+            J = join_pair(T, U, table)
             f[J] = f.get(J, 0) - c
         f = {T: c for T, c in f.items() if c}
         if len(f) > DEFAULT_CLOSURE_LIMIT:

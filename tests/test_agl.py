@@ -17,8 +17,8 @@ import pytest
 from sympy import divisors, primerange
 
 import aglstab
-from aglstab.agl import (Subgroup, class_representative, full_group,
-                         immediate_supergroups, join, join_pair,
+from aglstab.agl import (JoinTable, Subgroup, class_representative,
+                         full_group, immediate_supergroups, join, join_pair,
                          trivial_subgroup)
 from aglstab.counting import (ClassParams, check_shape, class_shapes,
                               mult_order, s_qk)
@@ -353,6 +353,23 @@ def test_join_pair_matches_generated_subgroup(p, alpha):
     for T1, T2 in itertools.product(groups, repeat=2):
         expected = canonicalize(subgroup_elements(T1) + subgroup_elements(T2))
         assert join_pair(T1, T2) == expected, (T1, T2)
+
+
+@pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2)])
+def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
+    # one table across every pair, as in a lattice fold: each join it
+    # answers is the one built without a table, and every entry is of its
+    # own kind (a span, a coset leader, a subgroup)
+    F = field(p, alpha)
+    groups = all_subgroups(F)
+    table = JoinTable()
+    for T1, T2 in itertools.product(groups, repeat=2):
+        assert join_pair(T1, T2, table) == join_pair(T1, T2), (T1, T2)
+    assert all(isinstance(H, Subspace) for H in table.spans.values())
+    assert all(type(x) is int for x in table.leaders.values())
+    assert all(isinstance(J, Subgroup) for J in table.subgroups.values())
+    assert {(J.d, J.b, J.H.basis) for J in table.subgroups.values()} == set(
+        table.subgroups)
 
 
 def test_join_point_check_raises(monkeypatch):

@@ -12,7 +12,7 @@ from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_record,
                              design_to_code, johnson_check, orbit_design)
-from aglstab.ffield import Field, mask_elements, subset_mask
+from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
 from aglstab.oracle import exact_orbit_unions, stabilizer
 from reference import assert_lines, reference_orbit_blocks
 
@@ -67,6 +67,36 @@ def test_orbit_design_blocks_equal_image_loop(p, alpha):
         mask = subset_mask(rng.sample(range(F.q), k))
         _, matrix = design_of(F, mask)
         assert matrix.blocks == reference_orbit_blocks(F, mask), mask
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 4), (5, 2), (3, 3), (2, 5), (7, 2)])
+def test_orbit_design_translates_each_multiplier_coset_once(p, alpha,
+                                                            monkeypatch):
+    # a*B is already a block iff a = a'*u for an earlier multiplier a' and
+    # one of the d multipliers u of the stabilizer, so the translates are
+    # built (q - 1)/d times and the blocks stay those of the image loop
+    F = field(p, alpha)
+    calls = []
+
+    def counted(field, mask):
+        calls.append(mask)
+        return translate_masks(field, mask)
+
+    monkeypatch.setattr(designs, "translate_masks", counted)
+    rng = random.Random(F.q)
+    cases = [(stabilizer(F, mask), mask) for mask in
+             (subset_mask(rng.sample(range(F.q), k)) for k in (3, F.q // 2))]
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        k = next((k for k in range(2, F.q)
+                  if count_N(ClassParams(p, alpha, k, d, i, j))), None)
+        if k is not None:
+            cases.append((S, next(exact_orbit_unions(S, k))))
+    for S, mask in cases:
+        calls.clear()
+        _, matrix = orbit_design(S, mask)
+        assert len(calls) == (F.q - 1) // S.d, (S, mask)
+        assert matrix.blocks == reference_orbit_blocks(F, mask), (S, mask)
 
 
 def test_design_to_code_example():

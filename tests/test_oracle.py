@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,8 @@ from aglstab.agl import (Subgroup, class_representative, full_group,
                          subgroup_from_pairs, trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
                               mult_order)
-from aglstab.ffield import (Field, mask_elements, span, subset_mask,
-                            zero_subspace)
+from aglstab.ffield import (Field, Subspace, mask_elements, span,
+                            subset_mask, zero_subspace)
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             bruteforce_counts, count_N_bruteforce,
                             count_N_via_lattice,
@@ -342,7 +343,8 @@ def test_lattice_example_q5():
 
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                      (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
-                                     (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
+                                     (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
+                                     (3, 4), (11, 2), (5, 3), (13, 2)])
 def test_closed_form_terms_equal_lattice_terms(p, alpha):
     # one representation for two engines: the same signed (c, d, |H|) terms
     F = field(p, alpha)
@@ -370,6 +372,42 @@ def test_lattice_closure_budget(monkeypatch):
         lattice_terms(trivial_subgroup(F))
     with pytest.raises(BudgetExceededError):
         count_N_via_lattice(trivial_subgroup(F), 1)
+
+
+@pytest.mark.parametrize("p,alpha,joins", [(2, 4, 2725), (5, 2, 3578),
+                                           (7, 2, 17661)])
+def test_fold_makes_the_same_joins_and_keeps_nothing(p, alpha, joins,
+                                                     monkeypatch):
+    # the fold's join table cuts the cost of a join, not the joins: every
+    # one still goes through join_pair, a cold repeat builds as many
+    # subspaces as the first call, and no state is left on the field
+    F = field(p, alpha)
+    counts = Counter()
+    plain_join, plain_init = oracle.join_pair, Subspace.__init__
+
+    def counted_join(*args):
+        counts["joins"] += 1
+        return plain_join(*args)
+
+    def counted_init(self, *args):
+        counts["subspaces"] += 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(oracle, "join_pair", counted_join)
+    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    attrs = set(vars(F))
+    runs = []
+    for _ in range(2):
+        lattice_terms.cache_clear()
+        counts.clear()
+        terms = lattice_terms(trivial_subgroup(F))
+        runs.append((terms, dict(counts), {
+            key: dict(v) if isinstance(v, dict) else v
+            for key, v in vars(F).items()}))
+    lattice_terms.cache_clear()
+    assert runs[0] == runs[1]
+    assert runs[0][1]["joins"] == joins
+    assert set(vars(F)) == attrs
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
