@@ -243,14 +243,11 @@ def cmd_design(args, out) -> int:
     a2 = designs.a2_determinations(S, params.k)
 
     if args.format == "json":
-        record = designs.design_record(params, matrix, code, words)
-        record["q"] = q
-        record["subset"] = list(mask_elements(mask))
-        record["stabilizer_order"] = S.order
-        record["johnson_equality"] = johnson
-        record["a2"] = {"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}
-        json.dump(record, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(designs.design_json(
+            params, matrix, code, words, q=q,
+            subset=list(mask_elements(mask)), stabilizer_order=S.order,
+            johnson_equality=johnson,
+            a2={"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}) + "\n")
     elif args.format == "csv":
         out.write(designs.blocks_as_text(matrix) + "\n")
     else:

@@ -6,8 +6,11 @@ A subgroup is the closure of its generators under composition, turned
 into a descriptor only at the end; a map fixes a subset when it sends
 every element of the subset into it, tested one map at a time (no
 translate masks), and an orbit design is the set of images of its base
-block under every map.  The lattice inclusion-exclusion visits every
-selection of immediate supergroups on its own (no fold).  Field addition
+block under every map.  ``reference_incidence`` reads an incidence
+matrix one bit at a time, and ``design_record`` is the json record of a
+design as a dict, for ``json.dumps`` to encode (no writer of its own).
+The lattice inclusion-exclusion visits every selection of immediate
+supergroups on its own (no fold).  Field addition
 and subspace echelon forms are computed on coefficient lists, digit by
 digit mod p (no Zech logarithms, no int rows).  ``overgroup_terms`` walks
 every overgroup of a class and weighs it by ``moebius_exponent`` times
@@ -43,6 +46,7 @@ from sympy import factorint
 from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
 from aglstab.counting import (classes, evaluate_terms, mult_order,
                               prime_set)
+from aglstab.ffield import mask_elements
 
 
 class AffineMap:
@@ -173,6 +177,29 @@ def reference_orbit_blocks(field, mask: int) -> tuple[int, ...]:
                 block |= 1 << field.add(y, t)
             blocks.add(block)
     return tuple(sorted(blocks))
+
+
+def reference_incidence(matrix) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The words and rows of an incidence matrix, one bit at a time:
+    character j of word x and bit j of row x say whether point x lies in
+    block j."""
+    words, rows = [], []
+    for x in range(matrix.v):
+        bits = [blk >> x & 1 for blk in matrix.blocks]
+        words.append("".join(str(bit) for bit in bits))
+        rows.append(sum(bit << j for j, bit in enumerate(bits)))
+    return tuple(words), tuple(rows)
+
+
+def design_record(params, matrix, code, codewords: tuple[str, ...]) -> dict:
+    """JSON-able record of a design and its row code."""
+    return {
+        "params": {"v": params.v, "b": params.b, "r": params.r,
+                   "k": params.k, "lambda": params.lmbda},
+        "blocks": [list(mask_elements(blk)) for blk in matrix.blocks],
+        "code": {"n": code.n, "d": code.d, "w": code.w, "size": code.size},
+        "codewords": list(codewords),
+    }
 
 
 def digits(field, x: int) -> list[int]:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -15,7 +16,8 @@ from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
                          VERIFY_COLUMNS, _emit_rows, _resolve_field,
                          _verify_class, build_parser, main)
 from aglstab.counting import CSV_COLUMNS, FACTOR_LIMIT, MAX_FACTORED_Q
-from reference import csv_writer_rows, run_python, text_rows
+from aglstab.ffield import Field, mask_elements, subset_mask
+from reference import csv_writer_rows, design_record, run_python, text_rows
 
 
 def run(capsys, *argv):
@@ -347,6 +349,72 @@ def test_design_golden_digest(capsys, argv, fmt):
     assert code == EXIT_OK
     assert (hashlib.sha256(out.encode()).hexdigest()
             == DESIGN_SHA256[(argv, fmt)])
+
+
+#: every x in F_128 but 1, 2, 4, ..., 64 and 127: |S| = 1 and b = 16,256,
+#: the largest design under MAX_DESIGN_BITS and the only one here whose
+#: points have 3-digit labels
+LARGEST_DESIGN = ("--q", "128", "--subset", ",".join(
+    str(x) for x in range(128) if x not in (1, 2, 4, 8, 16, 32, 64, 127)))
+
+# SHA-256 of `aglstab design LARGEST_DESIGN --format FMT` stdout, recorded
+# from the implementation that wrote the json through json.dump (22,059,748
+# bytes of json)
+LARGEST_DESIGN_SHA256 = {
+    "json": "e9cf58c2fe58c5efde0d1a5eba1eb18689c32fa4166e43b5a36581ba8b37257c",
+    "text": "8b5e4d6476241d826e9dd6a3c71903b782d2566c6293f4b5ccec3826e245b560",
+    "csv": "2c0ad1c49f43a20d791c3fca983f5a824adb34d2af93c82a923f8b8ff950b4a4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LARGEST_DESIGN_SHA256))
+def test_largest_design_golden_digest(capsys, fmt):
+    code, out, _ = run(capsys, "design", *LARGEST_DESIGN, "--format", fmt)
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == LARGEST_DESIGN_SHA256[fmt])
+
+
+def reference_design_json(F, S, mask):
+    """``design --format json`` of the masked subset with stabilizer S, as
+    ``json.dumps`` writes the reference record and the cli's extra keys."""
+    params, matrix = designs.orbit_design(S, mask)
+    code, words = designs.design_to_code(matrix)
+    a2 = designs.a2_determinations(S, params.k)
+    record = design_record(params, matrix, code, words) | {
+        "q": F.q, "subset": list(mask_elements(mask)),
+        "stabilizer_order": S.order,
+        "johnson_equality": designs.johnson_check(code),
+        "a2": {"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}}
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 25, 27, 32])
+def test_design_json_equals_json_dumps_of_the_reference_record(capsys, q):
+    p, alpha = counting.prime_power(q)
+    F = Field(p, alpha)
+    rng = random.Random(q)
+    for k in sorted({2, max(3, q // 4), q // 2, q - 2}):
+        mask = subset_mask(rng.sample(range(q), k))
+        code, out, _ = run(capsys, "design", "--q", str(q), "--subset",
+                           ",".join(map(str, mask_elements(mask))),
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert out == reference_design_json(F, oracle.stabilizer(F, mask),
+                                            mask), mask
+    # every class witness of every size with a positive count
+    for d, i, j in counting.class_shapes(p, alpha):
+        S = agl.class_representative(F, d, i, j)
+        for k in range(2, q):
+            if not counting.count_N(counting.ClassParams(p, alpha, k, d, i,
+                                                         j)):
+                continue
+            code, out, _ = run(capsys, "design", "--q", str(q), "--k",
+                               str(k), "--d", str(d), "--i", str(i), "--j",
+                               str(j), "--format", "json")
+            assert code == EXIT_OK
+            mask = next(oracle.exact_orbit_unions(S, k))
+            assert out == reference_design_json(F, S, mask), (d, i, j, k)
 
 
 def test_count_examples(capsys):

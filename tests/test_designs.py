@@ -1,6 +1,7 @@
 """Orbit block designs, row codes, Johnson equality, A2 determinations."""
 
 import itertools
+import json
 import random
 from types import SimpleNamespace
 
@@ -10,11 +11,12 @@ from aglstab import designs
 from aglstab.agl import class_representative, trivial_subgroup
 from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
-                             a2_determinations, blocks_as_text, design_record,
+                             a2_determinations, blocks_as_text, design_json,
                              design_to_code, johnson_check, orbit_design)
 from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
 from aglstab.oracle import exact_orbit_unions, stabilizer
-from reference import assert_lines, reference_orbit_blocks
+from reference import (assert_lines, prime_powers, reference_incidence,
+                       reference_orbit_blocks)
 
 FIELDS = {}
 
@@ -124,6 +126,26 @@ def test_incidence_rows_put_block_j_at_bit_j():
     assert words[0] == "".join(str(blk & 1) for blk in matrix.blocks)
 
 
+@pytest.mark.parametrize("p,alpha", prime_powers(3, 16))
+def test_incidence_words_and_rows_equal_the_per_bit_reading(p, alpha):
+    # every class witness of every size with a positive count
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        for k in range(2, F.q):
+            if count_N(ClassParams(p, alpha, k, d, i, j)):
+                _, matrix = orbit_design(S, next(exact_orbit_unions(S, k)))
+                assert (matrix.words, matrix.rows) == reference_incidence(
+                    matrix), (d, i, j, k)
+
+
+def test_incidence_matrix_rejects_a_point_outside_v():
+    # a block's bit string longer than v would shift every later block
+    fake = IncidenceMatrix(v=3, blocks=(0b011, 0b1100))
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        design_to_code(fake)
+
+
 def test_design_to_code_rejects_unequal_row_weights():
     # point 1 lies in both blocks, points 0 and 2 in one each
     fake = IncidenceMatrix(v=3, blocks=(0b011, 0b110))
@@ -199,7 +221,7 @@ def test_serialization_round_trip():
     lines = text.splitlines()
     assert len(lines) == 14
     assert lines[0] == ",".join(map(str, mask_elements(matrix.blocks[0])))
-    record = design_record(params, matrix, code, words)
+    record = json.loads(design_json(params, matrix, code, words))
     assert record["params"]["lambda"] == 2
     assert record["code"] == {"n": 14, "d": 8, "w": 6, "size": 7}
     assert len(record["blocks"]) == 14

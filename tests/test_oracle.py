@@ -13,8 +13,8 @@ from aglstab.agl import (Subgroup, class_representative, full_group,
                          subgroup_from_pairs, trivial_subgroup)
 from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
                               mult_order)
-from aglstab.ffield import (Field, Subspace, mask_elements, span,
-                            subset_mask, zero_subspace)
+from aglstab.ffield import (Field, Subspace, mask_bits, mask_elements,
+                            span, subset_mask, zero_subspace)
 from aglstab.oracle import (BudgetExceededError, all_subgroups,
                             bruteforce_counts, count_N_bruteforce,
                             count_N_via_lattice,
@@ -43,6 +43,9 @@ def test_mask_round_trip():
     assert mask_elements(0b100101) == (0, 2, 5)
     assert mask_elements(0) == ()
     assert mask_elements(1 << 200 | 1 << 3) == (3, 200)
+    assert mask_bits(0b100101, 7) == "1010010"
+    assert mask_bits(0, 3) == "000"
+    assert mask_bits(1 << 200 | 1 << 3, 201) == "0001" + "0" * 196 + "1"
 
 
 # prime q, p = 2 and odd prime powers: every shape of translate step
