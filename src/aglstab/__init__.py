@@ -7,10 +7,10 @@ from .counting import (BudgetExceededError, ClassParams, StabilizerClass,
                        build_table, class_shapes, classes, count_N,
                        enumerate_params, mult_order, prime_set, s_qk)
 from .ffield import Field, Subspace, lines_of_quotient, span, subset_mask
-from .agl import (Subgroup, class_representative, full_group,
-                  immediate_supergroups, join, join_pair, trivial_subgroup)
-from .oracle import (all_subgroups, count_N_bruteforce, count_N_via_lattice,
-                     full_census, lattice_terms, stabilizer)
+from .agl import (Subgroup, class_representative, immediate_supergroups,
+                  join, join_pair)
+from .oracle import (count_N_bruteforce, count_N_via_lattice, lattice_terms,
+                     stabilizer)
 from .designs import (CodeParams, DesignParams, IncidenceMatrix,
                       a2_determinations, design_to_code, johnson_check,
                       orbit_design)

@@ -23,8 +23,7 @@ import math
 from collections import Counter
 
 from .counting import check_divisor, check_shape, prime_set
-from .ffield import (Field, Subspace, full_subspace, lines_of_quotient,
-                     span, zero_subspace)
+from .ffield import Field, Subspace, lines_of_quotient, span, zero_subspace
 
 
 class Subgroup:
@@ -122,14 +121,6 @@ class Subgroup:
 # constructors
 
 
-def trivial_subgroup(field: Field) -> Subgroup:
-    return Subgroup(field, 1, 0, zero_subspace(field))
-
-
-def full_group(field: Field) -> Subgroup:
-    return Subgroup(field, field.q - 1, 0, full_subspace(field))
-
-
 def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
     """Canonical descriptor for a subgroup given as a closed set of (a, b)."""
     pairs = set(pairs)
@@ -174,6 +165,7 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     return out
 
 
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def join(S: Subgroup, selection) -> Subgroup:
     """The subgroup generated by S and a selection of proper supergroups,
     one ``join_pair`` per selected group.  T is a supergroup of S iff

@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from sympy import factorint, isprime, multiplicity, perfect_power
+from sympy import factorint, isprime, perfect_power
 
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
@@ -73,20 +73,27 @@ def prime_set(u: int) -> tuple[int, ...]:
     """Distinct prime divisors of u in ascending order; empty for u = 1.
     Refuses (``BudgetExceededError``) a u above MAX_FACTORED_Q, or one that
     ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor."""
+    return tuple(_factorization(u))
+
+
+def _factorization(u: int) -> dict[int, int]:
+    """u as {prime: exponent}, primes ascending, under the rule of
+    ``prime_set``; ``check_factored`` reads its exponents off this one
+    pass."""
     if u <= 0:
         raise ValueError(f"expected a positive integer, got {u}")
-    primes = None       # past the cap, neither factorint nor isprime runs
+    factors = None      # past the cap, neither factorint nor isprime runs
     if u <= MAX_FACTORED_Q:
         try:
-            primes = factorint(u, limit=FACTOR_LIMIT)
+            factors = factorint(u, limit=FACTOR_LIMIT)
         except ValueError:  # sympy 1.14 raises on some, such as 3^1292 - 1
             pass
-    if primes is None or not all(map(isprime, primes)):
+    if factors is None or not all(map(isprime, factors)):
         raise BudgetExceededError(
             f"a {u.bit_length()}-bit number is refused: it must be at most "
             f"2^2048 and factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}")
-    return tuple(sorted(primes))
+    return dict(sorted(factors.items()))
 
 
 def mult_order(v: int, u: int) -> int:
@@ -170,13 +177,12 @@ def check_factored(p: int, alpha: int) -> dict[int, int]:
     check_field(p, alpha)
     u = MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1
     try:
-        primes = prime_set(u)
+        return _factorization(u)
     except BudgetExceededError:
         raise BudgetExceededError(
             f"q = {p}^{alpha} is refused: q must be at most 2^2048, and "
             f"q - 1 must factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}") from None
-    return {r: multiplicity(r, u) for r in primes}
 
 
 def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
@@ -372,11 +378,13 @@ def classes(p: int, alpha: int) -> list[StabilizerClass]:
                       else range(1, alpha // (odp * i)))]
 
 
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
     """The (d, i, j) triples of ``classes``, in the same order."""
     return [(c.d, c.i, c.j) for c in classes(p, alpha)]
 
 
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[ClassParams]:
     """All table tuples with 0 <= k <= k_max (default q // 2) satisfying
     the zero-pattern congruence, in emission order: k outermost, then d

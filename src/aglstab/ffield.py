@@ -434,10 +434,6 @@ def zero_subspace(field: Field) -> Subspace:
     return Subspace(field, ())
 
 
-def full_subspace(field: Field) -> Subspace:
-    return Subspace(field, field._pows)
-
-
 def span(field: Field, elements, degree: int) -> Subspace:
     """Smallest F_{p**degree}-subspace of the field containing
     ``elements``: the F_p-span of each element times the subfield basis."""

@@ -5,15 +5,15 @@ forms in :mod:`aglstab.counting`.  A map is the int pair (a, b) of
 x -> a*x + b, and a subset is an int mask over the element codes, as
 :mod:`aglstab.ffield` defines it.
 
-* ``stabilizer`` / ``full_census``: test all q*(q-1) affine maps against
-  a subset mask (``fixing_maps``) and classify every k-subset by its
-  exact stabilizer.  The scan is bit-parallel over translations: once per
-  subset B, ``ffield.translate_masks`` builds the q masks ``shifts[z] =
-  {b : z + b in B}``, and for each multiplier a the AND of ``shifts[a*x]``
-  over x in B holds exactly the b with a*B + b = B, so every map is still
-  decided.  Every scan over all maps, and ``aglstab verify`` and
-  ``design`` before they build the field, check the cap q <=
-  DEFAULT_STABILIZER_LIMIT with ``check_map_scan``.
+* ``stabilizer``: test all q*(q-1) affine maps against a subset mask
+  (``fixing_maps``) and return the subset's exact stabilizer.  The scan
+  is bit-parallel over translations: once per subset B,
+  ``ffield.translate_masks`` builds the q masks ``shifts[z] = {b : z + b
+  in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x in
+  B holds exactly the b with a*B + b = B, so every map is still decided.
+  Every scan over all maps, and ``aglstab verify`` and ``design`` before
+  they build the field, check the cap q <= DEFAULT_STABILIZER_LIMIT with
+  ``check_map_scan``.
 * ``count_N_bruteforce``: look only at the orbit unions of a subgroup S
   (the subsets it fixes setwise) and keep those whose stabilizer is
   exactly S.  ``bruteforce_counts`` decides all 2**m of them (m orbits)
@@ -52,14 +52,12 @@ from functools import lru_cache
 from . import ffield
 from .agl import (JoinTable, Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import (BudgetExceededError, check_subset_size,
-                       divisor_orders, evaluate_terms)
-from .ffield import Field, Subspace, span, zero_subspace
+from .counting import BudgetExceededError, check_subset_size, evaluate_terms
+from .ffield import Field
 
 DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000
 DEFAULT_CLOSURE_LIMIT = 5_000
-DEFAULT_ALL_SUBGROUPS_LIMIT = 64
 
 
 def check_map_scan(q: int) -> int:
@@ -126,6 +124,7 @@ def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
     return branches
 
 
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def n_orbit_unions(S: Subgroup, k: int) -> int:
     """Number of size-k orbit unions, i.e. |S'|, counted directly."""
     return _n_orbit_unions(S, k)
@@ -324,23 +323,6 @@ def count_N_bruteforce(S: Subgroup, k: int,
     return sum(1 for _ in exact_orbit_unions(S, k))
 
 
-def full_census(field: Field, k: int) -> dict[Subgroup, int]:
-    """Stabilizer of every k-subset of F_q, grouped by canonical descriptor;
-    more than DEFAULT_SUBSET_BUDGET subsets raise before any scan."""
-    check_subset_size(field.q, k)
-    total = math.comb(field.q, k)
-    if total > DEFAULT_SUBSET_BUDGET:
-        raise BudgetExceededError(f"{total} subsets exceed the budget of "
-                                  f"{DEFAULT_SUBSET_BUDGET}")
-    census: Counter[Subgroup] = Counter()
-    for combo in itertools.combinations(range(field.q), k):
-        census[stabilizer(field, ffield.subset_mask(combo))] += 1
-    if sum(census.values()) != total:
-        raise RuntimeError(f"the census classified {sum(census.values())} "
-                           f"of the {total} subsets")
-    return dict(census)
-
-
 # ---------------------------------------------------------------------------
 # inclusion-exclusion over the supergroup lattice
 
@@ -386,47 +368,3 @@ def count_N_via_lattice(S: Subgroup, k: int) -> int:
     """N(S, k) by inclusion-exclusion over the immediate supergroups."""
     check_subset_size(S.field.q, k)
     return evaluate_terms(S.field.q, k, lattice_terms(S))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive subgroup enumeration
-
-
-def all_subspaces(field: Field, degree: int) -> list[Subspace]:
-    """Every F_{p**degree}-subspace of the field, ordered by (dimension,
-    basis)."""
-    zero = zero_subspace(field)
-    out = {zero.basis: zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for W in frontier:
-            for x in range(1, field.q):
-                if W.contains(x):
-                    continue
-                W2 = span(field, W.basis + (x,), degree)
-                if W2.basis not in out:
-                    out[W2.basis] = W2
-                    new.append(W2)
-        frontier = new
-    return sorted(out.values(), key=lambda W: (W.dim, W.basis))
-
-
-def all_subgroups(field: Field) -> list[Subgroup]:
-    """Every subgroup of the affine group on F_q, each exactly once.
-
-    Walks d over the divisors of q - 1, H over the F_{p**o_d(p)}-subspaces
-    and b over the coset representatives of H (b = 0 when d = 1); the
-    canonical-descriptor uniqueness makes the enumeration duplicate-free.
-    q is capped by DEFAULT_ALL_SUBGROUPS_LIMIT.
-    """
-    if field.q > DEFAULT_ALL_SUBGROUPS_LIMIT:
-        raise BudgetExceededError(
-            f"subgroup enumeration needs q <= {DEFAULT_ALL_SUBGROUPS_LIMIT}, "
-            f"got q = {field.q}")
-    out = []
-    for d, odp in divisor_orders(field.p, field.alpha):
-        for H in all_subspaces(field, odp):
-            points = (0,) if d == 1 else H.coset_leaders()
-            out.extend(Subgroup(field, d, b, H) for b in points)
-    return out

@@ -1,4 +1,5 @@
-"""Theory-free references that the tests compare the library against.
+"""Theory-free references that the tests compare the library against,
+and the exhaustive engines that only the tests call.
 
 An affine map is an ``AffineMap`` object here, composed and applied with
 plain field arithmetic; the library itself keeps maps as (a, b) pairs.
@@ -23,6 +24,14 @@ time (no format string).  ``assert_lines`` reads a module's source,
 which the ``python -O`` guards scan for asserts, ``prime_powers`` lists
 the fields that the sweeps run over, and ``run_python`` runs a call
 that could hang in a process of its own.
+
+The exhaustive engines are not theory-free: they are built from library
+pieces.  ``full_census`` classifies every k-subset by the library's
+``stabilizer`` scan, under ``oracle.DEFAULT_SUBSET_BUDGET`` as read at
+the call; ``all_subspaces`` grows every subspace by ``span``, and
+``all_subgroups`` lists every subgroup descriptor from them, for q up to
+DEFAULT_ALL_SUBGROUPS_LIMIT.  ``trivial_subgroup``, ``full_group`` and
+``full_subspace`` name the two ends of the lattice.
 """
 
 import ast
@@ -43,10 +52,17 @@ import aglstab
 
 from sympy import factorint
 
-from aglstab.agl import immediate_supergroups, join_pair, subgroup_from_pairs
-from aglstab.counting import (classes, evaluate_terms, mult_order,
-                              prime_set)
-from aglstab.ffield import mask_elements
+from aglstab import ffield, oracle
+from aglstab.agl import (Subgroup, immediate_supergroups, join_pair,
+                         subgroup_from_pairs)
+from aglstab.counting import (BudgetExceededError, check_subset_size,
+                              classes, divisor_orders, evaluate_terms,
+                              mult_order, prime_set)
+from aglstab.ffield import Field, Subspace, mask_elements, span, zero_subspace
+from aglstab.oracle import stabilizer
+
+#: largest q that ``all_subgroups`` enumerates
+DEFAULT_ALL_SUBGROUPS_LIMIT = 64
 
 
 class AffineMap:
@@ -130,6 +146,76 @@ def canonicalize(maps):
     field = maps[0].field
     closure = mulclose(maps)
     return subgroup_from_pairs(field, ((m.a, m.b) for m in closure))
+
+
+def trivial_subgroup(field: Field) -> Subgroup:
+    return Subgroup(field, 1, 0, zero_subspace(field))
+
+
+def full_group(field: Field) -> Subgroup:
+    return Subgroup(field, field.q - 1, 0, full_subspace(field))
+
+
+def full_subspace(field: Field) -> Subspace:
+    return Subspace(field, field._pows)
+
+
+def full_census(field: Field, k: int) -> dict[Subgroup, int]:
+    """Stabilizer of every k-subset of F_q, grouped by canonical descriptor;
+    more than ``oracle.DEFAULT_SUBSET_BUDGET`` subsets raise before any
+    scan."""
+    check_subset_size(field.q, k)
+    total = math.comb(field.q, k)
+    if total > oracle.DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(f"{total} subsets exceed the budget of "
+                                  f"{oracle.DEFAULT_SUBSET_BUDGET}")
+    census: Counter[Subgroup] = Counter()
+    for combo in itertools.combinations(range(field.q), k):
+        census[stabilizer(field, ffield.subset_mask(combo))] += 1
+    if sum(census.values()) != total:
+        raise RuntimeError(f"the census classified {sum(census.values())} "
+                           f"of the {total} subsets")
+    return dict(census)
+
+
+def all_subspaces(field: Field, degree: int) -> list[Subspace]:
+    """Every F_{p**degree}-subspace of the field, ordered by (dimension,
+    basis)."""
+    zero = zero_subspace(field)
+    out = {zero.basis: zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for W in frontier:
+            for x in range(1, field.q):
+                if W.contains(x):
+                    continue
+                W2 = span(field, W.basis + (x,), degree)
+                if W2.basis not in out:
+                    out[W2.basis] = W2
+                    new.append(W2)
+        frontier = new
+    return sorted(out.values(), key=lambda W: (W.dim, W.basis))
+
+
+def all_subgroups(field: Field) -> list[Subgroup]:
+    """Every subgroup of the affine group on F_q, each exactly once.
+
+    Walks d over the divisors of q - 1, H over the F_{p**o_d(p)}-subspaces
+    and b over the coset representatives of H (b = 0 when d = 1); the
+    canonical-descriptor uniqueness makes the enumeration duplicate-free.
+    q is capped by DEFAULT_ALL_SUBGROUPS_LIMIT.
+    """
+    if field.q > DEFAULT_ALL_SUBGROUPS_LIMIT:
+        raise BudgetExceededError(
+            f"subgroup enumeration needs q <= {DEFAULT_ALL_SUBGROUPS_LIMIT}, "
+            f"got q = {field.q}")
+    out = []
+    for d, odp in divisor_orders(field.p, field.alpha):
+        for H in all_subspaces(field, odp):
+            points = (0,) if d == 1 else H.coset_leaders()
+            out.extend(Subgroup(field, d, b, H) for b in points)
+    return out
 
 
 def literal_lattice_terms(S) -> tuple[tuple[tuple[int, int, int], ...], int]:

@@ -18,15 +18,13 @@ from sympy import divisors, primerange
 
 import aglstab
 from aglstab.agl import (JoinTable, Subgroup, class_representative,
-                         full_group, immediate_supergroups, join, join_pair,
-                         trivial_subgroup)
+                         immediate_supergroups, join, join_pair)
 from aglstab.counting import (ClassParams, check_shape, class_shapes,
                               mult_order, s_qk)
-from aglstab.ffield import (Field, Subspace, full_subspace, span,
-                            zero_subspace)
-from aglstab.oracle import all_subgroups
-from reference import (AffineMap, canonicalize, mulclose, prime_powers,
-                       subgroup_elements)
+from aglstab.ffield import Field, Subspace, span, zero_subspace
+from reference import (AffineMap, all_subgroups, canonicalize, full_group,
+                       full_subspace, mulclose, prime_powers,
+                       subgroup_elements, trivial_subgroup)
 
 FIELDS = {}
 

@@ -27,8 +27,8 @@ from aglstab.counting import (BudgetExceededError, ClassParams,
                               count_N, divisor_orders, enumerate_params,
                               evaluate_terms, mult_order, prime_set, s_qk)
 from aglstab.ffield import Field, span
-from reference import (moebius_exponent, overgroup_terms, prime_powers,
-                       q_binomial, run_python, table_by_terms)
+from reference import (full_census, moebius_exponent, overgroup_terms,
+                       prime_powers, q_binomial, run_python, table_by_terms)
 
 
 def test_prime_set():
@@ -444,7 +444,7 @@ def _design(q, k):
         class_representative(Field(q, 1), 1, 1, 0), k),
     lambda q, k: oracle.count_N_via_lattice(
         class_representative(Field(q, 1), 1, 1, 0), k),
-    lambda q, k: oracle.full_census(Field(q, 1), k),
+    lambda q, k: full_census(Field(q, 1), k),
 ], ids=["ClassParams", "build_table", "cmd_design", "count_N_bruteforce",
         "count_N_via_lattice", "full_census"])
 @pytest.mark.parametrize("k", [-1, 8])

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from aglstab import designs
-from aglstab.agl import class_representative, trivial_subgroup
+from aglstab.agl import class_representative
 from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_json,
@@ -16,7 +16,7 @@ from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
 from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
 from aglstab.oracle import exact_orbit_unions, stabilizer
 from reference import (assert_lines, prime_powers, reference_incidence,
-                       reference_orbit_blocks)
+                       reference_orbit_blocks, trivial_subgroup)
 
 FIELDS = {}
 

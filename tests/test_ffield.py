@@ -17,12 +17,12 @@ import aglstab.counting
 import aglstab.ffield
 import aglstab.oracle
 from aglstab.counting import prime_set
-from aglstab.ffield import (Field, Subspace, _Ring, full_subspace,
+from aglstab.ffield import (Field, Subspace, _Ring,
                             lines_of_quotient, span, zero_subspace)
-from aglstab.oracle import all_subspaces
-from reference import (assert_lines, digits, element, prime_powers,
-                       reference_add, reference_echelon, reference_neg,
-                       reference_reduce, reference_smul)
+from reference import (all_subspaces, assert_lines, digits, element,
+                       full_subspace, prime_powers, reference_add,
+                       reference_echelon, reference_neg, reference_reduce,
+                       reference_smul)
 
 
 def test_make_field_moduli():

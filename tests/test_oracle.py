@@ -8,21 +8,23 @@ from collections import Counter
 import pytest
 
 from aglstab import oracle
-from aglstab.agl import (Subgroup, class_representative, full_group,
+from aglstab.agl import (Subgroup, class_representative,
                          immediate_supergroups, join_pair,
-                         subgroup_from_pairs, trivial_subgroup)
+                         subgroup_from_pairs)
 from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
                               mult_order)
 from aglstab.ffield import (Field, Subspace, mask_bits, mask_elements,
                             span, subset_mask, zero_subspace)
-from aglstab.oracle import (BudgetExceededError, all_subgroups,
+from aglstab.oracle import (BudgetExceededError,
                             bruteforce_counts, count_N_bruteforce,
                             count_N_via_lattice,
-                            exact_orbit_unions, fixing_maps, full_census,
+                            exact_orbit_unions, fixing_maps,
                             is_exact_stabilizer, lattice_terms,
                             orbit_union_masks, stabilizer)
-from reference import (assert_lines, literal_lattice_terms,
-                       reference_fixing_maps, run_python, subgroup_elements)
+import reference
+from reference import (all_subgroups, assert_lines, full_census, full_group,
+                       literal_lattice_terms, reference_fixing_maps,
+                       run_python, subgroup_elements, trivial_subgroup)
 
 FIELDS = {}
 
@@ -445,7 +447,7 @@ def test_all_subgroups_counts():
 
 
 def test_all_subgroups_respects_limit(monkeypatch):
-    monkeypatch.setattr(oracle, "DEFAULT_ALL_SUBGROUPS_LIMIT", 8)
+    monkeypatch.setattr(reference, "DEFAULT_ALL_SUBGROUPS_LIMIT", 8)
     with pytest.raises(BudgetExceededError, match="needs q <= 8, got q = 16"):
         all_subgroups(field(2, 4))
     assert len(all_subgroups(field(2, 3))) > 0
