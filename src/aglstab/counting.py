@@ -49,7 +49,6 @@ rule on q - 1; ``count_N`` refuses a class whose (|H'| - 1)/d does not factor.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from sympy import factorint, isprime, perfect_power
@@ -99,8 +98,11 @@ def _factorization(u: int) -> dict[int, int]:
 def mult_order(v: int, u: int) -> int:
     """Least m >= 1 with v**m == 1 (mod u).  The order modulo 1 is 1.
 
-    A plain loop whose cost is the order itself.  The library only asks
-    for o_u(p) with u | p**alpha - 1, where the order divides alpha.
+    A plain loop whose cost is the order itself.  The library asks only
+    for orders that divide alpha: o_u(p) with u | p**alpha - 1, and, to
+    extend a known order o = o_w(p) to a multiple u of w, the order of
+    p**o modulo u, which is o_u(p)/o (see ``divisor_orders`` and
+    ``StabilizerClass.terms``).
     """
     if u <= 0:
         raise ValueError(f"modulus must be positive, got {u}")
@@ -188,10 +190,26 @@ def check_factored(p: int, alpha: int) -> dict[int, int]:
 def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
     """(d, o_d(p)) for d ascending over the divisors of q - 1, built from
     the factors that ``check_factored`` returns when it admits the field."""
-    divs = [1]
-    for r, e in check_factored(p, alpha).items():
-        divs = [x * r ** t for x in divs for t in range(e + 1)]
-    return [(d, mult_order(p, d)) for d in sorted(divs)]
+    return _divisor_orders(p, check_factored(p, alpha))
+
+
+def _divisor_orders(p: int,
+                    factors: dict[int, int]) -> list[tuple[int, int]]:
+    """``divisor_orders`` from q - 1 as {prime: exponent}.
+
+    o_d(p) is the lcm of o_{r**t}(p) over the prime powers r**t exactly
+    dividing d, and each of those is found once, from the one before it:
+    o_{r**t}(p) = o * (order of p**o mod r**t), o = o_{r**(t-1)}(p).
+    """
+    divs = [(1, 1)]
+    for r, e in factors.items():
+        orders, o = [1], 1
+        for t in range(1, e + 1):
+            o *= mult_order(pow(p, o, r ** t), r ** t)
+            orders.append(o)
+        divs = [(x * r ** t, math.lcm(m, orders[t]))
+                for x, m in divs for t in range(e + 1)]
+    return sorted(divs)
 
 
 def check_divisor(p: int, alpha: int, d: int) -> int:
@@ -223,11 +241,6 @@ def check_shape(p: int, alpha: int, d: int, i: int, j: int) -> int:
         raise ValueError(f"j must satisfy 0 < j < {top // i} "
                          f"when i < alpha/o_d(p), got {j}")
     return odp
-
-
-def _subsets(items: tuple[int, ...]):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 def _moebius_weights(n: int, base: int):
@@ -301,6 +314,12 @@ class StabilizerClass:
         multiplier, so neither carries the factor.  The two divisibilities
         the sum relies on are guarded by ValueError raises.
 
+        u is the lcm of the d*r over r in P, so o_u(p) is the lcm of the
+        o_{d*r}(p), since o_{lcm(a, b)}(p) = lcm(o_a(p), o_b(p)).  Each
+        o_{d*r}(p) is found once per call, as o_d(p) times the order of
+        p**o_d(p) modulo d*r; that order divides i, because d*r divides
+        |H'| - 1 = p**(o_d(p)*i) - 1.  P = () takes o_d(p) as it is.
+
         ``s_qk(q, k, u, v)`` is nonzero only if v | k and u | k or
         u | k - p**beta (u is prime to p and p**m == 1 mod u, so
         v == p**beta mod u).  So P is drawn from the primes of
@@ -315,20 +334,26 @@ class StabilizerClass:
         if rem:
             raise ValueError(
                 f"d = {d} does not divide |H'| - 1 = {hprime - 1}")
-        # for d = 1 both residues can hold; their prime sets are disjoint
-        # (a common prime would divide p**beta), so only P = () repeats
-        walk = dict.fromkeys(
-            P for r in (k, k - pb) if r >= 0 and r % d == 0
-            for P in _subsets(prime_set(math.gcd(quot, r // d))))
+        # u = d*prod(P) -> (len(P), o_u(p)).  For d = 1 both residues can
+        # hold; their prime sets are disjoint (a common prime would divide
+        # p**beta), so only P = () repeats and no order is found twice
+        walk = {}
+        for r in (k, k - pb):
+            if r < 0 or r % d:
+                continue
+            subsets = [(d, 0, odp)]
+            for prime in prime_set(math.gcd(quot, r // d)):
+                o = odp * mult_order(pow(p, odp, d * prime), d * prime)
+                subsets += [(u * prime, n + 1, math.lcm(m, o))
+                            for u, n, m in subsets]
+            walk.update((u, (n, m)) for u, n, m in subsets)
         terms = []
-        for P in walk:
-            u = d * math.prod(P)
-            m = mult_order(p, u) if P else odp
+        for u, (n, m) in walk.items():
             hi, rem = divmod(free, m)
             if rem:
                 raise ValueError(f"o_u(p) = {m} does not divide "
                                  f"alpha - beta = {free} (u = {u})")
-            sign = (-1) ** len(P) * (p ** free if d == 1 and P else 1)
+            sign = (-1) ** n * (p ** free if d == 1 and n else 1)
             base = p ** m
             v = pb
             for w in _moebius_weights(hi, base):
@@ -371,8 +396,14 @@ def classes(p: int, alpha: int) -> list[StabilizerClass]:
     ``check_shape`` accepts: d ascending over the divisors of q - 1, then
     i ascending over the divisors of alpha/o_d(p), then j ascending.  It
     admits the field with ``check_factored``, through ``divisor_orders``."""
+    return _classes(p, alpha, divisor_orders(p, alpha))
+
+
+def _classes(p: int, alpha: int,
+             orders: list[tuple[int, int]]) -> list[StabilizerClass]:
+    """``classes`` from the (d, o_d(p)) that ``divisor_orders`` lists."""
     return [StabilizerClass(p, alpha, d, i, j, odp)
-            for d, odp in divisor_orders(p, alpha)
+            for d, odp in orders
             for i in range(1, alpha // odp + 1) if alpha % (odp * i) == 0
             for j in ((0, 1) if odp * i == alpha
                       else range(1, alpha // (odp * i)))]
@@ -447,7 +478,7 @@ def build_table(p: int, alpha: int,
         raise BudgetExceededError(
             f"the table of q = {q} has at least {least} rows, two for each "
             f"divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
-    shapes = classes(p, alpha)
+    shapes = _classes(p, alpha, _divisor_orders(p, factors))
     # as many rows as the slots below; no len(range(...)), which overflows
     # past sys.maxsize
     rows = sum((k_max - r) // c.period + 1

@@ -10,13 +10,11 @@ import math
 import time
 from pathlib import Path
 
-import pytest
-
 import aglstab
 from aglstab.agl import Subgroup, class_representative
 from aglstab.cli import EXIT_OK, main
 from aglstab.counting import (ClassParams, build_table, class_shapes,
-                              count_N, enumerate_params, mult_order, s_qk)
+                              count_N, mult_order, s_qk)
 from aglstab.designs import (a2_determinations, design_to_code, johnson_check,
                              orbit_design)
 from aglstab.ffield import Field, subset_mask

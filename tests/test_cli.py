@@ -12,9 +12,9 @@ import sys
 import pytest
 
 from aglstab import agl, cli, counting, designs, oracle
-from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY,
-                         VERIFY_COLUMNS, _emit_rows, _resolve_field,
-                         _verify_class, build_parser, main)
+from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, VERIFY_COLUMNS,
+                         _emit_rows, _resolve_field, _verify_class,
+                         build_parser, main)
 from aglstab.counting import CSV_COLUMNS, FACTOR_LIMIT, MAX_FACTORED_Q
 from aglstab.ffield import Field, mask_elements, subset_mask
 from reference import csv_writer_rows, design_record, run_python, text_rows

@@ -8,7 +8,6 @@ the exhaustive stabilizer scan in test_oracle / the acceptance suite.
 import ast
 import hashlib
 import io
-import itertools
 import math
 import random
 from pathlib import Path
@@ -251,11 +250,12 @@ def test_class_params_computes_odp_once(monkeypatch):
     # classes and build_table trust the orders that divisor_orders returns
     shape_checks.clear()
     classes(2, 6)
-    # build_table: one per divisor of 63, whose order every shape of that
-    # d reuses, plus one per u = d*prod(P) with P nonempty
+    # build_table: one per prime power 3, 9 and 7 of 63, from whose orders
+    # every o_d(p) is built, plus one per class and prime r of
+    # (|H'| - 1)/d, whose o_{d*r}(p) every P of that class holding r reuses
     calls.clear()
     build_table(2, 6)
-    assert len(calls) == 27
+    assert len(calls) == 20
     assert shape_checks == []
 
 
@@ -750,3 +750,53 @@ def test_count_N_walks_only_contributing_overgroups(monkeypatch, args, kept,
     # the one overgroup with P nonempty; u = d reuses o_d(p)
     assert len(calls) == 1
     assert [len(terms) for terms in evaluated] == [kept]
+
+
+def test_build_table_admits_the_field_once(monkeypatch):
+    admitted = []
+    check = counting.check_factored
+
+    def counted(*args):
+        admitted.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(counting, "check_factored", counted)
+    build_table(2, 6)
+    assert admitted == [(2, 6)]
+
+
+def test_count_N_finds_each_prime_order_once(monkeypatch):
+    # (2^48 - 1)/485 has 7 primes, so k = 0 keeps 2^7 overgroups; the
+    # order o_u(p) of each is an lcm of the 7 orders o_{485*r}(p)
+    cp = ClassParams(2, 48, 0, 485, 1, 1)
+    primes = prime_set((2 ** 48 - 1) // 485)
+    assert len(primes) == 7
+    calls = []
+
+    def counted(v, u):
+        calls.append((v, u))
+        return mult_order(v, u)
+
+    monkeypatch.setattr(counting, "mult_order", counted)
+    count_N(cp)
+    assert sorted(u for _, u in calls) == [485 * r for r in primes]
+    assert len(cp.terms()) == 2 ** 7
+
+
+def test_overgroup_orders_from_prime_orders_bignum():
+    # the classes whose walk at k = 0 and k = q has the most P, each
+    # against the reference walk, which finds every o_u(p) on its own
+    seen = 0
+    for p, alpha in [(2, 64), (3, 30), (5, 20), (2, 48)]:
+        q = p ** alpha
+        for c in classes(p, alpha):
+            d, i, j, odp = c.d, c.i, c.j, c.odp
+            if len(prime_set((p ** (odp * i) - 1) // d)) < 6:
+                continue
+            terms = c.terms()
+            assert terms == overgroup_terms(p, alpha, d, i, j, odp), (
+                q, d, i, j)
+            assert count_N(ClassParams(p, alpha, q, d, i, j)) == (
+                evaluate_terms(q, q, terms)), (q, d, i, j)
+            seen += 1
+    assert seen == 1048

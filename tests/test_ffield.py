@@ -4,7 +4,6 @@ of quotients: canonical choices and axioms."""
 import ast
 import hashlib
 import itertools
-import math
 import random
 from pathlib import Path
 

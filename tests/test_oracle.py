@@ -1,6 +1,5 @@
 """Brute-force engines and the lattice inclusion-exclusion evaluator."""
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -11,8 +10,7 @@ from aglstab import oracle
 from aglstab.agl import (Subgroup, class_representative,
                          immediate_supergroups, join_pair,
                          subgroup_from_pairs)
-from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
-                              mult_order)
+from aglstab.counting import ClassParams, class_shapes, classes, count_N
 from aglstab.ffield import (Field, Subspace, mask_bits, mask_elements,
                             span, subset_mask, zero_subspace)
 from aglstab.oracle import (BudgetExceededError,

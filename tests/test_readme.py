@@ -40,3 +40,15 @@ def test_readme_cli_examples_exit_0(capsys):
         assert argv[0] == "aglstab"
         assert main(argv[1:]) == EXIT_OK, argv
         capsys.readouterr()
+
+
+def test_readme_install_names_the_build_system_floor():
+    # tomllib is Python 3.11+, so the requires line is read with a regex
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    requires, = re.findall(r"^requires = \[(.*)\]$", pyproject, re.MULTILINE)
+    section, = re.findall(r"^## Install and test\n(.*?)^## ",
+                          README.read_text(), re.DOTALL | re.MULTILINE)
+    floors = set(re.findall(r"setuptools>=([\d.]+)", section))
+    assert floors == set(re.findall(r"setuptools>=([\d.]+)", requires))
+    assert len(floors) == 1
+    assert "--no-build-isolation" in section and "`wheel`" in section
