@@ -44,7 +44,8 @@ allows); the last two return o_d(p).  ``ClassParams`` runs the shape rule
 once, and ``classes`` builds only the triples it accepts.  Only this module
 uses sympy.  ``prime_set`` holds the one bounded factoring rule.  The
 admission of a field, ``check_factored``, runs ``check_field``, then that
-rule on q - 1; ``count_N`` refuses a class whose (|H'| - 1)/d does not factor.
+rule on q - 1.  ``count_N`` at k refuses a class only where
+gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from sympy import factorint, isprime, perfect_power
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
 
-#: most rows ``build_table`` will build
+#: most table rows, and twice the most divisors ``divisor_orders`` lists
 MAX_TABLE_ROWS = 10_000_000
 #: ``prime_set`` refuses a larger number outright
 MAX_FACTORED_Q = 1 << 2048
@@ -188,19 +189,21 @@ def check_factored(p: int, alpha: int) -> dict[int, int]:
 
 
 def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
-    """(d, o_d(p)) for d ascending over the divisors of q - 1, built from
-    the factors that ``check_factored`` returns when it admits the field."""
-    return _divisor_orders(p, check_factored(p, alpha))
-
-
-def _divisor_orders(p: int,
-                    factors: dict[int, int]) -> list[tuple[int, int]]:
-    """``divisor_orders`` from q - 1 as {prime: exponent}.
+    """(d, o_d(p)) for d ascending over the divisors of q - 1.  It admits
+    the field with ``check_factored`` and, before it builds any divisor,
+    refuses a q - 1 with over MAX_TABLE_ROWS/2 of them: each d has the two
+    classes (d, alpha/o_d(p), 0) and (d, alpha/o_d(p), 1).
 
     o_d(p) is the lcm of o_{r**t}(p) over the prime powers r**t exactly
     dividing d, and each of those is found once, from the one before it:
     o_{r**t}(p) = o * (order of p**o mod r**t), o = o_{r**(t-1)}(p).
     """
+    factors = check_factored(p, alpha)
+    least = 2 * math.prod(e + 1 for e in factors.values())
+    if least > MAX_TABLE_ROWS:
+        raise BudgetExceededError(
+            f"q = {p ** alpha} has at least {least} stabilizer classes, two "
+            f"for each divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
     divs = [(1, 1)]
     for r, e in factors.items():
         orders, o = [1], 1
@@ -394,16 +397,10 @@ def count_N(params: ClassParams) -> int:
 def classes(p: int, alpha: int) -> list[StabilizerClass]:
     """Every stabilizer class of F_{p**alpha}, exactly the triples that
     ``check_shape`` accepts: d ascending over the divisors of q - 1, then
-    i ascending over the divisors of alpha/o_d(p), then j ascending.  It
-    admits the field with ``check_factored``, through ``divisor_orders``."""
-    return _classes(p, alpha, divisor_orders(p, alpha))
-
-
-def _classes(p: int, alpha: int,
-             orders: list[tuple[int, int]]) -> list[StabilizerClass]:
-    """``classes`` from the (d, o_d(p)) that ``divisor_orders`` lists."""
+    i ascending over the divisors of alpha/o_d(p), then j ascending, the
+    d from ``divisor_orders``, which admits the field and bounds them."""
     return [StabilizerClass(p, alpha, d, i, j, odp)
-            for d, odp in orders
+            for d, odp in divisor_orders(p, alpha)
             for i in range(1, alpha // odp + 1) if alpha % (odp * i) == 0
             for j in ((0, 1) if odp * i == alpha
                       else range(1, alpha // (odp * i)))]
@@ -463,22 +460,14 @@ def build_table(p: int, alpha: int,
     among the class terms of the field, built on first use.  Each class
     adds coeff * column into slots preset at the k of its congruence and
     reads its rows off them; a column key off it would raise ``KeyError``.
-    A field with over MAX_TABLE_ROWS/2 divisors of q - 1, or a table of
-    more than ``MAX_TABLE_ROWS`` rows, raises ``BudgetExceededError``
-    before any row is built; the first before the classes are listed.
+    ``classes`` refuses a q - 1 with over MAX_TABLE_ROWS/2 divisors before
+    k_max is checked, and a table of over ``MAX_TABLE_ROWS`` rows raises
+    ``BudgetExceededError`` before any row is built.
     """
-    factors = check_factored(p, alpha)
+    shapes = classes(p, alpha)
     q = p ** alpha
     k_max = q // 2 if k_max is None else k_max
     check_subset_size(q, k_max)
-    # each divisor d of q - 1 has the classes (d, alpha/o_d(p), 0) and
-    # (d, alpha/o_d(p), 1), each with a row at k = 0
-    least = 2 * math.prod(e + 1 for e in factors.values())
-    if least > MAX_TABLE_ROWS:
-        raise BudgetExceededError(
-            f"the table of q = {q} has at least {least} rows, two for each "
-            f"divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
-    shapes = _classes(p, alpha, _divisor_orders(p, factors))
     # as many rows as the slots below; no len(range(...)), which overflows
     # past sys.maxsize
     rows = sum((k_max - r) // c.period + 1

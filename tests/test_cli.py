@@ -134,16 +134,18 @@ BIGNUM_TABLE_SHA256 = (
     "a41c66c88e52638f4ea0a7936d2dcdcb1234aac843d84d971c4a95ae6f5f3883")
 
 
+DIVISOR_REFUSAL = (f"aglstab: budget exceeded: q = {2 ** 180} has at least "
+                   "12582912 stabilizer classes, two for each divisor of "
+                   "q - 1, over the limit of 10000000\n")
+
+
 def test_table_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
     # 2^180 - 1 has 6,291,456 divisors; listing them and their orders ran
     # for minutes when the table counted its rows only after the classes
     proc, seconds = run_process("table", "--p", "2", "--alpha", "180",
                                 "--max-k", "1", timeout=30)
     assert proc.returncode == EXIT_BUDGET
-    assert (proc.stdout, proc.stderr) == (
-        "", f"aglstab: budget exceeded: the table of q = {2 ** 180} has at "
-            "least 12582912 rows, two for each divisor of q - 1, over the "
-            "limit of 10000000\n")
+    assert (proc.stdout, proc.stderr) == ("", DIVISOR_REFUSAL)
     assert seconds < 5
     # a q - 1 with few divisors still prints its rows
     proc, _ = run_process("table", "--q", str(2 ** 64), "--max-k", "10",
@@ -151,6 +153,16 @@ def test_table_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     assert hashlib.sha256(
         proc.stdout.encode()).hexdigest() == BIGNUM_TABLE_SHA256
+
+
+def test_design_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
+    # design --k/--d lists the classes to find --d; it ran past a minute
+    # when only the table held the divisor bound
+    proc, seconds = run_process("design", "--p", "2", "--alpha", "180",
+                                "--k", "2", "--d", "1", timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    assert (proc.stdout, proc.stderr) == ("", DIVISOR_REFUSAL)
+    assert seconds < 5
 
 
 @pytest.mark.parametrize("argv", [

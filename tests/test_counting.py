@@ -624,15 +624,20 @@ def test_table_of_too_many_divisors_raises_before_enumerating_classes(
     monkeypatch.setattr(counting, "mult_order",
                         lambda *args: pytest.fail("enumerated the divisors"))
     with pytest.raises(BudgetExceededError,
-                       match=f"^the table of q = {2 ** 180} has at least "
-                             "12582912 rows, two for each divisor of q - 1, "
-                             "over the limit of 10000000$"):
+                       match=f"^q = {2 ** 180} has at least 12582912 "
+                             "stabilizer classes, two for each divisor of "
+                             "q - 1, over the limit of 10000000$"):
         build_table(2, 180, 1)
-    # the field rule first, then the k range, then the bound
-    with pytest.raises(ValueError, match=r"^k must lie in \[0, \d+\], got -1$"):
+    # the field rule first, then the bound, which lists the classes, then
+    # the k range.  The CLI checks --max-k before build_table runs, so
+    # there the k range still comes before the bound
+    with pytest.raises(BudgetExceededError, match="^q = \\d+ has at least "):
         build_table(2, 180, -1)
     with pytest.raises(BudgetExceededError, match="q = 2\\^1000 is refused"):
         build_table(2, 1000, -1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^k must lie in \[0, 7\], got -1$"):
+        build_table(7, 1, -1)
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (1021, 1)])
@@ -763,6 +768,40 @@ def test_build_table_admits_the_field_once(monkeypatch):
     monkeypatch.setattr(counting, "check_factored", counted)
     build_table(2, 6)
     assert admitted == [(2, 6)]
+
+
+LISTERS = [divisor_orders, classes, class_shapes,
+           lambda p, alpha: enumerate_params(p, alpha, 0),
+           lambda p, alpha: build_table(p, alpha, 1)]
+LISTER_IDS = ["divisor_orders", "classes", "class_shapes", "enumerate_params",
+              "build_table"]
+
+
+@pytest.mark.parametrize("lister", LISTERS, ids=LISTER_IDS)
+def test_every_lister_admits_the_field_once(monkeypatch, lister):
+    admitted = []
+    check = counting.check_factored
+
+    def counted(*args):
+        admitted.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(counting, "check_factored", counted)
+    lister(2, 6)
+    assert admitted == [(2, 6)]
+
+
+@pytest.mark.parametrize("lister", LISTERS, ids=LISTER_IDS)
+def test_every_lister_refuses_too_many_divisors_before_listing_them(
+        monkeypatch, lister):
+    # 2^180 - 1 has 6,291,456 divisors
+    monkeypatch.setattr(counting, "mult_order",
+                        lambda *args: pytest.fail("enumerated the divisors"))
+    with pytest.raises(BudgetExceededError) as refused:
+        lister(2, 180)
+    assert str(refused.value) == (
+        f"q = {2 ** 180} has at least 12582912 stabilizer classes, two for "
+        "each divisor of q - 1, over the limit of 10000000")
 
 
 def test_count_N_finds_each_prime_order_once(monkeypatch):
