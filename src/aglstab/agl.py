@@ -1,7 +1,8 @@
 """The group of affine maps x -> a*x + b on F_q and its subgroup lattice.
 
 A map is the int pair (a, b) with a != 0, and a subset is an int mask
-(see :mod:`aglstab.ffield`); the module keeps no map objects.  Every
+(see :mod:`aglstab.ffield`), the orbits of a subgroup included; the
+module keeps no map objects.  Every
 subgroup is ``S(a, b, H)``: the group generated by one map (a, b)
 together with the translations by an F_p-subspace H that is closed under
 multiplication by F_p(a).  The canonical descriptor fixes a = gamma**((q-1)/d)
@@ -55,7 +56,7 @@ class Subgroup:
         self.fixed_point = field.div(b, field.sub(1, self.a)) if d > 1 else None
         self.order = d * translations.size
         self._hash = hash((field, d, b, translations.basis))
-        self._orbits: tuple[tuple[int, ...], ...] | None = None
+        self._orbits: tuple[int, ...] | None = None
         #: N(S, k) for k = 0..q, filled by ``oracle.bruteforce_counts``
         self._bruteforce_counts: tuple[int, ...] | None = None
 
@@ -73,29 +74,29 @@ class Subgroup:
 
     # -- orbits ---------------------------------------------------------------
 
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The orbits on the field elements, each sorted, listed by least
+    def orbits(self) -> tuple[int, ...]:
+        """The orbits on the field elements as int masks, listed by least
         element x, where its walk starts: each step adds the coset y + H
         and moves y to a*y + b, until y falls back into the orbit."""
         if self._orbits is None:
             field, a, b = self.field, self.a, self.b
             h_els = self.H.elements()
             orbs = []
-            seen: set[int] = set()
+            seen = 0
             for x in range(field.q):
-                if x in seen:
+                if seen >> x & 1:
                     continue
-                orbit: set[int] = set()
-                y = x
-                while y not in orbit:
-                    orbit.update(field.add(y, h) for h in h_els)
+                orbit, y = 0, x
+                while not orbit >> y & 1:
+                    for h in h_els:
+                        orbit |= 1 << field.add(y, h)
                     y = field.add(field.mul(a, y), b)
-                if len(orbit) not in (self.H.size, self.order):
-                    raise RuntimeError(f"an orbit of size {len(orbit)} "
+                if orbit.bit_count() not in (self.H.size, self.order):
+                    raise RuntimeError(f"an orbit of size {orbit.bit_count()} "
                                        f"in a group of order {self.order}")
                 seen |= orbit
-                orbs.append(tuple(sorted(orbit)))
-            sizes = Counter(len(o) for o in orbs)
+                orbs.append(orbit)
+            sizes = Counter(o.bit_count() for o in orbs)
             if ((self.d > 1 and sizes[self.H.size] != 1)
                     or sum(n * s for s, n in sizes.items()) != field.q):
                 raise RuntimeError(f"orbit sizes {dict(sizes)} do not cover "

@@ -44,8 +44,9 @@ allows); the last two return o_d(p).  ``ClassParams`` runs the shape rule
 once, and ``classes`` builds only the triples it accepts.  Only this module
 uses sympy.  ``prime_set`` holds the one bounded factoring rule.  The
 admission of a field, ``check_factored``, runs ``check_field``, then that
-rule on q - 1.  ``count_N`` at k refuses a class only where
-gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
+rule on q - 1, then refuses a q - 1 with over MAX_TABLE_ROWS/2 divisors,
+before any command or lister works.  ``count_N`` at k refuses a class only
+where gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from sympy import factorint, isprime, perfect_power
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
 
-#: most table rows, and twice the most divisors ``divisor_orders`` lists
+#: most table rows, and twice the most divisors ``check_factored`` admits
 MAX_TABLE_ROWS = 10_000_000
 #: ``prime_set`` refuses a larger number outright
 MAX_FACTORED_Q = 1 << 2048
@@ -174,38 +175,38 @@ def check_subset_size(q: int, k: int) -> None:
 
 
 def check_factored(p: int, alpha: int) -> dict[int, int]:
-    """The admission of a field F_{p**alpha}: ``check_field``, then the
-    factoring rule, that ``prime_set`` accepts q - 1.  alpha > 2048 is past
-    the cap without computing q.  Returns q - 1 as {prime: exponent}."""
+    """The admission of a field F_{p**alpha}: ``check_field``, the
+    factoring rule, that ``prime_set`` accepts q - 1, and the divisor
+    bound, that q - 1 has at most MAX_TABLE_ROWS/2 divisors, each with two
+    classes (d, alpha/o_d(p), 0 or 1).  alpha > 2048 is past the cap
+    without computing q.  Returns q - 1 as {prime: exponent}."""
     check_field(p, alpha)
     u = MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1
     try:
-        return _factorization(u)
+        factors = _factorization(u)
     except BudgetExceededError:
         raise BudgetExceededError(
             f"q = {p}^{alpha} is refused: q must be at most 2^2048, and "
             f"q - 1 must factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}") from None
-
-
-def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
-    """(d, o_d(p)) for d ascending over the divisors of q - 1.  It admits
-    the field with ``check_factored`` and, before it builds any divisor,
-    refuses a q - 1 with over MAX_TABLE_ROWS/2 of them: each d has the two
-    classes (d, alpha/o_d(p), 0) and (d, alpha/o_d(p), 1).
-
-    o_d(p) is the lcm of o_{r**t}(p) over the prime powers r**t exactly
-    dividing d, and each of those is found once, from the one before it:
-    o_{r**t}(p) = o * (order of p**o mod r**t), o = o_{r**(t-1)}(p).
-    """
-    factors = check_factored(p, alpha)
     least = 2 * math.prod(e + 1 for e in factors.values())
     if least > MAX_TABLE_ROWS:
         raise BudgetExceededError(
             f"q = {p ** alpha} has at least {least} stabilizer classes, two "
             f"for each divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
+    return factors
+
+
+def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
+    """(d, o_d(p)) for d ascending over the divisors of q - 1, listed once
+    ``check_factored`` admits the field, divisor bound included.
+
+    o_d(p) is the lcm of o_{r**t}(p) over the prime powers r**t exactly
+    dividing d, and each of those is found once, from the one before it:
+    o_{r**t}(p) = o * (order of p**o mod r**t), o = o_{r**(t-1)}(p).
+    """
     divs = [(1, 1)]
-    for r, e in factors.items():
+    for r, e in check_factored(p, alpha).items():
         orders, o = [1], 1
         for t in range(1, e + 1):
             o *= mult_order(pow(p, o, r ** t), r ** t)

@@ -357,7 +357,6 @@ class Subspace:
         self.basis, self.pivots = _echelon(field, vectors)
         self.dim = len(self.basis)
         self.size = field.p ** self.dim
-        self._elements: tuple[int, ...] | None = None
         self._leaders: tuple[int, ...] | None = None
 
     def reduce(self, x: int) -> int:
@@ -375,18 +374,16 @@ class Subspace:
         return self.reduce(x) == 0
 
     def elements(self) -> tuple[int, ...]:
-        if self._elements is None:
-            field = self.field
-            combs = [0]
-            for v in self.basis:
-                step = [field.smul(t, v) for t in range(field.p)]
-                combs = [field.add(c, s) for c in combs for s in step]
-            els = tuple(sorted(set(combs)))
-            if len(els) != self.size:
-                raise RuntimeError(f"a basis of {self.dim} vectors spans "
-                                   f"{len(els)} elements")
-            self._elements = els
-        return self._elements
+        field = self.field
+        combs = [0]
+        for v in self.basis:
+            step = [field.smul(t, v) for t in range(field.p)]
+            combs = [field.add(c, s) for c in combs for s in step]
+        els = tuple(sorted(set(combs)))
+        if len(els) != self.size:
+            raise RuntimeError(f"a basis of {self.dim} vectors spans "
+                               f"{len(els)} elements")
+        return els
 
     def coset_leaders(self) -> tuple[int, ...]:
         """The least element of each coset, in increasing order (0 first):

@@ -3,7 +3,8 @@
 Three routes to the same numbers, none sharing code with the closed
 forms in :mod:`aglstab.counting`.  A map is the int pair (a, b) of
 x -> a*x + b, and a subset is an int mask over the element codes, as
-:mod:`aglstab.ffield` defines it.
+:mod:`aglstab.ffield` defines it; ``Subgroup.orbits`` gives its orbits
+as such masks, which every route reads as they are.
 
 * ``stabilizer``: test all q*(q-1) affine maps against a subset mask
   (``fixing_maps``) and return the subset's exact stabilizer.  The scan
@@ -106,22 +107,15 @@ def stabilizer(field: Field, mask: int) -> Subgroup:
 
 def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
     """(base_mask, choosable_orbit_masks, how_many) branches whose unions
-    are exactly the size-k orbit unions of S."""
+    are exactly the size-k orbit unions of S: the orbits of size |S|,
+    over no base and, when d > 1, over the one orbit of size |H|."""
     orbits = S.orbits()
-    masks = [ffield.subset_mask(o) for o in orbits]
-    h = S.H.size
-    branches = []
-    if S.d == 1:
-        if k % h == 0:
-            branches.append((0, masks, k // h))
-    else:
-        big = S.d * h
-        special = next(m for m, o in zip(masks, orbits) if len(o) == h)
-        bigs = [m for o, m in zip(orbits, masks) if len(o) == big]
-        for base, rem in ((0, k), (special, k - h)):
-            if rem >= 0 and rem % big == 0:
-                branches.append((base, bigs, rem // big))
-    return branches
+    h, big = S.H.size, S.order
+    bigs = [m for m in orbits if m.bit_count() == big]
+    bases = (0,) if S.d == 1 else (
+        0, next(m for m in orbits if m.bit_count() == h))
+    return [(base, bigs, rem // big) for base, rem in zip(bases, (k, k - h))
+            if rem >= 0 and rem % big == 0]
 
 
 # kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
@@ -191,7 +185,7 @@ def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
     m = len(orbits)
     orbit_of = [0] * q
     for o, orbit in enumerate(orbits):
-        for x in orbit:
+        for x in ffield.mask_elements(orbit):
             orbit_of[x] = o
     # shifted[b][y] = orbit(y + b)
     shifted = [[orbit_of[field.add(y, b)] for y in range(q)]
@@ -267,7 +261,7 @@ def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
                            f"place, but |S| = {S.order}")
     if diagonal > S.order:
         return (0,) * (q + 1)
-    sizes = [len(o) for o in S.orbits()]
+    sizes = [o.bit_count() for o in S.orbits()]
     width = min(len(sizes), CHUNK_BITS)
     full = (1 << (1 << width)) - 1
     low = _orbit_columns(width)
@@ -341,10 +335,9 @@ def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
     U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.  Every join
     goes through ``join_pair`` with one ``JoinTable`` for the call, so each
     span, coset leader and subgroup is built once per distinct input, and
-    the table is dropped on return.
+    the table is dropped on return.  S must have b = 0, which
+    ``immediate_supergroups`` checks.
     """
-    if S.b != 0:
-        raise ValueError("lattice evaluation requires b = 0; conjugate first")
     supers = immediate_supergroups(S)
     f: dict[Subgroup, int] = {S: 1}
     table = JoinTable()

@@ -16,7 +16,8 @@ and subspace echelon forms are computed on coefficient lists, digit by
 digit mod p (no Zech logarithms, no int rows).  ``overgroup_terms`` walks
 every overgroup of a class and weighs it by ``moebius_exponent`` times
 ``q_binomial``, each computed from scratch (no recurrence, no pruning
-by k).  ``table_by_terms``
+by k), and ``class_size`` counts the subgroups of a class from its
+parameters by Moebius inversion over subfields.  ``table_by_terms``
 evaluates every table row from its class terms on its own (no shared
 binomial columns).  ``csv_writer_rows`` and ``text_rows`` write rows as
 ``csv.writer`` does and as ``column=value`` pairs joined one value at a
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import aglstab
 
-from sympy import factorint
+from sympy import factorint, mobius
 
 from aglstab import ffield, oracle
 from aglstab.agl import (Subgroup, immediate_supergroups, join_pair,
@@ -384,6 +385,21 @@ def moebius_exponent(dim_quotient: int, base: int) -> int:
     if dim_quotient < 0:
         raise ValueError(f"dimension must be >= 0, got {dim_quotient}")
     return (-1) ** dim_quotient * base ** math.comb(dim_quotient, 2)
+
+
+def class_size(c) -> int:
+    """Number of subgroups in the class of a ``StabilizerClass`` c, from
+    its parameters alone.  H ranges over the j-dimensional F_r-subspaces
+    of F_q, r = p**(o_d(p)*i), whose stabilizing subfield is exactly F_r;
+    F_q has dimension n = alpha/(o_d(p)*i) over F_r, and Moebius inversion
+    over the subfields F_{r**t} counts them as the sum over t | n with
+    t | j of mu(t)*[n/t choose j/t]_{r**t}.  When d > 1 the multiplier's
+    fixed point may lie in any of the q/p**beta cosets of H."""
+    r = c.p ** (c.odp * c.i)
+    n = c.alpha // (c.odp * c.i)
+    spaces = sum(int(mobius(t)) * q_binomial(n // t, c.j // t, r ** t)
+                 for t in range(1, n + 1) if n % t == 0 and c.j % t == 0)
+    return spaces * (c.q // c.h_size if c.d > 1 else 1)
 
 
 def overgroup_terms(p: int, alpha: int, d: int, i: int, j: int,

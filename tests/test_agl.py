@@ -21,7 +21,8 @@ from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join, join_pair)
 from aglstab.counting import (ClassParams, check_shape, class_shapes,
                               mult_order, s_qk)
-from aglstab.ffield import Field, Subspace, span, zero_subspace
+from aglstab.ffield import (Field, Subspace, mask_elements, span,
+                            zero_subspace)
 from reference import (AffineMap, all_subgroups, canonicalize, full_group,
                        full_subspace, mulclose, prime_powers,
                        subgroup_elements, trivial_subgroup)
@@ -193,16 +194,17 @@ def test_orbits_translation_group_gives_cosets():
     F = field(2, 3)
     H = span(F, (3,), 1)
     orbits = Subgroup(F, 1, 0, H).orbits()
-    assert all(len(o) == 2 for o in orbits)
+    assert all(o.bit_count() == 2 for o in orbits)
     assert len(orbits) == 4
     for o in orbits:
-        x, y = o
+        x, y = mask_elements(o)
         assert H.contains(F.sub(x, y))
 
 
 def test_orbits_example_q5():
     F = field(5, 1)
-    assert Subgroup(F, 2, 0, zero_subspace(F)).orbits() == ((0,), (1, 4), (2, 3))
+    orbits = Subgroup(F, 2, 0, zero_subspace(F)).orbits()
+    assert [mask_elements(o) for o in orbits] == [(0,), (1, 4), (2, 3)]
 
 
 def test_broken_orbit_walk_raises():
@@ -225,20 +227,24 @@ def test_orbit_partition_invariants(p, alpha):
     F = field(p, alpha)
     for S in all_subgroups(F):
         orbits = S.orbits()
-        flat = sorted(x for o in orbits for x in o)
-        assert flat == list(range(F.q))
-        assert all(list(o) == sorted(o) for o in orbits)
-        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+        assert all(isinstance(o, int) for o in orbits)
+        union = 0
+        for o in orbits:
+            assert o and not union & o
+            union |= o
+        assert union == (1 << F.q) - 1
+        least = [mask_elements(o)[0] for o in orbits]
+        assert least == sorted(least)
         if S.d > 1:
-            sizes = Counter(len(o) for o in orbits)
+            sizes = Counter(o.bit_count() for o in orbits)
             assert sizes[S.H.size] == 1 + (S.order == S.H.size)
             big = (F.q - S.H.size) // S.order
             if S.order != S.H.size:
                 assert sizes.get(S.order, 0) == big
         for o in orbits:
-            oset = set(o)
+            oset = set(mask_elements(o))
             for m in subgroup_elements(S):
-                assert {m(x) for x in o} == oset
+                assert {m(x) for x in oset} == oset
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,7 @@ def test_orbit_partition_invariants(p, alpha):
 def test_fixed_subset_count_matches_direct_enumeration(p, alpha):
     F = field(p, alpha)
     for S in all_subgroups(F):
-        sizes = [len(o) for o in S.orbits()]
+        sizes = [o.bit_count() for o in S.orbits()]
         hist = {}
         for picks in itertools.product((0, 1), repeat=len(sizes)):
             total = sum(s for s, took in zip(sizes, picks) if took)

@@ -165,6 +165,17 @@ def test_design_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
     assert seconds < 5
 
 
+def test_count_of_a_q_minus_1_with_millions_of_divisors_exits_3_at_once():
+    # the admission holds the divisor bound, so a single count is refused
+    # too; its k = 0 walk of 2^21 enlargements ran past 10 s
+    proc, seconds = run_process("count", "--p", "2", "--alpha", "180",
+                                "--k", "0", "--d", "1", "--i", "180",
+                                "--j", "0", timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    assert (proc.stdout, proc.stderr) == ("", DIVISOR_REFUSAL)
+    assert seconds < 5
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--q", "64"],
     ["count", "--q", "64", "--k", "4", "--d", "3", "--i", "1", "--j", "1"],

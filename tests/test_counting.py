@@ -10,6 +10,7 @@ import hashlib
 import io
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,9 @@ from aglstab.counting import (BudgetExceededError, ClassParams,
                               count_N, divisor_orders, enumerate_params,
                               evaluate_terms, mult_order, prime_set, s_qk)
 from aglstab.ffield import Field, span
-from reference import (full_census, moebius_exponent, overgroup_terms,
-                       prime_powers, q_binomial, run_python, table_by_terms)
+from reference import (all_subgroups, class_size, full_census,
+                       moebius_exponent, overgroup_terms, prime_powers,
+                       q_binomial, run_python, table_by_terms)
 
 
 def test_prime_set():
@@ -629,8 +631,8 @@ def test_table_of_too_many_divisors_raises_before_enumerating_classes(
                              "q - 1, over the limit of 10000000$"):
         build_table(2, 180, 1)
     # the field rule first, then the bound, which lists the classes, then
-    # the k range.  The CLI checks --max-k before build_table runs, so
-    # there the k range still comes before the bound
+    # the k range.  The CLI admits the field, bound included, before it
+    # checks --max-k, so there too the bound comes first
     with pytest.raises(BudgetExceededError, match="^q = \\d+ has at least "):
         build_table(2, 180, -1)
     with pytest.raises(BudgetExceededError, match="q = 2\\^1000 is refused"):
@@ -839,3 +841,36 @@ def test_overgroup_orders_from_prime_orders_bignum():
                 evaluate_terms(q, q, terms)), (q, d, i, j)
             seen += 1
     assert seen == 1048
+
+
+# ---------------------------------------------------------------------------
+# the partition identity: every k-subset has exactly one stabilizer, so
+# the class sizes weight the closed-form counts to C(q, k)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                     (2, 3), (3, 2), (2, 4)])
+def test_class_sizes_match_the_subgroup_census(p, alpha):
+    census = Counter(S.shape() for S in all_subgroups(Field(p, alpha)))
+    assert {(c.d, c.i, c.j): class_size(c)
+            for c in classes(p, alpha)} == census
+
+
+def test_class_sizes_partition_every_table_up_to_q_256():
+    for p, alpha in prime_powers(2, 256):
+        q = p ** alpha
+        sizes = {(c.d, c.i, c.j): class_size(c) for c in classes(p, alpha)}
+        totals = [0] * (q + 1)
+        for k, d, _, i, j, _, n in build_table(p, alpha, q):
+            totals[k] += sizes[d, i, j] * n
+        assert totals == [math.comb(q, k) for k in range(q + 1)], q
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 64), (3, 30), (5, 20), (2, 48)])
+def test_class_sizes_partition_the_bignum_fields(p, alpha):
+    q = p ** alpha
+    shapes = classes(p, alpha)
+    sizes = [class_size(c) for c in shapes]
+    for k in (0, 1, 2, 3, p, p + 1, q - 1, q):
+        assert sum(s * c.count(k) for s, c in zip(sizes, shapes)) == (
+            math.comb(q, k)), k

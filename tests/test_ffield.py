@@ -153,6 +153,17 @@ def test_make_field_rejects_bad_input():
         Field(2, 17)  # beyond the table cap
 
 
+@pytest.mark.parametrize("p,alpha", [(2, 17), (257, 2)])
+def test_field_past_the_table_cap_is_refused_before_any_table(monkeypatch,
+                                                              p, alpha):
+    monkeypatch.setattr(aglstab.ffield, "_Ring",
+                        lambda *args: pytest.fail("built a ring"))
+    with pytest.raises(ValueError, match=(
+            f"^q = {p ** alpha} exceeds the table-backed arithmetic cap "
+            "65536$")):
+        Field(p, alpha)
+
+
 def test_find_generator_examples():
     assert Field(5, 1).gamma == 2
     assert Field(2, 1).gamma == 1

@@ -362,6 +362,18 @@ def test_lattice_requires_b_zero():
         count_N_via_lattice(Subgroup(F, 3, 1, zero_subspace(F)), 3)
 
 
+def test_lattice_route_checks_b_zero_once_in_the_supergroups():
+    # the supergroups assume the fixed point 0; the fold adds no check of
+    # its own, so both entries raise with the one message
+    F = field(7, 1)
+    S = Subgroup(F, 3, 1, zero_subspace(F))
+    message = "^supergroup enumeration requires b = 0; conjugate first$"
+    with pytest.raises(ValueError, match=message):
+        lattice_terms(S)
+    with pytest.raises(ValueError, match=message):
+        count_N_via_lattice(S, 3)
+
+
 def test_lattice_closure_budget(monkeypatch):
     # the trivial group of F_13 has 27 immediate supergroups: two of
     # order 2 leave {1, U1, U2, U1 v U2} in the fold, one over the cap;
