@@ -227,14 +227,9 @@ def cmd_design(args, out) -> int:
         designs.check_design_size(q, chosen.period)
         S = agl.class_representative(_field(p, alpha), chosen.d, chosen.i,
                                      chosen.j)
-        unions = oracle.orbit_union_masks(S, args.k)
-        mask = next((m for m in itertools.islice(unions, args.oracle_budget)
-                     if oracle.is_exact_stabilizer(S, m)), None)
+        mask = next(oracle.exact_orbit_unions(S, args.k, args.oracle_budget),
+                    None)
         if mask is None:
-            if next(unions, None) is not None:
-                raise counting.BudgetExceededError(
-                    f"no witness among the first {args.oracle_budget} orbit "
-                    f"unions, the budget of {args.oracle_budget}")
             raise RuntimeError(
                 "a witness subset must exist when the count is positive")
     params, matrix = designs.orbit_design(S, mask)

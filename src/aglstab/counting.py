@@ -376,9 +376,9 @@ class StabilizerClass:
 
 class ClassParams(StabilizerClass):
     """The record of one class at one subset size k, built from an
-    unchecked tuple: the field, then 0 <= k <= q, then the shape, each
-    checked once, in that order.  The congruence is *not* enforced.
-    """
+    unchecked tuple: the field rule, then 0 <= k <= q, then the shape,
+    each checked once, in that order.  The congruence is *not* enforced,
+    and the field is not admitted: ``count_N`` says why."""
 
     __slots__ = ("k",)
 
@@ -391,7 +391,9 @@ class ClassParams(StabilizerClass):
 
 def count_N(params: ClassParams) -> int:
     """Exact number of k-subsets of F_q whose affine stabilizer is exactly
-    a subgroup of the class described by ``params``, at its k."""
+    a subgroup of the class described by ``params``, at its k.  A single
+    count admits no field, which would cost up to two fifths of a cold
+    count; it factors only gcd((|H'| - 1)/d, r/d), and only the CLI admits."""
     return params.count(params.k)
 
 

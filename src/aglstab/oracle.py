@@ -28,8 +28,8 @@ as such masks, which every route reads as they are.
   one by one with the same full scan as ``stabilizer`` (exact iff it
   finds no more than |S| fixing maps, since an orbit union's stabilizer
   contains S).  Either way every map is decided.  The budget is checked
-  once, before either path: more than ``budget`` size-k unions raise
-  before any scan.
+  once, before either path, on the size-k union count read off the orbit
+  count, so a count builds at most one branch list, the scan's.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
@@ -125,8 +125,12 @@ def n_orbit_unions(S: Subgroup, k: int) -> int:
 
 
 def _n_orbit_unions(S: Subgroup, k: int) -> int:
-    # the same count for the table's own check, not a query of its own
-    return sum(math.comb(len(opts), t) for _, opts, t in _union_branches(S, k))
+    # the table's own check, not a query: read off the layout of
+    # ``_union_branches``, m orbits of size |S| and one of |H| if d > 1
+    m = len(S.orbits()) - (S.d > 1)
+    return sum(math.comb(m, rem // S.order)
+               for rem in (k, k - S.H.size)[:1 + (S.d > 1)]
+               if rem >= 0 and rem % S.order == 0)
 
 
 def orbit_union_masks(S: Subgroup, k: int):
@@ -137,14 +141,6 @@ def orbit_union_masks(S: Subgroup, k: int):
             for m in combo:
                 mask |= m
             yield mask
-
-
-def _check_budget(S: Subgroup, k: int, budget: int) -> None:
-    check_subset_size(S.field.q, k)
-    candidates = n_orbit_unions(S, k)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} orbit unions exceed the budget of {budget}")
 
 
 def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
@@ -162,12 +158,16 @@ def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
     return found == S.order
 
 
-def exact_orbit_unions(S: Subgroup, k: int):
+def exact_orbit_unions(S: Subgroup, k: int, budget: int | None = None):
     """The size-k orbit unions of S whose stabilizer is exactly S, in
-    ``orbit_union_masks`` order.  It checks no budget: the caller bounds
-    the scan."""
-    return (mask for mask in orbit_union_masks(S, k)
-            if is_exact_stabilizer(S, mask))
+    ``orbit_union_masks`` order.  It scans at most ``budget`` unions and
+    raises if any is left, in the words of ``design``'s witness scan."""
+    unions = orbit_union_masks(S, k)
+    yield from (mask for mask in itertools.islice(unions, budget)
+                if is_exact_stabilizer(S, mask))
+    if budget is not None and next(unions, None) is not None:
+        raise BudgetExceededError(f"no witness among the first {budget} "
+                                  f"orbit unions, the budget of {budget}")
 
 
 def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
@@ -311,7 +311,11 @@ def count_N_bruteforce(S: Subgroup, k: int,
     in the budget and number more than TABLE_UNIONS_PER_POINT * q, and
     otherwise scans the size-k ones one by one.
     """
-    _check_budget(S, k, budget)
+    check_subset_size(S.field.q, k)
+    candidates = n_orbit_unions(S, k)
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"{candidates} orbit unions exceed the budget of {budget}")
     if TABLE_UNIONS_PER_POINT * S.field.q < 1 << len(S.orbits()) <= budget:
         return bruteforce_counts(S)[k]
     return sum(1 for _ in exact_orbit_unions(S, k))

@@ -20,7 +20,7 @@ import aglstab
 import aglstab.oracle
 from aglstab import counting, oracle
 from aglstab.agl import class_representative
-from aglstab.cli import build_parser, cmd_design
+from aglstab.cli import EXIT_BUDGET, build_parser, cmd_design, main
 from aglstab.counting import (BudgetExceededError, ClassParams,
                               StabilizerClass, build_table, check_factored,
                               check_field, check_shape, class_shapes, classes,
@@ -84,6 +84,20 @@ def test_library_refuses_what_the_cli_refuses_at_once(call, verdict):
     assert proc.stderr.splitlines()[-1].startswith(
         f"aglstab.counting.BudgetExceededError: {verdict}: ")
     assert seconds < 5
+
+
+def test_a_single_count_admits_no_field_but_the_cli_does(capsys):
+    # only the CLI runs check_factored: in ClassParams it would cost a
+    # quarter or more of a cold count.  The count factors only its gcd,
+    # here of a |H'| - 1 = 1, and the q/2 2-subsets {x, x + h} are the
+    # orbit unions of the translations by {0, h}
+    n = count_N(ClassParams(2, 1000, 2, 1, 1, 1))
+    assert len(str(n)) == 301 and n == 2 ** 999
+    code = main(["count", "--p", "2", "--alpha", "1000", "--k", "2",
+                 "--d", "1", "--i", "1", "--j", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("aglstab: budget exceeded: q = 2^1000 is refused")
 
 
 def test_only_counting_imports_sympy():
@@ -845,7 +859,24 @@ def test_overgroup_orders_from_prime_orders_bignum():
 
 # ---------------------------------------------------------------------------
 # the partition identity: every k-subset has exactly one stabilizer, so
-# the class sizes weight the closed-form counts to C(q, k)
+# the class sizes weight the closed-form counts to C(q, k).  Weighted by
+# |S| as well, they give Cauchy-Frobenius's sum over the maps of the
+# k-subsets each fixes, and size*N*|S| / (q(q - 1)) counts the orbits of
+# AGL(1, q) on the k-subsets of the class, so it is an integer
+
+
+def fixed_subset_totals(p, alpha, ks):
+    """Sum over the maps of AGL(1, q) of the k-subsets each fixes, for
+    each k in ks: the identity; q - 1 translations with orbits of size
+    p; and for each order o > 1 of a multiplier, phi(o)*q maps with one
+    fixed point and (q - 1)/o cycles of length o."""
+    q = p ** alpha
+    orders = [(o, int(sympy.totient(o))) for o in sympy.divisors(q - 1)[1:]]
+    return [math.comb(q, k) + (q - 1) * math.comb(q // p, k // p) * (k % p == 0)
+            + sum(phi * q * sum(math.comb((q - 1) // o, t // o)
+                                for t in (k, k - 1) if t % o == 0)
+                  for o, phi in orders)
+            for k in ks]
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -860,10 +891,16 @@ def test_class_sizes_partition_every_table_up_to_q_256():
     for p, alpha in prime_powers(2, 256):
         q = p ** alpha
         sizes = {(c.d, c.i, c.j): class_size(c) for c in classes(p, alpha)}
+        orders = {(c.d, c.i, c.j): c.period for c in classes(p, alpha)}
         totals = [0] * (q + 1)
+        fixed = [0] * (q + 1)
         for k, d, _, i, j, _, n in build_table(p, alpha, q):
             totals[k] += sizes[d, i, j] * n
+            weighted = sizes[d, i, j] * n * orders[d, i, j]
+            fixed[k] += weighted
+            assert weighted % (q * (q - 1)) == 0, (q, k, d, i, j)
         assert totals == [math.comb(q, k) for k in range(q + 1)], q
+        assert fixed == fixed_subset_totals(p, alpha, range(q + 1)), q
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 64), (3, 30), (5, 20), (2, 48)])
@@ -871,6 +908,12 @@ def test_class_sizes_partition_the_bignum_fields(p, alpha):
     q = p ** alpha
     shapes = classes(p, alpha)
     sizes = [class_size(c) for c in shapes]
-    for k in (0, 1, 2, 3, p, p + 1, q - 1, q):
-        assert sum(s * c.count(k) for s, c in zip(sizes, shapes)) == (
+    ks = (0, 1, 2, 3, p, p + 1, q - 1, q)
+    for k, total in zip(ks, fixed_subset_totals(p, alpha, ks)):
+        counts = [c.count(k) for c in shapes]
+        assert sum(s * n for s, n in zip(sizes, counts)) == (
             math.comb(q, k)), k
+        weighted = [s * n * c.period
+                    for s, n, c in zip(sizes, counts, shapes)]
+        assert sum(weighted) == total, k
+        assert all(w % (q * (q - 1)) == 0 for w in weighted), k

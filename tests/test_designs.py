@@ -153,6 +153,18 @@ def test_design_to_code_rejects_unequal_row_weights():
         design_to_code(fake)
 
 
+def test_design_to_code_rejects_an_uneven_last_row_pair():
+    # four distinct rows of weight 3; every pair meets once but the last,
+    # rows 2 and 3, which meet in blocks 4 and 5
+    fake = IncidenceMatrix(v=4, blocks=(0b0010, 0b0011, 0b0101, 0b1001,
+                                        0b1100, 0b1110))
+    assert [row.bit_count() for row in fake.rows] == [3] * 4
+    assert (fake.rows[2] & fake.rows[3]).bit_count() == 2
+    with pytest.raises(ValueError, match="row pairs do not meet a constant "
+                                         "number of times"):
+        design_to_code(fake)
+
+
 def test_orbit_design_checks_block_count_and_sizes(monkeypatch):
     F = field(7, 1)
     mask = subset_mask([1, 2, 4])

@@ -199,6 +199,40 @@ def test_count_N_bruteforce_budget(monkeypatch):
     assert scans == []
 
 
+def test_count_N_bruteforce_builds_one_branch_list_per_scanned_count(
+        monkeypatch):
+    # the budget reads the union count off the orbits; only a one-by-one
+    # scan lists its branches, once per count, and a table count none
+    calls = []
+    branches = oracle._union_branches
+    monkeypatch.setattr(oracle, "_union_branches",
+                        lambda S, k: calls.append(k) or branches(S, k))
+    for p, alpha in [(11, 1), (13, 1), (2, 4)]:
+        F = field(p, alpha)
+        for d, i, j in class_shapes(p, alpha):
+            S = class_representative(F, d, i, j)
+            for k in range(F.q + 1):
+                count_N_bruteforce(S, k)
+    assert len(calls) == 399
+
+
+def test_exact_orbit_unions_stop_at_their_budget():
+    # the first union {0, 1, 2} is fixed by x -> 2 - x; C(11, 3) = 165
+    F = field(11, 1)
+    S = class_representative(F, 1, 1, 0)
+    with pytest.raises(BudgetExceededError,
+                       match="^no witness among the first 1 orbit unions, "
+                             "the budget of 1$"):
+        next(exact_orbit_unions(S, 3, 1))
+    assert next(exact_orbit_unions(S, 3, 2)) == subset_mask([0, 1, 3])
+    unbounded = list(exact_orbit_unions(S, 3))
+    assert len(unbounded) == count_N(ClassParams(11, 1, 3, *S.shape()))
+    for budget in (165, 166, None):
+        assert list(exact_orbit_unions(S, 3, budget)) == unbounded
+    with pytest.raises(BudgetExceededError, match="the budget of 164$"):
+        list(exact_orbit_unions(S, 3, 164))
+
+
 # every prime power q <= 17
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                      (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
