@@ -13,6 +13,6 @@ from .oracle import (count_N_bruteforce, count_N_via_lattice, lattice_terms,
                      stabilizer)
 from .designs import (CodeParams, DesignParams, IncidenceMatrix,
                       a2_determinations, design_to_code, johnson_check,
-                      orbit_design)
+                      johnson_fraction, orbit_design)
 
 __version__ = "0.1.0"

@@ -253,9 +253,8 @@ def cmd_design(args, out) -> int:
         out.write("blocks:\n" + designs.blocks_as_text(matrix) + "\n")
         out.write(f"code n={code.n} d={code.d} w={code.w} size={code.size}\n")
         out.write("codewords:\n" + "\n".join(words) + "\n")
-        delta = code.d // 2
-        denom = code.w ** 2 - code.n * code.w + code.n * delta
-        out.write(f"johnson equality: {code.n * delta}/{denom} = "
+        num, denom = designs.johnson_fraction(code)
+        out.write(f"johnson equality: {num}/{denom} = "
                   f"{code.size}: {'PASS' if johnson else 'FAIL'}\n")
         out.write(f"A2({a2.n},{a2.d},{a2.w}) = {a2.size}\n")
     return EXIT_OK if johnson else EXIT_VERIFY

@@ -4,10 +4,10 @@ The affine maps act 2-transitively on F_q, so the orbit of any subset B
 with 2 <= |B| < q is the block set of a balanced incomplete block design
 on q points.  Reading the rows of its incidence matrix as binary words
 gives a constant-weight code of length b, weight r and minimum distance
-2*(r - lambda) that meets the restricted Johnson bound with equality;
-``a2_determinations`` turns a positive stabilizer-class count into the
-resulting exact value A2(q(q-1)/s, 2k(q-k)/s, k(q-1)/s) = q, where s is
-the stabilizer order.
+2*(r - lambda) that meets the restricted Johnson bound, whose one home
+is ``johnson_fraction``, with equality; ``a2_determinations`` turns a
+positive class count into the exact value A2(q(q-1)/s, 2k(q-k)/s,
+k(q-1)/s) = q, where s is the stabilizer order.
 
 Subsets and blocks are int masks over the points, in the format of
 :mod:`aglstab.ffield`.  The blocks are the q translates of a*B for each
@@ -197,15 +197,22 @@ def design_to_code(matrix: IncidenceMatrix) -> tuple[CodeParams, tuple[str, ...]
     return code, matrix.words
 
 
-def johnson_check(code: CodeParams) -> bool:
-    """True iff the code size meets the restricted Johnson bound with
-    equality: size * (w**2 - n*w + n*delta) == n*delta, delta = d/2."""
+def johnson_fraction(code: CodeParams) -> tuple[int, int]:
+    """(n*delta, w**2 - n*w + n*delta), delta = d/2: the restricted
+    Johnson bound on the code size as a numerator and a denominator.
+    Raises where the denominator is <= 0 and the bound does not apply."""
     n, w, delta = code.n, code.w, code.d // 2
     denom = w * w - n * w + n * delta
     if denom <= 0:
         raise ValueError(
             f"w^2 - n*w + n*delta = {denom} <= 0: the bound does not apply")
-    return code.size * denom == n * delta
+    return n * delta, denom
+
+
+def johnson_check(code: CodeParams) -> bool:
+    """True iff the code size meets ``johnson_fraction`` with equality."""
+    num, denom = johnson_fraction(code)
+    return code.size * denom == num
 
 
 def a2_determinations(S: Subgroup, k: int) -> CodeParams:

@@ -179,12 +179,8 @@ class Field:
         return self._exp[lx + z] if z >= 0 else 0
 
     def neg(self, x: int) -> int:
-        """-x; for odd p, -1 = gamma**((q-1)/2)."""
-        if self.p == 2:
-            return x
-        if self.alpha == 1:
-            return (-x) % self.p
-        return self._exp[self._log[x] + (self.q - 1) // 2] if x else 0
+        """-x = (p - 1)*x: the code p - 1 is -1 in F_p (1 when p = 2)."""
+        return self._exp[self._log[x] + self._log[self.p - 1]] if x else 0
 
     def sub(self, x: int, y: int) -> int:
         if self.p == 2:

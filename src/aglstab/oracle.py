@@ -27,9 +27,10 @@ as such masks, which every route reads as they are.
   unions, or more than the budget, the size-k unions are instead checked
   one by one with the same full scan as ``stabilizer`` (exact iff it
   finds no more than |S| fixing maps, since an orbit union's stabilizer
-  contains S).  Either way every map is decided.  The budget is checked
-  once, before either path, on the size-k union count read off the orbit
-  count, so a count builds at most one branch list, the scan's.
+  contains S).  Either way every map is decided.  ``_union_branches``,
+  the one home of the size-k rule, gives the union count that the budget
+  checks before either path; ``orbit_union_masks`` alone builds orbit
+  lists, once per scanned count.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
@@ -105,17 +106,15 @@ def stabilizer(field: Field, mask: int) -> Subgroup:
 # orbit-union enumeration
 
 
-def _union_branches(S: Subgroup, k: int) -> list[tuple[int, list[int], int]]:
-    """(base_mask, choosable_orbit_masks, how_many) branches whose unions
-    are exactly the size-k orbit unions of S: the orbits of size |S|,
-    over no base and, when d > 1, over the one orbit of size |H|."""
-    orbits = S.orbits()
-    h, big = S.H.size, S.order
-    bigs = [m for m in orbits if m.bit_count() == big]
-    bases = (0,) if S.d == 1 else (
-        0, next(m for m in orbits if m.bit_count() == h))
-    return [(base, bigs, rem // big) for base, rem in zip(bases, (k, k - h))
-            if rem >= 0 and rem % big == 0]
+def _union_branches(S: Subgroup, k: int) -> list[tuple[bool, int]]:
+    """The one home of the size-k rule, as (with_h, t) branches: t orbits
+    of size |S|, over the one orbit of size |H| iff ``with_h`` (d > 1
+    only).  A branch exists where k, or k - |H|, is a multiple >= 0 of
+    |S|."""
+    rems = (k, k - S.H.size)[:1 + (S.d > 1)]
+    return [(with_h, rem // S.order)
+            for with_h, rem in zip((False, True), rems)
+            if rem >= 0 and rem % S.order == 0]
 
 
 # kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
@@ -125,22 +124,21 @@ def n_orbit_unions(S: Subgroup, k: int) -> int:
 
 
 def _n_orbit_unions(S: Subgroup, k: int) -> int:
-    # the table's own check, not a query: read off the layout of
-    # ``_union_branches``, m orbits of size |S| and one of |H| if d > 1
+    # the table's own check, not a query: C(m, t) over m orbits of size |S|
     m = len(S.orbits()) - (S.d > 1)
-    return sum(math.comb(m, rem // S.order)
-               for rem in (k, k - S.H.size)[:1 + (S.d > 1)]
-               if rem >= 0 and rem % S.order == 0)
+    return sum(math.comb(m, t) for _, t in _union_branches(S, k))
 
 
 def orbit_union_masks(S: Subgroup, k: int):
-    """Deterministic iterator over the size-k orbit unions of S."""
-    for base, opts, t in _union_branches(S, k):
-        for combo in itertools.combinations(opts, t):
-            mask = base
-            for m in combo:
-                mask |= m
-            yield mask
+    """The size-k orbit unions of S, branch by branch (no base first),
+    each branch's combinations in ``Subgroup.orbits()`` order; the orbits
+    are disjoint, so a sum of them is their union."""
+    orbits = S.orbits()
+    bigs = [m for m in orbits if m.bit_count() == S.order]
+    small = sum(orbits) - sum(bigs)  # the |H| orbit if d > 1, else 0
+    for with_h, t in _union_branches(S, k):
+        for combo in itertools.combinations(bigs, t):
+            yield sum(combo, small if with_h else 0)
 
 
 def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:

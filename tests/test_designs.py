@@ -12,7 +12,8 @@ from aglstab.agl import class_representative
 from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_json,
-                             design_to_code, johnson_check, orbit_design)
+                             design_to_code, johnson_check, johnson_fraction,
+                             orbit_design)
 from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
 from aglstab.oracle import exact_orbit_unions, stabilizer
 from reference import (assert_lines, prime_powers, reference_incidence,
@@ -193,10 +194,17 @@ def test_design_to_code_rejects_duplicate_rows():
 
 
 def test_johnson_check():
+    assert johnson_fraction(CodeParams(n=14, d=8, w=6, size=7)) == (56, 8)
     assert johnson_check(CodeParams(n=14, d=8, w=6, size=7))
     assert not johnson_check(CodeParams(n=14, d=8, w=6, size=6))
-    with pytest.raises(ValueError):
-        johnson_check(CodeParams(n=10, d=2, w=3, size=2))  # denominator <= 0
+    # the q = 37, k = 10 design of test_cli, with |S| = 1
+    code = CodeParams(n=1332, d=540, w=360, size=37)
+    assert johnson_fraction(code) == (359640, 9720)
+    assert johnson_check(code)
+    for refused in (johnson_fraction, johnson_check):
+        with pytest.raises(ValueError, match="= -11 <= 0: the bound does "
+                                             "not apply$"):
+            refused(CodeParams(n=10, d=2, w=3, size=2))
 
 
 def test_a2_determinations_examples():

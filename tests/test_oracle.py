@@ -1,5 +1,6 @@
 """Brute-force engines and the lattice inclusion-exclusion evaluator."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -18,7 +19,7 @@ from aglstab.oracle import (BudgetExceededError,
                             count_N_via_lattice,
                             exact_orbit_unions, fixing_maps,
                             is_exact_stabilizer, lattice_terms,
-                            orbit_union_masks, stabilizer)
+                            n_orbit_unions, orbit_union_masks, stabilizer)
 import reference
 from reference import (all_subgroups, assert_lines, full_census, full_group,
                        literal_lattice_terms, reference_fixing_maps,
@@ -149,6 +150,24 @@ def test_stabilizer_contains_group_of_orbit_unions():
             assert join_pair(T, S) == T
 
 
+@pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
+def test_orbit_unions_are_the_subsets_every_map_fixes(p, alpha):
+    # theory-free: the k-subsets of F_q that every map of S sends onto
+    # themselves, found without reading S.orbits()
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        maps = subgroup_elements(S)
+        for k in range(F.q + 1):
+            masks = list(orbit_union_masks(S, k))
+            fixed = {subset_mask(B)
+                     for B in itertools.combinations(range(F.q), k)
+                     if all({g(x) for x in B} == set(B) for g in maps)}
+            assert len(set(masks)) == len(masks), (S, k)
+            assert set(masks) == fixed, (S, k)
+            assert n_orbit_unions(S, k) == len(fixed), (S, k)
+
+
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1)])
 def test_is_exact_stabilizer_matches_stabilizer(p, alpha):
     # every orbit union of every class, so both answers occur
@@ -204,9 +223,9 @@ def test_count_N_bruteforce_builds_one_branch_list_per_scanned_count(
     # the budget reads the union count off the orbits; only a one-by-one
     # scan lists its branches, once per count, and a table count none
     calls = []
-    branches = oracle._union_branches
-    monkeypatch.setattr(oracle, "_union_branches",
-                        lambda S, k: calls.append(k) or branches(S, k))
+    masks = oracle.orbit_union_masks
+    monkeypatch.setattr(oracle, "orbit_union_masks",
+                        lambda S, k: calls.append(k) or masks(S, k))
     for p, alpha in [(11, 1), (13, 1), (2, 4)]:
         F = field(p, alpha)
         for d, i, j in class_shapes(p, alpha):
