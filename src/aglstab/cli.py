@@ -4,8 +4,9 @@ Subcommands:
 
 * ``table``   -- emit the stabilizer-count table for one field.
 * ``count``   -- evaluate a single class tuple (p, alpha, k, d, i, j).
-* ``verify``  -- three-way agreement sweep (closed form vs. lattice
-  inclusion-exclusion vs. brute force) over every class of one field.
+* ``verify``  -- three-way agreement sweep over every (class, k) of one
+  field: ``StabilizerClass.count`` vs. ``oracle.count_N_via_lattice`` vs.
+  ``oracle.count_N_bruteforce``, the last two at the class representative.
 * ``design``  -- materialize an orbit block design and its constant-weight
   code, check Johnson equality, and report the certified A2 value.
 
@@ -136,17 +137,10 @@ def cmd_count(args, out) -> int:
 
 def _verify_class(c: counting.StabilizerClass, k_max: int,
                   budget: int) -> list[tuple[int, int, int, int]]:
-    field = _field(c.p, c.alpha)
-    S = agl.class_representative(field, c.d, c.i, c.j)
-    closed_terms = c.terms()
-    lattice_terms = oracle.lattice_terms(S)
-    out = []
-    for k in range(k_max + 1):
-        closed = counting.evaluate_terms(field.q, k, closed_terms)
-        lattice = counting.evaluate_terms(field.q, k, lattice_terms)
-        brute = oracle.count_N_bruteforce(S, k, budget=budget)
-        out.append((k, closed, lattice, brute))
-    return out
+    S = agl.class_representative(_field(c.p, c.alpha), c.d, c.i, c.j)
+    return [(k, c.count(k), oracle.count_N_via_lattice(S, k),
+             oracle.count_N_bruteforce(S, k, budget=budget))
+            for k in range(k_max + 1)]
 
 
 def cmd_verify(args, out) -> int:
@@ -201,7 +195,6 @@ def cmd_design(args, out) -> int:
         mask = _parse_subset(args.subset, q)
         oracle.check_map_scan(q)
         S = oracle.stabilizer(_field(p, alpha), mask)
-        designs.check_design_size(q, S.order)
     else:
         if args.k is None or args.d is None:
             raise ValueError("design needs --subset, or --k with --d")
@@ -217,14 +210,13 @@ def cmd_design(args, out) -> int:
                              f"the --i/--j filter; its (i, j) are {pairs}")
         counting.check_subset_size(q, args.k)
         oracle.check_map_scan(q)
-        chosen = next((c for c in matching
-                       if c.congruence_violation(args.k) is None
-                       and c.count(args.k) > 0), None)
+        # a k that breaks a class's congruence counts 0 there
+        chosen = next((c for c in matching if c.count(args.k) > 0), None)
         if chosen is None:
             raise ValueError(
                 f"no {args.k}-subset has a stabilizer of class d = {args.d}: "
                 "the exact count is 0 for every matching (i, j)")
-        designs.check_design_size(q, chosen.period)
+        designs.check_design_size(q, chosen.period, args.k)
         S = agl.class_representative(_field(p, alpha), chosen.d, chosen.i,
                                      chosen.j)
         mask = next(oracle.exact_orbit_unions(S, args.k, args.oracle_budget),

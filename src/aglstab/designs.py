@@ -15,14 +15,15 @@ multiplier a, read from ``ffield.translate_masks``, which also drives the
 stabilizer scan.  The blocks' bit strings (``ffield.mask_bits``) are
 kept end to end as one string, and the codewords are its columns, made
 by one transpose: character j of word x is ``1`` iff point x lies in
-block j, and each incidence row is the int read from its word.  A design of b blocks is b*q bits of codewords, and
-``check_design_size`` refuses more than MAX_DESIGN_BITS of them.
-``orbit_design`` takes the stabilizer of B as given and checks
-the block count against it and the block sizes;
-``design_to_code`` makes the only pass over the row pairs, where constant
-row weights and constant pair meets certify r and lambda (counting
-incidences twice gives r*v = b*k and lambda*v*(v-1) = b*k*(k-1)), and
-the minimum distance is measured, not derived.
+block j, and each incidence row is the int read from its word.
+``check_design_size`` holds a design's preconditions: b*q codeword bits
+at most MAX_DESIGN_BITS, then 2 <= |B| < q.  ``orbit_design`` runs it,
+takes the stabilizer of B as given and checks the block count against
+it and the block sizes; ``design_to_code`` makes the only pass over the
+row pairs, where constant row weights and constant pair meets certify r
+and lambda (counting incidences twice gives r*v = b*k and
+lambda*v*(v-1) = b*k*(k-1)), and the minimum distance is measured, not
+derived.
 
 The text, csv and json forms write each block from its bit string too
 (``block_lines``), so no element of a block passes through Python one at
@@ -119,39 +120,40 @@ class CodeParams:
                              f"integer, got {self.d}")
 
 
-def check_design_size(q: int, order: int) -> None:
-    """Refuse a design whose b = q(q-1)/order blocks hold more than
-    MAX_DESIGN_BITS codeword bits, before any of it is built."""
+def check_design_size(q: int, order: int, k: int) -> int:
+    """Check an orbit design of k-subsets of F_q with stabilizer order
+    ``order`` before it is built: its b = q(q-1)/order blocks hold at most
+    MAX_DESIGN_BITS codeword bits, then 2 <= k < q.  Returns b."""
     b = q * (q - 1) // order
     if b * q > MAX_DESIGN_BITS:
         raise BudgetExceededError(
             f"the design has {b} blocks of {q} points, {b * q} codeword "
             f"bits, over the limit of {MAX_DESIGN_BITS}")
+    if k < 2:
+        raise ValueError("orbit designs need at least 2 points in the base subset")
+    if k >= q:
+        raise ValueError("the full point set gives a degenerate single-block orbit")
+    return b
 
 
 def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]:
     """The block design whose blocks are the images of the masked subset
     under all affine maps, where S is the subset's stabilizer.
 
-    The images of B under the maps with multiplier a are the q
-    translates of a*B, which ``ffield.translate_masks`` returns as
-    (a*B) - z for every z.  Where a*B is already a block, so is each of
-    its translates, and a is skipped: the translates are built once for
-    each of the (q-1)/d cosets of the multipliers of the stabilizer.  The
-    orbit must have q(q-1)/|S| blocks, so an S smaller than the true
-    stabilizer raises.
+    ``check_design_size`` runs first.  The images of B under the maps
+    with multiplier a are the q translates of a*B, which
+    ``ffield.translate_masks`` returns as (a*B) - z for every z.  Where
+    a*B is already a block, so is each of its translates, and a is
+    skipped: the translates are built once for each of the (q-1)/d
+    cosets of the multipliers of the stabilizer.  The orbit must have
+    q(q-1)/|S| blocks, so an S smaller than the true stabilizer raises.
     """
-    field = S.field
-    k = mask.bit_count()
-    if k < 2:
-        raise ValueError("orbit designs need at least 2 points in the base subset")
-    if k >= field.q:
-        raise ValueError("the full point set gives a degenerate single-block orbit")
-    b = field.q * (field.q - 1) // S.order
+    field, v, k = S.field, S.field.q, mask.bit_count()
+    b = check_design_size(v, S.order, k)
     blocks = set()
     mul = field.mul
     elems = mask_elements(mask)
-    for a in range(1, field.q):
+    for a in range(1, v):
         image = subset_mask(mul(a, x) for x in elems)
         if image not in blocks:
             blocks.update(translate_masks(field, image))
@@ -160,7 +162,6 @@ def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]
                          f"stabilizer order {S.order} gives b = {b}")
     if any(blk.bit_count() != k for blk in blocks):
         raise ValueError(f"an orbit block does not have size k = {k}")
-    v = field.q
     params = DesignParams(v, b, k * b // v, k,
                           k * (k - 1) * b // (v * (v - 1)))
     return params, IncidenceMatrix(v, tuple(sorted(blocks)))

@@ -501,6 +501,29 @@ def test_verify_q7(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_asks_each_route_through_its_entry(capsys, monkeypatch):
+    calls = {"closed": [], "lattice": [], "brute": []}
+
+    def counted(route, fn, key):
+        def wrapper(*args, **kwargs):
+            calls[route].append(key(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(counting.StabilizerClass, "count", counted(
+        "closed", counting.StabilizerClass.count,
+        lambda c, k: (c.d, c.i, c.j, k)))
+    for route, name in (("lattice", "count_N_via_lattice"),
+                        ("brute", "count_N_bruteforce")):
+        monkeypatch.setattr(oracle, name, counted(
+            route, getattr(oracle, name), lambda S, k: (*S.shape(), k)))
+    code, out, _ = run(capsys, "verify", "--q", "7")
+    assert code == EXIT_OK and "PASS" in out
+    expected = [(c.d, c.i, c.j, k) for c in counting.classes(7, 1)
+                for k in range(8)]
+    assert calls == {route: expected for route in calls}
+
+
 def test_verify_q8_max_k(capsys):
     code, out, _ = run(capsys, "verify", "--q", "8", "--max-k", "4")
     assert code == EXIT_OK
@@ -817,11 +840,41 @@ def test_design_size_budget_is_checked_before_the_design(capsys, monkeypatch,
         raise AssertionError("the design was built past its budget")
 
     monkeypatch.setattr(designs, "MAX_DESIGN_BITS", 97)
-    monkeypatch.setattr(designs, "orbit_design", forbidden)
     if flags[0] == "--k":
+        monkeypatch.setattr(designs, "orbit_design", forbidden)
         monkeypatch.setattr(agl, "class_representative", forbidden)
+    else:
+        # orbit_design runs the check itself, before it builds any block
+        monkeypatch.setattr(designs, "translate_masks", forbidden)
     assert run(capsys, "design", "--q", "7", *flags) == (
         EXIT_BUDGET, "", design_size_refusal(14, 7))
+
+
+@pytest.mark.parametrize("k,message", [
+    (0, "orbit designs need at least 2 points in the base subset"),
+    (9, "the full point set gives a degenerate single-block orbit")],
+    ids=["k=0", "k=q"])
+def test_degenerate_k_is_refused_before_the_witness_scan(capsys, monkeypatch,
+                                                         k, message):
+    def forbidden(*args):
+        raise AssertionError("a degenerate design reached the witness scan")
+
+    monkeypatch.setattr(agl, "class_representative", forbidden)
+    monkeypatch.setattr(oracle, "exact_orbit_unions", forbidden)
+    assert run(capsys, "design", "--q", "9", "--k", str(k), "--d", "8") == (
+        EXIT_INPUT, "", f"aglstab: error: {message}\n")
+
+
+def test_degenerate_k_at_q4096_exits_1_at_once():
+    # the witness scan over the 16.7 million maps ran 13.2 s before it
+    for k, message in (
+            (0, "orbit designs need at least 2 points in the base subset"),
+            (4096, "the full point set gives a degenerate single-block "
+                   "orbit")):
+        proc, _ = run_process("design", "--q", "4096", "--k", str(k),
+                              "--d", "4095", timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_INPUT, "", f"aglstab: error: {message}\n")
 
 
 @contextlib.contextmanager

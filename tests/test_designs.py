@@ -9,7 +9,8 @@ import pytest
 
 from aglstab import designs
 from aglstab.agl import class_representative
-from aglstab.counting import ClassParams, class_shapes, count_N
+from aglstab.counting import (BudgetExceededError, ClassParams,
+                              class_shapes, count_N)
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_json,
                              design_to_code, johnson_check, johnson_fraction,
@@ -58,6 +59,25 @@ def test_orbit_design_rejects_degenerate_subsets():
         design_of(F, 0)
     with pytest.raises(ValueError):
         design_of(F, subset_mask(range(7)))
+
+
+def test_orbit_design_refuses_past_the_size_budget_before_building(
+        monkeypatch):
+    # {0, 1, 2} would not do: x -> 2 - x fixes it
+    F = Field(131, 1)
+    mask = subset_mask([0, 1, 3])
+    S = stabilizer(F, mask)
+    assert S.order == 1
+
+    def forbidden(*args):
+        raise AssertionError("a block was built past the size budget")
+
+    monkeypatch.setattr(designs, "translate_masks", forbidden)
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_design(S, mask)
+    assert str(info.value) == (
+        "the design has 17030 blocks of 131 points, 2230930 codeword bits, "
+        "over the limit of 2097152")
 
 
 # prime q, p = 2 and odd prime powers: every shape of translate step
