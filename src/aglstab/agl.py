@@ -11,7 +11,8 @@ its coset b + H (with b = 0 forced when d = 1).  Two descriptors are equal
 iff the subgroups are equal, so lattice walks never need element sets.
 
 Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
-space over it) and, for d > 1, the ``fixed_point`` c = b/(1 - a).
+space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
+``fixed_point`` c = b/(1 - a).
 Containment needs no test of its own: T contains S iff the group that
 the two generate, ``join_pair(T, S)``, is T.  A ``JoinTable`` lets many
 joins share the spans, coset leaders and descriptors they build.
@@ -32,7 +33,8 @@ class Subgroup:
 
     Invariants: d divides q - 1; H is closed under F_{p**odp}; b is the
     least element of its coset b + H, and 0 when d = 1.  The group order
-    is d * |H|.  ``fixed_point`` (d > 1; else None) solves a*c + b = c.
+    is d * |H|.  ``one_minus_a`` is 1 - a (0 when d = 1), and
+    ``fixed_point`` (d > 1; else None) solves a*c + b = c.
     """
 
     def __init__(self, field: Field, d: int, b: int, translations: Subspace):
@@ -53,7 +55,8 @@ class Subgroup:
         self.b = b
         self.H = translations
         self.a = field.pow(field.gamma, (field.q - 1) // d)
-        self.fixed_point = field.div(b, field.sub(1, self.a)) if d > 1 else None
+        self.one_minus_a = field.sub(1, self.a)
+        self.fixed_point = field.div(b, self.one_minus_a) if d > 1 else None
         self.order = d * translations.size
         self._hash = hash((field, d, b, translations.basis))
         self._orbits: tuple[int, ...] | None = None
@@ -201,8 +204,9 @@ def join_pair(T1: Subgroup, T2: Subgroup,
     multiplicative part, the difference of their fixed points; d = lcm(d1,
     d2), H is a space over F_{p**o_d(p)}, o_d(p) = lcm(o_d1(p), o_d2(p)),
     and b = (1 - a)*c for either fixed point c, reduced mod H; both
-    candidates are computed and must agree.  A ``table`` shared across
-    calls builds each span, coset leader and ``Subgroup`` once per
+    candidates are computed and must agree.  1 - a is read off T1 or T2
+    when d is theirs, and computed only for a new d.  A ``table`` shared
+    across calls builds each span, coset leader and ``Subgroup`` once per
     distinct input; the first build of a subgroup runs all of its checks,
     and a repeat returns that same object.  Without one, every part is
     built afresh.
@@ -214,8 +218,8 @@ def join_pair(T1: Subgroup, T2: Subgroup,
         table = JoinTable()
     d = math.lcm(T1.d, T2.d)
     odp = math.lcm(T1.odp, T2.odp)
-    points = [T.fixed_point for T in (T1, T2) if T.d > 1]
-    diff = field.sub(points[0], points[1]) if len(points) == 2 else None
+    c1, c2 = T1.fixed_point, T2.fixed_point
+    diff = None if c1 is None or c2 is None else field.sub(c1, c2)
     key = (T1.H.basis, T2.H.basis, diff, odp)
     Hnew = table.spans.get(key)
     if Hnew is None:
@@ -224,11 +228,13 @@ def join_pair(T1: Subgroup, T2: Subgroup,
     if d == 1:
         b = 0
     else:
-        a_new = (T1.a if d == T1.d else T2.a if d == T2.d
-                 else field.pow(field.gamma, (field.q - 1) // d))
-        one_minus_a = field.sub(1, a_new)
+        one_minus_a = (
+            T1.one_minus_a if d == T1.d else T2.one_minus_a if d == T2.d
+            else field.sub(1, field.pow(field.gamma, (field.q - 1) // d)))
         b_candidates = set()
-        for c in points:
+        for c in (c1, c2):
+            if c is None:
+                continue
             x = field.mul(one_minus_a, c)
             leader = table.leaders.get((Hnew.basis, x))
             if leader is None:

@@ -34,11 +34,11 @@ as such masks, which every route reads as they are.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
-  supergroup at a time (``lattice_terms``), so it never walks the 2**t
-  selections one by one, yet every selection still contributes its sign
-  at its own join.  The fold's joins share one ``agl.JoinTable``, which
-  lives for one call, so each distinct span, coset leader and subgroup
-  is built once.
+  supergroup at a time, largest first (``lattice_terms``), so it never
+  walks the 2**t selections one by one, yet every selection still
+  contributes its sign at its own join.  The fold's joins share one
+  ``agl.JoinTable``, which lives for one call, so each distinct span,
+  coset leader and subgroup is built once.
 
 Budgets are explicit and overruns raise; nothing is ever truncated
 silently.
@@ -333,14 +333,16 @@ def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
     supergroups, with sign (-1)**|X| at join(S, X), folded in one
     supergroup U at a time: f maps subgroups to coefficients, starts as
     {S: 1}, and every (T, c) in f adds -c at join(T, U) -- the selections
-    that also take U.  Entries that cancel to zero are dropped after each
-    U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.  Every join
-    goes through ``join_pair`` with one ``JoinTable`` for the call, so each
-    span, coset leader and subgroup is built once per distinct input, and
-    the table is dropped on return.  S must have b = 0, which
+    that also take U.  The sum is the same in any order; the fold takes
+    the largest U first (a stable sort by order), which keeps f smaller
+    for the later ones.  Entries that cancel to zero are dropped after
+    each U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.  Every
+    join goes through ``join_pair`` with one ``JoinTable`` for the call,
+    so each span, coset leader and subgroup is built once per distinct
+    input, and the table is dropped on return.  S must have b = 0, which
     ``immediate_supergroups`` checks.
     """
-    supers = immediate_supergroups(S)
+    supers = sorted(immediate_supergroups(S), key=lambda U: -U.order)
     f: dict[Subgroup, int] = {S: 1}
     table = JoinTable()
     for folded, U in enumerate(supers, 1):

@@ -144,6 +144,7 @@ def test_subgroup_keeps_odp_and_fixed_point(p, alpha):
             assert c is None, S
         else:
             assert F.add(F.mul(S.a, c), S.b) == c, S
+        assert S.one_minus_a == F.sub(1, S.a), S
 
 
 def test_odp_of_an_lcm_is_the_lcm_of_the_odps():
@@ -362,13 +363,16 @@ def test_join_pair_matches_generated_subgroup(p, alpha):
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2)])
 def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
     # one table across every pair, as in a lattice fold: each join it
-    # answers is the one built without a table, and every entry is of its
-    # own kind (a span, a coset leader, a subgroup)
+    # answers is the one built without a table, the join of a swapped
+    # pair is the same object, and every entry is of its own kind (a span,
+    # a coset leader, a subgroup)
     F = field(p, alpha)
     groups = all_subgroups(F)
     table = JoinTable()
     for T1, T2 in itertools.product(groups, repeat=2):
-        assert join_pair(T1, T2, table) == join_pair(T1, T2), (T1, T2)
+        J = join_pair(T1, T2, table)
+        assert J == join_pair(T1, T2), (T1, T2)
+        assert J is join_pair(T2, T1, table), (T1, T2)
     assert all(isinstance(H, Subspace) for H in table.spans.values())
     assert all(type(x) is int for x in table.leaders.values())
     assert all(isinstance(J, Subgroup) for J in table.subgroups.values())
@@ -377,13 +381,22 @@ def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
 
 
 def test_join_point_check_raises(monkeypatch):
-    # without coset reduction the two fixed points give two different b;
-    # the check is a raise, so python -O keeps it
+    # a wrong coset leader in the table, or no coset reduction at all,
+    # makes the two fixed points give two different b; the check is a
+    # raise, so python -O keeps it
     F = field(7, 1)
     S = trivial_subgroup(F)
     halves = [T for T in immediate_supergroups(S) if T.d == 2]
     T1, T2 = Subgroup(F, 2, 0, S.H), Subgroup(F, 3, 1, S.H)
     assert join(S, halves[:2]).H.size == 7
+    J = join_pair(T1, T2)
+    assert (J.d, J.b, J.H.size) == (6, 0, 7)
+    table = JoinTable()
+    # T1's fixed point is 0, so its candidate is the leader of (1 - a)*0
+    table.leaders[(J.H.basis, 0)] = 1
+    message = r"^join must not depend on the chosen point, got b in \[0, 1\]$"
+    with pytest.raises(RuntimeError, match=message):
+        join_pair(T1, T2, table)
     monkeypatch.setattr(Subspace, "reduce", lambda self, x: x)
     with pytest.raises(RuntimeError, match="chosen point"):
         join(S, halves[:2])

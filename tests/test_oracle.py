@@ -428,9 +428,10 @@ def test_lattice_route_checks_b_zero_once_in_the_supergroups():
 
 
 def test_lattice_closure_budget(monkeypatch):
-    # the trivial group of F_13 has 27 immediate supergroups: two of
-    # order 2 leave {1, U1, U2, U1 v U2} in the fold, one over the cap;
-    # the cache is cleared so the fold runs under the patched limit
+    # the trivial group of F_13 has 27 immediate supergroups; the fold
+    # takes the line (order 13) first and then one of order 3, which
+    # leave {1, U1, U2, U1 v U2} in it, one over the cap; the cache is
+    # cleared so the fold runs under the patched limit
     F = field(13, 1)
     lattice_terms.cache_clear()
     monkeypatch.setattr(oracle, "DEFAULT_CLOSURE_LIMIT", 3)
@@ -442,8 +443,8 @@ def test_lattice_closure_budget(monkeypatch):
         count_N_via_lattice(trivial_subgroup(F), 1)
 
 
-@pytest.mark.parametrize("p,alpha,joins", [(2, 4, 2725), (5, 2, 3578),
-                                           (7, 2, 17661)])
+@pytest.mark.parametrize("p,alpha,joins", [(2, 4, 2405), (5, 2, 2667),
+                                           (7, 2, 17070)])
 def test_fold_makes_the_same_joins_and_keeps_nothing(p, alpha, joins,
                                                      monkeypatch):
     # the fold's join table cuts the cost of a join, not the joins: every
@@ -476,6 +477,28 @@ def test_fold_makes_the_same_joins_and_keeps_nothing(p, alpha, joins,
     assert runs[0] == runs[1]
     assert runs[0][1]["joins"] == joins
     assert set(vars(F)) == attrs
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 4), (5, 2), (3, 3)])
+def test_fold_takes_the_largest_supergroups_first(p, alpha, monkeypatch):
+    # the sum is the same in any order, so the order is the fold's own
+    # policy: every supergroup is folded once, largest first
+    S = trivial_subgroup(field(p, alpha))
+    folded = []
+    plain_join = oracle.join_pair
+
+    def recording_join(T, U, table):
+        if not folded or folded[-1] is not U:
+            folded.append(U)
+        return plain_join(T, U, table)
+
+    monkeypatch.setattr(oracle, "join_pair", recording_join)
+    lattice_terms.cache_clear()
+    lattice_terms(S)
+    lattice_terms.cache_clear()
+    orders = [U.order for U in folded]
+    assert orders == sorted(orders, reverse=True)
+    assert Counter(folded) == Counter(immediate_supergroups(S))
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
