@@ -47,6 +47,18 @@ admission of a field, ``check_factored``, runs ``check_field``, then that
 rule on q - 1, then refuses a q - 1 with over MAX_TABLE_ROWS/2 divisors,
 before any command or lister works.  ``count_N`` at k refuses a class only
 where gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
+
+Primality and small factorizations are decided in plain ints first, so
+a count on a field below 2**20 reaches no sympy code.  ``_is_prime``
+trial-divides by the primes up to 13 and then runs Miller-Rabin with the
+least prefix of the prime bases up to 41 that is proven exact below n
+(see ``_MILLER_RABIN_TIERS``), which covers every n below
+3,317,044,064,679,887,385,961,981 (about 3.3e24); sympy's ``isprime``
+decides only the larger n.  ``_trial_factorization`` divides by the
+primes below 1024 and is kept when the cofactor left is 1 or prime;
+sympy's ``factorint`` runs only on a u whose cofactor is composite, and
+it alone decides what is refused.  ``prime_power`` still finds integer
+roots with sympy's ``perfect_power``.
 """
 
 from __future__ import annotations
@@ -64,37 +76,127 @@ MAX_TABLE_ROWS = 10_000_000
 MAX_FACTORED_Q = 1 << 2048
 #: factorint's trial-division bound; a number it leaves composite is refused
 FACTOR_LIMIT = 10 ** 5
+#: (bound, bases): the least strong pseudoprime to all of ``bases`` is
+#: ``bound``, so Miller-Rabin with them decides every n < bound with no
+#: prime factor up to 13; one tier for each prefix of the prime bases that
+#: moves the bound (Pomerance, Selfridge and Wagstaff 1980 up to 7;
+#: Jaeschke 1993 up to 17; Jiang and Deng 2014 for 23; Sorenson and
+#: Webster 2017 for 37 and 41)
+_MILLER_RABIN_TIERS = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 
 class BudgetExceededError(RuntimeError):
     """A computation would exceed its configured budget."""
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by the primes up to 13, then
+    Miller-Rabin with the bases of the first ``_MILLER_RABIN_TIERS`` tier
+    whose bound exceeds n.  sympy's ``isprime`` decides only an n past the
+    last bound."""
+    if n < 2:
+        return False
+    for r in (2, 3, 5, 7, 11, 13):
+        if n % r == 0:
+            return n == r
+    if n < 17 * 17:
+        return True
+    for bound, bases in _MILLER_RABIN_TIERS:
+        if n < bound:
+            break
+    else:
+        return bool(isprime(n))
+    # n - 1 = odd * 2**s, and no base is a multiple of n
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd, last = (n - 1) >> s, n - 1
+    for a in bases:
+        x = pow(a, odd, n)
+        if x == 1 or x == last:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == last:
+                break
+        else:
+            return False
+    return True
+
+
+#: the trial divisors of ``_trial_factorization``: the primes below 1024,
+#: so a cofactor below 1024**2 left without a divisor among them is prime
+_SMALL_PRIMES = tuple(n for n in range(1024) if _is_prime(n))
+
+
 def prime_set(u: int) -> tuple[int, ...]:
     """Distinct prime divisors of u in ascending order; empty for u = 1.
     Refuses (``BudgetExceededError``) a u above MAX_FACTORED_Q, or one that
-    ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor."""
+    ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor.
+    A u that is a product of primes below 1024 and at most one larger
+    prime is factored in plain ints, with no sympy call (see
+    ``_factorization``); every such u is one that factorint factors too."""
     return tuple(_factorization(u))
 
 
 def _factorization(u: int) -> dict[int, int]:
     """u as {prime: exponent}, primes ascending, under the rule of
     ``prime_set``; ``check_factored`` reads its exponents off this one
-    pass."""
+    pass.  ``_trial_factorization`` decides first; factorint runs on u only
+    where it leaves a composite cofactor, and a u that factorint leaves
+    with a factor ``_is_prime`` rejects is refused.  Past the cap neither
+    runs."""
     if u <= 0:
         raise ValueError(f"expected a positive integer, got {u}")
     factors = None      # past the cap, neither factorint nor isprime runs
     if u <= MAX_FACTORED_Q:
+        factors = _trial_factorization(u)
+        if factors is not None:
+            return factors
         try:
             factors = factorint(u, limit=FACTOR_LIMIT)
         except ValueError:  # sympy 1.14 raises on some, such as 3^1292 - 1
             pass
-    if factors is None or not all(map(isprime, factors)):
+    if factors is None or not all(map(_is_prime, factors)):
         raise BudgetExceededError(
             f"a {u.bit_length()}-bit number is refused: it must be at most "
             f"2^2048 and factor completely within factorint's limit of "
             f"{FACTOR_LIMIT}")
     return dict(sorted(factors.items()))
+
+
+def _trial_factorization(u: int) -> dict[int, int] | None:
+    """u as {prime: exponent}, primes ascending, by trial division by
+    ``_SMALL_PRIMES`` while r**2 <= the cofactor; None where the cofactor
+    left is composite.  The cofactor is prime when the division stops
+    early, when it is below 1024**2, or when ``_is_prime`` accepts it."""
+    factors, rest = {}, u
+    for r in _SMALL_PRIMES:
+        if r * r > rest:
+            break
+        if rest % r == 0:
+            e = 0
+            while rest % r == 0:
+                rest //= r
+                e += 1
+            factors[r] = e
+    else:
+        if rest >= 1024 ** 2 and not _is_prime(rest):
+            return None
+    if rest > 1:
+        factors[rest] = 1
+    return factors
 
 
 def mult_order(v: int, u: int) -> int:
@@ -151,7 +253,7 @@ def evaluate_terms(q: int, k: int,
 
 def check_field(p: int, alpha: int) -> None:
     """The field rule: F_{p**alpha} exists iff p is prime and alpha >= 1."""
-    if not isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
@@ -162,10 +264,10 @@ def prime_power(q: int) -> tuple[int, int]:
     factoring, which can run for minutes on a large semiprime."""
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    p, alpha = perfect_power(q) or (q, 1)
-    if not isprime(p):
+    p, alpha = map(int, perfect_power(q) or (q, 1))
+    if not _is_prime(p):
         raise ValueError(f"q must be a prime power, got {q}")
-    return int(p), int(alpha)
+    return p, alpha
 
 
 def check_subset_size(q: int, k: int) -> None:

@@ -64,8 +64,152 @@ def test_prime_set_refuses_past_the_cap_without_factoring(monkeypatch):
     assert str(refused.value) == (
         "a 2049-bit number is refused: it must be at most 2^2048 and factor "
         "completely within factorint's limit of 100000")
-    with pytest.raises(RuntimeError, match="called past the cap"):
-        prime_set(2 ** 2048)        # at the cap, so factored
+    # at the cap the number is factored, by the plain route alone
+    assert prime_set(2 ** 2048) == (2,)
+
+
+#: (bound, bases) of every Miller-Rabin tier, written out here so that a
+#: changed table in the library cannot pass unseen
+TIERS = [
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+]
+CARMICHAEL = [561, 41041, 825265, 321197185, 5394826801, 232250619601,
+              9746347772161]
+
+
+def _strong_probable_prime(n, a):
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    x = pow(a, odd, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2 ** t, n) == n - 1 for t in range(1, s))
+
+
+def test_is_prime_matches_sympy_below_100_000():
+    assert [n for n in range(10 ** 5)
+            if counting._is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_tiers_are_the_known_bounds():
+    assert counting._MILLER_RABIN_TIERS == tuple(TIERS)
+    for bound, bases in TIERS:
+        # the least strong pseudoprime to the tier's own bases: it passes
+        # all of them, so the next tier (or sympy) must reject it
+        assert all(_strong_probable_prime(bound, a) for a in bases), bound
+        assert not counting._is_prime(bound), bound
+        for n in range(bound - 2, bound + 3):
+            assert counting._is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    for n in CARMICHAEL:
+        assert sympy.isprime(n) is False
+        assert counting._is_prime(n) is False, n
+
+
+@pytest.mark.parametrize("bits", [64, 80])
+def test_is_prime_matches_sympy_on_a_seeded_sample(bits):
+    rng = random.Random(f"is_prime:{bits}")
+    odd = [rng.randrange(2 ** (bits - 1), 2 ** bits) | 1 for _ in range(400)]
+    primes = [sympy.nextprime(n) for n in odd[:40]]
+    semiprimes = [sympy.nextprime(rng.randrange(2 ** (bits // 2 - 1),
+                                                2 ** (bits // 2)))
+                  * sympy.nextprime(rng.randrange(2 ** (bits // 2 - 1),
+                                                  2 ** (bits // 2)))
+                  for _ in range(40)]
+    for n in odd + primes + semiprimes:
+        assert counting._is_prime(n) == sympy.isprime(n), n
+    assert sum(map(counting._is_prime, odd + primes)) >= len(primes)
+
+
+def _forbid_sympy(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("sympy reached")
+
+    monkeypatch.setattr(counting, "isprime", forbidden)
+    monkeypatch.setattr(counting, "factorint", forbidden)
+
+
+def _congruent(c, ks):
+    return [k for k in ks if k <= c.q and c.congruence_violation(k) is None]
+
+
+#: prime powers whose every gcd factored at every k is below 2**20
+PLAIN_FIELDS = ([(p, 1) for p in sympy.primerange(2, 2000)]
+                + [(2, 10), (3, 7), (5, 5), (7, 4)])
+
+
+def test_counts_of_small_fields_reach_no_sympy(monkeypatch):
+    # classes, the field's q - 1 and every gcd a count factors lie below
+    # 2**20, so the plain route settles each of them
+    shapes = {field: classes(*field) for field in PLAIN_FIELDS}
+    expected = {(c.p, c.alpha, c.d, c.i, c.j, k): c.count(k)
+                for cs in shapes.values() for c in cs
+                for k in _congruent(c, (0, c.h_size, c.period,
+                                        c.period + c.h_size))}
+    _forbid_sympy(monkeypatch)
+    for (p, alpha), cs in shapes.items():
+        assert [(c.d, c.i, c.j) for c in classes(p, alpha)] == \
+            [(c.d, c.i, c.j) for c in cs]
+    for (p, alpha, d, i, j, k), n in expected.items():
+        assert count_N(ClassParams(p, alpha, k, d, i, j)) == n
+
+
+def test_counts_of_a_40_bit_prime_at_small_k_reach_no_sympy(monkeypatch):
+    # p - 1 = 2^2 * 5^2 * 151 * 1783 * 20323, and 1783 * 20323 >= 2**20 is
+    # left to factorint when the gcd is all of (p - 1)/d, at r = 0.  At
+    # k > |H| = 1 both r = k and r = k - 1 are nonzero, each gcd divides
+    # one of them, so it is below 2**20 and factored plainly; a 40-bit p
+    # is decided by Miller-Rabin alone
+    p = 547162225901
+    shapes = [c for c in classes(p, 1) if c.j == 0]
+    expected = {(c.d, k): c.count(k) for c in shapes
+                for k in _congruent(c, (c.d, c.d + 1, 2 * c.d, 2 * c.d + 1))
+                if k > 1}
+    assert len(shapes) == 72 and len(expected) > 2 * len(shapes)
+    _forbid_sympy(monkeypatch)
+    for (d, k), n in expected.items():
+        assert count_N(ClassParams(p, 1, k, d, 1, 0)) == n
+
+
+@pytest.mark.parametrize("p,alpha", [(1009, 1), (2, 10)])
+def test_tables_of_small_fields_reach_no_sympy(monkeypatch, p, alpha):
+    table = build_table(p, alpha)
+    _forbid_sympy(monkeypatch)
+    assert build_table(p, alpha) == table
+
+
+def test_a_composite_cofactor_and_a_large_n_still_reach_sympy(monkeypatch):
+    calls = []
+
+    def recorded(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(counting, name, wrapper)
+
+    recorded("factorint", counting.factorint)
+    recorded("isprime", counting.isprime)
+    # 1031 * 1033 has no prime factor below 1024 and is at least 2**20
+    assert prime_set(2 * 1031 * 1033) == (2, 1031, 1033)
+    assert calls == ["factorint"]
+    calls.clear()
+    last = TIERS[-1][0]
+    n = sympy.nextprime(last)
+    assert counting._is_prime(n) and not counting._is_prime(17 * n)
+    assert calls == ["isprime", "isprime"]
 
 
 @pytest.mark.parametrize("call,verdict", [
