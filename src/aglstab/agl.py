@@ -79,11 +79,12 @@ class Subgroup:
 
     def orbits(self) -> tuple[int, ...]:
         """The orbits on the field elements as int masks, listed by least
-        element x, where its walk starts: each step adds the coset y + H
-        and moves y to a*y + b, until y falls back into the orbit."""
+        element x, where its walk starts: each step ORs in the mask of
+        the coset y + H (``H.cosets``) and moves y to a*y + b, until y
+        falls back into the orbit."""
         if self._orbits is None:
             field, a, b = self.field, self.a, self.b
-            h_els = self.H.elements()
+            cosets, reduce = self.H.cosets(), self.H.reduce
             orbs = []
             seen = 0
             for x in range(field.q):
@@ -91,8 +92,7 @@ class Subgroup:
                     continue
                 orbit, y = 0, x
                 while not orbit >> y & 1:
-                    for h in h_els:
-                        orbit |= 1 << field.add(y, h)
+                    orbit |= cosets[reduce(y)]
                     y = field.add(field.mul(a, y), b)
                 if orbit.bit_count() not in (self.H.size, self.order):
                     raise RuntimeError(f"an orbit of size {orbit.bit_count()} "
@@ -161,7 +161,7 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
         raise ValueError("supergroup enumeration requires b = 0; conjugate first")
     field, d, H = S.field, S.d, S.H
     h_prime = field.p ** H.stabilizing_degree()
-    points = H.coset_leaders() if d == 1 else (0,)
+    points = H.cosets() if d == 1 else (0,)
     out = [Subgroup(field, d * e, b, H)
            for e in prime_set((h_prime - 1) // d) for b in points]
     out.extend(Subgroup(field, d, 0, line)
@@ -263,7 +263,9 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
     F_r and spans such a space.  The search runs depth first and skips
     every x already in the span of its prefix, since every extension of
     a dependent prefix is dependent too; the first hit is the same.  The
-    shape is checked by ``counting.check_shape``.
+    shape is checked by ``counting.check_shape``.  From q = 16 on a class
+    can hold several conjugacy classes: the count routes check only this
+    member of one of them, and a test checks a member of each other one.
     """
     rdeg = check_shape(field.p, field.alpha, d, i, j) * i
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import agl, counting, designs, oracle
 from .counting import CSV_COLUMNS, ClassParams
-from .ffield import Field, mask_elements, subset_mask
+from .ffield import Field, mask_elements
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -175,12 +175,17 @@ def cmd_verify(args, out) -> int:
 
 def _parse_subset(text: str, q: int) -> int:
     try:
-        elements = sorted({int(tok) for tok in text.split(",")})
+        elements = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"--subset must be comma-separated integers, got {text!r}")
-    if not elements or not all(0 <= x < q for x in elements):
+    if not all(0 <= x < q for x in elements):
         raise ValueError(f"subset elements must lie in [0, {q})")
-    return subset_mask(elements)
+    mask = 0
+    for x in elements:
+        if mask >> x & 1:
+            raise ValueError(f"--subset lists {x} more than once")
+        mask |= 1 << x
+    return mask
 
 
 def cmd_design(args, out) -> int:
@@ -303,8 +308,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--i", type=int, help="stabilizer class index i")
     sp.add_argument("--j", type=int, help="stabilizer class index j")
     sp.add_argument("--subset",
-                    help="explicit base subset, comma-separated elements; "
-                         "not with --k, --d, --i or --j")
+                    help="explicit base subset, comma-separated distinct "
+                         "elements; not with --k, --d, --i or --j")
     sp.add_argument("--oracle-budget", type=_budget,
                     default=oracle.DEFAULT_SUBSET_BUDGET,
                     help="max subsets scanned while hunting a witness")

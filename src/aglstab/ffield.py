@@ -28,9 +28,9 @@ is one scaled field addition, and a digit is read as x // p**t % p.  A
 subfield is named by its degree m | alpha, as the paper names o_d(p) and
 o_d(p)*i: ``Field.subfield(m)`` is its F_p-basis, ``span`` and
 ``lines_of_quotient`` take m, and ``Subspace.stabilizing_degree`` is the
-degree of H', the largest subfield mapping H into itself.  A subspace H
-also gives the coset leaders of F_q/H, and ``lines_of_quotient`` the
-lines of F_q/H over F_{p**m}.
+degree of H', the largest subfield mapping H into itself.  ``cosets``
+gives each coset of F_q/H as an int mask keyed by its least element, and
+``lines_of_quotient`` the lines of F_q/H over F_{p**m}.
 """
 
 from __future__ import annotations
@@ -209,15 +209,7 @@ class Field:
             return 0
         return self._exp[(self._log[x] * e) % (self.q - 1)]
 
-    def smul(self, c: int, x: int) -> int:
-        """Integer scalar multiple c*x (c acting through F_p, whose
-        elements are the integers 0..p-1)."""
-        return self.mul(c % self.p, x)
-
     # -- structure ----------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def subfield(self, degree: int) -> tuple[int, ...]:
         """F_p-basis (1, g, ..., g**(degree-1)) of the subfield of order
@@ -353,7 +345,7 @@ class Subspace:
         self.basis, self.pivots = _echelon(field, vectors)
         self.dim = len(self.basis)
         self.size = field.p ** self.dim
-        self._leaders: tuple[int, ...] | None = None
+        self._cosets: dict[int, int] | None = None
 
     def reduce(self, x: int) -> int:
         """Least element of the coset x + (this subspace): echelon reduction
@@ -369,29 +361,24 @@ class Subspace:
     def contains(self, x: int) -> bool:
         return self.reduce(x) == 0
 
-    def elements(self) -> tuple[int, ...]:
-        field = self.field
-        combs = [0]
-        for v in self.basis:
-            step = [field.smul(t, v) for t in range(field.p)]
-            combs = [field.add(c, s) for c in combs for s in step]
-        els = tuple(sorted(set(combs)))
-        if len(els) != self.size:
-            raise RuntimeError(f"a basis of {self.dim} vectors spans "
-                               f"{len(els)} elements")
-        return els
-
-    def coset_leaders(self) -> tuple[int, ...]:
-        """The least element of each coset, in increasing order (0 first):
-        the transversal of F_q/(this subspace)."""
-        if self._leaders is None:
-            leaders = tuple(sorted({self.reduce(x)
-                                    for x in range(self.field.q)}))
-            if len(leaders) != self.field.q // self.size:
-                raise RuntimeError(f"{len(leaders)} coset leaders for "
-                                   f"{self.field.q // self.size} cosets")
-            self._leaders = leaders
-        return self._leaders
+    def cosets(self) -> dict[int, int]:
+        """Each coset of F_q/(this subspace) as an int mask keyed by its
+        least element, from one ``reduce`` per element, memoized.  A leader
+        comes before the rest of its coset, so the keys ascend from 0,
+        whose mask is the subspace itself."""
+        if self._cosets is None:
+            q, cosets = self.field.q, {}
+            for x in range(q):
+                r = self.reduce(x)
+                cosets[r] = cosets.get(r, 0) | 1 << x
+            size = cosets.get(0, 0).bit_count()
+            if len(cosets) != q // self.size or size != self.size:
+                raise RuntimeError(
+                    f"{len(cosets)} coset leaders for {q // self.size} "
+                    f"cosets, and {size} bits for |H| = {self.size} in the "
+                    f"coset of 0")
+            self._cosets = cosets
+        return self._cosets
 
     def stabilizing_degree(self) -> int:
         """Degree m of the largest subfield F_{p**m} mapping this subspace
@@ -443,7 +430,7 @@ def lines_of_quotient(H: Subspace, degree: int) -> list[Subspace]:
     if H.stabilizing_degree() % degree:
         raise ValueError(f"denominator is not a space over F_p^{degree}")
     size = field.p ** degree
-    leaders = H.coset_leaders()
+    leaders = list(H.cosets())
     expected, rem = divmod(len(leaders) - 1, size - 1)
     if rem:
         raise RuntimeError(f"|F_q/H| - 1 = {len(leaders) - 1} is not a "

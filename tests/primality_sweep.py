@@ -1,5 +1,6 @@
 """Compare the plain primality test and factorization of ``counting`` with
-sympy: every n < 2**20, then a seeded sample of shapes up to 2**90.
+sympy: every n < 2**20, then a seeded sample of shapes up to 2**90; then
+pin which fields ``counting.check_factored`` admits.
 
     PYTHONPATH=src python tests/primality_sweep.py
 
@@ -7,7 +8,10 @@ sympy: every n < 2**20, then a seeded sample of shapes up to 2**90.
 ``counting._factorization(n)`` must equal ``sympy.factorint(n)`` below
 2**20, where every n factors plainly, and above it must give what the
 bounded rule alone gives: ``factorint(n, limit=FACTOR_LIMIT)`` with every
-factor prime, or a refusal.  The name keeps pytest from collecting it:
+factor prime, or a refusal.  ``check_factored(p, alpha)`` must refuse
+exactly the fields of ``REFUSED`` among those of ``ADMISSION_TOPS``, so
+that a change to the factoring that admits or refuses another field
+shows here.  The name keeps pytest from collecting it:
 the sweep takes about a minute, and tier-1 holds the smaller checks.
 Exits 1 at the first disagreement; checks no assert, so it holds under
 ``python -O`` too.
@@ -24,6 +28,21 @@ from aglstab.counting import BudgetExceededError, FACTOR_LIMIT
 PLAIN_BITS = 20
 SAMPLE_BITS = 90
 SEED = "primality_sweep"
+
+#: p and the largest alpha of the fields p**alpha whose admission is pinned
+ADMISSION_TOPS = ((2, 160), (3, 100), (5, 70), (7, 60), (11, 40), (1021, 12))
+
+#: the fields of ADMISSION_TOPS that check_factored refuses: q - 1 does not
+#: factor within FACTOR_LIMIT, or has too many divisors
+REFUSED = (
+    (2, 98), (2, 101), (2, 118), (2, 119), (2, 122), (2, 125), (2, 134),
+    (2, 137), (2, 138), (2, 139), (2, 143), (2, 146), (2, 147), (2, 149),
+    (2, 155), (2, 157), (2, 158), (2, 159),
+    (3, 67), (3, 73), (3, 79), (3, 85), (3, 86), (3, 89), (3, 97),
+    (5, 37), (5, 41), (5, 46), (5, 53), (5, 58), (5, 59), (5, 61), (5, 62),
+    (5, 65), (5, 67), (5, 69),
+    (7, 34), (7, 43), (7, 46), (7, 47), (7, 57),
+)
 
 
 def fail(what: str, n: int, got, want) -> None:
@@ -103,6 +122,20 @@ def main() -> None:
                 checked += 1
     print(f"{checked} sampled n of {PLAIN_BITS + 1} to {SAMPLE_BITS} bits "
           f"agree")
+    refused = []
+    for p, top in ADMISSION_TOPS:
+        for alpha in range(1, top + 1):
+            try:
+                counting.check_factored(p, alpha)
+            except BudgetExceededError:
+                refused.append((p, alpha))
+    if tuple(refused) != REFUSED:
+        sys.exit(f"check_factored refuses "
+                 f"{sorted(set(refused) - set(REFUSED))} and admits "
+                 f"{sorted(set(REFUSED) - set(refused))} against the pin")
+    fields = sum(top for _, top in ADMISSION_TOPS)
+    print(f"check_factored refuses the {len(REFUSED)} pinned fields of "
+          f"{fields}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ block under every map.  ``reference_incidence`` reads an incidence
 matrix one bit at a time, and ``design_record`` is the json record of a
 design as a dict, for ``json.dumps`` to encode (no writer of its own).
 The lattice inclusion-exclusion visits every selection of immediate
-supergroups on its own (no fold).  Field addition
-and subspace echelon forms are computed on coefficient lists, digit by
-digit mod p (no Zech logarithms, no int rows).  ``overgroup_terms`` walks
+supergroups on its own (no fold).  Field addition, spans and subspace
+echelon forms are computed on coefficient lists, digit by digit mod p
+(no Zech logarithms, no int rows).  ``overgroup_terms`` walks
 every overgroup of a class and weighs it by ``moebius_exponent`` times
 ``q_binomial``, each computed from scratch (no recurrence, no pruning
 by k), and ``class_size`` counts the subgroups of a class from its
@@ -31,8 +31,9 @@ pieces.  ``full_census`` classifies every k-subset by the library's
 ``stabilizer`` scan, under ``oracle.DEFAULT_SUBSET_BUDGET`` as read at
 the call; ``all_subspaces`` grows every subspace by ``span``, and
 ``all_subgroups`` lists every subgroup descriptor from them, for q up to
-DEFAULT_ALL_SUBGROUPS_LIMIT.  ``trivial_subgroup``, ``full_group`` and
-``full_subspace`` name the two ends of the lattice.
+DEFAULT_ALL_SUBGROUPS_LIMIT, and ``conjugacy_class_members`` one subgroup
+per conjugacy class of a d = 1 class.  ``trivial_subgroup``,
+``full_group`` and ``full_subspace`` name the two ends of the lattice.
 """
 
 import ast
@@ -112,7 +113,7 @@ def subgroup_elements(S) -> tuple[AffineMap, ...]:
     for _ in range(S.d - 1):
         powers.append(g * powers[-1])
     out = tuple(AffineMap(field, m.a, field.add(m.b, h))
-                for m in powers for h in S.H.elements())
+                for m in powers for h in mask_elements(S.H.cosets()[0]))
     if len(set(out)) != S.order:
         raise RuntimeError(f"{len(set(out))} distinct maps in a group "
                            f"of order {S.order}")
@@ -214,8 +215,26 @@ def all_subgroups(field: Field) -> list[Subgroup]:
     out = []
     for d, odp in divisor_orders(field.p, field.alpha):
         for H in all_subspaces(field, odp):
-            points = (0,) if d == 1 else H.coset_leaders()
+            points = (0,) if d == 1 else H.cosets()
             out.extend(Subgroup(field, d, b, H) for b in points)
+    return out
+
+
+def conjugacy_class_members(field: Field, i: int, j: int) -> list[Subgroup]:
+    """One subgroup per conjugacy class within the class (1, i, j), in
+    ``all_subspaces`` order.  A d = 1 subgroup is the translation group
+    of its H, and x -> c*x + e conjugates it to the one of c*H, so the
+    conjugacy classes are the orbits of the class's subspaces under
+    scaling: a subspace not met yet is kept, and the distinct c*H over c
+    in F_q^* are each marked met by their basis."""
+    met = set()
+    out = []
+    for H in all_subspaces(field, i):
+        if H.dim != i * j or H.stabilizing_degree() != i or H.basis in met:
+            continue
+        out.append(Subgroup(field, 1, 0, H))
+        met.update(Subspace(field, [field.mul(c, v) for v in H.basis]).basis
+                   for c in range(1, field.q))
     return out
 
 
@@ -322,6 +341,16 @@ def reference_neg(field, x: int) -> int:
 def reference_smul(field, c: int, x: int) -> int:
     """c*x for an integer c, scaling every coordinate mod p."""
     return element(field, [(c * cf) % field.p for cf in digits(field, x)])
+
+
+def reference_span(field, basis) -> tuple[int, ...]:
+    """Every F_p-combination of ``basis``, sorted, one vector at a time:
+    each element so far plus every multiple of the next vector."""
+    out = {0}
+    for v in basis:
+        steps = [reference_smul(field, c, v) for c in range(field.p)]
+        out = {reference_add(field, x, y) for x in out for y in steps}
+    return tuple(sorted(out))
 
 
 def reference_echelon(field, vectors) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -719,6 +719,16 @@ def test_design_subset_with_class_flags_is_an_input_error(capsys, flags,
     assert f"--subset cannot be combined with {named}" in err
 
 
+def test_design_refuses_a_repeated_subset_element(capsys):
+    assert run(capsys, "design", "--q", "9", "--subset", "0,0,1") == (
+        EXIT_INPUT, "", "aglstab: error: --subset lists 0 more than once\n")
+    assert run(capsys, "design", "--q", "9", "--subset", "3,1,2,1,3")[2] == (
+        "aglstab: error: --subset lists 1 more than once\n")
+    # the order of the elements is not a repeat
+    assert (run(capsys, "design", "--q", "9", "--subset", "1,0")
+            == run(capsys, "design", "--q", "9", "--subset", "0,1"))
+
+
 def test_byte_identical_reruns(capsys):
     for argv in (["table", "--q", "8", "--format", "csv"],
                  ["verify", "--q", "5", "--format", "json"],

@@ -16,12 +16,12 @@ import aglstab.counting
 import aglstab.ffield
 import aglstab.oracle
 from aglstab.counting import prime_set
-from aglstab.ffield import (Field, Subspace, _Ring,
-                            lines_of_quotient, span, zero_subspace)
-from reference import (all_subspaces, assert_lines, digits, element,
-                       full_subspace, prime_powers, reference_add,
+from aglstab.ffield import (Field, Subspace, _Ring, lines_of_quotient,
+                            mask_elements, span, zero_subspace)
+from reference import (all_subgroups, all_subspaces, assert_lines, digits,
+                       element, full_subspace, prime_powers, reference_add,
                        reference_echelon, reference_neg, reference_reduce,
-                       reference_smul)
+                       reference_smul, reference_span)
 
 
 def test_make_field_moduli():
@@ -180,7 +180,7 @@ def test_f4_generator_relations():
 @pytest.mark.parametrize("p,alpha", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
 def test_field_axioms_exhaustive(p, alpha):
     F = Field(p, alpha)
-    els = list(F.elements())
+    els = list(range(F.q))
     for x, y, z in itertools.product(els, repeat=3):
         assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
         assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
@@ -202,7 +202,7 @@ def test_generator_order(p, alpha):
 
 def test_element_coeff_roundtrip():
     F = Field(3, 3)
-    for x in F.elements():
+    for x in range(F.q):
         assert element(F, digits(F, x)) == x
 
 
@@ -221,7 +221,7 @@ def test_subfield_basics():
     assert F16.pow(g, 3) == 1 and g != 1
     els = _subfield_elements(F16, 2)
     assert len(els) == 4
-    assert Subspace(F16, basis).elements() == els
+    assert mask_elements(Subspace(F16, basis).cosets()[0]) == els
     # closed under multiplication and addition
     for x, y in itertools.product(els, repeat=2):
         assert F16.mul(x, y) in els
@@ -245,7 +245,8 @@ def test_subfield_basis_spans_the_subfield(p, alpha):
     for degree in sympy.divisors(alpha):
         basis = F.subfield(degree)
         assert len(basis) == degree and basis[0] == 1
-        assert Subspace(F, basis).elements() == _subfield_elements(F, degree)
+        assert (mask_elements(Subspace(F, basis).cosets()[0])
+                == _subfield_elements(F, degree))
 
 
 def test_subfield_stabilizer_examples():
@@ -284,11 +285,12 @@ def test_span_examples():
     assert span(F4, (), 1).basis == ()
     g = F4.gamma
     line = span(F4, (g,), 1)
-    assert line.elements() == (0, g)
+    assert mask_elements(line.cosets()[0]) == (0, g)
 
     F16 = Field(2, 4)
     copy_of_f4 = span(F16, (1,), 2)
-    assert copy_of_f4.elements() == _subfield_elements(F16, 2)
+    assert (mask_elements(copy_of_f4.cosets()[0])
+            == _subfield_elements(F16, 2))
 
 
 def test_span_idempotent_and_monotone():
@@ -313,33 +315,54 @@ def test_reduce_is_coset_minimum():
     F9 = Field(3, 2)
     for basis in [(4,), (1,), (5,)]:
         H = span(F9, basis, 1)
-        hels = H.elements()
-        for x in F9.elements():
+        hels = reference_span(F9, H.basis)
+        for x in range(F9.q):
             expected = min(F9.add(x, h) for h in hels)
             assert H.reduce(x) == expected
 
 
 def test_coset_leaders():
     F8 = Field(2, 3)
-    H = span(F8, (3,), 1)
-    leaders = H.coset_leaders()
-    assert len(leaders) == 8 // 2
-    assert list(leaders) == sorted(leaders)
-    seen = set()
-    for x in F8.elements():
-        r = H.reduce(x)
-        assert r in leaders
-        seen.add(r)
-    assert seen == set(leaders)
-    assert leaders[0] == 0
-    assert H.coset_leaders() is leaders     # computed once
+    H = span(F8, (3,), 1)                   # {0, 3}
+    cosets = H.cosets()
+    assert cosets == {0: 0b1001, 1: 0b110, 4: 0b10010000, 5: 0b1100000}
+    assert list(cosets) == [0, 1, 4, 5]     # leaders ascend from 0
+    assert H.cosets() is cosets             # computed once
 
 
 def test_coset_leaders_count_is_checked(monkeypatch):
     H = span(Field(2, 3), (3,), 1)
     monkeypatch.setattr(H, "reduce", lambda x: x % 2)
     with pytest.raises(RuntimeError, match="2 coset leaders for 4 cosets"):
-        H.coset_leaders()
+        H.cosets()
+    H = span(Field(2, 3), (3,), 1)
+    monkeypatch.setattr(H, "reduce", lambda x: min(x, 3))
+    with pytest.raises(RuntimeError, match=r"4 coset leaders for 4 cosets, "
+                                           r"and 1 bits for \|H\| = 2"):
+        H.cosets()
+
+
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 64))
+def test_cosets_partition_the_field_by_leader(p, alpha):
+    F = Field(p, alpha)
+    for H in all_subspaces(F, 1):
+        cosets = H.cosets()
+        assert list(cosets) == sorted({H.reduce(x) for x in range(F.q)})
+        union = 0
+        for mask in cosets.values():
+            assert mask.bit_count() == H.size and not union & mask
+            union |= mask
+        assert union == (1 << F.q) - 1
+        assert mask_elements(cosets[0]) == reference_span(F, H.basis)
+
+
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 16))
+def test_every_orbit_is_a_union_of_cosets(p, alpha):
+    F = Field(p, alpha)
+    for S in all_subgroups(F):
+        masks = S.H.cosets().values()
+        for orbit in S.orbits():
+            assert orbit == sum(m for m in masks if m & orbit == m)
 
 
 def test_lines_of_quotient_counts():
@@ -421,12 +444,13 @@ def _check_additive_ops(F, pairs):
 @pytest.mark.parametrize("p,alpha", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
                                      (5, 3)])
 def test_add_neg_sub_smul_match_digitwise_reference(p, alpha):
+    # the codes 0..p-1 are F_p, so multiplying by one scales every digit
     F = Field(p, alpha)
-    _check_additive_ops(F, itertools.product(F.elements(), repeat=2))
-    for x in F.elements():
+    _check_additive_ops(F, itertools.product(range(F.q), repeat=2))
+    for x in range(F.q):
         assert F.neg(x) == reference_neg(F, x), x
         for c in range(-p, 2 * p):
-            assert F.smul(c, x) == reference_smul(F, c, x), (c, x)
+            assert F.mul(c % p, x) == reference_smul(F, c, x), (c, x)
 
 
 def test_add_neg_match_digitwise_reference_sampled_large_field():
@@ -436,19 +460,19 @@ def test_add_neg_match_digitwise_reference_sampled_large_field():
     _check_additive_ops(F, itertools.product(xs, repeat=2))
     for x in xs:
         assert F.neg(x) == reference_neg(F, x), x
-        assert F.smul(5, x) == reference_smul(F, 5, x), x
+        assert F.mul(5 % F.p, x) == reference_smul(F, 5, x), x
 
 
 def _vector_sets(F, rng):
     yield ()
     yield (0, 0)
-    yield F.elements()
+    yield range(F.q)
     for size in range(1, F.alpha + 3):
         for _ in range(6):
             yield tuple(rng.randrange(F.q) for _ in range(size))
     # a scaled copy of a vector, so that elimination meets non-monic pivots
     x = rng.randrange(1, F.q)
-    yield (x, F.smul(F.p - 1, x), F.mul(F.gamma, x))
+    yield (x, F.mul(F.p - 1, x), F.mul(F.gamma, x))
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
@@ -460,7 +484,7 @@ def test_subspace_matches_coefficient_list_reference(p, alpha):
         H = Subspace(F, vectors)
         basis, pivots = reference_echelon(F, vectors)
         assert (H.basis, H.pivots) == (basis, pivots), vectors
-        for x in F.elements():
+        for x in range(F.q):
             assert H.reduce(x) == reference_reduce(F, basis, pivots, x), (vectors, x)
         # order and redundancy of the input do not matter
         assert Subspace(F, sorted(vectors, reverse=True) + list(basis)) == H

@@ -526,6 +526,26 @@ def test_three_way_agreement_small_fields(p, alpha):
             assert closed == lattice == brute, (p, alpha, d, i, j, k)
 
 
+# from q = 16 on a class can hold several conjugacy classes, and the
+# routes above see only the representative; scaling acts freely on these
+# subspaces, so F_16 has 30/15 and F_32 has 155/31 of them per class
+@pytest.mark.parametrize("p,alpha,i,j,members", [(2, 4, 1, 2, 2),
+                                                 (2, 5, 1, 2, 5),
+                                                 (2, 5, 1, 3, 5)])
+def test_every_conjugacy_class_of_a_class_has_its_counts(p, alpha, i, j,
+                                                         members):
+    F = field(p, alpha)
+    c = next(c for c in classes(p, alpha) if (c.d, c.i, c.j) == (1, i, j))
+    found = reference.conjugacy_class_members(F, i, j)
+    assert len(found) == members
+    assert class_representative(F, 1, i, j) in found
+    for T in found:
+        assert T.shape() == (1, i, j)
+        brute = bruteforce_counts(T)
+        for k in range(F.q + 1):
+            assert brute[k] == count_N_via_lattice(T, k) == c.count(k), (T, k)
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(field(2, 1))) == 2
     assert len(all_subgroups(field(5, 1))) == 14
