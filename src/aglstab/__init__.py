@@ -3,9 +3,10 @@ with independent brute-force/lattice verification and construction of the
 orbit block designs and Johnson-optimal binary constant-weight codes.
 """
 
-from .counting import (BudgetExceededError, ClassParams, StabilizerClass,
-                       build_table, class_shapes, classes, count_N,
-                       enumerate_params, mult_order, prime_set, s_qk)
+from .numtheory import BudgetExceededError, mult_order, prime_set
+from .counting import (ClassParams, StabilizerClass, build_table,
+                       class_shapes, classes, count_N, enumerate_params,
+                       s_qk)
 from .ffield import Field, Subspace, lines_of_quotient, span, subset_mask
 from .agl import (Subgroup, class_representative, immediate_supergroups,
                   join, join_pair)

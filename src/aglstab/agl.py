@@ -24,8 +24,8 @@ import functools
 import math
 from collections import Counter
 
-from .counting import check_divisor, check_shape, prime_set
 from .ffield import Field, Subspace, lines_of_quotient, span, zero_subspace
+from .numtheory import check_divisor, check_shape, prime_set
 
 
 class Subgroup:
@@ -263,7 +263,7 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
     F_r and spans such a space.  The search runs depth first and skips
     every x already in the span of its prefix, since every extension of
     a dependent prefix is dependent too; the first hit is the same.  The
-    shape is checked by ``counting.check_shape``.  From q = 16 on a class
+    shape is checked by ``numtheory.check_shape``.  From q = 16 on a class
     can hold several conjugacy classes: the count routes check only this
     member of one of them, and a test checks a member of each other one.
     """

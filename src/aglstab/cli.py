@@ -23,7 +23,7 @@ import json
 import sys
 from functools import lru_cache
 
-from . import agl, counting, designs, oracle
+from . import agl, counting, designs, numtheory, oracle
 from .counting import CSV_COLUMNS, ClassParams
 from .ffield import Field, mask_elements
 
@@ -61,16 +61,16 @@ def _field(p: int, alpha: int) -> Field:
 
 def _resolve_field(args) -> tuple[int, int]:
     """(p, alpha) from --p/--alpha or from --q (a prime power), admitted by
-    ``counting.check_factored``: exit 1 for a bad field, 3 for a refused one."""
+    ``numtheory.check_factored``: exit 1 for a bad field, 3 for a refused one."""
     if args.q is not None:
         if args.p is not None or args.alpha is not None:
             raise ValueError("give either --q or --p/--alpha, not both")
-        p, alpha = counting.prime_power(args.q)
+        p, alpha = numtheory.prime_power(args.q)
     elif args.p is None:
         raise ValueError("a field is required: give --q or --p (with --alpha)")
     else:
         p, alpha = args.p, 1 if args.alpha is None else args.alpha
-    counting.check_factored(p, alpha)
+    numtheory.check_factored(p, alpha)
     return p, alpha
 
 
@@ -199,6 +199,10 @@ def cmd_design(args, out) -> int:
                              f"{', '.join(mixed)}: the subset fixes the class")
         mask = _parse_subset(args.subset, q)
         oracle.check_map_scan(q)
+        if mask.bit_count() == q:
+            # every map fixes F_q: its one-block orbit is refused without
+            # scanning the q(q - 1) maps
+            designs.check_design_size(q, q * (q - 1), q)
         S = oracle.stabilizer(_field(p, alpha), mask)
     else:
         if args.k is None or args.d is None:
@@ -330,7 +334,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"aglstab: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except counting.BudgetExceededError as exc:
+    except numtheory.BudgetExceededError as exc:
         print(f"aglstab: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     finally:

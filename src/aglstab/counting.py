@@ -1,4 +1,4 @@
-"""Number-theoretic helpers and closed-form stabilizer-class counts.
+"""Closed-form stabilizer-class counts and the tables built from them.
 
 The group of affine maps x -> a*x + b (a != 0) acts on F_q, q = p**alpha.
 Every subgroup is generated by one map together with translations by an
@@ -37,188 +37,25 @@ k == 0 or p**beta (mod d*p**beta), stated as a ``period`` and its
 Everything is exact integer arithmetic; no floating point is used
 anywhere in this module.
 
-Validity is decided here, once per rule: ``check_field`` (p prime, alpha
->= 1), ``check_subset_size`` (0 <= k <= q), ``check_divisor`` (d | q - 1)
-and ``check_shape`` (that rule, i | alpha/o_d(p), j in the range i
-allows); the last two return o_d(p).  ``ClassParams`` runs the shape rule
-once, and ``classes`` builds only the triples it accepts.  Only this module
-uses sympy.  ``prime_set`` holds the one bounded factoring rule.  The
-admission of a field, ``check_factored``, runs ``check_field``, then that
-rule on q - 1, then refuses a q - 1 with over MAX_TABLE_ROWS/2 divisors,
-before any command or lister works.  ``count_N`` at k refuses a class only
-where gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
-
-Primality and small factorizations are decided in plain ints first, so
-a count on a field below 2**20 reaches no sympy code.  ``_is_prime``
-trial-divides by the primes up to 13 and then runs Miller-Rabin with the
-least prefix of the prime bases up to 41 that is proven exact below n
-(see ``_MILLER_RABIN_TIERS``), which covers every n below
-3,317,044,064,679,887,385,961,981 (about 3.3e24); sympy's ``isprime``
-decides only the larger n.  ``_trial_factorization`` divides by the
-primes below 1024 and is kept when the cofactor left is 1 or prime;
-sympy's ``factorint`` runs only on a u whose cofactor is composite, and
-it alone decides what is refused.  ``prime_power`` still finds integer
-roots with sympy's ``perfect_power``.
+The number theory, from primality to the admission of a field, lives in
+:mod:`aglstab.numtheory`; this module adds the one rule of its own,
+``check_subset_size`` (0 <= k <= q).  ``ClassParams`` runs the field
+rule, then that rule, then the shape rule, each once, and ``classes``
+builds only the triples the shape rule accepts, over the divisors of an
+admitted field.  ``count_N`` at k refuses a class only where
+gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
 """
 
 from __future__ import annotations
 
 import math
 
-from sympy import factorint, isprime, perfect_power
+# perfbench's wrap list (spans.FUNCTIONS) also reaches mult_order here
+from .numtheory import (MAX_TABLE_ROWS, BudgetExceededError, check_field,
+                        check_shape, divisor_orders, mult_order, prime_set)
 
 #: column order of the emitted tables
 CSV_COLUMNS = ("k", "d", "odp", "i", "j", "beta", "N")
-
-#: most table rows, and twice the most divisors ``check_factored`` admits
-MAX_TABLE_ROWS = 10_000_000
-#: ``prime_set`` refuses a larger number outright
-MAX_FACTORED_Q = 1 << 2048
-#: factorint's trial-division bound; a number it leaves composite is refused
-FACTOR_LIMIT = 10 ** 5
-#: (bound, bases): the least strong pseudoprime to all of ``bases`` is
-#: ``bound``, so Miller-Rabin with them decides every n < bound with no
-#: prime factor up to 13; one tier for each prefix of the prime bases that
-#: moves the bound (Pomerance, Selfridge and Wagstaff 1980 up to 7;
-#: Jaeschke 1993 up to 17; Jiang and Deng 2014 for 23; Sorenson and
-#: Webster 2017 for 37 and 41)
-_MILLER_RABIN_TIERS = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461,
-     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3_317_044_064_679_887_385_961_981,
-     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation would exceed its configured budget."""
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n is prime: trial division by the primes up to 13, then
-    Miller-Rabin with the bases of the first ``_MILLER_RABIN_TIERS`` tier
-    whose bound exceeds n.  sympy's ``isprime`` decides only an n past the
-    last bound."""
-    if n < 2:
-        return False
-    for r in (2, 3, 5, 7, 11, 13):
-        if n % r == 0:
-            return n == r
-    if n < 17 * 17:
-        return True
-    for bound, bases in _MILLER_RABIN_TIERS:
-        if n < bound:
-            break
-    else:
-        return bool(isprime(n))
-    # n - 1 = odd * 2**s, and no base is a multiple of n
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    odd, last = (n - 1) >> s, n - 1
-    for a in bases:
-        x = pow(a, odd, n)
-        if x == 1 or x == last:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == last:
-                break
-        else:
-            return False
-    return True
-
-
-#: the trial divisors of ``_trial_factorization``: the primes below 1024,
-#: so a cofactor below 1024**2 left without a divisor among them is prime
-_SMALL_PRIMES = tuple(n for n in range(1024) if _is_prime(n))
-
-
-def prime_set(u: int) -> tuple[int, ...]:
-    """Distinct prime divisors of u in ascending order; empty for u = 1.
-    Refuses (``BudgetExceededError``) a u above MAX_FACTORED_Q, or one that
-    ``factorint(u, limit=FACTOR_LIMIT)`` leaves with a composite factor.
-    A u that is a product of primes below 1024 and at most one larger
-    prime is factored in plain ints, with no sympy call (see
-    ``_factorization``); every such u is one that factorint factors too."""
-    return tuple(_factorization(u))
-
-
-def _factorization(u: int) -> dict[int, int]:
-    """u as {prime: exponent}, primes ascending, under the rule of
-    ``prime_set``; ``check_factored`` reads its exponents off this one
-    pass.  ``_trial_factorization`` decides first; factorint runs on u only
-    where it leaves a composite cofactor, and a u that factorint leaves
-    with a factor ``_is_prime`` rejects is refused.  Past the cap neither
-    runs."""
-    if u <= 0:
-        raise ValueError(f"expected a positive integer, got {u}")
-    factors = None      # past the cap, neither factorint nor isprime runs
-    if u <= MAX_FACTORED_Q:
-        factors = _trial_factorization(u)
-        if factors is not None:
-            return factors
-        try:
-            factors = factorint(u, limit=FACTOR_LIMIT)
-        except ValueError:  # sympy 1.14 raises on some, such as 3^1292 - 1
-            pass
-    if factors is None or not all(map(_is_prime, factors)):
-        raise BudgetExceededError(
-            f"a {u.bit_length()}-bit number is refused: it must be at most "
-            f"2^2048 and factor completely within factorint's limit of "
-            f"{FACTOR_LIMIT}")
-    return dict(sorted(factors.items()))
-
-
-def _trial_factorization(u: int) -> dict[int, int] | None:
-    """u as {prime: exponent}, primes ascending, by trial division by
-    ``_SMALL_PRIMES`` while r**2 <= the cofactor; None where the cofactor
-    left is composite.  The cofactor is prime when the division stops
-    early, when it is below 1024**2, or when ``_is_prime`` accepts it."""
-    factors, rest = {}, u
-    for r in _SMALL_PRIMES:
-        if r * r > rest:
-            break
-        if rest % r == 0:
-            e = 0
-            while rest % r == 0:
-                rest //= r
-                e += 1
-            factors[r] = e
-    else:
-        if rest >= 1024 ** 2 and not _is_prime(rest):
-            return None
-    if rest > 1:
-        factors[rest] = 1
-    return factors
-
-
-def mult_order(v: int, u: int) -> int:
-    """Least m >= 1 with v**m == 1 (mod u).  The order modulo 1 is 1.
-
-    A plain loop whose cost is the order itself.  The library asks only
-    for orders that divide alpha: o_u(p) with u | p**alpha - 1, and, to
-    extend a known order o = o_w(p) to a multiple u of w, the order of
-    p**o modulo u, which is o_u(p)/o (see ``divisor_orders`` and
-    ``StabilizerClass.terms``).
-    """
-    if u <= 0:
-        raise ValueError(f"modulus must be positive, got {u}")
-    if u == 1:
-        return 1
-    if math.gcd(u, v) != 1:
-        raise ValueError(f"{v} is not a unit modulo {u}")
-    m, x = 1, v % u
-    while x != 1:
-        x = x * v % u
-        m += 1
-    return m
 
 
 def s_qk(q: int, k: int, u: int, v: int) -> int:
@@ -251,102 +88,10 @@ def evaluate_terms(q: int, k: int,
     return sum(c * s_qk(q, k, u, v) for c, u, v in terms)
 
 
-def check_field(p: int, alpha: int) -> None:
-    """The field rule: F_{p**alpha} exists iff p is prime and alpha >= 1."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, alpha) with q = p**alpha and p prime, else ValueError; no
-    factoring, which can run for minutes on a large semiprime."""
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    p, alpha = map(int, perfect_power(q) or (q, 1))
-    if not _is_prime(p):
-        raise ValueError(f"q must be a prime power, got {q}")
-    return p, alpha
-
-
 def check_subset_size(q: int, k: int) -> None:
     """The subset-size rule: a subset of F_q has 0 <= k <= q elements."""
     if not 0 <= k <= q:
         raise ValueError(f"k must lie in [0, {q}], got {k}")
-
-
-def check_factored(p: int, alpha: int) -> dict[int, int]:
-    """The admission of a field F_{p**alpha}: ``check_field``, the
-    factoring rule, that ``prime_set`` accepts q - 1, and the divisor
-    bound, that q - 1 has at most MAX_TABLE_ROWS/2 divisors, each with two
-    classes (d, alpha/o_d(p), 0 or 1).  alpha > 2048 is past the cap
-    without computing q.  Returns q - 1 as {prime: exponent}."""
-    check_field(p, alpha)
-    u = MAX_FACTORED_Q + 1 if alpha > 2048 else p ** alpha - 1
-    try:
-        factors = _factorization(u)
-    except BudgetExceededError:
-        raise BudgetExceededError(
-            f"q = {p}^{alpha} is refused: q must be at most 2^2048, and "
-            f"q - 1 must factor completely within factorint's limit of "
-            f"{FACTOR_LIMIT}") from None
-    least = 2 * math.prod(e + 1 for e in factors.values())
-    if least > MAX_TABLE_ROWS:
-        raise BudgetExceededError(
-            f"q = {p ** alpha} has at least {least} stabilizer classes, two "
-            f"for each divisor of q - 1, over the limit of {MAX_TABLE_ROWS}")
-    return factors
-
-
-def divisor_orders(p: int, alpha: int) -> list[tuple[int, int]]:
-    """(d, o_d(p)) for d ascending over the divisors of q - 1, listed once
-    ``check_factored`` admits the field, divisor bound included.
-
-    o_d(p) is the lcm of o_{r**t}(p) over the prime powers r**t exactly
-    dividing d, and each of those is found once, from the one before it:
-    o_{r**t}(p) = o * (order of p**o mod r**t), o = o_{r**(t-1)}(p).
-    """
-    divs = [(1, 1)]
-    for r, e in check_factored(p, alpha).items():
-        orders, o = [1], 1
-        for t in range(1, e + 1):
-            o *= mult_order(pow(p, o, r ** t), r ** t)
-            orders.append(o)
-        divs = [(x * r ** t, math.lcm(m, orders[t]))
-                for x, m in divs for t in range(e + 1)]
-    return sorted(divs)
-
-
-def check_divisor(p: int, alpha: int, d: int) -> int:
-    """The divisor rule for the multiplicative part of a valid field
-    F_{p**alpha}: d divides q - 1.  Returns o_d(p), the degree of the least
-    subfield holding the multipliers of order d."""
-    q = p ** alpha
-    if d < 1 or (q - 1) % d:
-        raise ValueError(f"d must divide q - 1 = {q - 1}, got {d}")
-    return mult_order(p, d)
-
-
-def check_shape(p: int, alpha: int, d: int, i: int, j: int) -> int:
-    """The shape rule for a class (d, i, j) of a valid field F_{p**alpha};
-    returns o_d(p).
-
-    d divides q - 1 (``check_divisor``); i divides alpha/o_d(p); j is 0 or
-    1 when i = alpha/o_d(p), and 0 < j < alpha/(o_d(p)*i) otherwise.
-    """
-    odp = check_divisor(p, alpha, d)
-    top = alpha // odp
-    if i < 1 or alpha % (odp * i):
-        raise ValueError(f"i must divide alpha/o_d(p) = {top}, got {i}")
-    if i == top:
-        if j not in (0, 1):
-            raise ValueError(
-                f"j must be 0 or 1 when i = alpha/o_d(p), got {j}")
-    elif not 0 < j < top // i:
-        raise ValueError(f"j must satisfy 0 < j < {top // i} "
-                         f"when i < alpha/o_d(p), got {j}")
-    return odp
 
 
 def _moebius_weights(n: int, base: int):

@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .agl import Subgroup
-from .counting import BudgetExceededError, ClassParams, count_N
+from .counting import ClassParams, count_N
 from .ffield import mask_bits, mask_elements, subset_mask, translate_masks
+from .numtheory import BudgetExceededError
 
 #: most codeword bits (b*q) of one design; the slowest design measured
 #: under it, q = 128 with |S| = 1 and k = 120 (2,080,768 bits), takes

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 
-from .counting import check_field, prime_set
+from .numtheory import check_field, prime_set
 
 #: largest field backed by exp/log tables
 MAX_Q = 1 << 16

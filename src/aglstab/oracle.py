@@ -54,8 +54,9 @@ from functools import lru_cache
 from . import ffield
 from .agl import (JoinTable, Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_pairs)
-from .counting import BudgetExceededError, check_subset_size, evaluate_terms
+from .counting import check_subset_size, evaluate_terms
 from .ffield import Field
+from .numtheory import BudgetExceededError
 
 DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000

@@ -1,11 +1,11 @@
-"""Compare the plain primality test and factorization of ``counting`` with
+"""Compare the plain primality test and factorization of ``numtheory`` with
 sympy: every n < 2**20, then a seeded sample of shapes up to 2**90; then
-pin which fields ``counting.check_factored`` admits.
+pin which fields ``numtheory.check_factored`` admits.
 
     PYTHONPATH=src python tests/primality_sweep.py
 
-``counting._is_prime(n)`` must equal ``sympy.isprime(n)``.
-``counting._factorization(n)`` must equal ``sympy.factorint(n)`` below
+``numtheory._is_prime(n)`` must equal ``sympy.isprime(n)``.
+``numtheory._factorization(n)`` must equal ``sympy.factorint(n)`` below
 2**20, where every n factors plainly, and above it must give what the
 bounded rule alone gives: ``factorint(n, limit=FACTOR_LIMIT)`` with every
 factor prime, or a refusal.  ``check_factored(p, alpha)`` must refuse
@@ -22,8 +22,8 @@ import sys
 
 import sympy
 
-from aglstab import counting
-from aglstab.counting import BudgetExceededError, FACTOR_LIMIT
+from aglstab import numtheory
+from aglstab.numtheory import BudgetExceededError, FACTOR_LIMIT
 
 PLAIN_BITS = 20
 SAMPLE_BITS = 90
@@ -63,7 +63,7 @@ def bounded_rule(n: int):
 
 def plain_or_refused(n: int):
     try:
-        return counting._factorization(n)
+        return numtheory._factorization(n)
     except BudgetExceededError:
         return None
 
@@ -101,10 +101,10 @@ def sample(rng: random.Random, bits: int, hard: bool) -> list[int]:
 
 def main() -> None:
     for n in range(1, 2 ** PLAIN_BITS):
-        got, want = counting._is_prime(n), sympy.isprime(n)
+        got, want = numtheory._is_prime(n), sympy.isprime(n)
         if got != want:
             fail("_is_prime", n, got, want)
-        got, want = counting._factorization(n), sympy.factorint(n)
+        got, want = numtheory._factorization(n), sympy.factorint(n)
         if got != want:
             fail("_factorization", n, got, want)
     print(f"every n < 2^{PLAIN_BITS} agrees")
@@ -113,7 +113,7 @@ def main() -> None:
     for bits in range(PLAIN_BITS + 1, SAMPLE_BITS + 1):
         for round in range(4):
             for n in sample(rng, bits, hard=round == 0):
-                got, want = counting._is_prime(n), sympy.isprime(n)
+                got, want = numtheory._is_prime(n), sympy.isprime(n)
                 if got != want:
                     fail("_is_prime", n, got, want)
                 got, want = plain_or_refused(n), bounded_rule(n)
@@ -126,7 +126,7 @@ def main() -> None:
     for p, top in ADMISSION_TOPS:
         for alpha in range(1, top + 1):
             try:
-                counting.check_factored(p, alpha)
+                numtheory.check_factored(p, alpha)
             except BudgetExceededError:
                 refused.append((p, alpha))
     if tuple(refused) != REFUSED:

@@ -57,10 +57,10 @@ from sympy import factorint, mobius
 from aglstab import ffield, oracle
 from aglstab.agl import (Subgroup, immediate_supergroups, join_pair,
                          subgroup_from_pairs)
-from aglstab.counting import (BudgetExceededError, check_subset_size,
-                              classes, divisor_orders, evaluate_terms,
-                              mult_order, prime_set)
+from aglstab.counting import check_subset_size, classes, evaluate_terms
 from aglstab.ffield import Field, Subspace, mask_elements, span, zero_subspace
+from aglstab.numtheory import (BudgetExceededError, divisor_orders,
+                               mult_order, prime_set)
 from aglstab.oracle import stabilizer
 
 #: largest q that ``all_subgroups`` enumerates

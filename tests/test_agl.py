@@ -19,10 +19,10 @@ from sympy import divisors, primerange
 import aglstab
 from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join, join_pair)
-from aglstab.counting import (ClassParams, check_shape, class_shapes,
-                              mult_order, s_qk)
+from aglstab.counting import ClassParams, class_shapes, s_qk
 from aglstab.ffield import (Field, Subspace, mask_elements, span,
                             zero_subspace)
+from aglstab.numtheory import check_shape, mult_order
 from reference import (AffineMap, all_subgroups, canonicalize, full_group,
                        full_subspace, mulclose, prime_powers,
                        subgroup_elements, trivial_subgroup)

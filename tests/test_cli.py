@@ -11,11 +11,12 @@ import sys
 
 import pytest
 
-from aglstab import agl, cli, counting, designs, oracle
+from aglstab import agl, cli, counting, designs, numtheory, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, VERIFY_COLUMNS,
                          _emit_rows, _resolve_field, _verify_class,
                          build_parser, main)
-from aglstab.counting import CSV_COLUMNS, FACTOR_LIMIT, MAX_FACTORED_Q
+from aglstab.counting import CSV_COLUMNS
+from aglstab.numtheory import FACTOR_LIMIT, MAX_FACTORED_Q
 from aglstab.ffield import Field, mask_elements, subset_mask
 from reference import csv_writer_rows, design_record, run_python, text_rows
 
@@ -90,6 +91,49 @@ def test_semiprime_q_exits_1_without_factoring():
     assert (proc.stdout, proc.stderr) == (
         "", f"aglstab: error: q must be a prime power, got {SEMIPRIME}\n")
     assert seconds < 10
+
+
+def test_q_of_3001_digits_exits_1_at_once():
+    # 17 divides 10**3000 + 1, so it is a prime power only as a power of 17
+    q = 10 ** 3000 + 1
+    proc, seconds = run_process("table", "--q", str(q))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_INPUT, "", f"aglstab: error: q must be a prime power, got {q}\n")
+    assert seconds < 5
+
+
+#: commands whose every number plain ints decide, CI's --subset design
+#: last
+SYMPY_FREE = [
+    ("count", "--q", "1009", "--k", "2", "--d", "1", "--i", "1", "--j", "0"),
+    ("table", "--q", "1024", "--format", "csv"),
+    ("verify", "--q", "16", "--format", "csv"),
+    ("design", "--q", "64", "--k", "21", "--d", "21", "--format", "json"),
+    ("design", "--q", "64", "--subset", "0,1,2,3,5,7,8,11,13,21,34,55",
+     "--format", "json"),
+]
+
+
+def test_commands_run_with_sympy_blocked(capsys):
+    # the library imports sympy only in the fallbacks past plain ints; a
+    # None in sys.modules makes any import of it raise ImportError
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from aglstab.cli import main\n"
+        "runs = []\n"
+        f"for argv in {SYMPY_FREE!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([main(list(argv)), out.getvalue()])\n"
+        "loaded = [m for m in sys.modules if m.startswith('sympy.')]\n"
+        "json.dump({'runs': runs, 'loaded': loaded}, sys.stdout)\n")
+    proc, _ = run_python("-c", script)
+    assert proc.stderr == ""
+    blocked = json.loads(proc.stdout)
+    assert blocked["loaded"] == []
+    assert blocked["runs"] == [[EXIT_OK, run(capsys, *argv)[1]]
+                               for argv in SYMPY_FREE]
 
 
 def test_table_past_the_row_limit_exits_3_at_once():
@@ -195,7 +239,8 @@ def test_the_cli_admits_the_field_before_any_library_work(capsys,
 
         monkeypatch.setattr(module, name, recorded)
 
-    for name in ("check_factored", "classes", "build_table"):
+    record(numtheory, "check_factored")
+    for name in ("classes", "build_table"):
         record(counting, name)
     record(cli, "ClassParams")
     assert run(capsys, *argv)[0] == EXIT_OK
@@ -414,7 +459,7 @@ def reference_design_json(F, S, mask):
 
 @pytest.mark.parametrize("q", [7, 8, 9, 16, 25, 27, 32])
 def test_design_json_equals_json_dumps_of_the_reference_record(capsys, q):
-    p, alpha = counting.prime_power(q)
+    p, alpha = numtheory.prime_power(q)
     F = Field(p, alpha)
     rng = random.Random(q)
     for k in sorted({2, max(3, q // 4), q // 2, q - 2}):
@@ -887,6 +932,37 @@ def test_degenerate_k_at_q4096_exits_1_at_once():
             EXIT_INPUT, "", f"aglstab: error: {message}\n")
 
 
+FULL_SET_REFUSAL = ("aglstab: error: the full point set gives a degenerate "
+                    "single-block orbit\n")
+
+
+@pytest.mark.parametrize("q", [9, 64])
+def test_full_subset_is_refused_before_the_stabilizer_scan(capsys,
+                                                            monkeypatch, q):
+    def forbidden(*args):
+        raise AssertionError("the full point set reached the map scan")
+
+    monkeypatch.setattr(oracle, "fixing_maps", forbidden)
+    subset = ",".join(map(str, reversed(range(q))))
+    assert run(capsys, "design", "--q", str(q), "--subset", subset) == (
+        EXIT_INPUT, "", FULL_SET_REFUSAL)
+
+
+def test_full_subset_at_q4096_exits_1_at_once():
+    # the scan kept every one of the q(q - 1) maps: 54 s and 2,075 MiB
+    # before the refusal
+    proc, seconds = run_process("design", "--q", "4096", "--subset",
+                                ",".join(map(str, range(4096))), timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_INPUT, "", FULL_SET_REFUSAL)
+    assert seconds < 5
+    # a smaller subset still meets the size budget after its scan
+    proc, _ = run_process("design", "--q", "4096", "--subset", "0",
+                          timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_BUDGET, "", design_size_refusal(4096, 4096))
+
+
 @contextlib.contextmanager
 def any_int_digits():
     """Lift the digit limit of int <-> str (Python >= 3.10.7) for a block."""
@@ -939,7 +1015,7 @@ def writer_rows(name):
         cp = counting.ClassParams(2, 64, 1000, 1, 64, 0)
         return CSV_COLUMNS, [(cp.k, cp.d, cp.odp, cp.i, cp.j, cp.beta,
                               counting.count_N(cp))]
-    p, alpha = counting.prime_power(int(q))
+    p, alpha = numtheory.prime_power(int(q))
     if kind == "table":
         return CSV_COLUMNS, counting.build_table(p, alpha)
     # as cmd_verify builds them, with the bool ok column last

@@ -10,6 +10,7 @@ import hashlib
 import io
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,18 +19,26 @@ import sympy
 
 import aglstab
 import aglstab.oracle
-from aglstab import counting, oracle
+from aglstab import counting, numtheory, oracle
 from aglstab.agl import class_representative
 from aglstab.cli import EXIT_BUDGET, build_parser, cmd_design, main
-from aglstab.counting import (BudgetExceededError, ClassParams,
-                              StabilizerClass, build_table, check_factored,
-                              check_field, check_shape, class_shapes, classes,
-                              count_N, divisor_orders, enumerate_params,
-                              evaluate_terms, mult_order, prime_set, s_qk)
+from aglstab.counting import (ClassParams, StabilizerClass, build_table,
+                              class_shapes, classes, count_N, enumerate_params,
+                              evaluate_terms, s_qk)
 from aglstab.ffield import Field, span
+from aglstab.numtheory import (BudgetExceededError, check_factored,
+                               check_field, check_shape, divisor_orders,
+                               mult_order, prime_set)
 from reference import (all_subgroups, class_size, full_census,
                        moebius_exponent, overgroup_terms, prime_powers,
                        q_binomial, run_python, table_by_terms)
+
+
+def _forbid_sympy(monkeypatch):
+    """Make every import of sympy raise: the library imports ``isprime``
+    and ``factorint`` inside the two fallbacks that reach them, so a call
+    that reaches either raises ImportError."""
+    monkeypatch.setitem(sys.modules, "sympy", None)
 
 
 def test_prime_set():
@@ -54,11 +63,7 @@ def test_prime_set_matches_sympy_below_10_000():
 
 
 def test_prime_set_refuses_past_the_cap_without_factoring(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise RuntimeError("called past the cap")
-
-    monkeypatch.setattr(counting, "isprime", forbidden)
-    monkeypatch.setattr(counting, "factorint", forbidden)
+    _forbid_sympy(monkeypatch)
     with pytest.raises(BudgetExceededError) as refused:
         prime_set(2 ** 2048 + 1)
     assert str(refused.value) == (
@@ -99,24 +104,24 @@ def _strong_probable_prime(n, a):
 
 def test_is_prime_matches_sympy_below_100_000():
     assert [n for n in range(10 ** 5)
-            if counting._is_prime(n) != sympy.isprime(n)] == []
+            if numtheory._is_prime(n) != sympy.isprime(n)] == []
 
 
 def test_is_prime_tiers_are_the_known_bounds():
-    assert counting._MILLER_RABIN_TIERS == tuple(TIERS)
+    assert numtheory._MILLER_RABIN_TIERS == tuple(TIERS)
     for bound, bases in TIERS:
         # the least strong pseudoprime to the tier's own bases: it passes
         # all of them, so the next tier (or sympy) must reject it
         assert all(_strong_probable_prime(bound, a) for a in bases), bound
-        assert not counting._is_prime(bound), bound
+        assert not numtheory._is_prime(bound), bound
         for n in range(bound - 2, bound + 3):
-            assert counting._is_prime(n) == sympy.isprime(n), n
+            assert numtheory._is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_rejects_carmichael_numbers():
     for n in CARMICHAEL:
         assert sympy.isprime(n) is False
-        assert counting._is_prime(n) is False, n
+        assert numtheory._is_prime(n) is False, n
 
 
 @pytest.mark.parametrize("bits", [64, 80])
@@ -130,16 +135,8 @@ def test_is_prime_matches_sympy_on_a_seeded_sample(bits):
                                                   2 ** (bits // 2)))
                   for _ in range(40)]
     for n in odd + primes + semiprimes:
-        assert counting._is_prime(n) == sympy.isprime(n), n
-    assert sum(map(counting._is_prime, odd + primes)) >= len(primes)
-
-
-def _forbid_sympy(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise RuntimeError("sympy reached")
-
-    monkeypatch.setattr(counting, "isprime", forbidden)
-    monkeypatch.setattr(counting, "factorint", forbidden)
+        assert numtheory._is_prime(n) == sympy.isprime(n), n
+    assert sum(map(numtheory._is_prime, odd + primes)) >= len(primes)
 
 
 def _congruent(c, ks):
@@ -198,18 +195,79 @@ def test_a_composite_cofactor_and_a_large_n_still_reach_sympy(monkeypatch):
         def wrapper(*args, **kwargs):
             calls.append(name)
             return function(*args, **kwargs)
-        monkeypatch.setattr(counting, name, wrapper)
+        monkeypatch.setattr(sympy, name, wrapper)
 
-    recorded("factorint", counting.factorint)
-    recorded("isprime", counting.isprime)
+    # the fallbacks import each name from sympy when they reach it
+    recorded("factorint", sympy.factorint)
+    recorded("isprime", sympy.isprime)
     # 1031 * 1033 has no prime factor below 1024 and is at least 2**20
     assert prime_set(2 * 1031 * 1033) == (2, 1031, 1033)
     assert calls == ["factorint"]
     calls.clear()
     last = TIERS[-1][0]
     n = sympy.nextprime(last)
-    assert counting._is_prime(n) and not counting._is_prime(17 * n)
+    assert numtheory._is_prime(n) and not numtheory._is_prime(17 * n)
     assert calls == ["isprime", "isprime"]
+
+
+def _prime_power_by_perfect_power(q):
+    """What ``prime_power`` returned while sympy decided it: the largest e
+    with q an e-th power by ``perfect_power``, then ``_is_prime`` on the
+    base; None for a refused q."""
+    p, alpha = map(int, sympy.perfect_power(q) or (q, 1))
+    return (p, alpha) if numtheory._is_prime(p) else None
+
+
+def _prime_power_or_none(q):
+    try:
+        return numtheory.prime_power(q)
+    except ValueError as refused:
+        assert str(refused) == f"q must be a prime power, got {q}"
+        return None
+
+
+def test_prime_power_agrees_with_perfect_power_below_300_000(monkeypatch):
+    _forbid_sympy(monkeypatch)
+    got = [_prime_power_or_none(q) for q in range(2, 300_000)]
+    monkeypatch.undo()
+    assert got == [_prime_power_by_perfect_power(q)
+                   for q in range(2, 300_000)]
+
+
+@pytest.mark.parametrize("q", [
+    2 ** 2049, 3 ** 1300, (2 ** 61 - 1) ** 3, 6 ** 50, 1021 ** 204,
+    (1031 * 1033) ** 5, 1031 ** 2, 1031 ** 400, 1031 ** 399 * 1033,
+    (2 ** 89 - 1) ** 6, (2 ** 89 - 1) ** 2 * (2 ** 61 - 1) ** 2,
+    10 ** 3000 + 1], ids=[
+    "2^2049", "3^1300", "(2^61-1)^3", "6^50", "1021^204", "(1031*1033)^5",
+    "1031^2", "1031^400", "1031^399*1033", "(2^89-1)^6",
+    "(2^89-1)^2*(2^61-1)^2", "10^3000+1"])
+def test_prime_power_agrees_with_perfect_power_on_large_q(q):
+    assert _prime_power_or_none(q) == _prime_power_by_perfect_power(q)
+
+
+def test_prime_power_takes_roots_only_at_prime_exponents(monkeypatch):
+    # q has no prime factor below 1024 and is no perfect power, so every
+    # prime e with 1024**e <= q is tried once: the 78 primes below 400.
+    # A loop over every exponent took 9.9 s on a 4,000-bit q
+    q = 1031 ** 399 * 1033
+    assert q.bit_length() == 4004
+    tried = []
+    root = numtheory._exact_root
+
+    def counted(n, e):
+        tried.append(e)
+        return root(n, e)
+
+    monkeypatch.setattr(numtheory, "_exact_root", counted)
+    with pytest.raises(ValueError, match="^q must be a prime power, got "):
+        numtheory.prime_power(q)
+    assert tried == list(sympy.primerange(2, 401))
+    # a root found is tried again at the same e: 1031**400 halves four
+    # times, then takes two fifth roots
+    tried.clear()
+    assert numtheory.prime_power(1031 ** 400) == (1031, 400)
+    assert tried == [2, 2, 2, 2, 2, 3, 5, 5]
 
 
 @pytest.mark.parametrize("call,verdict", [
@@ -226,7 +284,7 @@ def test_library_refuses_what_the_cli_refuses_at_once(call, verdict):
     proc, seconds = run_python(
         "-c", f"from aglstab import counting; {call}")
     assert proc.stderr.splitlines()[-1].startswith(
-        f"aglstab.counting.BudgetExceededError: {verdict}: ")
+        f"aglstab.numtheory.BudgetExceededError: {verdict}: ")
     assert seconds < 5
 
 
@@ -244,7 +302,7 @@ def test_a_single_count_admits_no_field_but_the_cli_does(capsys):
     assert err.startswith("aglstab: budget exceeded: q = 2^1000 is refused")
 
 
-def test_only_counting_imports_sympy():
+def test_only_numtheory_imports_sympy():
     users = set()
     for path in Path(aglstab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -256,7 +314,7 @@ def test_only_counting_imports_sympy():
                 continue
             if any(name.split(".")[0] == "sympy" for name in names):
                 users.add(path.name)
-    assert users == {"counting.py"}
+    assert users == {"numtheory.py"}
 
 
 def test_mult_order():
@@ -386,6 +444,14 @@ def test_class_params_validation_order():
         ClassParams(6, 1, 99, 4, 1, 0)
 
 
+def _patch_mult_order(monkeypatch, replacement):
+    """Replace ``mult_order`` in both modules that call it, as perfbench's
+    spans wrap it: numtheory (``check_divisor``, ``divisor_orders``) and
+    counting (``StabilizerClass.terms``)."""
+    for module in (numtheory, counting):
+        monkeypatch.setattr(module, "mult_order", replacement)
+
+
 def test_class_params_computes_odp_once(monkeypatch):
     calls, shape_checks = [], []
     check = counting.check_shape
@@ -398,7 +464,7 @@ def test_class_params_computes_odp_once(monkeypatch):
         shape_checks.append(args)
         return check(*args)
 
-    monkeypatch.setattr(counting, "mult_order", counted)
+    _patch_mult_order(monkeypatch, counted)
     monkeypatch.setattr(counting, "check_shape", counted_check)
     cp = ClassParams(2, 6, 12, 3, 1, 1)
     assert (cp.odp, cp.beta) == (2, 2)
@@ -781,8 +847,8 @@ def test_table_of_too_many_divisors_raises_before_enumerating_classes(
         monkeypatch):
     # 2^180 - 1 has 6,291,456 divisors, each with two classes and a row
     # at k = 0; listing them ran for minutes
-    monkeypatch.setattr(counting, "mult_order",
-                        lambda *args: pytest.fail("enumerated the divisors"))
+    _patch_mult_order(monkeypatch,
+                      lambda *args: pytest.fail("enumerated the divisors"))
     with pytest.raises(BudgetExceededError,
                        match=f"^q = {2 ** 180} has at least 12582912 "
                              "stabilizer classes, two for each divisor of "
@@ -808,7 +874,7 @@ def test_every_table_has_two_rows_per_divisor_at_least(monkeypatch, p,
     rows = len(build_table(p, alpha, 0))
     least = 2 * len(sympy.divisors(p ** alpha - 1))
     assert rows >= least
-    monkeypatch.setattr(counting, "MAX_TABLE_ROWS", least - 1)
+    monkeypatch.setattr(numtheory, "MAX_TABLE_ROWS", least - 1)
     with pytest.raises(BudgetExceededError, match=f"has at least {least} "):
         build_table(p, alpha, 0)
 
@@ -909,7 +975,7 @@ def test_count_N_walks_only_contributing_overgroups(monkeypatch, args, kept,
         evaluated.append(terms)
         return evaluate(q, k, terms)
 
-    monkeypatch.setattr(counting, "mult_order", counted_order)
+    _patch_mult_order(monkeypatch, counted_order)
     monkeypatch.setattr(counting, "evaluate_terms", counted_evaluate)
     count_N(cp)
     # the one overgroup with P nonempty; u = d reuses o_d(p)
@@ -919,13 +985,13 @@ def test_count_N_walks_only_contributing_overgroups(monkeypatch, args, kept,
 
 def test_build_table_admits_the_field_once(monkeypatch):
     admitted = []
-    check = counting.check_factored
+    check = numtheory.check_factored
 
     def counted(*args):
         admitted.append(args)
         return check(*args)
 
-    monkeypatch.setattr(counting, "check_factored", counted)
+    monkeypatch.setattr(numtheory, "check_factored", counted)
     build_table(2, 6)
     assert admitted == [(2, 6)]
 
@@ -940,13 +1006,13 @@ LISTER_IDS = ["divisor_orders", "classes", "class_shapes", "enumerate_params",
 @pytest.mark.parametrize("lister", LISTERS, ids=LISTER_IDS)
 def test_every_lister_admits_the_field_once(monkeypatch, lister):
     admitted = []
-    check = counting.check_factored
+    check = numtheory.check_factored
 
     def counted(*args):
         admitted.append(args)
         return check(*args)
 
-    monkeypatch.setattr(counting, "check_factored", counted)
+    monkeypatch.setattr(numtheory, "check_factored", counted)
     lister(2, 6)
     assert admitted == [(2, 6)]
 
@@ -955,8 +1021,8 @@ def test_every_lister_admits_the_field_once(monkeypatch, lister):
 def test_every_lister_refuses_too_many_divisors_before_listing_them(
         monkeypatch, lister):
     # 2^180 - 1 has 6,291,456 divisors
-    monkeypatch.setattr(counting, "mult_order",
-                        lambda *args: pytest.fail("enumerated the divisors"))
+    _patch_mult_order(monkeypatch,
+                      lambda *args: pytest.fail("enumerated the divisors"))
     with pytest.raises(BudgetExceededError) as refused:
         lister(2, 180)
     assert str(refused.value) == (
@@ -976,7 +1042,7 @@ def test_count_N_finds_each_prime_order_once(monkeypatch):
         calls.append((v, u))
         return mult_order(v, u)
 
-    monkeypatch.setattr(counting, "mult_order", counted)
+    _patch_mult_order(monkeypatch, counted)
     count_N(cp)
     assert sorted(u for _, u in calls) == [485 * r for r in primes]
     assert len(cp.terms()) == 2 ** 7

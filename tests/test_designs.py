@@ -9,13 +9,13 @@ import pytest
 
 from aglstab import designs
 from aglstab.agl import class_representative
-from aglstab.counting import (BudgetExceededError, ClassParams,
-                              class_shapes, count_N)
+from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
                              a2_determinations, blocks_as_text, design_json,
                              design_to_code, johnson_check, johnson_fraction,
                              orbit_design)
 from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
+from aglstab.numtheory import BudgetExceededError
 from aglstab.oracle import exact_orbit_unions, stabilizer
 from reference import (assert_lines, prime_powers, reference_incidence,
                        reference_orbit_blocks, trivial_subgroup)

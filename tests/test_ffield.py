@@ -14,10 +14,11 @@ import aglstab.agl
 import aglstab.cli
 import aglstab.counting
 import aglstab.ffield
+import aglstab.numtheory
 import aglstab.oracle
-from aglstab.counting import prime_set
 from aglstab.ffield import (Field, Subspace, _Ring, lines_of_quotient,
                             mask_elements, span, zero_subspace)
+from aglstab.numtheory import prime_set
 from reference import (all_subgroups, all_subspaces, assert_lines, digits,
                        element, full_subspace, prime_powers, reference_add,
                        reference_echelon, reference_neg, reference_reduce,
@@ -503,8 +504,8 @@ def test_stabilizing_degree_is_memoized_per_basis(monkeypatch):
 
 def test_field_checks_are_raises_not_asserts():
     # python -O strips assert statements; the checks must survive it
-    for module in (aglstab.ffield, aglstab.agl, aglstab.counting,
-                   aglstab.cli):
+    for module in (aglstab.ffield, aglstab.agl, aglstab.numtheory,
+                   aglstab.counting, aglstab.cli):
         assert assert_lines(module) == [], module.__name__
 
 

@@ -135,7 +135,7 @@ def test_bruteforce_table_pass_refuses_q_8192_at_once():
         "oracle.count_N_bruteforce("
         "agl.class_representative(Field(2, 13), 1, 1, 9), 512)"))
     assert proc.stderr.splitlines()[-1] == (
-        "aglstab.counting.BudgetExceededError: map scan needs q <= 4096, "
+        "aglstab.numtheory.BudgetExceededError: map scan needs q <= 4096, "
         "got q = 8192")
     assert seconds < 5
 

@@ -1,4 +1,4 @@
-"""The library holds no test-only code.
+"""The library holds no test-only code, and its layers import in order.
 
 Every public module-level function, class and constant of
 ``src/aglstab`` is reached from the library itself or named by
@@ -8,6 +8,10 @@ itself reached refers to it: statements that bind no name (imports, the
 names, as a string in its wrap list or as ``module.name`` in its
 workloads.  ``__init__.py`` only re-exports, so it reaches nothing.
 Code that only the tests call lives in ``tests/reference.py``.
+
+``numtheory`` imports no other library module, ``ffield`` and ``agl``
+reach it without the closed form in ``counting``, and no module imports
+sympy when it is itself imported.
 """
 
 import ast
@@ -96,3 +100,45 @@ def test_every_public_name_is_reached_by_the_library_or_perfbench():
                 grew = True
     assert sorted(public - reached) == []
 
+
+
+
+def imports(module: str, at_import: bool = False) -> set[str]:
+    """The modules that a library module imports, a relative import named
+    by its module within the package (``from . import x`` by ``x``).  With
+    ``at_import``, only the imports that run when the module is imported:
+    none inside a function body."""
+    nodes, out = [ast.parse((SRC / f"{module}.py").read_text())], set()
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and not node.module:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module)
+        nodes.extend(child for child in ast.iter_child_nodes(node)
+                     if not (at_import and isinstance(
+                         child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda))))
+    return out
+
+
+def test_the_field_and_group_layers_import_no_closed_form():
+    # ffield and agl reach the number theory without the closed form
+    assert "counting" not in imports("ffield") | imports("agl")
+    assert "numtheory" in imports("ffield") & imports("agl")
+
+
+def test_numtheory_imports_no_other_library_module():
+    assert [name for name in imports("numtheory")
+            if name in MODULES or name.split(".")[0] == "aglstab"] == []
+
+
+def test_no_library_module_imports_sympy_when_it_is_imported():
+    # sympy is imported only inside the fallbacks that reach it, so a
+    # command whose numbers plain ints decide never loads it
+    assert sorted(module for module in MODULES
+                  if any(name.split(".")[0] == "sympy"
+                         for name in imports(module, at_import=True))) == []
