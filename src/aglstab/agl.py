@@ -24,7 +24,8 @@ import functools
 import math
 from collections import Counter
 
-from .ffield import Field, Subspace, lines_of_quotient, span, zero_subspace
+from .ffield import (Field, Subspace, lines_of_quotient, mask_elements, span,
+                     zero_subspace)
 from .numtheory import check_divisor, check_shape, prime_set
 
 
@@ -125,23 +126,21 @@ class Subgroup:
 # constructors
 
 
-def subgroup_from_pairs(field: Field, pairs) -> Subgroup:
-    """Canonical descriptor for a subgroup given as a closed set of (a, b)."""
-    pairs = set(pairs)
-    n = len(pairs)
-    h_els = sorted(b for a, b in pairs if a == 1)
+def subgroup_from_masks(field: Field, masks: dict[int, int]) -> Subgroup:
+    """Canonical descriptor for a subgroup given as {a: mask of the b
+    with (a, b) in it}, one entry per multiplier a that it holds."""
+    h_els = mask_elements(masks.get(1, 0))
     H = Subspace(field, h_els)
     if H.size != len(h_els):
         raise ValueError(f"the {len(h_els)} translations do not form a subspace")
+    n = sum(m.bit_count() for m in masks.values())
     d, rem = divmod(n, len(h_els))
-    if rem or (field.q - 1) % d:
+    # the generator's b form one coset b + H: any of them reduces alike
+    a0_mask = masks.get(field.pow(field.gamma, (field.q - 1) // d), 0)
+    if rem or (field.q - 1) % d or not a0_mask:
         raise ValueError(f"{n} maps over {len(h_els)} translations do not "
                          f"form a subgroup")
-    if d == 1:
-        return Subgroup(field, 1, 0, H)
-    a0 = field.pow(field.gamma, (field.q - 1) // d)
-    b0 = min(b for a, b in pairs if a == a0)
-    return Subgroup(field, d, b0, H)
+    return Subgroup(field, d, a0_mask.bit_length() - 1, H)
 
 
 # ---------------------------------------------------------------------------

@@ -192,17 +192,13 @@ def cmd_design(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
     if args.subset is not None:
-        mixed = [f"--{name}" for name in ("k", "d", "i", "j")
-                 if getattr(args, name) is not None]
+        mixed = [f"--{name}" for name in ("k", "d", "i", "j", "oracle-budget")
+                 if getattr(args, name.replace("-", "_")) is not None]
         if mixed:
             raise ValueError("--subset cannot be combined with "
                              f"{', '.join(mixed)}: the subset fixes the class")
         mask = _parse_subset(args.subset, q)
         oracle.check_map_scan(q)
-        if mask.bit_count() == q:
-            # every map fixes F_q: its one-block orbit is refused without
-            # scanning the q(q - 1) maps
-            designs.check_design_size(q, q * (q - 1), q)
         S = oracle.stabilizer(_field(p, alpha), mask)
     else:
         if args.k is None or args.d is None:
@@ -228,8 +224,8 @@ def cmd_design(args, out) -> int:
         designs.check_design_size(q, chosen.period, args.k)
         S = agl.class_representative(_field(p, alpha), chosen.d, chosen.i,
                                      chosen.j)
-        mask = next(oracle.exact_orbit_unions(S, args.k, args.oracle_budget),
-                    None)
+        budget = args.oracle_budget or oracle.DEFAULT_SUBSET_BUDGET
+        mask = next(oracle.exact_orbit_unions(S, args.k, budget), None)
         if mask is None:
             raise RuntimeError(
                 "a witness subset must exist when the count is positive")
@@ -313,10 +309,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--j", type=int, help="stabilizer class index j")
     sp.add_argument("--subset",
                     help="explicit base subset, comma-separated distinct "
-                         "elements; not with --k, --d, --i or --j")
+                         "elements; not with --k, --d, --i, --j or "
+                         "--oracle-budget")
     sp.add_argument("--oracle-budget", type=_budget,
-                    default=oracle.DEFAULT_SUBSET_BUDGET,
-                    help="max subsets scanned while hunting a witness")
+                    help="max subsets scanned while hunting a witness "
+                         f"(default {oracle.DEFAULT_SUBSET_BUDGET})")
     sp.set_defaults(func=cmd_design)
     return parser
 

@@ -12,6 +12,8 @@ as such masks, which every route reads as they are.
   ``ffield.translate_masks`` builds the q masks ``shifts[z] = {b : z + b
   in B}``, and for each multiplier a the AND of ``shifts[a*x]`` over x in
   B holds exactly the b with a*B + b = B, so every map is still decided.
+  The scan yields that AND, one mask per multiplier, and runs over the
+  smaller of B and its complement, which have the same fixing maps.
   Every scan over all maps, and ``aglstab verify`` and ``design`` before
   they build the field, check the cap q <= DEFAULT_STABILIZER_LIMIT with
   ``check_map_scan``.
@@ -53,7 +55,7 @@ from functools import lru_cache
 
 from . import ffield
 from .agl import (JoinTable, Subgroup, immediate_supergroups, join_pair,
-                  subgroup_from_pairs)
+                  subgroup_from_masks)
 from .counting import check_subset_size, evaluate_terms
 from .ffield import Field
 from .numtheory import BudgetExceededError
@@ -72,19 +74,22 @@ def check_map_scan(q: int) -> int:
 
 
 def fixing_maps(field: Field, mask: int):
-    """Every (a, b) with a != 0 whose map x -> a*x + b fixes the masked
-    subset setwise, in increasing (a, b) order.
+    """(a, hits) for each multiplier a != 0, in increasing order, whose
+    mask ``hits`` of the b with a*B + b = B is nonzero.
 
     All q*(q-1) maps are tested, the q translations of one multiplier at
     once: bit b of AND over x in B of shifts[a*x] is set iff a*x + b lies
-    in B for every x in B.  q is capped by DEFAULT_STABILIZER_LIMIT,
-    checked before the first map is tested.
+    in B for every x in B.  A bijection fixes B iff it fixes the
+    complement, the side scanned where |B| > q/2.  q is capped by
+    DEFAULT_STABILIZER_LIMIT, checked before the first map is tested.
     """
     q = check_map_scan(field.q)
+    full = (1 << q) - 1
+    if 2 * mask.bit_count() > q:
+        mask ^= full
     elems = ffield.mask_elements(mask)
     shifts = ffield.translate_masks(field, mask)
     mul = field.mul
-    full = (1 << q) - 1
     for a in range(1, q):
         hits = full
         for x in elems:
@@ -92,15 +97,14 @@ def fixing_maps(field: Field, mask: int):
             if not hits:
                 break
         if hits:
-            for b in ffield.mask_elements(hits):
-                yield a, b
+            yield a, hits
 
 
 def stabilizer(field: Field, mask: int) -> Subgroup:
     """Canonical descriptor of the setwise stabilizer of a subset,
     computed by testing every affine map with ``fixing_maps``, which caps
     q."""
-    return subgroup_from_pairs(field, fixing_maps(field, mask))
+    return subgroup_from_masks(field, dict(fixing_maps(field, mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +151,11 @@ def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
 
     Only meaningful when the subset is a union of S-orbits: its
     stabilizer then contains S, so it equals S iff it has |S| maps.  The
-    scan stops at the first map past |S|.
+    scan stops at the first multiplier that takes the count past |S|.
     """
     found = 0
-    for _ in fixing_maps(S.field, mask):
-        found += 1
+    for _, hits in fixing_maps(S.field, mask):
+        found += hits.bit_count()
         if found > S.order:
             return False
     return found == S.order

@@ -56,7 +56,7 @@ from sympy import factorint, mobius
 
 from aglstab import ffield, oracle
 from aglstab.agl import (Subgroup, immediate_supergroups, join_pair,
-                         subgroup_from_pairs)
+                         subgroup_from_masks)
 from aglstab.counting import check_subset_size, classes, evaluate_terms
 from aglstab.ffield import Field, Subspace, mask_elements, span, zero_subspace
 from aglstab.numtheory import (BudgetExceededError, divisor_orders,
@@ -146,8 +146,16 @@ def canonicalize(maps):
     if not maps:
         raise ValueError("cannot infer the field from an empty generating set")
     field = maps[0].field
-    closure = mulclose(maps)
-    return subgroup_from_pairs(field, ((m.a, m.b) for m in closure))
+    return subgroup_from_masks(field, pairs_to_masks(
+        (m.a, m.b) for m in mulclose(maps)))
+
+
+def pairs_to_masks(pairs) -> dict[int, int]:
+    """{a: mask of the b} for a set of maps given as (a, b) pairs."""
+    masks: dict[int, int] = {}
+    for a, b in pairs:
+        masks[a] = masks.get(a, 0) | 1 << b
+    return masks
 
 
 def trivial_subgroup(field: Field) -> Subgroup:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from aglstab import agl, cli, counting, designs, numtheory, oracle
+from aglstab import agl, cli, counting, designs, ffield, numtheory, oracle
 from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, VERIFY_COLUMNS,
                          _emit_rows, _resolve_field, _verify_class,
                          build_parser, main)
@@ -754,7 +754,9 @@ def test_design_needs_subset_or_class(capsys):
     (["--i", "1"], "--i"),
     (["--j", "0"], "--j"),
     (["--k", "3", "--d", "3", "--i", "1", "--j", "0"],
-     "--k, --d, --i, --j")])
+     "--k, --d, --i, --j"),
+    # no witness is searched, so a budget would be ignored
+    (["--oracle-budget", "1"], "--oracle-budget")])
 def test_design_subset_with_class_flags_is_an_input_error(capsys, flags,
                                                           named):
     code, out, err = run(capsys, "design", "--q", "7", "--subset", "1,2",
@@ -939,13 +941,19 @@ FULL_SET_REFUSAL = ("aglstab: error: the full point set gives a degenerate "
 @pytest.mark.parametrize("q", [9, 64])
 def test_full_subset_is_refused_before_the_stabilizer_scan(capsys,
                                                             monkeypatch, q):
-    def forbidden(*args):
-        raise AssertionError("the full point set reached the map scan")
+    # the scan runs over the empty complement, so it ANDs nothing: an AND
+    # would read the empty list of translates and raise IndexError
+    seen = []
 
-    monkeypatch.setattr(oracle, "fixing_maps", forbidden)
+    def translate_masks(field, mask):
+        seen.append(mask)
+        return []
+
+    monkeypatch.setattr(ffield, "translate_masks", translate_masks)
     subset = ",".join(map(str, reversed(range(q))))
     assert run(capsys, "design", "--q", str(q), "--subset", subset) == (
         EXIT_INPUT, "", FULL_SET_REFUSAL)
+    assert seen == [0]
 
 
 def test_full_subset_at_q4096_exits_1_at_once():
@@ -961,6 +969,14 @@ def test_full_subset_at_q4096_exits_1_at_once():
                           timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_BUDGET, "", design_size_refusal(4096, 4096))
+    # and so does its complement, whose scan runs over {0}: that of the
+    # 4,095 points ANDed 16.7 million masks for 4.1 s before the refusal
+    proc, seconds = run_process("design", "--q", "4096", "--subset",
+                                ",".join(map(str, range(1, 4096))),
+                                timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_BUDGET, "", design_size_refusal(4096, 4096))
+    assert seconds < 2
 
 
 @contextlib.contextmanager

@@ -285,5 +285,8 @@ def test_orbit_designs_from_witnesses_pass_all_checks(p, alpha):
             assert params.b == q * (q - 1) // S.order
             code, words = design_to_code(matrix)
             assert johnson_check(code)
+            # the distance derived from r and lambda is the measured one
+            assert min((x ^ y).bit_count() for x, y in
+                       itertools.combinations(matrix.rows, 2)) == code.d
             a2 = a2_determinations(S, k)
             assert (a2.n, a2.d, a2.w) == (params.b, code.d, params.r)

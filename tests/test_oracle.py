@@ -10,7 +10,7 @@ import pytest
 from aglstab import oracle
 from aglstab.agl import (Subgroup, class_representative,
                          immediate_supergroups, join_pair,
-                         subgroup_from_pairs)
+                         subgroup_from_masks)
 from aglstab.counting import ClassParams, class_shapes, classes, count_N
 from aglstab.ffield import (Field, Subspace, mask_bits, mask_elements,
                             span, subset_mask, zero_subspace)
@@ -22,8 +22,9 @@ from aglstab.oracle import (BudgetExceededError,
                             n_orbit_unions, orbit_union_masks, stabilizer)
 import reference
 from reference import (all_subgroups, assert_lines, full_census, full_group,
-                       literal_lattice_terms, reference_fixing_maps,
-                       run_python, subgroup_elements, trivial_subgroup)
+                       literal_lattice_terms, pairs_to_masks,
+                       reference_fixing_maps, run_python, subgroup_elements,
+                       trivial_subgroup)
 
 FIELDS = {}
 
@@ -61,17 +62,27 @@ def test_fixing_maps_equals_map_by_map_reference(p, alpha):
     masks += [subset_mask(rng.sample(range(F.q), k)) for k in (2, 3, F.q // 2)]
     for mask in masks:
         expected = list(reference_fixing_maps(F, mask))
-        assert list(fixing_maps(F, mask)) == expected, mask
-        assert stabilizer(F, mask) == subgroup_from_pairs(F, expected), mask
+        scanned = list(fixing_maps(F, mask))
+        assert [(a, b) for a, hits in scanned
+                for b in mask_elements(hits)] == expected, mask
+        # a map fixes a subset iff it fixes the complement
+        assert list(fixing_maps(F, full ^ mask)) == scanned, mask
+        assert stabilizer(F, mask) == subgroup_from_masks(
+            F, pairs_to_masks(expected)), mask
 
 
-def test_subgroup_from_pairs_rejects_non_subgroups():
+def test_subgroup_from_masks_rejects_non_subgroups():
     F = field(7, 1)
-    with pytest.raises(ValueError):
-        subgroup_from_pairs(F, {(1, 0), (1, 1)})     # {0, 1} is no subspace
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not form a subspace"):
+        subgroup_from_masks(F, {1: 0b11})     # {0, 1} is no subspace
+    with pytest.raises(ValueError, match="do not form a subgroup"):
         # five multipliers over one translation, and 5 does not divide 6
-        subgroup_from_pairs(F, {(a, 0) for a in (1, 2, 3, 4, 6)})
+        subgroup_from_masks(F, {a: 1 for a in (1, 2, 3, 4, 6)})
+    a0 = F.pow(F.gamma, 2)
+    others = [a for a in range(2, 7) if a != a0][:2]
+    with pytest.raises(ValueError, match="do not form a subgroup"):
+        # three maps over one translation, but none with the generator a0
+        subgroup_from_masks(F, {a: 1 for a in [1] + others})
 
 
 def test_scan_checks_are_raises_not_asserts():
