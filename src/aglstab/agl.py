@@ -14,8 +14,8 @@ Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
 space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
 ``fixed_point`` c = b/(1 - a).
 Containment needs no test of its own: T contains S iff the group that
-the two generate, ``join_pair(T, S)``, is T.  A ``JoinTable`` lets many
-joins share the spans, coset leaders and descriptors they build.
+the two generate, ``join_pair(T, S, table)``, is T.  A ``JoinTable``
+lets joins share the spans, coset leaders and descriptors they build.
 """
 
 from __future__ import annotations
@@ -171,13 +171,14 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
 # kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def join(S: Subgroup, selection) -> Subgroup:
     """The subgroup generated by S and a selection of proper supergroups,
-    one ``join_pair`` per selected group.  T is a supergroup of S iff
-    ``join_pair(T, S)`` is T."""
+    one ``join_pair`` per selected group, all into one ``JoinTable``.  T
+    is a supergroup of S iff ``join_pair(T, S, table)`` is T."""
     sel = list(selection)
+    table = JoinTable()
     for T in sel:
-        if T == S or join_pair(T, S) != T:
+        if T == S or join_pair(T, S, table) != T:
             raise ValueError(f"{T!r} is not a proper supergroup of {S!r}")
-    return functools.reduce(join_pair, sel, S)
+    return functools.reduce(lambda J, T: join_pair(J, T, table), sel, S)
 
 
 class JoinTable:
@@ -195,8 +196,7 @@ class JoinTable:
         self.subgroups: dict[tuple[int, int, tuple[int, ...]], Subgroup] = {}
 
 
-def join_pair(T1: Subgroup, T2: Subgroup,
-              table: JoinTable | None = None) -> Subgroup:
+def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
     """The subgroup generated by two arbitrary subgroups, on descriptors.
 
     The translation part absorbs both H's and, when both groups have a
@@ -204,17 +204,14 @@ def join_pair(T1: Subgroup, T2: Subgroup,
     d2), H is a space over F_{p**o_d(p)}, o_d(p) = lcm(o_d1(p), o_d2(p)),
     and b = (1 - a)*c for either fixed point c, reduced mod H; both
     candidates are computed and must agree.  1 - a is read off T1 or T2
-    when d is theirs, and computed only for a new d.  A ``table`` shared
-    across calls builds each span, coset leader and ``Subgroup`` once per
+    when d is theirs, and computed only for a new d.  The ``table``, shared
+    across calls, builds each span, coset leader and ``Subgroup`` once per
     distinct input; the first build of a subgroup runs all of its checks,
-    and a repeat returns that same object.  Without one, every part is
-    built afresh.
+    and a repeat returns that same object.
     """
     field = T1.field
     if field != T2.field:
         raise ValueError("cannot join subgroups over different fields")
-    if table is None:
-        table = JoinTable()
     d = math.lcm(T1.d, T2.d)
     odp = math.lcm(T1.odp, T2.odp)
     c1, c2 = T1.fixed_point, T2.fixed_point

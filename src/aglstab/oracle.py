@@ -1,10 +1,14 @@
 """Independent verification engines for the closed-form counts.
 
-Three routes to the same numbers, none sharing code with the closed
-forms in :mod:`aglstab.counting`.  A map is the int pair (a, b) of
-x -> a*x + b, and a subset is an int mask over the element codes, as
-:mod:`aglstab.ffield` defines it; ``Subgroup.orbits`` gives its orbits
-as such masks, which every route reads as they are.
+Three routes to the same numbers.  None reads the closed form's terms
+in :mod:`aglstab.counting`: the lattice route derives its own from the
+supergroup lattice, and the two scans decide maps.  All they take from
+``counting`` is the k rule, ``check_subset_size``, and for the lattice
+terms ``evaluate_terms`` and ``s_qk``, which count the orbit unions of a
+group shape.  A map is the int pair (a, b) of x -> a*x + b, and a subset
+is an int mask over the element codes, as :mod:`aglstab.ffield` defines
+it; ``Subgroup.orbits`` gives its orbits as such masks, which every
+route reads as they are.
 
 * ``stabilizer``: test all q*(q-1) affine maps against a subset mask
   (``fixing_maps``) and return the subset's exact stabilizer.  The scan
@@ -122,14 +126,14 @@ def _union_branches(S: Subgroup, k: int) -> list[tuple[bool, int]]:
             if rem >= 0 and rem % S.order == 0]
 
 
-# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def n_orbit_unions(S: Subgroup, k: int) -> int:
     """Number of size-k orbit unions, i.e. |S'|, counted directly."""
     return _n_orbit_unions(S, k)
 
 
 def _n_orbit_unions(S: Subgroup, k: int) -> int:
-    # the table's own check, not a query: C(m, t) over m orbits of size |S|
+    # C(m, t) over m orbits of size |S|; the table's size split calls
+    # this twin so that it is not counted as ``oracle.candidates``
     m = len(S.orbits()) - (S.d > 1)
     return sum(math.comb(m, t) for _, t in _union_branches(S, k))
 
@@ -173,14 +177,13 @@ def exact_orbit_unions(S: Subgroup, k: int, budget: int | None = None):
                                   f"orbit unions, the budget of {budget}")
 
 
-def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
-                                             list[list[int]]]:
-    """(D, pairs, pair sets) over all q*(q-1) maps.
+def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, pair sets) over all q*(q-1) maps.
 
     D counts the maps that send every point into its own S-orbit.  Every
     other map has the set of its pairs (orbit(x), orbit(a*x + b)) with
-    two distinct orbits, given as indices into ``pairs``; maps with equal
-    pair sets share one entry.
+    two distinct orbits o != t, each coded o*m + t over the m orbits and
+    given as a sorted tuple; maps with equal pair sets share one tuple.
     """
     field = S.field
     q = check_map_scan(field.q)
@@ -205,10 +208,7 @@ def _orbit_pair_sets(S: Subgroup) -> tuple[int, list[tuple[int, int]],
                 distinct.add(key)
             else:
                 diagonal += 1
-    codes = sorted(set().union(*distinct))
-    index = {code: n for n, code in enumerate(codes)}
-    return (diagonal, [divmod(code, m) for code in codes],
-            [[index[code] for code in sorted(key)] for key in distinct])
+    return diagonal, [tuple(sorted(key)) for key in distinct]
 
 
 def _orbit_columns(width: int) -> list[int]:
@@ -258,7 +258,7 @@ def bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
 
 def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
     q = S.field.q
-    diagonal, pairs, pair_sets = _orbit_pair_sets(S)
+    diagonal, pair_sets = _orbit_pair_sets(S)
     if diagonal < S.order:
         raise RuntimeError(f"only {diagonal} maps keep every S-orbit in "
                            f"place, but |S| = {S.order}")
@@ -277,18 +277,18 @@ def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
             split[s] = split.get(s, 0) | cand & ~col
             split[s + w] = split.get(s + w, 0) | cand & col
         by_size = split
-    high = sizes[width:]
+    m, high = len(sizes), sizes[width:]
+    in_use = set().union(*pair_sets)
     counts = [0] * (q + 1)
     covered = [0] * (q + 1)
-    for top in range(1 << len(high)):
-        chosen = [top >> t & 1 for t in range(len(high))]
+    for chosen in itertools.product((0, 1), repeat=len(high)):
         cols = low + [full if bit else 0 for bit in chosen]
-        terms = [(full ^ cols[o]) | cols[t] for o, t in pairs]
+        terms = {c: (full ^ cols[c // m]) | cols[c % m] for c in in_use}
         bad = 0
-        for indices in pair_sets:
+        for codes in pair_sets:
             fixed = full
-            for n in indices:
-                fixed &= terms[n]
+            for c in codes:
+                fixed &= terms[c]
                 if not fixed:
                     break
             bad |= fixed

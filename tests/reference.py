@@ -55,8 +55,8 @@ import aglstab
 from sympy import factorint, mobius
 
 from aglstab import ffield, oracle
-from aglstab.agl import (Subgroup, immediate_supergroups, join_pair,
-                         subgroup_from_masks)
+from aglstab.agl import (JoinTable, Subgroup, immediate_supergroups,
+                         join_pair, subgroup_from_masks)
 from aglstab.counting import check_subset_size, classes, evaluate_terms
 from aglstab.ffield import Field, Subspace, mask_elements, span, zero_subspace
 from aglstab.numtheory import (BudgetExceededError, divisor_orders,
@@ -251,7 +251,8 @@ def literal_lattice_terms(S) -> tuple[tuple[tuple[int, int, int], ...], int]:
     N(S, k), summed over the 2**t selections of the t immediate
     supergroups one selection at a time, plus the number of selections
     visited.  A depth-first walk extends each selection by one later
-    supergroup, so every nonempty selection costs one ``join_pair``."""
+    supergroup, so every nonempty selection costs one ``join_pair``, each
+    into a fresh ``JoinTable``."""
     supers = immediate_supergroups(S)
     agg: Counter = Counter()
     visited = 0
@@ -261,7 +262,7 @@ def literal_lattice_terms(S) -> tuple[tuple[tuple[int, int, int], ...], int]:
         visited += 1
         agg[(T.d, T.H.size)] += sign
         for idx in range(start, len(supers)):
-            walk(idx + 1, join_pair(T, supers[idx]), -sign)
+            walk(idx + 1, join_pair(T, supers[idx], JoinTable()), -sign)
 
     walk(0, S, 1)
     terms = tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)

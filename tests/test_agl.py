@@ -357,13 +357,13 @@ def test_join_pair_matches_generated_subgroup(p, alpha):
     groups = all_subgroups(F)
     for T1, T2 in itertools.product(groups, repeat=2):
         expected = canonicalize(subgroup_elements(T1) + subgroup_elements(T2))
-        assert join_pair(T1, T2) == expected, (T1, T2)
+        assert join_pair(T1, T2, JoinTable()) == expected, (T1, T2)
 
 
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2)])
 def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
     # one table across every pair, as in a lattice fold: each join it
-    # answers is the one built without a table, the join of a swapped
+    # answers is the one built in a fresh table, the join of a swapped
     # pair is the same object, and every entry is of its own kind (a span,
     # a coset leader, a subgroup)
     F = field(p, alpha)
@@ -371,7 +371,7 @@ def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
     table = JoinTable()
     for T1, T2 in itertools.product(groups, repeat=2):
         J = join_pair(T1, T2, table)
-        assert J == join_pair(T1, T2), (T1, T2)
+        assert J == join_pair(T1, T2, JoinTable()), (T1, T2)
         assert J is join_pair(T2, T1, table), (T1, T2)
     assert all(isinstance(H, Subspace) for H in table.spans.values())
     assert all(type(x) is int for x in table.leaders.values())
@@ -389,7 +389,7 @@ def test_join_point_check_raises(monkeypatch):
     halves = [T for T in immediate_supergroups(S) if T.d == 2]
     T1, T2 = Subgroup(F, 2, 0, S.H), Subgroup(F, 3, 1, S.H)
     assert join(S, halves[:2]).H.size == 7
-    J = join_pair(T1, T2)
+    J = join_pair(T1, T2, JoinTable())
     assert (J.d, J.b, J.H.size) == (6, 0, 7)
     table = JoinTable()
     # T1's fixed point is 0, so its candidate is the leader of (1 - a)*0
@@ -401,7 +401,7 @@ def test_join_point_check_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="chosen point"):
         join(S, halves[:2])
     with pytest.raises(RuntimeError, match="chosen point"):
-        join_pair(T1, T2)
+        join_pair(T1, T2, JoinTable())
 
 
 def test_join_handles_multi_prime_selections():
@@ -430,7 +430,7 @@ def test_contains_matches_element_sets(p, alpha):
     F = field(p, alpha)
     groups = all_subgroups(F)
     for T1, T2 in itertools.product(groups, repeat=2):
-        assert ((join_pair(T1, T2) == T1)
+        assert ((join_pair(T1, T2, JoinTable()) == T1)
                 == (pairs_of(T2) <= pairs_of(T1))), (T1, T2)
 
 

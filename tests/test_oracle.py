@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from aglstab import oracle
-from aglstab.agl import (Subgroup, class_representative,
+from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join_pair,
                          subgroup_from_masks)
 from aglstab.counting import ClassParams, class_shapes, classes, count_N
@@ -158,7 +158,7 @@ def test_stabilizer_contains_group_of_orbit_unions():
     for k in range(F.q + 1):
         for mask in orbit_union_masks(S, k):
             T = stabilizer(F, mask)
-            assert join_pair(T, S) == T
+            assert join_pair(T, S, JoinTable()) == T
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
@@ -323,6 +323,34 @@ def test_bruteforce_counts_check_their_invariants(monkeypatch):
     with pytest.raises(RuntimeError, match="the size split holds 3 orbit "
                                            "unions of size 2, not 1"):
         bruteforce_counts(class_representative(F, 2, 1, 0))
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2)])
+def test_orbit_pair_sets_match_a_loop_over_every_map(p, alpha):
+    # one plain loop over all q(q-1) maps (a, b): D counts the maps with
+    # no pair (orbit(x), orbit(a*x + b)) of two distinct orbits, and every
+    # other map gives the sorted tuple of its codes o*m + t
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        orbits = S.orbits()
+        m = len(orbits)
+        orbit_of = {x: o for o, orbit in enumerate(orbits)
+                    for x in mask_elements(orbit)}
+        diagonal, code_sets = 0, set()
+        for a in range(1, F.q):
+            for b in range(F.q):
+                pairs = {(orbit_of[x], orbit_of[F.add(F.mul(a, x), b)])
+                         for x in range(F.q)}
+                codes = tuple(sorted(o * m + t for o, t in pairs if o != t))
+                if codes:
+                    code_sets.add(codes)
+                else:
+                    diagonal += 1
+        D, pair_sets = oracle._orbit_pair_sets(S)
+        assert D == diagonal, (d, i, j)
+        assert len(pair_sets) == len(code_sets), (d, i, j)
+        assert set(pair_sets) == code_sets, (d, i, j)
 
 
 def test_count_N_bruteforce_reads_the_table_only_where_it_pays(monkeypatch):
