@@ -13,9 +13,11 @@ iff the subgroups are equal, so lattice walks never need element sets.
 Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
 space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
 ``fixed_point`` c = b/(1 - a).
-Containment needs no test of its own: T contains S iff the group that
-the two generate, ``join_pair(T, S, table)``, is T.  A ``JoinTable``
-lets joins share the spans, coset leaders and descriptors they build.
+``immediate_supergroups`` grows H by a line, the ``span`` of H and one
+coset leader.  Containment needs no test of its own: T contains S iff
+the group that the two generate, ``join_pair(T, S, table)``, is T.  A
+``JoinTable`` lets joins share the spans, coset leaders and descriptors
+they build.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import functools
 import math
 from collections import Counter
 
-from .ffield import (Field, Subspace, lines_of_quotient, mask_elements, span,
-                     zero_subspace)
+from .ffield import Field, Subspace, mask_elements, span
 from .numtheory import check_divisor, check_shape, prime_set
 
 
@@ -154,7 +155,8 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     a prime e | (|H'| - 1)/d, or H grows by a line of F_q/H over
     F_{p**o_d(p)} (F_p when d = 1).  A pure translation group (d = 1)
     takes its new map of order e about each coset of H; for d > 1 the
-    fixed point stays at 0.
+    fixed point stays at 0.  Each line is the span of H and a nonzero
+    coset leader r, listed once, in the order of its first r.
     """
     if S.b != 0:
         raise ValueError("supergroup enumeration requires b = 0; conjugate first")
@@ -163,8 +165,15 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     points = H.cosets() if d == 1 else (0,)
     out = [Subgroup(field, d * e, b, H)
            for e in prime_set((h_prime - 1) // d) for b in points]
-    out.extend(Subgroup(field, d, 0, line)
-               for line in lines_of_quotient(H, S.odp))
+    lines: dict[tuple[int, ...], Subspace] = {}
+    for r in list(H.cosets())[1:]:
+        line = span(field, H.basis + (r,), S.odp)
+        lines.setdefault(line.basis, line)
+    expected = (field.q // H.size - 1) // (field.p ** S.odp - 1)
+    if len(lines) != expected:
+        raise RuntimeError(f"found {len(lines)} lines of F_q/H, expected "
+                           f"{expected}")
+    out.extend(Subgroup(field, d, 0, line) for line in lines.values())
     return out
 
 
@@ -275,7 +284,7 @@ def class_representative(field: Field, d: int, i: int, j: int) -> Subgroup:
                     return H
         return None
 
-    H = first(zero_subspace(field), 1, 0)
+    H = first(Subspace(field), 1, 0)
     if H is None:
         raise RuntimeError("no subspace with the requested class exists")
     return Subgroup(field, d, 0, H)

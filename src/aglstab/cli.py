@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import agl, counting, designs, numtheory, oracle
 from .counting import CSV_COLUMNS, ClassParams
-from .ffield import Field, mask_elements
+from .ffield import Field, mask_elements, subset_mask
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -173,19 +173,21 @@ def cmd_verify(args, out) -> int:
 # design
 
 
-def _parse_subset(text: str, q: int) -> int:
+def _parse_subset(text: str, q: int) -> list[int]:
+    """The elements of ``--subset``, checked to be distinct integers in
+    [0, q); the mask is built only once the map scan has accepted q."""
     try:
         elements = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"--subset must be comma-separated integers, got {text!r}")
     if not all(0 <= x < q for x in elements):
         raise ValueError(f"subset elements must lie in [0, {q})")
-    mask = 0
+    seen = set()
     for x in elements:
-        if mask >> x & 1:
+        if x in seen:
             raise ValueError(f"--subset lists {x} more than once")
-        mask |= 1 << x
-    return mask
+        seen.add(x)
+    return elements
 
 
 def cmd_design(args, out) -> int:
@@ -197,8 +199,9 @@ def cmd_design(args, out) -> int:
         if mixed:
             raise ValueError("--subset cannot be combined with "
                              f"{', '.join(mixed)}: the subset fixes the class")
-        mask = _parse_subset(args.subset, q)
+        elements = _parse_subset(args.subset, q)
         oracle.check_map_scan(q)
+        mask = subset_mask(elements)
         S = oracle.stabilizer(_field(p, alpha), mask)
     else:
         if args.k is None or args.d is None:

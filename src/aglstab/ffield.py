@@ -26,11 +26,12 @@ The tables cap usable fields at q <= 2**16; the closed-form counting in
 Subspaces hold their reduced-echelon basis as plain ints: a row operation
 is one scaled field addition, and a digit is read as x // p**t % p.  A
 subfield is named by its degree m | alpha, as the paper names o_d(p) and
-o_d(p)*i: ``Field.subfield(m)`` is its F_p-basis, ``span`` and
-``lines_of_quotient`` take m, and ``Subspace.stabilizing_degree`` is the
-degree of H', the largest subfield mapping H into itself.  ``cosets``
-gives each coset of F_q/H as an int mask keyed by its least element, and
-``lines_of_quotient`` the lines of F_q/H over F_{p**m}.
+o_d(p)*i: ``Field.subfield(m)`` is its F_p-basis, ``span`` takes m, and
+``Subspace.stabilizing_degree`` is the degree of H', the largest subfield
+mapping H into itself.  ``Subspace`` builds a space over F_p (no vectors:
+the zero space) and ``span`` one over F_{p**m}; nothing else builds one.
+``cosets`` gives each coset of F_q/H as an int mask keyed by its least
+element.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class Field:
         tail = next(t for t in range(q) if _Ring(p, alpha, t).is_field())
         ring = _Ring(p, alpha, tail)
         self._pows = ring.pows
-        self.modulus = tuple(tail // w % p for w in ring.pows) + (1,)
         self.gamma = next(x for x in range(1, q)
                           if all(ring.pow(x, (q - 1) // e) != 1
                                  for e in prime_set(q - 1)))
@@ -410,37 +410,8 @@ class Subspace:
         return f"Subspace(dim={self.dim}, basis={self.basis})"
 
 
-def zero_subspace(field: Field) -> Subspace:
-    return Subspace(field, ())
-
-
 def span(field: Field, elements, degree: int) -> Subspace:
     """Smallest F_{p**degree}-subspace of the field containing
     ``elements``: the F_p-span of each element times the subfield basis."""
     basis = field.subfield(degree)
     return Subspace(field, [field.mul(kb, x) for x in elements for kb in basis])
-
-
-def lines_of_quotient(H: Subspace, degree: int) -> list[Subspace]:
-    """The 1-dimensional F_{p**degree}-subspaces of F_q/H, each returned
-    once as its full preimage in F_q (a space over that subfield
-    containing H).  H must itself be a space over F_{p**degree}."""
-    field = H.field
-    basis = field.subfield(degree)
-    if H.stabilizing_degree() % degree:
-        raise ValueError(f"denominator is not a space over F_p^{degree}")
-    size = field.p ** degree
-    leaders = list(H.cosets())
-    expected, rem = divmod(len(leaders) - 1, size - 1)
-    if rem:
-        raise RuntimeError(f"|F_q/H| - 1 = {len(leaders) - 1} is not a "
-                           f"multiple of |K| - 1 = {size - 1}")
-    lines: dict[tuple[int, ...], Subspace] = {}
-    for r in leaders[1:]:
-        W = Subspace(field, H.basis + tuple(field.mul(kb, r) for kb in basis))
-        if lines.setdefault(W.basis, W).dim != H.dim + degree:
-            raise RuntimeError(f"a line over F_{size} raised dim "
-                               f"{H.dim} to {W.dim}")
-    if len(lines) != expected:
-        raise RuntimeError(f"found {len(lines)} lines, expected {expected}")
-    return list(lines.values())

@@ -23,8 +23,9 @@ binomial columns).  ``csv_writer_rows`` and ``text_rows`` write rows as
 ``csv.writer`` does and as ``column=value`` pairs joined one value at a
 time (no format string).  ``assert_lines`` reads a module's source,
 which the ``python -O`` guards scan for asserts, ``prime_powers`` lists
-the fields that the sweeps run over, and ``run_python`` runs a call
-that could hang in a process of its own.
+the fields that the sweeps run over, ``run_python`` runs a call that
+could hang in a process of its own, and ``modulus`` reads a field's
+modulus back from its arithmetic (the library stores none).
 
 The exhaustive engines are not theory-free: they are built from library
 pieces.  ``full_census`` classifies every k-subset by the library's
@@ -58,7 +59,7 @@ from aglstab import ffield, oracle
 from aglstab.agl import (JoinTable, Subgroup, immediate_supergroups,
                          join_pair, subgroup_from_masks)
 from aglstab.counting import check_subset_size, classes, evaluate_terms
-from aglstab.ffield import Field, Subspace, mask_elements, span, zero_subspace
+from aglstab.ffield import Field, Subspace, mask_elements, span
 from aglstab.numtheory import (BudgetExceededError, divisor_orders,
                                mult_order, prime_set)
 from aglstab.oracle import stabilizer
@@ -159,7 +160,7 @@ def pairs_to_masks(pairs) -> dict[int, int]:
 
 
 def trivial_subgroup(field: Field) -> Subgroup:
-    return Subgroup(field, 1, 0, zero_subspace(field))
+    return Subgroup(field, 1, 0, Subspace(field))
 
 
 def full_group(field: Field) -> Subgroup:
@@ -191,7 +192,7 @@ def full_census(field: Field, k: int) -> dict[Subgroup, int]:
 def all_subspaces(field: Field, degree: int) -> list[Subspace]:
     """Every F_{p**degree}-subspace of the field, ordered by (dimension,
     basis)."""
-    zero = zero_subspace(field)
+    zero = Subspace(field)
     out = {zero.basis: zero}
     frontier = [zero]
     while frontier:
@@ -324,6 +325,14 @@ def digits(field, x: int) -> list[int]:
         x, c = divmod(x, field.p)
         out.append(c)
     return out
+
+
+def modulus(field) -> tuple[int, ...]:
+    """The field's modulus X**alpha + tail as ascending coefficients, read
+    back from its arithmetic: X is the code p (0 when alpha = 1, where the
+    modulus is X), and X**alpha is -tail."""
+    x = field.p if field.alpha > 1 else 0
+    return tuple(digits(field, field.neg(field.pow(x, field.alpha)))) + (1,)
 
 
 def element(field, coeffs) -> int:

@@ -20,8 +20,7 @@ import aglstab
 from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join, join_pair)
 from aglstab.counting import ClassParams, class_shapes, s_qk
-from aglstab.ffield import (Field, Subspace, mask_elements, span,
-                            zero_subspace)
+from aglstab.ffield import Field, Subspace, mask_elements, span
 from aglstab.numtheory import check_shape, mult_order
 from reference import (AffineMap, all_subgroups, canonicalize, full_group,
                        full_subspace, mulclose, prime_powers,
@@ -96,7 +95,7 @@ def test_map_rejects_zero_multiplier():
 
 def test_subgroup_element_counts():
     F = field(5, 1)
-    S = Subgroup(F, 2, 0, zero_subspace(F))
+    S = Subgroup(F, 2, 0, Subspace(F))
     assert pairs_of(S) == {(1, 0), (4, 0)}
     assert len(pairs_of(trivial_subgroup(F))) == 1
     assert len(pairs_of(full_group(F))) == 20
@@ -112,7 +111,7 @@ def test_subgroup_order_formula(p, alpha):
 def test_subgroup_rejects_invalid_descriptors():
     F = field(5, 1)
     with pytest.raises(ValueError) as bad_d:
-        Subgroup(F, 3, 0, zero_subspace(F))       # 3 does not divide 4
+        Subgroup(F, 3, 0, Subspace(F))            # 3 does not divide 4
     with pytest.raises(ValueError) as bad_shape:
         check_shape(5, 1, 3, 1, 0)
     assert str(bad_d.value) == str(bad_shape.value)
@@ -204,18 +203,18 @@ def test_orbits_translation_group_gives_cosets():
 
 def test_orbits_example_q5():
     F = field(5, 1)
-    orbits = Subgroup(F, 2, 0, zero_subspace(F)).orbits()
+    orbits = Subgroup(F, 2, 0, Subspace(F)).orbits()
     assert [mask_elements(o) for o in orbits] == [(0,), (1, 4), (2, 3)]
 
 
 def test_broken_orbit_walk_raises():
     F = field(7, 1)
-    S = Subgroup(F, 3, 0, zero_subspace(F))
+    S = Subgroup(F, 3, 0, Subspace(F))
     S.a = F.neg(1)                              # order 2, not 3
     with pytest.raises(RuntimeError, match="an orbit of size 2 in a group "
                                            "of order 3"):
         S.orbits()
-    S = Subgroup(F, 3, 0, zero_subspace(F))
+    S = Subgroup(F, 3, 0, Subspace(F))
     S.a = 1                                     # every point is fixed
     with pytest.raises(RuntimeError, match="do not cover F_7 with a fixed "
                                            "coset of H"):
@@ -281,7 +280,7 @@ def test_fixed_subset_count_examples():
 
 def test_immediate_supergroups_example_q5():
     F = field(5, 1)
-    S = Subgroup(F, 2, 0, zero_subspace(F))
+    S = Subgroup(F, 2, 0, Subspace(F))
     sups = immediate_supergroups(S)
     assert len(sups) == 2
     assert {(T.d, T.H.size) for T in sups} == {(4, 1), (2, 5)}
@@ -291,7 +290,7 @@ def test_immediate_supergroups_example_q5():
 def test_immediate_supergroups_require_b_zero():
     F = field(7, 1)
     with pytest.raises(ValueError):
-        immediate_supergroups(Subgroup(F, 3, 1, zero_subspace(F)))
+        immediate_supergroups(Subgroup(F, 3, 1, Subspace(F)))
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2)])
@@ -314,7 +313,7 @@ def test_immediate_supergroups_are_minimal(p, alpha):
 
 def test_join_examples():
     F = field(5, 1)
-    S = Subgroup(F, 2, 0, zero_subspace(F))
+    S = Subgroup(F, 2, 0, Subspace(F))
     assert join(S, []) == S
     sups = immediate_supergroups(S)
     assert join(S, sups) == full_group(F)
@@ -322,7 +321,7 @@ def test_join_examples():
 
 def test_join_rejects_non_supergroups():
     F = field(5, 1)
-    S = Subgroup(F, 2, 0, zero_subspace(F))
+    S = Subgroup(F, 2, 0, Subspace(F))
     with pytest.raises(ValueError):
         join(S, [trivial_subgroup(F)])
     # S contains itself, but it is no proper supergroup
@@ -459,7 +458,7 @@ def test_class_representative_at_i_top_is_zero_space_or_whole_field():
             for d, i, j in class_shapes(p, alpha):
                 if i * mult_order(p, d) != alpha:
                     continue
-                H = zero_subspace(F) if j == 0 else full_subspace(F)
+                H = Subspace(F) if j == 0 else full_subspace(F)
                 assert (class_representative(F, d, i, j)
                         == Subgroup(F, d, 0, H)), (p, alpha, d, j)
                 checked += 1

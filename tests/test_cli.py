@@ -531,6 +531,12 @@ def test_count_invalid_tuple_names_condition(capsys):
      "subset elements must lie in [0, 65537)"),
     (("design", "--q", "8192", "--k", "2", "--d", "3"),
      "no stabilizer class with d = 3"),
+    # on fields whose subset mask would not fit in memory
+    *[(("design", "--q", str(q), "--subset", subset), message)
+      for q in (2 ** 64, 3 ** 40)
+      for subset, message in (
+          ("5,5", "--subset lists 5 more than once"),
+          (str(2 ** 64), f"subset elements must lie in [0, {q})"))],
 ])
 def test_doubly_bad_input_reports_the_first_rule_checked(capsys, argv,
                                                          message):
@@ -687,6 +693,20 @@ def test_design_cap_fires_before_any_field_work(capsys, monkeypatch, q,
     forbid_field_work(monkeypatch)
     assert run(capsys, "design", "--q", str(q), *flags) == (
         EXIT_BUDGET, "", map_scan_refusal(q))
+
+
+# a mask holding q - 1 takes q bits, so the cap must come before it:
+# building it first raised MemoryError on these fields
+@pytest.mark.parametrize("q", [2 ** 64, 3 ** 40])
+@pytest.mark.parametrize("subset", ["{top}", "3,{top}"],
+                         ids=["top", "3,top"])
+def test_bignum_subset_exits_3_before_its_mask(capsys, monkeypatch, q,
+                                               subset):
+    forbid_field_work(monkeypatch)
+    assert run(capsys, "design", "--q", str(q), "--subset",
+               subset.format(top=q - 1)) == (
+        EXIT_BUDGET, "", map_scan_refusal(q))
+
 
 
 def test_design_q7_text(capsys):

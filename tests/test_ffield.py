@@ -16,20 +16,26 @@ import aglstab.counting
 import aglstab.ffield
 import aglstab.numtheory
 import aglstab.oracle
-from aglstab.ffield import (Field, Subspace, _Ring, lines_of_quotient,
-                            mask_elements, span, zero_subspace)
+from aglstab.agl import Subgroup, immediate_supergroups
+from aglstab.ffield import Field, Subspace, _Ring, mask_elements, span
 from aglstab.numtheory import prime_set
 from reference import (all_subgroups, all_subspaces, assert_lines, digits,
-                       element, full_subspace, prime_powers, reference_add,
-                       reference_echelon, reference_neg, reference_reduce,
-                       reference_smul, reference_span)
+                       element, full_subspace, modulus, prime_powers,
+                       reference_add, reference_echelon, reference_neg,
+                       reference_reduce, reference_smul, reference_span)
 
 
 def test_make_field_moduli():
-    assert Field(2, 2).modulus == (1, 1, 1)       # x^2 + x + 1
-    assert Field(2, 3).modulus == (1, 1, 0, 1)    # x^3 + x + 1
-    assert Field(5, 1).modulus == (0, 1)          # prime field convention
-    assert Field(3, 2).modulus == (1, 0, 1)       # x^2 + 1 over F_3
+    # X is the code p, and X**alpha is minus the tail of the modulus
+    assert Field(2, 2).mul(2, 2) == 3             # x^2 + x + 1
+    assert Field(2, 3).mul(4, 2) == 3             # x^3 + x + 1
+    assert Field(3, 2).mul(3, 3) == 2             # x^2 + 1 over F_3
+    F5 = Field(5, 1)                              # x over F_5: plain F_5
+    assert all(F5.mul(x, y) == x * y % 5
+               for x in range(5) for y in range(5))
+    assert [modulus(Field(p, alpha)) for p, alpha in
+            ((2, 2), (2, 3), (5, 1), (3, 2))] == [
+                (1, 1, 1), (1, 1, 0, 1), (0, 1), (1, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +65,16 @@ def test_field_tables_golden_digest():
     digest = hashlib.sha256()
     for p, alpha in prime_powers(2, 4096):
         F = Field(p, alpha)
-        digest.update(repr((p, alpha, F.modulus, F.gamma, _exp(F))).encode())
+        digest.update(repr((p, alpha, modulus(F), F.gamma, _exp(F))).encode())
     assert digest.hexdigest() == SMALL_FIELDS_SHA256
 
 
 @pytest.mark.parametrize("p,alpha", sorted(LARGE_FIELDS))
 def test_large_field_tables_golden_digest(p, alpha):
     F = Field(p, alpha)
-    modulus, gamma, sha256 = LARGE_FIELDS[p, alpha]
-    assert (F.modulus, F.gamma) == (modulus, gamma)
-    record = (p, alpha, F.modulus, F.gamma, _exp(F), tuple(F._log))
+    pinned, gamma, sha256 = LARGE_FIELDS[p, alpha]
+    assert (modulus(F), F.gamma) == (pinned, gamma)
+    record = (p, alpha, modulus(F), F.gamma, _exp(F), tuple(F._log))
     assert hashlib.sha256(repr(record).encode()).hexdigest() == sha256
 
 
@@ -81,9 +87,10 @@ def _is_irreducible(coeffs, p) -> bool:
 def test_modulus_and_gamma_are_the_first_that_qualify():
     for p, alpha in prime_powers(2, 4096):
         F = Field(p, alpha)
-        assert F.modulus[-1] == 1 and len(F.modulus) == alpha + 1
-        assert _is_irreducible(F.modulus, p), (p, alpha)
-        for tail in range(element(F, F.modulus[:-1])):
+        f = modulus(F)
+        assert f[-1] == 1 and len(f) == alpha + 1
+        assert _is_irreducible(f, p), (p, alpha)
+        for tail in range(element(F, f[:-1])):
             assert not _is_irreducible(digits(F, tail) + [1], p), (p, tail)
         n = F.q - 1
         primes = sympy.primefactors(n)
@@ -254,7 +261,7 @@ def test_subfield_stabilizer_examples():
     # H', the subfield stabilizer of H, by its degree
     F16 = Field(2, 4)
     assert full_subspace(F16).stabilizing_degree() == 4
-    assert zero_subspace(F16).stabilizing_degree() == 4
+    assert Subspace(F16).stabilizing_degree() == 4
     F4 = Field(2, 2)
     line = Subspace(F4, (1,))
     assert line.stabilizing_degree() == 1
@@ -366,18 +373,30 @@ def test_every_orbit_is_a_union_of_cosets(p, alpha):
             assert orbit == sum(m for m in masks if m & orbit == m)
 
 
+def _lines(H: Subspace, m: int) -> list[Subspace]:
+    """The lines of F_q/H over F_{p**m}, as the translation parts of the
+    atoms above S(gamma**((q-1)/d), 0, H) that keep d = p**m - 1."""
+    F = H.field
+    d = F.p ** m - 1
+    return [T.H for T in immediate_supergroups(Subgroup(F, d, 0, H))
+            if T.d == d]
+
+
 def test_lines_of_quotient_counts():
     F4 = Field(2, 2)
-    assert len(lines_of_quotient(zero_subspace(F4), 1)) == 3
+    assert len(_lines(Subspace(F4), 1)) == 3
     F8 = Field(2, 3)
-    assert len(lines_of_quotient(zero_subspace(F8), 1)) == 7
-    assert lines_of_quotient(full_subspace(F8), 1) == []
+    assert len(_lines(Subspace(F8), 1)) == 7
+    assert _lines(full_subspace(F8), 1) == []
+    F9 = Field(3, 2)
+    assert len(_lines(Subspace(F9), 1)) == (9 - 1) // (3 - 1)
+    assert len(_lines(Subspace(F9), 2)) == 1
 
 
 def test_lines_of_quotient_structure():
     F16 = Field(2, 4)
     H = span(F16, (1,), 2)    # the copy of F_4
-    lines = lines_of_quotient(H, 2)
+    lines = _lines(H, 2)
     assert len(lines) == (4 - 1) // (4 - 1)  # (16/4 - 1)/(|K| - 1)
     for W in lines:
         assert all(W.contains(v) for v in H.basis)
@@ -386,27 +405,16 @@ def test_lines_of_quotient_structure():
             for v in W.basis:
                 assert W.contains(F16.mul(x, v))
     # lines over the prime field instead
-    lines2 = lines_of_quotient(H, 1)
+    lines2 = _lines(H, 1)
     assert len(lines2) == (4 - 1) // (2 - 1)
     assert len({W.basis for W in lines2}) == 3
-
-
-def test_lines_reject_non_module_denominator():
-    F16 = Field(2, 4)
-    H = span(F16, (1, 2), 1)
-    assert H.stabilizing_degree() == 1
-    with pytest.raises(ValueError):
-        lines_of_quotient(H, 2)
-    for bad in (3, 0):                              # not divisors of 4
-        with pytest.raises(ValueError, match="must divide alpha = 4"):
-            lines_of_quotient(zero_subspace(F16), bad)
 
 
 #: sha256 over every prime power q <= 64, every degree m | alpha and every
 #: F_{p**m}-subspace H from ``all_subspaces``, in that order, of
 #: repr((q, m, H.basis, H.stabilizing_degree(), bases of the lines of
-#: F_q/H over F_{p**m})), pinned so a change to the subspace layer
-#: must reproduce it
+#: F_q/H over F_{p**m}, as ``_lines`` lists them)), pinned so a change to
+#: the subspace layer must reproduce it
 SUBSPACE_LAYER_SHA256 = ("3e8055175733d8cbee0ed4a2c3178dd0"
                          "5040151afbacef307c2ff25fe659b56b")
 
@@ -418,7 +426,7 @@ def test_subspace_layer_golden_digest():
         F = Field(p, alpha)
         for m in sympy.divisors(alpha):
             for H in all_subspaces(F, m):
-                lines = [W.basis for W in lines_of_quotient(H, m)]
+                lines = [W.basis for W in _lines(H, m)]
                 digest.update(repr((F.q, m, H.basis, H.stabilizing_degree(),
                                     lines)).encode())
                 count += 1

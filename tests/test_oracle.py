@@ -13,7 +13,7 @@ from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          subgroup_from_masks)
 from aglstab.counting import ClassParams, class_shapes, classes, count_N
 from aglstab.ffield import (Field, Subspace, mask_bits, mask_elements,
-                            span, subset_mask, zero_subspace)
+                            span, subset_mask)
 from aglstab.oracle import (BudgetExceededError,
                             bruteforce_counts, count_N_bruteforce,
                             count_N_via_lattice,
@@ -103,7 +103,7 @@ def test_stabilizer_of_singletons():
         assert S.d == F.q - 1 and S.H.size == 1
         # the point stabilizer contains a -> gamma*a + (1-gamma)*x
         b = F.mul(F.sub(1, F.gamma), x)
-        assert S == Subgroup(F, F.q - 1, b, zero_subspace(F))
+        assert S == Subgroup(F, F.q - 1, b, Subspace(F))
 
 
 def test_stabilizer_example_q7():
@@ -208,12 +208,12 @@ def test_exact_orbit_unions_scans_in_orbit_union_order(monkeypatch):
 
 def test_count_N_bruteforce_examples():
     F = field(7, 1)
-    order3 = Subgroup(F, 3, 0, zero_subspace(F))
+    order3 = Subgroup(F, 3, 0, Subspace(F))
     assert count_N_bruteforce(order3, 3) == 2
     assert count_N_bruteforce(trivial_subgroup(F), 3) == 0
     for q in (5, 7, 11, 13):
         Fq = field(q, 1)
-        half = Subgroup(Fq, 2, 0, zero_subspace(Fq))
+        half = Subgroup(Fq, 2, 0, Subspace(Fq))
         assert count_N_bruteforce(half, 2) == (q - 1) // 2
 
 
@@ -432,7 +432,7 @@ def test_lattice_full_group_terms():
 
 def test_lattice_example_q5():
     F = field(5, 1)
-    S = Subgroup(F, 2, 0, zero_subspace(F))
+    S = Subgroup(F, 2, 0, Subspace(F))
     assert count_N_via_lattice(S, 2) == 2
 
 
@@ -451,14 +451,14 @@ def test_closed_form_terms_equal_lattice_terms(p, alpha):
 def test_lattice_requires_b_zero():
     F = field(7, 1)
     with pytest.raises(ValueError):
-        count_N_via_lattice(Subgroup(F, 3, 1, zero_subspace(F)), 3)
+        count_N_via_lattice(Subgroup(F, 3, 1, Subspace(F)), 3)
 
 
 def test_lattice_route_checks_b_zero_once_in_the_supergroups():
     # the supergroups assume the fixed point 0; the fold adds no check of
     # its own, so both entries raise with the one message
     F = field(7, 1)
-    S = Subgroup(F, 3, 1, zero_subspace(F))
+    S = Subgroup(F, 3, 1, Subspace(F))
     message = "^supergroup enumeration requires b = 0; conjugate first$"
     with pytest.raises(ValueError, match=message):
         lattice_terms(S)
