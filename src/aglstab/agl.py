@@ -14,10 +14,12 @@ Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
 space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
 ``fixed_point`` c = b/(1 - a).
 ``immediate_supergroups`` grows H by a line, the ``span`` of H and one
-coset leader.  Containment needs no test of its own: T contains S iff
-the group that the two generate, ``join_pair(T, S, table)``, is T.  A
-``JoinTable`` lets joins share the spans, coset leaders and descriptors
-they build.
+coset leader, built once per line.  Containment needs no test of its
+own: T contains S iff the group that the two generate, ``join_pair(T,
+S, table)``, is T.  A ``JoinTable`` lets joins share the spans, coset
+leaders and descriptors they build; a span that grows T1's H is keyed
+by that H and the coset leaders it adds, so it is built once per new
+coset, not once per pair.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     F_{p**o_d(p)} (F_p when d = 1).  A pure translation group (d = 1)
     takes its new map of order e about each coset of H; for d > 1 the
     fixed point stays at 0.  Each line is the span of H and a nonzero
-    coset leader r, listed once, in the order of its first r.
+    coset leader r, built once, in the order of its first r: the leaders
+    of s*r for s in F_{p**o_d(p)}^* are marked, and a marked r skipped.
     """
     if S.b != 0:
         raise ValueError("supergroup enumeration requires b = 0; conjugate first")
@@ -165,15 +168,21 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     points = H.cosets() if d == 1 else (0,)
     out = [Subgroup(field, d * e, b, H)
            for e in prime_set((h_prime - 1) // d) for b in points]
-    lines: dict[tuple[int, ...], Subspace] = {}
+    # the nonzero cosets of a line H + F*r are those of s*r, s in F^*
+    g = field.pow(field.gamma, (field.q - 1) // (field.p ** S.odp - 1))
+    units = [field.pow(g, t) for t in range(field.p ** S.odp - 1)]
+    lines: list[Subspace] = []
+    covered = set()
     for r in list(H.cosets())[1:]:
-        line = span(field, H.basis + (r,), S.odp)
-        lines.setdefault(line.basis, line)
+        if r in covered:
+            continue
+        lines.append(span(field, H.basis + (r,), S.odp))
+        covered.update(H.reduce(field.mul(s, r)) for s in units)
     expected = (field.q // H.size - 1) // (field.p ** S.odp - 1)
     if len(lines) != expected:
         raise RuntimeError(f"found {len(lines)} lines of F_q/H, expected "
                            f"{expected}")
-    out.extend(Subgroup(field, d, 0, line) for line in lines.values())
+    out.extend(Subgroup(field, d, 0, line) for line in lines)
     return out
 
 
@@ -193,9 +202,11 @@ def join(S: Subgroup, selection) -> Subgroup:
 class JoinTable:
     """The parts of the joins made for one lattice fold, each built once
     per distinct input: spans keyed by (basis, basis, fixed-point
-    difference, degree), coset leaders by (basis of H, element), and
-    subgroups by (d, b, basis of H).  The fold creates one and drops it
-    when it returns, so nothing outlives the call."""
+    difference, degree) and, where the first space is closed under the
+    degree's subfield, also by (its basis, the nonzero coset leaders the
+    other vectors leave mod it, degree); coset leaders by (basis of H,
+    element), and subgroups by (d, b, basis of H).  The fold creates one
+    and drops it when it returns, so nothing outlives the call."""
 
     __slots__ = ("spans", "leaders", "subgroups")
 
@@ -216,27 +227,44 @@ def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
     when d is theirs, and computed only for a new d.  The ``table``, shared
     across calls, builds each span, coset leader and ``Subgroup`` once per
     distinct input; the first build of a subgroup runs all of its checks,
-    and a repeat returns that same object.
+    and a repeat returns that same object.  A span missing under the pair
+    key is, where H1 = T1.H is a space over F_{p**odp}, the span of H1
+    and the coset leaders mod H1 of T2's basis and the fixed-point
+    difference (x - reduce(x) lies in H1): H1 itself if every leader is
+    0, else looked up under (H1, the nonzero leaders, odp) and built only
+    on a miss there.
     """
     field = T1.field
-    if field != T2.field:
+    if T2.field is not field and T2.field != field:
         raise ValueError("cannot join subgroups over different fields")
     d = math.lcm(T1.d, T2.d)
     odp = math.lcm(T1.odp, T2.odp)
     c1, c2 = T1.fixed_point, T2.fixed_point
     diff = None if c1 is None or c2 is None else field.sub(c1, c2)
-    key = (T1.H.basis, T2.H.basis, diff, odp)
+    H1 = T1.H
+    key = (H1.basis, T2.H.basis, diff, odp)
     Hnew = table.spans.get(key)
     if Hnew is None:
-        vectors = T1.H.basis + T2.H.basis + (() if diff is None else (diff,))
-        Hnew = table.spans[key] = span(field, vectors, odp)
+        vectors = T2.H.basis + (() if diff is None else (diff,))
+        if H1.stabilizing_degree() % odp:
+            Hnew = span(field, H1.basis + vectors, odp)
+        else:
+            leaders = tuple(r for r in map(H1.reduce, vectors) if r)
+            if not leaders:
+                Hnew = H1
+            else:
+                Hnew = table.spans.get((H1.basis, leaders, odp))
+                if Hnew is None:
+                    Hnew = table.spans[(H1.basis, leaders, odp)] = span(
+                        field, H1.basis + leaders, odp)
+        table.spans[key] = Hnew
     if d == 1:
         b = 0
     else:
         one_minus_a = (
             T1.one_minus_a if d == T1.d else T2.one_minus_a if d == T2.d
             else field.sub(1, field.pow(field.gamma, (field.q - 1) // d)))
-        b_candidates = set()
+        b = None
         for c in (c1, c2):
             if c is None:
                 continue
@@ -244,11 +272,11 @@ def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
             leader = table.leaders.get((Hnew.basis, x))
             if leader is None:
                 leader = table.leaders[(Hnew.basis, x)] = Hnew.reduce(x)
-            b_candidates.add(leader)
-        if len(b_candidates) != 1:
-            raise RuntimeError("join must not depend on the chosen point, got "
-                               f"b in {sorted(b_candidates)}")
-        b = b_candidates.pop()
+            if b is None:
+                b = leader
+            elif leader != b:
+                raise RuntimeError("join must not depend on the chosen point, "
+                                   f"got b in {sorted((b, leader))}")
     J = table.subgroups.get((d, b, Hnew.basis))
     if J is None:
         J = table.subgroups[(d, b, Hnew.basis)] = Subgroup(field, d, b, Hnew)

@@ -149,6 +149,12 @@ def cmd_verify(args, out) -> int:
     k_max = _max_k(args, q, q)
     oracle.check_map_scan(q)
     shapes = counting.classes(p, alpha)
+    # every (class, k) in scan order, before the first scan: s_qk counts
+    # the representative's size-k orbit unions
+    for c in shapes:
+        for k in range(k_max + 1):
+            oracle.check_union_budget(counting.s_qk(q, k, c.d, c.h_size),
+                                      args.oracle_budget)
     rows = [(c.d, c.i, c.j, k, closed, lattice, brute,
              closed == lattice == brute)
             for c in shapes

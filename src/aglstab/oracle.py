@@ -304,6 +304,14 @@ def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def check_union_budget(unions: int, budget: int) -> None:
+    """The budget of a brute-force count: raises when its ``unions``
+    size-k orbit unions number more than ``budget``."""
+    if unions > budget:
+        raise BudgetExceededError(
+            f"{unions} orbit unions exceed the budget of {budget}")
+
+
 def count_N_bruteforce(S: Subgroup, k: int,
                        budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     """Count the k-subsets with stabilizer exactly S among the size-k
@@ -315,10 +323,7 @@ def count_N_bruteforce(S: Subgroup, k: int,
     otherwise scans the size-k ones one by one.
     """
     check_subset_size(S.field.q, k)
-    candidates = n_orbit_unions(S, k)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} orbit unions exceed the budget of {budget}")
+    check_union_budget(n_orbit_unions(S, k), budget)
     if TABLE_UNIONS_PER_POINT * S.field.q < 1 << len(S.orbits()) <= budget:
         return bruteforce_counts(S)[k]
     return sum(1 for _ in exact_orbit_unions(S, k))

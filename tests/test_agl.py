@@ -311,6 +311,26 @@ def test_immediate_supergroups_are_minimal(p, alpha):
         assert sup_sets == minimal, S
 
 
+def test_immediate_supergroups_build_one_span_per_line(monkeypatch):
+    # a coset leader whose coset lies in a line already found is skipped,
+    # so each line atom costs one Subspace, not one per nonzero leader
+    built = [0]
+    plain_init = Subspace.__init__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    for p, alpha in prime_powers(2, 64):
+        F = field(p, alpha)
+        for d, i, j in class_shapes(p, alpha):
+            S = class_representative(F, d, i, j)
+            before = built[0]
+            lines = sum(T.H != S.H for T in immediate_supergroups(S))
+            assert built[0] - before == lines, (F, d, i, j)
+
+
 def test_join_examples():
     F = field(5, 1)
     S = Subgroup(F, 2, 0, Subspace(F))
@@ -359,7 +379,7 @@ def test_join_pair_matches_generated_subgroup(p, alpha):
         assert join_pair(T1, T2, JoinTable()) == expected, (T1, T2)
 
 
-@pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])
 def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
     # one table across every pair, as in a lattice fold: each join it
     # answers is the one built in a fresh table, the join of a swapped

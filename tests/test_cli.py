@@ -643,6 +643,21 @@ def test_verify_budget_exceeded(capsys):
     assert "budget" in err.lower() or "closure" in err.lower()
 
 
+@pytest.mark.parametrize("q,unions", [(32, 10518300), (27, 13037895)])
+def test_verify_checks_every_budget_before_its_first_scan(capsys, monkeypatch,
+                                                          q, unions):
+    # the first (class, k) over the budget, in scan order, refuses the
+    # run before any representative is built or any count is scanned
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify scanned before checking its budget")
+
+    monkeypatch.setattr(oracle, "count_N_bruteforce", forbidden)
+    monkeypatch.setattr(agl, "class_representative", forbidden)
+    assert run(capsys, "verify", "--q", str(q)) == (
+        EXIT_BUDGET, "", f"aglstab: budget exceeded: {unions} orbit unions "
+                         "exceed the budget of 10000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "8192", "--max-k", "-1"],
     ["verify", "--q", "8", "--max-k", "9"],

@@ -482,6 +482,12 @@ def test_lattice_closure_budget(monkeypatch):
         count_N_via_lattice(trivial_subgroup(F), 1)
 
 
+# Subspaces built by one cold trivial fold, the trivial group's own
+# included: a span is built once per new coset, under the join table's
+# second key of T1's space and the coset leaders that T2 adds to it
+FOLD_SUBSPACES = {(2, 4): 250, (5, 2): 85, (7, 2): 105}
+
+
 @pytest.mark.parametrize("p,alpha,joins", [(2, 4, 2405), (5, 2, 2667),
                                            (7, 2, 17070)])
 def test_fold_makes_the_same_joins_and_keeps_nothing(p, alpha, joins,
@@ -515,6 +521,7 @@ def test_fold_makes_the_same_joins_and_keeps_nothing(p, alpha, joins,
     lattice_terms.cache_clear()
     assert runs[0] == runs[1]
     assert runs[0][1]["joins"] == joins
+    assert runs[0][1]["subspaces"] == FOLD_SUBSPACES[p, alpha]
     assert set(vars(F)) == attrs
 
 
