@@ -17,9 +17,9 @@ space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
 coset leader, built once per line.  Containment needs no test of its
 own: T contains S iff the group that the two generate, ``join_pair(T,
 S, table)``, is T.  A ``JoinTable`` lets joins share the spans, coset
-leaders and descriptors they build; a span that grows T1's H is keyed
-by that H and the coset leaders it adds, so it is built once per new
-coset, not once per pair.
+leaders and descriptors they build; every span that a join misses is
+keyed by T1's H and the coset leaders mod it of the other vectors, so it
+is built once per new coset, not once per pair.
 """
 
 from __future__ import annotations
@@ -202,11 +202,11 @@ def join(S: Subgroup, selection) -> Subgroup:
 class JoinTable:
     """The parts of the joins made for one lattice fold, each built once
     per distinct input: spans keyed by (basis, basis, fixed-point
-    difference, degree) and, where the first space is closed under the
-    degree's subfield, also by (its basis, the nonzero coset leaders the
-    other vectors leave mod it, degree); coset leaders by (basis of H,
-    element), and subgroups by (d, b, basis of H).  The fold creates one
-    and drops it when it returns, so nothing outlives the call."""
+    difference, degree) and also by (the first basis, the nonzero coset
+    leaders the other vectors leave mod its space, degree); coset leaders
+    by (basis of H, element), and subgroups by (d, b, basis of H).  The
+    fold creates one and drops it when it returns, so nothing outlives
+    the call."""
 
     __slots__ = ("spans", "leaders", "subgroups")
 
@@ -228,11 +228,12 @@ def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
     across calls, builds each span, coset leader and ``Subgroup`` once per
     distinct input; the first build of a subgroup runs all of its checks,
     and a repeat returns that same object.  A span missing under the pair
-    key is, where H1 = T1.H is a space over F_{p**odp}, the span of H1
-    and the coset leaders mod H1 of T2's basis and the fixed-point
-    difference (x - reduce(x) lies in H1): H1 itself if every leader is
-    0, else looked up under (H1, the nonzero leaders, odp) and built only
-    on a miss there.
+    key is the span over F_{p**odp} of H1 = T1.H and the coset leaders
+    mod H1 of T2's basis and the fixed-point difference, which is exact
+    for any F_p-space H1, since x - reduce(x) lies in H1.  It is H1
+    itself if every leader is 0 and H1 is a space over F_{p**odp}, and
+    otherwise looked up under (H1, the nonzero leaders, odp) and built
+    only on a miss there.
     """
     field = T1.field
     if T2.field is not field and T2.field != field:
@@ -246,17 +247,14 @@ def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
     Hnew = table.spans.get(key)
     if Hnew is None:
         vectors = T2.H.basis + (() if diff is None else (diff,))
-        if H1.stabilizing_degree() % odp:
-            Hnew = span(field, H1.basis + vectors, odp)
+        leaders = tuple(r for r in map(H1.reduce, vectors) if r)
+        if not leaders and H1.stabilizing_degree() % odp == 0:
+            Hnew = H1
         else:
-            leaders = tuple(r for r in map(H1.reduce, vectors) if r)
-            if not leaders:
-                Hnew = H1
-            else:
-                Hnew = table.spans.get((H1.basis, leaders, odp))
-                if Hnew is None:
-                    Hnew = table.spans[(H1.basis, leaders, odp)] = span(
-                        field, H1.basis + leaders, odp)
+            Hnew = table.spans.get((H1.basis, leaders, odp))
+            if Hnew is None:
+                Hnew = table.spans[(H1.basis, leaders, odp)] = span(
+                    field, H1.basis + leaders, odp)
         table.spans[key] = Hnew
     if d == 1:
         b = 0

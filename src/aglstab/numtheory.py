@@ -189,8 +189,6 @@ def mult_order(v: int, u: int) -> int:
     return m
 
 
-
-
 def check_field(p: int, alpha: int) -> None:
     """The field rule: F_{p**alpha} exists iff p is prime and alpha >= 1."""
     if not _is_prime(p):

@@ -3,12 +3,14 @@
 Three routes to the same numbers.  None reads the closed form's terms
 in :mod:`aglstab.counting`: the lattice route derives its own from the
 supergroup lattice, and the two scans decide maps.  All they take from
-``counting`` is the k rule, ``check_subset_size``, and for the lattice
-terms ``evaluate_terms`` and ``s_qk``, which count the orbit unions of a
-group shape.  A map is the int pair (a, b) of x -> a*x + b, and a subset
-is an int mask over the element codes, as :mod:`aglstab.ffield` defines
-it; ``Subgroup.orbits`` gives its orbits as such masks, which every
-route reads as they are.
+``counting`` is the k rule, ``check_subset_size``, and ``s_qk``, which
+counts the orbit unions of a group shape: the lattice route evaluates
+its terms with it (``evaluate_terms``), and the brute force reads it
+only for its budget and its size-split check, never for a count.  A map
+is the int pair (a, b) of x -> a*x + b, and a subset is an int mask over
+the element codes, as :mod:`aglstab.ffield` defines it;
+``Subgroup.orbits`` gives its orbits as such masks, which every route
+reads as they are.
 
 * ``stabilizer``: test all q*(q-1) affine maps against a subset mask
   (``fixing_maps``) and return the subset's exact stabilizer.  The scan
@@ -33,10 +35,10 @@ route reads as they are.
   unions, or more than the budget, the size-k unions are instead checked
   one by one with the same full scan as ``stabilizer`` (exact iff it
   finds no more than |S| fixing maps, since an orbit union's stabilizer
-  contains S).  Either way every map is decided.  ``_union_branches``,
-  the one home of the size-k rule, gives the union count that the budget
-  checks before either path; ``orbit_union_masks`` alone builds orbit
-  lists, once per scanned count.
+  contains S).  Either way every map is decided.  The budget checks
+  ``n_orbit_unions``, the ``s_qk`` of S's shape, before either path, so
+  a refused count walks no orbits; ``orbit_union_masks`` alone builds
+  orbit lists, once per scanned count.
 * ``count_N_via_lattice``: the alternating sum over all selections of
   immediate supergroups, with each join computed on descriptors and its
   fixed-subset count read off the orbit sizes.  The sum is folded in one
@@ -53,14 +55,13 @@ silently.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from functools import lru_cache
 
 from . import ffield
 from .agl import (JoinTable, Subgroup, immediate_supergroups, join_pair,
                   subgroup_from_masks)
-from .counting import check_subset_size, evaluate_terms
+from .counting import check_subset_size, evaluate_terms, s_qk
 from .ffield import Field
 from .numtheory import BudgetExceededError
 
@@ -115,39 +116,26 @@ def stabilizer(field: Field, mask: int) -> Subgroup:
 # orbit-union enumeration
 
 
-def _union_branches(S: Subgroup, k: int) -> list[tuple[bool, int]]:
-    """The one home of the size-k rule, as (with_h, t) branches: t orbits
-    of size |S|, over the one orbit of size |H| iff ``with_h`` (d > 1
-    only).  A branch exists where k, or k - |H|, is a multiple >= 0 of
-    |S|."""
-    rems = (k, k - S.H.size)[:1 + (S.d > 1)]
-    return [(with_h, rem // S.order)
-            for with_h, rem in zip((False, True), rems)
-            if rem >= 0 and rem % S.order == 0]
-
-
 def n_orbit_unions(S: Subgroup, k: int) -> int:
-    """Number of size-k orbit unions, i.e. |S'|, counted directly."""
-    return _n_orbit_unions(S, k)
-
-
-def _n_orbit_unions(S: Subgroup, k: int) -> int:
-    # C(m, t) over m orbits of size |S|; the table's size split calls
-    # this twin so that it is not counted as ``oracle.candidates``
-    m = len(S.orbits()) - (S.d > 1)
-    return sum(math.comb(m, t) for _, t in _union_branches(S, k))
+    """Number of size-k orbit unions, i.e. |S'|: the fixed-subset count
+    ``s_qk`` of S's shape, read without walking its orbits."""
+    return s_qk(S.field.q, k, S.d, S.H.size)
 
 
 def orbit_union_masks(S: Subgroup, k: int):
-    """The size-k orbit unions of S, branch by branch (no base first),
-    each branch's combinations in ``Subgroup.orbits()`` order; the orbits
-    are disjoint, so a sum of them is their union."""
+    """The size-k orbit unions of S: t orbits of size |S| over a base,
+    first the empty one and then, for d > 1, the one orbit of size |H|,
+    where k minus the base's size is t*|S| with t >= 0; each base's
+    combinations come in ``Subgroup.orbits()`` order.  The orbits are
+    disjoint, so a sum of them is their union."""
     orbits = S.orbits()
     bigs = [m for m in orbits if m.bit_count() == S.order]
     small = sum(orbits) - sum(bigs)  # the |H| orbit if d > 1, else 0
-    for with_h, t in _union_branches(S, k):
-        for combo in itertools.combinations(bigs, t):
-            yield sum(combo, small if with_h else 0)
+    for base in (0, small)[:1 + (S.d > 1)]:
+        t, rem = divmod(k - base.bit_count(), S.order)
+        if t >= 0 and not rem:
+            for combo in itertools.combinations(bigs, t):
+                yield sum(combo, base)
 
 
 def is_exact_stabilizer(S: Subgroup, mask: int) -> bool:
@@ -248,22 +236,20 @@ def bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
     one of them, so D >= |S|; if D > |S| no candidate has stabilizer
     exactly S, and if D = |S| a candidate has it iff it is not in
     ``bad``.  The candidates are split by subset size with one pass over
-    the orbit columns, and each size must hold ``n_orbit_unions`` of
-    them.
+    the orbit columns, and each size must hold ``s_qk`` of them: the
+    fixed-subset count of S's shape, which reads neither the orbits nor
+    the pairs.
     """
-    if S._bruteforce_counts is None:
-        S._bruteforce_counts = _bruteforce_counts(S)
-    return S._bruteforce_counts
-
-
-def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
+    if S._bruteforce_counts is not None:
+        return S._bruteforce_counts
     q = S.field.q
     diagonal, pair_sets = _orbit_pair_sets(S)
     if diagonal < S.order:
         raise RuntimeError(f"only {diagonal} maps keep every S-orbit in "
                            f"place, but |S| = {S.order}")
     if diagonal > S.order:
-        return (0,) * (q + 1)
+        S._bruteforce_counts = (0,) * (q + 1)
+        return S._bruteforce_counts
     sizes = [o.bit_count() for o in S.orbits()]
     width = min(len(sizes), CHUNK_BITS)
     full = (1 << (1 << width)) - 1
@@ -297,11 +283,12 @@ def _bruteforce_counts(S: Subgroup) -> tuple[int, ...]:
             covered[s + offset] += cand.bit_count()
             counts[s + offset] += (cand & ~bad).bit_count()
     for k in range(q + 1):
-        expected = _n_orbit_unions(S, k)
+        expected = s_qk(q, k, S.d, S.H.size)
         if covered[k] != expected:
             raise RuntimeError(f"the size split holds {covered[k]} orbit "
                                f"unions of size {k}, not {expected}")
-    return tuple(counts)
+    S._bruteforce_counts = tuple(counts)
+    return S._bruteforce_counts
 
 
 def check_union_budget(unions: int, budget: int) -> None:
@@ -317,10 +304,11 @@ def count_N_bruteforce(S: Subgroup, k: int,
     """Count the k-subsets with stabilizer exactly S among the size-k
     unions of S-orbits.
 
-    Raises before either path when there are more than ``budget`` of
-    them.  Reads ``bruteforce_counts(S)`` when all 2**m orbit unions fit
-    in the budget and number more than TABLE_UNIONS_PER_POINT * q, and
-    otherwise scans the size-k ones one by one.
+    Raises before either path, and before S's orbits are walked, when
+    ``n_orbit_unions`` counts more than ``budget`` of them.  Reads
+    ``bruteforce_counts(S)`` when all 2**m orbit unions fit in the budget
+    and number more than TABLE_UNIONS_PER_POINT * q, and otherwise scans
+    the size-k ones one by one.
     """
     check_subset_size(S.field.q, k)
     check_union_budget(n_orbit_unions(S, k), budget)

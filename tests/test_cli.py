@@ -631,6 +631,25 @@ def test_verify_golden_digest(capsys, q, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[q, fmt]
 
 
+# SHA-256 of `aglstab verify --q Q --max-k 4 --format csv` stdout, recorded
+# while the brute-force budget still counted orbit unions off the orbits.
+# A class whose 2**m orbit unions exceed the budget (the trivial group
+# here) scans its size-k ones one by one, a path no other digest reaches
+VERIFY_MAX_K4_CSV_SHA256 = {
+    25: "afb7aa31efb1d9076b84587314158f7a3c02d0d138812ccec1902874efdba1fb",
+    27: "e2370acc21843f1e203c8f69e1c2fa58c9617bc89244bd968cc4512fd973d61f",
+}
+
+
+@pytest.mark.parametrize("q", sorted(VERIFY_MAX_K4_CSV_SHA256))
+def test_verify_bounded_k_golden_digest(capsys, q):
+    code, out, _ = run(capsys, "verify", "--q", str(q), "--max-k", "4",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == VERIFY_MAX_K4_CSV_SHA256[q])
+
+
 def test_verify_brute_force_past_q16(capsys):
     code, out, _ = run(capsys, "verify", "--q", "17")
     assert code == EXIT_OK

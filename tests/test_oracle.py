@@ -23,8 +23,8 @@ from aglstab.oracle import (BudgetExceededError,
 import reference
 from reference import (all_subgroups, assert_lines, full_census, full_group,
                        literal_lattice_terms, pairs_to_masks,
-                       reference_fixing_maps, run_python, subgroup_elements,
-                       trivial_subgroup)
+                       prime_powers, reference_fixing_maps, run_python,
+                       subgroup_elements, trivial_subgroup)
 
 FIELDS = {}
 
@@ -179,6 +179,25 @@ def test_orbit_unions_are_the_subsets_every_map_fixes(p, alpha):
             assert n_orbit_unions(S, k) == len(fixed), (S, k)
 
 
+def test_orbit_union_masks_yield_the_fixed_subset_count():
+    # the enumerator and the count share no helper: every class of every
+    # q <= 32, at every k with at most 2,000 unions
+    pairs = masks = 0
+    for p, alpha in prime_powers(2, 32):
+        F = field(p, alpha)
+        for d, i, j in class_shapes(p, alpha):
+            S = class_representative(F, d, i, j)
+            for k in range(F.q + 1):
+                n = n_orbit_unions(S, k)
+                if n > 2_000:
+                    continue
+                found = set(orbit_union_masks(S, k))
+                assert len(found) == n, (S, k)
+                assert all(m.bit_count() == k for m in found), (S, k)
+                pairs, masks = pairs + 1, masks + n
+    assert (pairs, masks) == (3_171, 82_836)
+
+
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1)])
 def test_is_exact_stabilizer_matches_stabilizer(p, alpha):
     # every orbit union of every class, so both answers occur
@@ -223,16 +242,18 @@ def test_count_N_bruteforce_budget(monkeypatch):
     monkeypatch.setattr(oracle, "is_exact_stabilizer",
                         lambda S, mask: scans.append(mask))
     monkeypatch.setattr(oracle, "bruteforce_counts", scans.append)
+    S = trivial_subgroup(F)
     with pytest.raises(BudgetExceededError,
                        match="^1716 orbit unions exceed the budget of 100$"):
-        count_N_bruteforce(trivial_subgroup(F), 6, budget=100)
-    assert scans == []
+        count_N_bruteforce(S, 6, budget=100)
+    # the refusal walks no orbits either
+    assert scans == [] and S._orbits is None
 
 
 def test_count_N_bruteforce_builds_one_branch_list_per_scanned_count(
         monkeypatch):
-    # the budget reads the union count off the orbits; only a one-by-one
-    # scan lists its branches, once per count, and a table count none
+    # the budget reads the union count off s_qk; only a one-by-one scan
+    # lists the unions, once per count, and a table count none
     calls = []
     masks = oracle.orbit_union_masks
     monkeypatch.setattr(oracle, "orbit_union_masks",
@@ -319,7 +340,7 @@ def test_bruteforce_counts_check_their_invariants(monkeypatch):
     S.order += 1
     with pytest.raises(RuntimeError, match="only 2 maps keep every S-orbit"):
         bruteforce_counts(S)
-    monkeypatch.setattr(oracle, "_n_orbit_unions", lambda S, k: 1)
+    monkeypatch.setattr(oracle, "s_qk", lambda q, k, u, v: 1)
     with pytest.raises(RuntimeError, match="the size split holds 3 orbit "
                                            "unions of size 2, not 1"):
         bruteforce_counts(class_representative(F, 2, 1, 0))
