@@ -7,8 +7,7 @@ from .numtheory import BudgetExceededError, mult_order, prime_set
 from .counting import (ClassParams, StabilizerClass, build_table, classes,
                        count_N, s_qk)
 from .ffield import Field, Subspace, span, subset_mask
-from .agl import (Subgroup, class_representative, immediate_supergroups,
-                  join_pair)
+from .agl import Subgroup, class_representative
 from .oracle import (count_N_bruteforce, count_N_via_lattice, lattice_terms,
                      stabilizer)
 from .designs import (CodeParams, DesignParams, IncidenceMatrix,

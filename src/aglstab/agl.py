@@ -12,14 +12,14 @@ iff the subgroups are equal, so lattice walks never need element sets.
 
 Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
 space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
-``fixed_point`` c = b/(1 - a).
-``immediate_supergroups`` grows H by a line, the ``span`` of H and one
-coset leader, built once per line.  Containment needs no test of its
-own: T contains S iff the group that the two generate, ``join_pair(T,
-S, table)``, is T.  A ``JoinTable`` lets joins share the spans, coset
-leaders and descriptors they build; every span that a join misses is
-keyed by T1's H and the coset leaders mod it of the other vectors, so it
-is built once per new coset, not once per pair.
+``fixed_point`` c = b/(1 - a).  Containment is read off descriptors: T
+contains S iff d_S | d_T, H_S lies in H_T, and, when d_S > 1, the fixed
+point of S lies in c_T + H_T; ``oracle.overgroup_census`` lists the
+overgroups this way.  ``immediate_supergroups`` (the atoms above S, each
+line the ``span`` of H and one coset leader) and ``join_pair`` (the
+group two subgroups generate, its parts shared through a ``JoinTable``)
+serve no library route: they stay for perfbench's wrap list until
+ROADMAP item 7, and the tests' theory-free lattice walk uses them.
 """
 
 from __future__ import annotations
@@ -150,6 +150,7 @@ def subgroup_from_masks(field: Field, masks: dict[int, int]) -> Subgroup:
 # lattice steps
 
 
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     """The minimal elements above S in the subgroup lattice.
 
@@ -199,14 +200,14 @@ def join(S: Subgroup, selection) -> Subgroup:
     return functools.reduce(lambda J, T: join_pair(J, T, table), sel, S)
 
 
+# kept for ``join_pair`` and perfbench's wrap list until ROADMAP item 7
 class JoinTable:
-    """The parts of the joins made for one lattice fold, each built once
-    per distinct input: spans keyed by (basis, basis, fixed-point
-    difference, degree) and also by (the first basis, the nonzero coset
-    leaders the other vectors leave mod its space, degree); coset leaders
-    by (basis of H, element), and subgroups by (d, b, basis of H).  The
-    fold creates one and drops it when it returns, so nothing outlives
-    the call."""
+    """The parts of the joins made into one table, each built once per
+    distinct input: spans keyed by (basis, basis, fixed-point difference,
+    degree) and also by (the first basis, the nonzero coset leaders the
+    other vectors leave mod its space, degree); coset leaders by (basis
+    of H, element), and subgroups by (d, b, basis of H).  Its creator
+    drops it when done, so nothing outlives the joins it serves."""
 
     __slots__ = ("spans", "leaders", "subgroups")
 
@@ -216,6 +217,7 @@ class JoinTable:
         self.subgroups: dict[tuple[int, int, tuple[int, ...]], Subgroup] = {}
 
 
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
 def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
     """The subgroup generated by two arbitrary subgroups, on descriptors.
 

@@ -31,11 +31,14 @@ o_d(p)*i: ``Field.subfield(m)`` is its F_p-basis, ``span`` takes m, and
 mapping H into itself.  ``Subspace`` builds a space over F_p (no vectors:
 the zero space) and ``span`` one over F_{p**m}; nothing else builds one.
 ``cosets`` gives each coset of F_q/H as an int mask keyed by its least
-element.
+element.  ``superspaces`` lists every subspace over a subfield above a
+given one as an element mask and generators, without building a
+``Subspace``.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -415,3 +418,63 @@ def span(field: Field, elements, degree: int) -> Subspace:
     ``elements``: the F_p-span of each element times the subfield basis."""
     basis = field.subfield(degree)
     return Subspace(field, [field.mul(kb, x) for x in elements for kb in basis])
+
+
+def _extend(field: Field, elems: list[int], v: int) -> list[int]:
+    """The elements x + c*v, c in F_p^*, that v adds to the F_p-space
+    ``elems`` (the code c is the constant c); v lies outside it."""
+    add, mul = field.add, field.mul
+    return [add(x, mul(c, v)) for c in range(1, field.p) for x in elems]
+
+
+def superspaces(H: Subspace, degree: int):
+    """Every F_{p**degree}-subspace W of the field that contains H, itself
+    one, each exactly once, as (mask of its elements, F_p-generators): H's
+    basis, then s*r for s in ``subfield(degree)`` and each row r that W
+    adds.  H itself comes first.
+
+    The complement C of H is spanned over F_{p**degree} by the digit units
+    p**t, least first, that lie outside the span so far; for degree 1
+    these are the digits that are no pivot of H.  W is H plus its meet
+    with C, and the rows are that meet's one reduced echelon form in this
+    basis of C: each row is 1 at its pivot unit and 0 at the others'.
+    Rows are chosen by pivot, least first, so a row's free coefficients --
+    at the units below its pivot that are no pivot -- are known when it is
+    chosen, and each W grows from the one before by one row.
+    """
+    field = H.field
+    add, mul = field.add, field.mul
+    basis = field.subfield(degree)
+    scalars = [0]
+    for b in basis:
+        scalars += _extend(field, scalars, b)
+
+    def multiples(elems, v):
+        new = []
+        for b in basis:
+            new += _extend(field, elems + new, mul(b, v))
+        return new
+
+    elems = [0]
+    for v in H.basis:
+        elems += _extend(field, elems, v)
+    units, whole = [], list(elems)
+    for w in field._pows:
+        if w not in whole:
+            units.append(w)
+            whole += multiples(whole, w)
+
+    def grow(elems, mask, gens, start, slots):
+        yield mask, gens
+        for idx in range(start, len(units)):
+            lower = slots + units[start:idx]
+            for coeffs in itertools.product(scalars, repeat=len(lower)):
+                row = units[idx]
+                for c, u in zip(coeffs, lower):
+                    row = add(row, mul(c, u))
+                new = multiples(elems, row)
+                yield from grow(elems + new, mask | subset_mask(new),
+                                gens + tuple(mul(b, row) for b in basis),
+                                idx + 1, lower)
+
+    yield from grow(elems, subset_mask(elems), H.basis, 0, [])

@@ -1,12 +1,13 @@
 """Independent verification engines for the closed-form counts.
 
 Three routes to the same numbers.  None reads the closed form's terms
-in :mod:`aglstab.counting`: the lattice route derives its own from the
-supergroup lattice, and the two scans decide maps.  All they take from
-``counting`` is the k rule, ``check_subset_size``, and ``s_qk``, which
-counts the orbit unions of a group shape: the lattice route evaluates
-its terms with it (``evaluate_terms``), and the brute force reads it
-only for its budget and its size-split check, never for a count.  A map
+in :mod:`aglstab.counting`: the lattice route derives its own from a
+census of the overgroups, and the two scans decide maps.  All they take
+from ``counting`` is the k rule, ``check_subset_size``, and ``s_qk``,
+which counts the orbit unions of a group shape: the lattice route
+evaluates its terms with it (``evaluate_terms``), and the brute force
+reads it only for its budget and its size-split check, never for a
+count.  A map
 is the int pair (a, b) of x -> a*x + b, and a subset is an int mask over
 the element codes, as :mod:`aglstab.ffield` defines it;
 ``Subgroup.orbits`` gives its orbits as such masks, which every route
@@ -39,14 +40,15 @@ reads as they are.
   ``n_orbit_unions``, the ``s_qk`` of S's shape, before either path, so
   a refused count walks no orbits; ``orbit_union_masks`` alone builds
   orbit lists, once per scanned count.
-* ``count_N_via_lattice``: the alternating sum over all selections of
-  immediate supergroups, with each join computed on descriptors and its
-  fixed-subset count read off the orbit sizes.  The sum is folded in one
-  supergroup at a time, largest first (``lattice_terms``), so it never
-  walks the 2**t selections one by one, yet every selection still
-  contributes its sign at its own join.  The fold's joins share one
-  ``agl.JoinTable``, which lives for one call, so each distinct span,
-  coset leader and subgroup is built once.
+* ``count_N_via_lattice``: P. Hall's Moebius inversion over the
+  overgroups T of S.  ``overgroup_census`` lists them as nodes (d, H),
+  H a space over F_{p**o_d(p)} above S's, from the masks that
+  ``ffield.superspaces`` yields; containment is read off the nodes (d_S
+  | d_T and one AND on the masks), so no subgroup is joined.  Before any
+  space is enumerated, the Galois number predicts how many there are,
+  and more than DEFAULT_CENSUS_LIMIT raise.  ``lattice_terms`` then
+  solves the Moebius coefficients up the nodes, smaller spaces first,
+  and sums them by (d, |H|).
 
 Budgets are explicit and overruns raise; nothing is ever truncated
 silently.
@@ -59,15 +61,14 @@ from collections import Counter
 from functools import lru_cache
 
 from . import ffield
-from .agl import (JoinTable, Subgroup, immediate_supergroups, join_pair,
-                  subgroup_from_masks)
+from .agl import Subgroup, subgroup_from_masks
 from .counting import check_subset_size, evaluate_terms, s_qk
 from .ffield import Field
-from .numtheory import BudgetExceededError
+from .numtheory import BudgetExceededError, divisor_orders
 
 DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000
-DEFAULT_CLOSURE_LIMIT = 5_000
+DEFAULT_CENSUS_LIMIT = 5_000
 
 
 def check_map_scan(q: int) -> int:
@@ -318,48 +319,102 @@ def count_N_bruteforce(S: Subgroup, k: int,
 
 
 # ---------------------------------------------------------------------------
-# inclusion-exclusion over the supergroup lattice
+# inclusion-exclusion over the overgroup lattice
+
+
+def galois_number(p: int, n: int) -> int:
+    """G_p(n), the number of subspaces of F_p^n, by Goldman and Rota's
+    recurrence G(n + 1) = 2 G(n) + (p**n - 1) G(n - 1), G(0) = 1."""
+    before, g = 0, 1
+    for m in range(n):
+        before, g = g, 2 * g + (p ** m - 1) * before
+    return g
+
+
+def overgroup_census(S: Subgroup) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The overgroups T = S(d, c, H) of S = S(d_S, 0, H_S) as nodes
+    (d, H): d_S | d | q - 1, and H contains H_S and is closed under
+    F_{p**o_d(p)}.  c is no part of a node: for d_S > 1 the fixed point 0
+    of S lies in c + H, so c = 0, and for d_S = 1 a node with d > 1
+    stands for q/|H| groups, one per coset c + H.  One entry (mask of H,
+    |H|, the d of its nodes in ascending order) per space H.
+
+    o_{d_S}(p) divides every o_d(p), so each H is a space over F_r, r =
+    p**o_{d_S}(p), and ``ffield.superspaces`` lists those above H_S, H_S
+    first.  Their number, the Galois number G_r(n) for n = (alpha - dim
+    H_S) / o_{d_S}(p), is checked against DEFAULT_CENSUS_LIMIT before the
+    first is enumerated, and against the count after the last.  H is
+    closed under F_{p**m} iff g*v lies in H for the primitive element g
+    of F_{p**m} and every generator v.
+    """
+    if S.b != 0:
+        raise ValueError("the overgroup census requires b = 0; conjugate first")
+    field = S.field
+    predicted = galois_number(field.p ** S.odp,
+                              (field.alpha - S.H.dim) // S.odp)
+    if predicted > DEFAULT_CENSUS_LIMIT:
+        raise BudgetExceededError(
+            f"the overgroup census needs {predicted} subspaces, over the "
+            f"limit of {DEFAULT_CENSUS_LIMIT}")
+    degrees = [(d, odp) for d, odp in divisor_orders(field.p, field.alpha)
+               if d % S.d == 0]
+    primitive = {odp: field.subfield(odp)[1] if odp > 1 else 1
+                 for _, odp in degrees}
+    mul = field.mul
+    census = []
+    for mask, gens in ffield.superspaces(S.H, S.odp):
+        closed = {odp: all(mask >> mul(g, v) & 1 for v in gens)
+                  for odp, g in primitive.items()}
+        census.append((mask, mask.bit_count(),
+                       tuple(d for d, odp in degrees if closed[odp])))
+    if len(census) != predicted:
+        raise RuntimeError(f"the census found {len(census)} subspaces, "
+                           f"where the Galois number predicts {predicted}")
+    return census
 
 
 @lru_cache(maxsize=None)
 def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
-    """Signed terms (coefficient, d, |H|) of the inclusion-exclusion for
-    N(S, k); k enters only through the fixed-subset counts, so the terms
-    are reusable across k.
+    """Signed terms (coefficient, d, |H|) of N(S, k) = sum over the
+    overgroups T of S of mu(S, T) * s_qk(T, k), P. Hall's Moebius
+    inversion of s_qk(S, k) = sum over T of N(T, k); k enters only
+    through the fixed-subset counts, so the terms are reusable across k.
 
-    The sum runs over all 2**t selections X of the t immediate
-    supergroups, with sign (-1)**|X| at join(S, X), folded in one
-    supergroup U at a time: f maps subgroups to coefficients, starts as
-    {S: 1}, and every (T, c) in f adds -c at join(T, U) -- the selections
-    that also take U.  The sum is the same in any order; the fold takes
-    the largest U first (a stable sort by order), which keeps f smaller
-    for the later ones.  Entries that cancel to zero are dropped after
-    each U; more than DEFAULT_CLOSURE_LIMIT nonzero entries raise.  Every
-    join goes through ``join_pair`` with one ``JoinTable`` for the call,
-    so each span, coset leader and subgroup is built once per distinct
-    input, and the table is dropped on return.  S must have b = 0, which
-    ``immediate_supergroups`` checks.
+    Translations fix a pure translation group S, so mu does not depend
+    on c, and a node's coefficient c(T) is mu times its g(T) groups:
+    q/|H| when d_S = 1 < d, else 1.  The spaces of ``overgroup_census``
+    are taken in order of size and the d of each in ascending order, so
+    every node comes after the nodes U below it: d_U | d_T and H_U inside
+    H_T, one AND on their masks per pair of spaces.  Summed over the
+    groups of T, the sum of mu over [S, T] is [T = S], and it reads
+    c(T) = [T = S] - sum over U of c(U) * (g(T) if d_U = 1 else 1): the
+    one group of a node with d_U = 1 lies in every group of T, and each
+    group of a node with d_U > 1 in one.  Nodes with c = 0 are skipped.
     """
-    supers = sorted(immediate_supergroups(S), key=lambda U: -U.order)
-    f: dict[Subgroup, int] = {S: 1}
-    table = JoinTable()
-    for folded, U in enumerate(supers, 1):
-        for T, c in list(f.items()):
-            J = join_pair(T, U, table)
-            f[J] = f.get(J, 0) - c
-        f = {T: c for T, c in f.items() if c}
-        if len(f) > DEFAULT_CLOSURE_LIMIT:
-            raise BudgetExceededError(
-                f"the lattice fold holds {len(f)} subgroups after {folded} "
-                f"of {len(supers)} supergroups, over the limit of "
-                f"{DEFAULT_CLOSURE_LIMIT}")
+    census = overgroup_census(S)
+    census.sort(key=lambda space: space[1])
+    q = S.field.q
+    done: list[tuple[int, dict[int, int]]] = []
     agg: Counter = Counter()
-    for T, c in f.items():
-        agg[(T.d, T.H.size)] += c
+    for mask, size, degrees in census:
+        coeffs: dict[int, int] = {}
+        done.append((mask, coeffs))
+        outside = ~mask
+        # the spaces inside this one, itself included, whose nodes with
+        # a smaller d are filled in before the next d reads them
+        below = [cU for mU, cU in done if not mU & outside]
+        for d in degrees:
+            g = q // size if S.d == 1 < d else 1
+            c = ((d, size) == (S.d, S.H.size)) - sum(
+                cd * (g if dU == 1 else 1) for cU in below
+                for dU, cd in cU.items() if not d % dU)
+            if c:
+                coeffs[d] = c
+                agg[(d, size)] += c
     return tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
 
 
 def count_N_via_lattice(S: Subgroup, k: int) -> int:
-    """N(S, k) by inclusion-exclusion over the immediate supergroups."""
+    """N(S, k) by Moebius inversion over the overgroups of S."""
     check_subset_size(S.field.q, k)
     return evaluate_terms(S.field.q, k, lattice_terms(S))

@@ -650,6 +650,20 @@ def test_verify_bounded_k_golden_digest(capsys, q):
             == VERIFY_MAX_K4_CSV_SHA256[q])
 
 
+# SHA-256 of `aglstab verify --q 81 --max-k 2 --format csv`, recorded from
+# the supergroup join fold that the overgroup census replaced; the brute
+# force takes the trivial group's size-k unions one by one here
+VERIFY_Q81_CSV_SHA256 = (
+    "6e3e78c7bc1d1187661cd57c0973c14ebaef7fa6024c47d7b5aafee974218a75")
+
+
+def test_verify_q81_golden_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "81", "--max-k", "2",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_Q81_CSV_SHA256
+
+
 def test_verify_brute_force_past_q16(capsys):
     code, out, _ = run(capsys, "verify", "--q", "17")
     assert code == EXIT_OK

@@ -499,6 +499,25 @@ def test_subspace_matches_coefficient_list_reference(p, alpha):
         assert Subspace(F, sorted(vectors, reverse=True) + list(basis)) == H
 
 
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 32) + [(7, 2)])
+def test_superspaces_list_each_space_above_once(p, alpha):
+    # against the span-and-dedup enumeration: every space over F_{p**m}
+    # that holds H comes once, as its mask, with generators that span it
+    # over F_p one per dimension
+    F = Field(p, alpha)
+    for m in (m for m in range(1, alpha + 1) if alpha % m == 0):
+        spaces = all_subspaces(F, m)
+        for H in spaces:
+            listed = [(mask, Subspace(F, gens).cosets()[0], len(gens))
+                      for mask, gens in aglstab.ffield.superspaces(H, m)]
+            assert listed[0][0] == H.cosets()[0]
+            above = sorted(W.cosets()[0] for W in spaces
+                           if H.cosets()[0] & ~W.cosets()[0] == 0)
+            assert sorted(mask for mask, _, _ in listed) == above, (m, H)
+            assert all(mask == spanned and mask.bit_count() == p ** dim
+                       for mask, spanned, dim in listed), (m, H)
+
+
 def test_stabilizing_degree_is_memoized_per_basis(monkeypatch):
     F = Field(2, 6)
     H = span(F, (1, 2), 1)

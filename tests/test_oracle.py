@@ -1,5 +1,6 @@
 """Brute-force engines and the lattice inclusion-exclusion evaluator."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from aglstab import oracle
+from aglstab import ffield, oracle
 from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join_pair,
                          subgroup_from_masks)
@@ -460,13 +461,35 @@ def test_lattice_example_q5():
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                      (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
                                      (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
-                                     (3, 4), (11, 2), (5, 3), (13, 2)])
+                                     (3, 4), (11, 2), (5, 3), (13, 2), (3, 5),
+                                     (2, 7)])
 def test_closed_form_terms_equal_lattice_terms(p, alpha):
     # one representation for two engines: the same signed (c, d, |H|) terms
     F = field(p, alpha)
     for c in classes(p, alpha):
+        if (p, alpha, c.d, c.beta) == (2, 7, 1, 0):
+            continue        # over the census budget: see the budget test
         S = class_representative(F, c.d, c.i, c.j)
         assert c.terms() == lattice_terms(S), (c.d, c.i, c.j)
+
+
+#: SHA-256 of repr([(q, d, i, j, lattice_terms(S)), ...]) over the 442
+#: class representatives of every prime power q <= 64 and of q = 81, 121,
+#: 125 and 169, recorded from the supergroup join fold that the overgroup
+#: census replaced
+LATTICE_TERMS_SHA256 = (
+    "b24365373682f751aa824c30fa7a8b3d7d00689949c2164d0c0bfc1bbd8b6643")
+
+
+def test_lattice_terms_golden_digest():
+    rows = [(F.q, d, i, j, lattice_terms(class_representative(F, d, i, j)))
+            for p, alpha in prime_powers(2, 64) + [(3, 4), (11, 2), (5, 3),
+                                                  (13, 2)]
+            for F in [field(p, alpha)]
+            for d, i, j in class_shapes(p, alpha)]
+    assert len(rows) == 442
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        LATTICE_TERMS_SHA256)
 
 
 def test_lattice_requires_b_zero():
@@ -476,11 +499,11 @@ def test_lattice_requires_b_zero():
 
 
 def test_lattice_route_checks_b_zero_once_in_the_supergroups():
-    # the supergroups assume the fixed point 0; the fold adds no check of
-    # its own, so both entries raise with the one message
+    # the overgroup census assumes the fixed point 0; the Moebius sum adds
+    # no check of its own, so both entries raise with the one message
     F = field(7, 1)
     S = Subgroup(F, 3, 1, Subspace(F))
-    message = "^supergroup enumeration requires b = 0; conjugate first$"
+    message = "^the overgroup census requires b = 0; conjugate first$"
     with pytest.raises(ValueError, match=message):
         lattice_terms(S)
     with pytest.raises(ValueError, match=message):
@@ -488,84 +511,83 @@ def test_lattice_route_checks_b_zero_once_in_the_supergroups():
 
 
 def test_lattice_closure_budget(monkeypatch):
-    # the trivial group of F_13 has 27 immediate supergroups; the fold
-    # takes the line (order 13) first and then one of order 3, which
-    # leave {1, U1, U2, U1 v U2} in it, one over the cap; the cache is
-    # cleared so the fold runs under the patched limit
-    F = field(13, 1)
+    # the census budget: the trivial group of F_128 has G_2(7) = 29212
+    # overgroup spaces, refused before the enumerator is called; F_64 and
+    # F_243 (G_2(6) = 2825, G_3(5) = 2664) are admitted
+    assert [oracle.galois_number(2, n) for n in range(8)] == [
+        1, 2, 5, 16, 67, 374, 2825, 29212]
+    admitted = {(p, alpha): len(oracle.overgroup_census(
+        trivial_subgroup(field(p, alpha)))) for p, alpha in [(2, 6), (3, 5)]}
+    assert admitted == {(2, 6): 2825, (3, 5): 2664}
+
+    def forbidden(*args):
+        raise AssertionError("the census enumerated past its budget")
+
+    monkeypatch.setattr(ffield, "superspaces", forbidden)
     lattice_terms.cache_clear()
-    monkeypatch.setattr(oracle, "DEFAULT_CLOSURE_LIMIT", 3)
-    with pytest.raises(BudgetExceededError,
-                       match=r"holds 4 subgroups after 2 of 27 supergroups, "
-                             r"over the limit of 3"):
-        lattice_terms(trivial_subgroup(F))
-    with pytest.raises(BudgetExceededError):
-        count_N_via_lattice(trivial_subgroup(F), 1)
+    message = (r"^the overgroup census needs 29212 subspaces, over the limit "
+               r"of 5000$")
+    S = trivial_subgroup(field(2, 7))
+    with pytest.raises(BudgetExceededError, match=message):
+        lattice_terms(S)
+    with pytest.raises(BudgetExceededError, match=message):
+        count_N_via_lattice(S, 1)
 
 
-# Subspaces built by one cold trivial fold, the trivial group's own
-# included: a span is built once per new coset, under the join table's
-# second key of T1's space and the coset leaders that T2 adds to it
-FOLD_SUBSPACES = {(2, 4): 250, (5, 2): 85, (7, 2): 105}
+def test_census_enumerates_the_predicted_number_of_spaces(monkeypatch):
+    # a census that misses a space raises; it does not sum a short lattice
+    F = field(2, 4)
+    plain = ffield.superspaces
+    monkeypatch.setattr(ffield, "superspaces",
+                        lambda H, m: itertools.islice(plain(H, m), 66))
+    with pytest.raises(RuntimeError, match="found 66 subspaces, where the Galois number predicts 67"):
+        oracle.overgroup_census(trivial_subgroup(F))
 
 
-@pytest.mark.parametrize("p,alpha,joins", [(2, 4, 2405), (5, 2, 2667),
-                                           (7, 2, 17070)])
-def test_fold_makes_the_same_joins_and_keeps_nothing(p, alpha, joins,
-                                                     monkeypatch):
-    # the fold's join table cuts the cost of a join, not the joins: every
-    # one still goes through join_pair, a cold repeat builds as many
-    # subspaces as the first call, and no state is left on the field
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 16))
+def test_census_holds_every_overgroup(p, alpha):
+    # each node stands for its q/|H| groups, one per fixed point coset,
+    # when S is a pure translation group and d > 1, and for one otherwise;
+    # so weighted, the nodes are the subgroups that contain S by their maps
     F = field(p, alpha)
-    counts = Counter()
-    plain_join, plain_init = oracle.join_pair, Subspace.__init__
+    groups = all_subgroups(F)
+    maps = {T: frozenset((m.a, m.b) for m in subgroup_elements(T))
+            for T in groups}
+    for S in groups:
+        if S.b != 0:
+            continue
+        census = Counter()
+        for mask, size, degrees in oracle.overgroup_census(S):
+            for d in degrees:
+                census[d, mask] += F.q // size if S.d == 1 < d else 1
+        contain = Counter((T.d, T.H.cosets()[0]) for T in groups
+                          if maps[S] <= maps[T])
+        assert census == contain, S
 
-    def counted_join(*args):
-        counts["joins"] += 1
-        return plain_join(*args)
+
+def test_census_builds_no_subspace_and_keeps_nothing(monkeypatch):
+    # the census reads masks: it builds no Subspace, so no span or join,
+    # a cold repeat gives the same terms, and the field gains no state
+    built = Counter()
+    plain_init = Subspace.__init__
 
     def counted_init(self, *args):
-        counts["subspaces"] += 1
+        built["subspaces"] += 1
         plain_init(self, *args)
 
-    monkeypatch.setattr(oracle, "join_pair", counted_join)
     monkeypatch.setattr(Subspace, "__init__", counted_init)
-    attrs = set(vars(F))
-    runs = []
-    for _ in range(2):
-        lattice_terms.cache_clear()
-        counts.clear()
-        terms = lattice_terms(trivial_subgroup(F))
-        runs.append((terms, dict(counts), {
-            key: dict(v) if isinstance(v, dict) else v
-            for key, v in vars(F).items()}))
+    for p, alpha in [(2, 4), (5, 2), (7, 2), (3, 3)]:
+        F = field(p, alpha)
+        S = trivial_subgroup(F)
+        attrs = set(vars(F))
+        built.clear()
+        runs = []
+        for _ in range(2):
+            lattice_terms.cache_clear()
+            runs.append(lattice_terms(S))
+        assert runs[0] == runs[1] and built == Counter(), (p, alpha)
+        assert set(vars(F)) == attrs
     lattice_terms.cache_clear()
-    assert runs[0] == runs[1]
-    assert runs[0][1]["joins"] == joins
-    assert runs[0][1]["subspaces"] == FOLD_SUBSPACES[p, alpha]
-    assert set(vars(F)) == attrs
-
-
-@pytest.mark.parametrize("p,alpha", [(2, 4), (5, 2), (3, 3)])
-def test_fold_takes_the_largest_supergroups_first(p, alpha, monkeypatch):
-    # the sum is the same in any order, so the order is the fold's own
-    # policy: every supergroup is folded once, largest first
-    S = trivial_subgroup(field(p, alpha))
-    folded = []
-    plain_join = oracle.join_pair
-
-    def recording_join(T, U, table):
-        if not folded or folded[-1] is not U:
-            folded.append(U)
-        return plain_join(T, U, table)
-
-    monkeypatch.setattr(oracle, "join_pair", recording_join)
-    lattice_terms.cache_clear()
-    lattice_terms(S)
-    lattice_terms.cache_clear()
-    orders = [U.order for U in folded]
-    assert orders == sorted(orders, reverse=True)
-    assert Counter(folded) == Counter(immediate_supergroups(S))
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
