@@ -2,7 +2,12 @@
 
 Subcommands:
 
-* ``table``   -- emit the stabilizer-count table for one field.
+* ``table``   -- emit the stabilizer-count table for one field.  Its csv
+  and text lines are rendered class by class from
+  ``counting.class_counts``: a class's constant columns are formatted
+  once, and the lines are bucketed by k and written one join per k.
+  Its json goes through the row writer ``_emit_rows``, as ``count`` and
+  ``verify`` do.
 * ``count``   -- evaluate a single class tuple (p, alpha, k, d, i, j).
 * ``verify``  -- three-way agreement sweep over every (class, k) of one
   field: ``StabilizerClass.count`` vs. ``oracle.count_N_via_lattice`` vs.
@@ -11,8 +16,9 @@ Subcommands:
   code, check Johnson equality, and report the certified A2 value.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 budget
-exceeded.  Identical invocations produce byte-identical output.  The
-parser is built once per process; ``main`` reuses it on every call.
+exceeded, 141 stdout closed before the output was written.  Identical
+invocations produce byte-identical output.  The parser is built once per
+process; ``main`` reuses it on every call.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -31,6 +38,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
+#: stdout closed before the output was written, as a shell reports a
+#: writer that SIGPIPE killed (128 + 13)
+EXIT_CLOSED_PIPE = 141
 
 FORMATS = ("csv", "json", "text")
 
@@ -110,9 +120,29 @@ def _emit_rows(columns, rows, fmt: str, out) -> None:
 
 def cmd_table(args, out) -> int:
     p, alpha = _resolve_field(args)
-    _emit_rows(CSV_COLUMNS,
-               counting.build_table(p, alpha, _max_k(args, p ** alpha)),
-               args.format, out)
+    q = p ** alpha
+    k_max = _max_k(args, q, q // 2)
+    if args.format == "json":
+        _emit_rows(CSV_COLUMNS, counting.build_table(p, alpha, k_max),
+                   "json", out)
+        return EXIT_OK
+    # the lines of ``_emit_rows``, with each class's d, odp, i, j and beta
+    # formatted once; bucketed by k, so k comes first, then class order
+    if args.format == "csv":
+        head, pre, mid = ",".join(CSV_COLUMNS) + "\n", "", ",%s,%s,%s,%s,%s,"
+    else:
+        head, pre, mid = "", "k=", " d=%s odp=%s i=%s j=%s beta=%s N="
+    # before the buckets: the pass refuses a table over its row budget
+    table = counting.class_counts(p, alpha, k_max)
+    by_k: list[list[str]] = [[] for _ in range(k_max + 1)]
+    for c, counts in table:
+        middle = mid % (c.d, c.odp, c.i, c.j, c.beta)
+        for k, n in counts.items():
+            by_k[k].append(f"{pre}{k}{middle}{n}\n")
+    # one join per k: the whole table as one string would double the
+    # peak memory of a large one
+    out.write(head)
+    out.writelines(map("".join, by_k))
     return EXIT_OK
 
 
@@ -335,8 +365,17 @@ def main(argv=None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        # each command computes its whole result before its first write
-        return args.func(args, sys.stdout)
+        # each command computes its whole result before its first write;
+        # the flush puts a closed pipe's error here, not at exit
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the null device takes what is still
+        # buffered, so the flush at exit stays quiet.  No SIGPIPE handler:
+        # main also runs in-process
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ValueError as exc:
         print(f"aglstab: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

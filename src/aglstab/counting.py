@@ -28,11 +28,13 @@ k == 0 or p**beta (mod d*p**beta), stated as a ``period`` and its
    counts the k-subsets fixed by a subgroup with multiplicative part of
    order u and translation part of size v.  ``StabilizerClass.count``,
    and ``count_N`` through it, evaluates ``terms(k)`` with
-   ``evaluate_terms``.  ``build_table`` reads shared columns
-   k -> s_qk(q, k, u, v), one per distinct (u, v) of the field, each
-   built once by the binomial recurrence; each class adds coeff * column
-   into slots preset at the k of its congruence and reads its rows off
-   them, one plain tuple per row in ``CSV_COLUMNS`` order.
+   ``evaluate_terms``.  The table is one per-class pass,
+   ``class_counts``: it reads shared columns k -> s_qk(q, k, u, v), one
+   per distinct (u, v) of the field, each built once by the binomial
+   recurrence, and each class adds coeff * column into its own slots
+   k -> N, preset at the k of its congruence.  ``build_table`` is the row
+   view of that pass, one tuple per slot in ``CSV_COLUMNS`` order, and
+   the CLI renders its csv and text lines from the pass directly.
 
 Everything is exact integer arithmetic; no floating point is used
 anywhere in this module.
@@ -300,19 +302,19 @@ def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
     return col
 
 
-def build_table(p: int, alpha: int,
-                k_max: int | None = None) -> list[tuple[int, ...]]:
-    """One row (k, d, odp, i, j, beta, N), in ``CSV_COLUMNS`` order, for
-    each 0 <= k <= k_max (default q // 2) and each class whose zero-pattern
-    congruence admits k: k outermost, then the classes in ``classes`` order.
+def class_counts(p: int, alpha: int, k_max: int | None = None
+                 ) -> list[tuple[StabilizerClass, dict[int, int]]]:
+    """Each class of ``classes``, in its order, with its slots k -> N, one
+    for each 0 <= k <= k_max (default q // 2) that its zero-pattern
+    congruence admits: the per-class pass of the table.
 
-    The table reads shared columns: one ``_column`` per distinct (u, v)
+    The pass reads shared columns: one ``_column`` per distinct (u, v)
     among the class terms of the field, built on first use.  Each class
-    adds coeff * column into slots preset at the k of its congruence and
-    reads its rows off them; a column key off it would raise ``KeyError``.
-    ``classes`` refuses a q - 1 with over MAX_TABLE_ROWS/2 divisors before
-    k_max is checked, and a table of over ``MAX_TABLE_ROWS`` rows raises
-    ``BudgetExceededError`` before any row is built.
+    adds coeff * column into slots preset at the k of its congruence; a
+    column key off them would raise ``KeyError``.  ``classes`` refuses a
+    q - 1 with over MAX_TABLE_ROWS/2 divisors before k_max is checked,
+    and a table of over ``MAX_TABLE_ROWS`` slots raises
+    ``BudgetExceededError`` before any slot is filled.
     """
     shapes = classes(p, alpha)
     q = p ** alpha
@@ -327,7 +329,7 @@ def build_table(p: int, alpha: int,
             f"the table of q = {q} up to k = {k_max} has {rows} rows, "
             f"over the limit of {MAX_TABLE_ROWS}")
     columns: dict[tuple[int, int], dict[int, int]] = {}
-    by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
+    table = []
     for c in shapes:
         # one slot per k of the congruence.  Every column key has one:
         # d | u, p**beta | v, and v == p**beta (mod d*p**beta) since d | u
@@ -341,6 +343,19 @@ def build_table(p: int, alpha: int,
                 col = columns[u, v] = _column(q, u, v, k_max)
             for k, s in col.items():
                 counts[k] += coeff * s
+        table.append((c, counts))
+    return table
+
+
+def build_table(p: int, alpha: int,
+                k_max: int | None = None) -> list[tuple[int, ...]]:
+    """The rows of ``class_counts``, one (k, d, odp, i, j, beta, N) in
+    ``CSV_COLUMNS`` order per slot: k outermost, then the classes in
+    ``classes`` order."""
+    table = class_counts(p, alpha, k_max)
+    k_max = p ** alpha // 2 if k_max is None else k_max
+    by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
+    for c, counts in table:
         d, odp, i, j, beta = c.d, c.odp, c.i, c.j, c.beta
         for k, n in counts.items():
             by_k[k].append((k, d, odp, i, j, beta, n))

@@ -46,9 +46,11 @@ reads as they are.
   ``ffield.superspaces`` yields; containment is read off the nodes (d_S
   | d_T and one AND on the masks), so no subgroup is joined.  Before any
   space is enumerated, the Galois number predicts how many there are,
-  and more than DEFAULT_CENSUS_LIMIT raise.  ``lattice_terms`` then
-  solves the Moebius coefficients up the nodes, smaller spaces first,
-  and sums them by (d, |H|).
+  and more than DEFAULT_CENSUS_LIMIT raise, as do more than
+  DEFAULT_CENSUS_WORK spaces times q: the containment ANDs between them
+  run on q-bit masks.  ``lattice_terms`` then solves the Moebius
+  coefficients up the nodes, smaller spaces first, and sums them by
+  (d, |H|).
 
 Budgets are explicit and overruns raise; nothing is ever truncated
 silently.
@@ -69,6 +71,9 @@ from .numtheory import BudgetExceededError, divisor_orders
 DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000
 DEFAULT_CENSUS_LIMIT = 5_000
+#: predicted spaces times q: q = 4096 needs at most 2825 * 4096, about
+#: 1.2e7 (1.3 to 2.1 s), and 2^13 needs 2.3e7 (2.5 s) on a 2-vCPU host
+DEFAULT_CENSUS_WORK = 20_000_000
 
 
 def check_map_scan(q: int) -> int:
@@ -342,8 +347,9 @@ def overgroup_census(S: Subgroup) -> list[tuple[int, int, tuple[int, ...]]]:
     o_{d_S}(p) divides every o_d(p), so each H is a space over F_r, r =
     p**o_{d_S}(p), and ``ffield.superspaces`` lists those above H_S, H_S
     first.  Their number, the Galois number G_r(n) for n = (alpha - dim
-    H_S) / o_{d_S}(p), is checked against DEFAULT_CENSUS_LIMIT before the
-    first is enumerated, and against the count after the last.  H is
+    H_S) / o_{d_S}(p), is checked against DEFAULT_CENSUS_LIMIT, and that
+    number times q against DEFAULT_CENSUS_WORK, before the first is
+    enumerated, and against the count after the last.  H is
     closed under F_{p**m} iff g*v lies in H for the primitive element g
     of F_{p**m} and every generator v.
     """
@@ -356,6 +362,11 @@ def overgroup_census(S: Subgroup) -> list[tuple[int, int, tuple[int, ...]]]:
         raise BudgetExceededError(
             f"the overgroup census needs {predicted} subspaces, over the "
             f"limit of {DEFAULT_CENSUS_LIMIT}")
+    if predicted * field.q > DEFAULT_CENSUS_WORK:
+        raise BudgetExceededError(
+            f"the overgroup census needs {predicted} subspaces of q = "
+            f"{field.q} elements, {predicted * field.q} in all, over the "
+            f"limit of {DEFAULT_CENSUS_WORK}")
     degrees = [(d, odp) for d, odp in divisor_orders(field.p, field.alpha)
                if d % S.d == 0]
     primitive = {odp: field.subfield(odp)[1] if odp > 1 else 1

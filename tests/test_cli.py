@@ -6,19 +6,23 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from aglstab import agl, cli, counting, designs, ffield, numtheory, oracle
-from aglstab.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, VERIFY_COLUMNS,
-                         _emit_rows, _resolve_field, _verify_class,
-                         build_parser, main)
+from aglstab.cli import (EXIT_BUDGET, EXIT_CLOSED_PIPE, EXIT_INPUT, EXIT_OK,
+                         VERIFY_COLUMNS, _emit_rows, _resolve_field,
+                         _verify_class, build_parser, main)
 from aglstab.counting import CSV_COLUMNS
 from aglstab.numtheory import FACTOR_LIMIT, MAX_FACTORED_Q
 from aglstab.ffield import Field, mask_elements, subset_mask
-from reference import csv_writer_rows, design_record, run_python, text_rows
+from reference import (csv_writer_rows, design_record, prime_powers,
+                       run_python, text_rows)
 
 
 def run(capsys, *argv):
@@ -326,6 +330,62 @@ def test_large_table_csv_golden_digest(capsys, argv):
     assert code == EXIT_OK
     assert (hashlib.sha256(out.encode()).hexdigest()
             == LARGE_TABLE_CSV_SHA256[argv])
+
+
+# SHA-256 of the text form of `aglstab table ARGS` for larger fields and
+# for a bignum field, recorded from the row writer (one 7-tuple per row
+# through ``_emit_rows``) that the per-class line rendering replaced
+LARGE_TABLE_TEXT_SHA256 = {
+    ("--q", "729"):
+        "1378b9de8e980fe891af699c949186e923dd4a8ba4dc86dddb907f3359d78ef7",
+    ("--q", "1021"):
+        "aafc817b3f7e3e6e0a5df06b31aaa6802b1e95d1ff558cb64f153d11079481f9",
+    ("--q", "1024"):
+        "e6c171409ff036688247d6c8bd98cbf0eef220e285c02be96b6fb7e47da62494",
+    ("--q", str(2 ** 64), "--max-k", "10"):
+        "5e6a76d46ffb52cef480990fba938fb1ca3ddc10e371a39b154b1ed55bc0e31f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_TABLE_TEXT_SHA256),
+                         ids=" ".join)
+def test_large_table_text_golden_digest(capsys, argv):
+    code, out, _ = run(capsys, "table", *argv)
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == LARGE_TABLE_TEXT_SHA256[argv])
+
+
+def written_rows(p, alpha, k_max, fmt):
+    """``build_table``'s rows through the row writer ``_emit_rows``."""
+    out = io.StringIO()
+    _emit_rows(CSV_COLUMNS, counting.build_table(p, alpha, k_max), fmt, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 256))
+def test_table_lines_match_the_row_writer(capsys, p, alpha):
+    # cmd_table renders csv and text class by class; json goes through
+    # the row writer itself
+    q = p ** alpha
+    for k_max in (None, 0, 1, q):
+        bound = () if k_max is None else ("--max-k", str(k_max))
+        for fmt in ("csv", "text"):
+            code, out, err = run(capsys, "table", "--q", str(q), *bound,
+                                 "--format", fmt)
+            assert (code, err) == (EXIT_OK, "")
+            assert out == written_rows(p, alpha, k_max, fmt), (k_max, fmt)
+
+
+@pytest.mark.parametrize("argv,field,k_max", [
+    (("--q", str(2 ** 64), "--max-k", "10"), (2, 64), 10),
+    (("--p", "3", "--alpha", "30", "--max-k", "5"), (3, 30), 5),
+], ids=["2^64", "3^30"])
+def test_bignum_table_lines_match_the_row_writer(capsys, argv, field, k_max):
+    for fmt in ("csv", "text"):
+        code, out, err = run(capsys, "table", *argv, "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == written_rows(*field, k_max, fmt), fmt
 
 
 # SHA-256 of the json and text forms of `aglstab table --q Q`, recorded
@@ -1146,6 +1206,40 @@ def test_main_reuses_one_parser_without_leaking_defaults(capsys,
             proc.returncode, proc.stdout, proc.stderr), argv
         codes.append(code)
     assert codes == [EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK]
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--q", "1024", "--format", "csv"),
+    ("table", "--q", "1024"),
+], ids=["csv", "text"])
+def test_a_closed_stdout_ends_the_command_quietly(argv):
+    # the reader takes one line and closes the pipe while the table, over
+    # 200 kB, is still being written: more than a pipe buffers
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    # unbuffered, one large write into a pipe whose reader closes is cut
+    # short without an error; keep the default buffered stream
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "aglstab.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith((b"k,", b"k=0 "))
+    assert (proc.returncode, err) == (EXIT_CLOSED_PIPE, b"")
+
+
+def test_main_into_a_string_buffer_writes_as_before():
+    # perfbench runs main in-process with stdout redirected to a string
+    # buffer, which main now flushes before it returns
+    for fmt in ("csv", "text"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["table", "--q", "64", "--format", fmt]) == EXIT_OK
+        assert out.getvalue() == written_rows(2, 6, None, fmt)
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
+            == TABLE_SHA256[64, "text"])
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -532,6 +533,45 @@ def test_lattice_closure_budget(monkeypatch):
         lattice_terms(S)
     with pytest.raises(BudgetExceededError, match=message):
         count_N_via_lattice(S, 1)
+
+
+@pytest.mark.parametrize("p,alpha,shape,spaces", [
+    (2, 16, (1, 1, 10), 2825),
+    (3, 10, (1, 1, 5), 2664),
+    (37, 3, (1, 3, 0), 2816),
+], ids=["2^16", "3^10", "37^3"])
+def test_census_work_budget(monkeypatch, p, alpha, shape, spaces):
+    # under the space limit, but each space is a q-bit mask: these took
+    # 11 to 19 s, and are refused before the enumerator is called
+    F = Field(p, alpha)
+    S = class_representative(F, *shape)
+
+    def forbidden(*args):
+        raise AssertionError("the census enumerated past its budget")
+
+    monkeypatch.setattr(ffield, "superspaces", forbidden)
+    lattice_terms.cache_clear()
+    message = (f"^the overgroup census needs {spaces} subspaces of q = {F.q} "
+               f"elements, {spaces * F.q} in all, over the limit of "
+               f"{oracle.DEFAULT_CENSUS_WORK}$")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=message):
+        lattice_terms(S)
+    with pytest.raises(BudgetExceededError, match=message):
+        count_N_via_lattice(S, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_census_work_budget_admits_every_class_up_to_the_map_scan_cap():
+    # verify reaches q = 4096 at most; of its classes under the space
+    # limit, the widest census has 2825 spaces
+    q = oracle.DEFAULT_STABILIZER_LIMIT
+    p, alpha = 2, 12
+    assert p ** alpha == q
+    spaces = [oracle.galois_number(p ** c.odp, (alpha - c.beta) // c.odp)
+              for c in classes(p, alpha)]
+    widest = max(n for n in spaces if n <= oracle.DEFAULT_CENSUS_LIMIT)
+    assert widest * q == 2825 * 4096 <= oracle.DEFAULT_CENSUS_WORK
 
 
 def test_census_enumerates_the_predicted_number_of_spaces(monkeypatch):
