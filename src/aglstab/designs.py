@@ -12,10 +12,11 @@ k(q-1)/s) = q, where s is the stabilizer order.
 Subsets and blocks are int masks over the points, in the format of
 :mod:`aglstab.ffield`.  The blocks are the q translates of a*B for each
 multiplier a, read from ``ffield.translate_masks``, which also drives the
-stabilizer scan.  The blocks' bit strings (``ffield.mask_bits``) are
-kept end to end as one string, and the codewords are its columns, made
-by one transpose: character j of word x is ``1`` iff point x lies in
-block j, and each incidence row is the int read from its word.
+stabilizer scan.  The blocks are folded into one int and written by one
+``format`` as their bit strings end to end (``IncidenceMatrix.bits``),
+and the codewords are its columns, made by one transpose: character j
+of word x is ``1`` iff point x lies in block j, and each incidence row
+is the int read from its word.
 ``check_design_size`` holds a design's preconditions: b*q codeword bits
 at most MAX_DESIGN_BITS, then 2 <= |B| < q.  ``orbit_design`` runs it,
 takes the stabilizer of B as given and checks the block count against
@@ -26,28 +27,31 @@ gives r*v = b*k and lambda*v*(v-1) = b*k*(k-1)).  Rows x, y of weight r
 then lie |x ^ y| = 2r - 2|x & y| = 2(r - lambda) apart, so the minimum
 distance is derived from the measured weight and meets.
 
-The text, csv and json forms write each block from its bit string too
-(``block_lines``), so no element of a block passes through Python one at
-a time; ``design_json`` writes the json form byte for byte as
-``json.dump(record, indent=2, sort_keys=True)`` would.
+The text, csv and json forms write each block from its int, one byte
+at a time through tables of 256 pieces (``block_lines``), so no element
+of a block passes through Python one at a time; ``design_json`` writes
+the json form byte for byte as ``json.dump(record, indent=2,
+sort_keys=True)`` would.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .agl import Subgroup
 from .counting import ClassParams, count_N
-from .ffield import mask_bits, mask_elements, subset_mask, translate_masks
+from .ffield import mask_elements, subset_mask, translate_masks
 from .numtheory import BudgetExceededError
 
 #: most codeword bits (b*q) of one design; the slowest design measured
 #: under it, q = 128 with |S| = 1 and k = 120 (2,080,768 bits), takes
-#: about 0.3 s for its 22 MB of json and 0.2 s for its text or csv on a
-#: 2-vCPU host
+#: about 0.14 s in-process for its 22 MB of json and 0.08 s for its text
+#: or csv on a 2-vCPU host (0.28 s and 84 MiB peak RSS for the json as a
+#: whole process)
 MAX_DESIGN_BITS = 1 << 21
 
 
@@ -84,21 +88,41 @@ class IncidenceMatrix:
     def b(self) -> int:
         return len(self.blocks)
 
-    @cached_property
-    def bits(self) -> str:
-        """The blocks' bit strings (``ffield.mask_bits``) end to end:
-        character j*v + x is 1 iff point x lies in block j."""
-        bits = "".join(map(mask_bits, self.blocks, itertools.repeat(self.v)))
-        if len(bits) != self.b * self.v:
+    def check_points(self) -> None:
+        """Raise unless every block lies in [0, v): ``bits`` and
+        ``block_lines`` read the blocks end to end, where a stray bit
+        would pass silently into the next block."""
+        if self.blocks and (min(self.blocks) < 0
+                            or max(self.blocks) >> self.v):
             raise ValueError(f"a block has a point outside [0, {self.v})")
-        return bits
+
+    @property
+    def bits(self) -> str:
+        """The blocks end to end, each as v characters least significant
+        first: character j*v + x is 1 iff point x lies in block j.  The
+        blocks are folded pairwise into one int, ``lo | hi << width`` with
+        the width doubling on each level, and written by one ``format``.
+        It is built on each read and not kept: ``words`` reads it once."""
+        self.check_points()
+        if not self.blocks:
+            return ""
+        level, width = list(self.blocks), self.v
+        while len(level) > 1:
+            if len(level) % 2:
+                level.append(0)
+            level = list(map(operator.or_, level[::2],
+                             map(operator.lshift, level[1::2],
+                                 itertools.repeat(width))))
+            width *= 2
+        return format(level[0], f"0{self.b * self.v}b")[::-1]
 
     @cached_property
     def words(self) -> tuple[str, ...]:
         """Row x as a 0/1 string: character j is 1 iff point x lies in
         block j.  Read as a b x v array, ``bits`` is transposed by one
         strided slice per row."""
-        return tuple(self.bits[x::self.v] for x in range(self.v))
+        bits, v = self.bits, self.v
+        return tuple(bits[x::v] for x in range(v))
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -162,7 +186,7 @@ def orbit_design(S: Subgroup, mask: int) -> tuple[DesignParams, IncidenceMatrix]
     if len(blocks) != b:
         raise ValueError(f"the orbit has {len(blocks)} blocks, but the "
                          f"stabilizer order {S.order} gives b = {b}")
-    if any(blk.bit_count() != k for blk in blocks):
+    if set(map(int.bit_count, blocks)) != {k}:
         raise ValueError(f"an orbit block does not have size k = {k}")
     params = DesignParams(v, b, k * b // v, k,
                           k * (k - 1) * b // (v * (v - 1)))
@@ -235,21 +259,27 @@ def a2_determinations(S: Subgroup, k: int) -> CodeParams:
 # serialization
 
 
-#: byte 0 for character "0" and 1 for "1": a block's bit string as the
-#: selectors of ``itertools.compress``
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
-
-
 def block_lines(matrix: IncidenceMatrix, sep: str) -> list[str]:
     """Each block's sorted elements joined by ``sep``, one string per
-    block.  ``pieces[x]`` is ``sep`` followed by x, and a block picks its
-    pieces with its bit string, so each block is one C-level join."""
+    block.  Byte t of a block is looked up in a table of 256 strings,
+    entry c holding ``sep`` followed by x for each point x = 8t + i whose
+    bit i is set in c, in ascending order; a block is the join of its
+    bytes' entries, so it is one C-level pass.  The tables are built by
+    doubling, one point at a time, and the last covers only the points
+    below v."""
+    matrix.check_points()
     v = matrix.v
-    pieces = [f"{sep}{x}" for x in range(v)]
-    selectors = matrix.bits.encode().translate(_SELECTORS)
-    drop = len(sep)
-    return ["".join(itertools.compress(pieces, selectors[start:start + v]))
-            [drop:] for start in range(0, len(selectors), v)]
+    tables = []
+    for start in range(0, v, 8):
+        table = [""]
+        for x in range(start, min(start + 8, v)):
+            piece = f"{sep}{x}"
+            table += [s + piece for s in table]
+        tables.append(table)
+    nbytes, drop = len(tables), len(sep)
+    return ["".join(map(operator.getitem, tables,
+                        blk.to_bytes(nbytes, "little")))[drop:]
+            for blk in matrix.blocks]
 
 
 def blocks_as_text(matrix: IncidenceMatrix) -> str:
@@ -264,10 +294,13 @@ def design_json(params: DesignParams, matrix: IncidenceMatrix,
     keys in ``extra``: the same text as ``json.dumps(record, indent=2,
     sort_keys=True)`` of their record, without a trailing newline.
 
-    The blocks, which are nearly all of the text, are written from
-    ``block_lines`` at the indent that ``json`` gives a list of lists
-    of ints two levels deep; the blocks and each block are non-empty, as
-    ``orbit_design`` makes them.  Every other value is encoded on its own
+    The blocks and the codewords, which are nearly all of the text, are
+    each written by one join at the indent that ``json`` gives them: the
+    blocks from ``block_lines`` as a list of lists of ints two levels
+    deep, the codewords as a list of strings one level deep, which need
+    no escaping as they are 0/1 strings.  The blocks, each block and the
+    codewords are non-empty, as ``orbit_design`` and ``design_to_code``
+    make them.  Every other value is encoded on its own
     and moved one level in by indenting each of its lines.  That is
     sound because ``json`` escapes every control character inside a
     string, so each raw newline of its output is a line break of the
@@ -277,11 +310,12 @@ def design_json(params: DesignParams, matrix: IncidenceMatrix,
         "params": {"v": params.v, "b": params.b, "r": params.r,
                    "k": params.k, "lambda": params.lmbda},
         "code": {"n": code.n, "d": code.d, "w": code.w, "size": code.size},
-        "codewords": list(codewords),
         **extra,
     }
     encoded = {key: json.dumps(value, indent=2, sort_keys=True)
                .replace("\n", "\n  ") for key, value in values.items()}
+    encoded["codewords"] = ('[\n    "' + '",\n    "'.join(codewords)
+                            + '"\n  ]')
     encoded["blocks"] = ("[\n    [\n      "
                          + "\n    ],\n    [\n      ".join(
                              block_lines(matrix, ",\n      "))

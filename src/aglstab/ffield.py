@@ -261,12 +261,6 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_bits(mask: int, q: int) -> str:
-    """The subset as q characters, least significant first: character x
-    is ``1`` iff x is in the subset (a mask below 2**q)."""
-    return format(mask, f"0{q}b")[::-1]
-
-
 @lru_cache(maxsize=None)
 def _digit_steps(p: int, alpha: int) -> tuple[tuple[int, int, int], ...]:
     """(p**t, low, top) for each base-p digit t: ``top`` masks the

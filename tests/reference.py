@@ -8,8 +8,11 @@ into a descriptor only at the end; a map fixes a subset when it sends
 every element of the subset into it, tested one map at a time (no
 translate masks), and an orbit design is the set of images of its base
 block under every map.  ``reference_incidence`` reads an incidence
-matrix one bit at a time, and ``design_record`` is the json record of a
-design as a dict, for ``json.dumps`` to encode (no writer of its own).
+matrix one bit at a time and ``reference_bits`` its blocks' bit strings
+one ``mask_bits`` each; ``reference_block_lines`` writes each block one
+element at a time, and ``design_record`` is the json record of a design
+as a dict, which ``reference_design_json`` encodes by ``json.dumps`` (no
+writer of its own).
 The lattice inclusion-exclusion visits every selection of immediate
 supergroups on its own (no fold).  Field addition, spans and subspace
 echelon forms are computed on coefficient lists, digit by digit mod p
@@ -42,6 +45,7 @@ import csv
 import inspect
 import io
 import itertools
+import json
 import math
 import os
 import resource
@@ -307,6 +311,23 @@ def reference_incidence(matrix) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return tuple(words), tuple(rows)
 
 
+def mask_bits(mask: int, q: int) -> str:
+    """The subset as q characters, least significant first: character x
+    is ``1`` iff x is in the subset (a mask below 2**q)."""
+    return format(mask, f"0{q}b")[::-1]
+
+
+def reference_bits(matrix) -> str:
+    """The blocks' bit strings end to end, one ``mask_bits`` per block."""
+    return "".join(mask_bits(blk, matrix.v) for blk in matrix.blocks)
+
+
+def reference_block_lines(matrix, sep: str) -> list[str]:
+    """Each block's elements joined by ``sep``, one element at a time."""
+    return [sep.join(str(x) for x in mask_elements(blk))
+            for blk in matrix.blocks]
+
+
 def design_record(params, matrix, code, codewords: tuple[str, ...]) -> dict:
     """JSON-able record of a design and its row code."""
     return {
@@ -316,6 +337,14 @@ def design_record(params, matrix, code, codewords: tuple[str, ...]) -> dict:
         "code": {"n": code.n, "d": code.d, "w": code.w, "size": code.size},
         "codewords": list(codewords),
     }
+
+
+def reference_design_json(params, matrix, code, codewords: tuple[str, ...],
+                          **extra) -> str:
+    """``json.dumps`` of ``design_record`` and the further top-level keys
+    in ``extra``, at the layout that ``designs.design_json`` writes."""
+    return json.dumps(design_record(params, matrix, code, codewords) | extra,
+                      indent=2, sort_keys=True)
 
 
 def digits(field, x: int) -> list[int]:

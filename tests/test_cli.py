@@ -21,7 +21,7 @@ from aglstab.cli import (EXIT_BUDGET, EXIT_CLOSED_PIPE, EXIT_INPUT, EXIT_OK,
 from aglstab.counting import CSV_COLUMNS
 from aglstab.numtheory import FACTOR_LIMIT, MAX_FACTORED_Q
 from aglstab.ffield import Field, mask_elements, subset_mask
-from reference import (csv_writer_rows, design_record, prime_powers,
+from reference import (csv_writer_rows, prime_powers, reference_design_json,
                        run_python, text_rows)
 
 
@@ -468,6 +468,15 @@ DESIGN_SHA256 = {
         "2a3d9b684147d1ffce2cc307e1f4e134fd2bf8e45db7856293431ee98899f153",
     (("--q", "64", "--subset", "0,1,2,3,5,7,8,11,13,21,34,55"), "csv"):
         "edfd8e3ecd02c9a4e1c44d0b8b7ca77196e317df060b8e39254e3d23104e75d7",
+    # v = 1024: a block spans 128 byte tables, past the 256 points of the
+    # other designs; recorded from the writer that picked each block's
+    # pieces by its bit string
+    (("--q", "1024", "--k", "1023", "--d", "1023"), "json"):
+        "918415818195f3337195fb31f8dfdf64f4a4b6d2edcd0abf29a81274b6fa2155",
+    (("--q", "1024", "--k", "1023", "--d", "1023"), "text"):
+        "18ec437774c971e8e1a654d0e83190be31066a94daff6234b61bf3870ddcd0fe",
+    (("--q", "1024", "--k", "1023", "--d", "1023"), "csv"):
+        "f5c0538610d013303c1fc16379dfb43b53254078c8a44d0c1665dbc9c43c73df",
 }
 
 
@@ -503,18 +512,17 @@ def test_largest_design_golden_digest(capsys, fmt):
             == LARGEST_DESIGN_SHA256[fmt])
 
 
-def reference_design_json(F, S, mask):
+def expected_design_json(F, S, mask):
     """``design --format json`` of the masked subset with stabilizer S, as
     ``json.dumps`` writes the reference record and the cli's extra keys."""
     params, matrix = designs.orbit_design(S, mask)
     code, words = designs.design_to_code(matrix)
     a2 = designs.a2_determinations(S, params.k)
-    record = design_record(params, matrix, code, words) | {
-        "q": F.q, "subset": list(mask_elements(mask)),
-        "stabilizer_order": S.order,
-        "johnson_equality": designs.johnson_check(code),
-        "a2": {"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}}
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return reference_design_json(
+        params, matrix, code, words, q=F.q, subset=list(mask_elements(mask)),
+        stabilizer_order=S.order,
+        johnson_equality=designs.johnson_check(code),
+        a2={"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}) + "\n"
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 16, 25, 27, 32])
@@ -528,8 +536,8 @@ def test_design_json_equals_json_dumps_of_the_reference_record(capsys, q):
                            ",".join(map(str, mask_elements(mask))),
                            "--format", "json")
         assert code == EXIT_OK
-        assert out == reference_design_json(F, oracle.stabilizer(F, mask),
-                                            mask), mask
+        assert out == expected_design_json(F, oracle.stabilizer(F, mask),
+                                           mask), mask
     # every class witness of every size with a positive count
     for d, i, j in counting.class_shapes(p, alpha):
         S = agl.class_representative(F, d, i, j)
@@ -542,7 +550,7 @@ def test_design_json_equals_json_dumps_of_the_reference_record(capsys, q):
                                str(j), "--format", "json")
             assert code == EXIT_OK
             mask = next(oracle.exact_orbit_unions(S, k))
-            assert out == reference_design_json(F, S, mask), (d, i, j, k)
+            assert out == expected_design_json(F, S, mask), (d, i, j, k)
 
 
 def test_count_examples(capsys):

@@ -11,14 +11,16 @@ from aglstab import designs
 from aglstab.agl import class_representative
 from aglstab.counting import ClassParams, class_shapes, count_N
 from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
-                             a2_determinations, blocks_as_text, design_json,
-                             design_to_code, johnson_check, johnson_fraction,
-                             orbit_design)
+                             a2_determinations, block_lines, blocks_as_text,
+                             design_json, design_to_code, johnson_check,
+                             johnson_fraction, orbit_design)
 from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
-from aglstab.numtheory import BudgetExceededError
+from aglstab.numtheory import BudgetExceededError, prime_power
 from aglstab.oracle import exact_orbit_unions, stabilizer
-from reference import (assert_lines, prime_powers, reference_incidence,
-                       reference_orbit_blocks, trivial_subgroup)
+from reference import (assert_lines, prime_powers, reference_bits,
+                       reference_block_lines, reference_design_json,
+                       reference_incidence, reference_orbit_blocks,
+                       trivial_subgroup)
 
 FIELDS = {}
 
@@ -161,10 +163,51 @@ def test_incidence_words_and_rows_equal_the_per_bit_reading(p, alpha):
 
 
 def test_incidence_matrix_rejects_a_point_outside_v():
-    # a block's bit string longer than v would shift every later block
-    fake = IncidenceMatrix(v=3, blocks=(0b011, 0b1100))
-    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-        design_to_code(fake)
+    # the blocks are read end to end, so a bit at v or past it, or the
+    # unbounded bits of a negative block, would pass into the next block
+    for blocks in [(0b011, 0b1100), (0b011, -0b101, 0b110),
+                   (0b011, 0b1101, 0b110)]:
+        fake = IncidenceMatrix(v=3, blocks=blocks)
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            design_to_code(fake)
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            block_lines(fake, ",")
+
+
+#: (q, k, d, b): a seeded k-subset when d is None, else the witness of the
+#: first class with that d; v % 8 is 7, 1, 3 and 0, b is odd (the fold
+#: pads its first level) or a power of two (it pads none), and v > 256
+#: needs more than 32 byte tables
+REFERENCE_WRITER_CASES = [(7, 3, None, 21), (9, 4, None, 36),
+                          (11, 5, None, 110), (8, 7, 7, 8),
+                          (31, 4, None, 930), (7, 3, 3, 14),
+                          (257, 256, 256, 257), (1024, 1023, 1023, 1024)]
+
+
+@pytest.mark.parametrize("q,k,d,b", REFERENCE_WRITER_CASES)
+def test_writers_equal_the_reference_writer(q, k, d, b):
+    p, alpha = prime_power(q)
+    F = field(p, alpha)
+    if d is None:
+        mask = subset_mask(random.Random(q).sample(range(q), k))
+        S = stabilizer(F, mask)
+    else:
+        S = class_representative(F, *next(shape for shape in
+                                          class_shapes(p, alpha)
+                                          if shape[0] == d))
+        mask = next(exact_orbit_unions(S, k))
+    params, matrix = orbit_design(S, mask)
+    assert (params.v, params.b) == (q, b)
+    code, words = design_to_code(matrix)
+    assert matrix.bits == reference_bits(matrix)
+    assert (matrix.words, matrix.rows) == reference_incidence(matrix)
+    for sep in (",", ",\n      "):
+        assert block_lines(matrix, sep) == reference_block_lines(matrix, sep)
+    assert (blocks_as_text(matrix)
+            == "\n".join(reference_block_lines(matrix, ",")))
+    extra = {"q": q, "subset": list(mask_elements(mask))}
+    assert (design_json(params, matrix, code, words, **extra)
+            == reference_design_json(params, matrix, code, words, **extra))
 
 
 def test_design_to_code_rejects_unequal_row_weights():

@@ -558,8 +558,8 @@ def test_subset_masks_and_the_map_scan_cap_have_one_home():
         elif isinstance(node, ast.ImportFrom):
             assert "oracle" not in (node.module or "")
             assert all(a.name != "oracle" for a in node.names)
-    helpers = ("subset_mask", "mask_elements", "mask_bits",
-               "translate_masks", "_digit_steps")
+    helpers = ("subset_mask", "mask_elements", "translate_masks",
+               "_digit_steps")
     homes = {name: set() for name in helpers}
     for file, (_, tree) in trees.items():
         for node in ast.walk(tree):

@@ -14,8 +14,7 @@ from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join_pair,
                          subgroup_from_masks)
 from aglstab.counting import ClassParams, class_shapes, classes, count_N
-from aglstab.ffield import (Field, Subspace, mask_bits, mask_elements,
-                            span, subset_mask)
+from aglstab.ffield import Field, Subspace, mask_elements, span, subset_mask
 from aglstab.oracle import (BudgetExceededError,
                             bruteforce_counts, count_N_bruteforce,
                             count_N_via_lattice,
@@ -24,7 +23,7 @@ from aglstab.oracle import (BudgetExceededError,
                             n_orbit_unions, orbit_union_masks, stabilizer)
 import reference
 from reference import (all_subgroups, assert_lines, full_census, full_group,
-                       literal_lattice_terms, pairs_to_masks,
+                       literal_lattice_terms, mask_bits, pairs_to_masks,
                        prime_powers, reference_fixing_maps, run_python,
                        subgroup_elements, trivial_subgroup)
 
