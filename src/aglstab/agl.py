@@ -66,6 +66,8 @@ class Subgroup:
         self._orbits: tuple[int, ...] | None = None
         #: N(S, k) for k = 0..q, filled by ``oracle.bruteforce_counts``
         self._bruteforce_counts: tuple[int, ...] | None = None
+        #: N(S, k) for k = 0..q, filled by ``oracle.lattice_counts``
+        self._lattice_counts: tuple[int, ...] | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -84,11 +86,12 @@ class Subgroup:
     def orbits(self) -> tuple[int, ...]:
         """The orbits on the field elements as int masks, listed by least
         element x, where its walk starts: each step ORs in the mask of
-        the coset y + H (``H.cosets``) and moves y to a*y + b, until y
-        falls back into the orbit."""
+        the coset y + H (``H.cosets``, keyed by y's leader from
+        ``H.leaders``, so no step reduces) and moves y to a*y + b, until
+        y falls back into the orbit."""
         if self._orbits is None:
             field, a, b = self.field, self.a, self.b
-            cosets, reduce = self.H.cosets(), self.H.reduce
+            cosets, leaders = self.H.cosets(), self.H.leaders()
             orbs = []
             seen = 0
             for x in range(field.q):
@@ -96,7 +99,7 @@ class Subgroup:
                     continue
                 orbit, y = 0, x
                 while not orbit >> y & 1:
-                    orbit |= cosets[reduce(y)]
+                    orbit |= cosets[leaders[y]]
                     y = field.add(field.mul(a, y), b)
                 if orbit.bit_count() not in (self.H.size, self.order):
                     raise RuntimeError(f"an orbit of size {orbit.bit_count()} "

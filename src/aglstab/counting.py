@@ -276,9 +276,11 @@ def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[Class
             if c.congruence_violation(k) is None]
 
 
-def _column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
-    """k -> s_qk(q, k, u, v) at the k <= k_max with k == 0 or v (mod u*v),
-    the only k where it can be nonzero; ``s_qk`` is 0 at every other k.
+def s_qk_column(q: int, u: int, v: int, k_max: int) -> dict[int, int]:
+    """``s_qk`` in column form: k -> s_qk(q, k, u, v) at the k <= k_max
+    with k == 0 or v (mod u*v), the only k where it can be nonzero;
+    ``s_qk`` is 0 at every other k.  The table's class pass and the
+    lattice route's row (``oracle.lattice_counts``) read it.
 
     One pass over the selectors s = 0, 1, ... builds the binomials
     C(top, s), top = (q - v)/(u*v), by the exact recurrence
@@ -308,7 +310,7 @@ def class_counts(p: int, alpha: int, k_max: int | None = None
     for each 0 <= k <= k_max (default q // 2) that its zero-pattern
     congruence admits: the per-class pass of the table.
 
-    The pass reads shared columns: one ``_column`` per distinct (u, v)
+    The pass reads shared columns: one ``s_qk_column`` per distinct (u, v)
     among the class terms of the field, built on first use.  Each class
     adds coeff * column into slots preset at the k of its congruence; a
     column key off them would raise ``KeyError``.  ``classes`` refuses a
@@ -340,7 +342,7 @@ def class_counts(p: int, alpha: int, k_max: int | None = None
         for coeff, u, v in c.terms():
             col = columns.get((u, v))
             if col is None:
-                col = columns[u, v] = _column(q, u, v, k_max)
+                col = columns[u, v] = s_qk_column(q, u, v, k_max)
             for k, s in col.items():
                 counts[k] += coeff * s
         table.append((c, counts))

@@ -343,6 +343,7 @@ class Subspace:
         self.dim = len(self.basis)
         self.size = field.p ** self.dim
         self._cosets: dict[int, int] | None = None
+        self._leaders: tuple[int, ...] | None = None
 
     def reduce(self, x: int) -> int:
         """Least element of the coset x + (this subspace): echelon reduction
@@ -360,13 +361,14 @@ class Subspace:
 
     def cosets(self) -> dict[int, int]:
         """Each coset of F_q/(this subspace) as an int mask keyed by its
-        least element, from one ``reduce`` per element, memoized.  A leader
-        comes before the rest of its coset, so the keys ascend from 0,
-        whose mask is the subspace itself."""
+        least element, from one ``reduce`` per element, memoized together
+        with those leaders (``leaders``).  A leader comes before the rest
+        of its coset, so the keys ascend from 0, whose mask is the
+        subspace itself."""
         if self._cosets is None:
             q, cosets = self.field.q, {}
-            for x in range(q):
-                r = self.reduce(x)
+            leaders = tuple(map(self.reduce, range(q)))
+            for x, r in enumerate(leaders):
                 cosets[r] = cosets.get(r, 0) | 1 << x
             size = cosets.get(0, 0).bit_count()
             if len(cosets) != q // self.size or size != self.size:
@@ -374,8 +376,14 @@ class Subspace:
                     f"{len(cosets)} coset leaders for {q // self.size} "
                     f"cosets, and {size} bits for |H| = {self.size} in the "
                     f"coset of 0")
-            self._cosets = cosets
+            self._cosets, self._leaders = cosets, leaders
         return self._cosets
+
+    def leaders(self) -> tuple[int, ...]:
+        """The least element of x + (this subspace) for every element x,
+        as ``cosets`` found them."""
+        self.cosets()
+        return self._leaders
 
     def stabilizing_degree(self) -> int:
         """Degree m of the largest subfield F_{p**m} mapping this subspace

@@ -4,10 +4,10 @@ Three routes to the same numbers.  None reads the closed form's terms
 in :mod:`aglstab.counting`: the lattice route derives its own from a
 census of the overgroups, and the two scans decide maps.  All they take
 from ``counting`` is the k rule, ``check_subset_size``, and ``s_qk``,
-which counts the orbit unions of a group shape: the lattice route
-evaluates its terms with it (``evaluate_terms``), and the brute force
-reads it only for its budget and its size-split check, never for a
-count.  A map
+which counts the orbit unions of a group shape, with its column form
+``s_qk_column``: the lattice route evaluates its terms with the columns
+(``lattice_counts``), and the brute force reads ``s_qk`` only for its
+budget and its size-split check, never for a count.  A map
 is the int pair (a, b) of x -> a*x + b, and a subset is an int mask over
 the element codes, as :mod:`aglstab.ffield` defines it;
 ``Subgroup.orbits`` gives its orbits as such masks, which every route
@@ -42,15 +42,17 @@ reads as they are.
   orbit lists, once per scanned count.
 * ``count_N_via_lattice``: P. Hall's Moebius inversion over the
   overgroups T of S.  ``overgroup_census`` lists them as nodes (d, H),
-  H a space over F_{p**o_d(p)} above S's, from the masks that
-  ``ffield.superspaces`` yields; containment is read off the nodes (d_S
-  | d_T and one AND on the masks), so no subgroup is joined.  Before any
-  space is enumerated, the Galois number predicts how many there are,
-  and more than DEFAULT_CENSUS_LIMIT raise, as do more than
-  DEFAULT_CENSUS_WORK spaces times q: the containment ANDs between them
-  run on q-bit masks.  ``lattice_terms`` then solves the Moebius
-  coefficients up the nodes, smaller spaces first, and sums them by
-  (d, |H|).
+  H a space over F_{p**o_d(p)} above S's, from the masks and generators
+  that ``ffield.superspaces`` yields; containment is read off the nodes
+  (d_S | d_T, and H_T holds H_U's generators), so no subgroup is joined.
+  Before any space is enumerated, the Galois number predicts how many
+  there are, and more than DEFAULT_CENSUS_LIMIT raise, as do more than
+  DEFAULT_CENSUS_WORK spaces times q: each space is built as a q-bit
+  mask, and the generators' bitsets test one bit of each.
+  ``lattice_terms`` then solves the Moebius coefficients up the nodes,
+  smaller spaces first, pushing each into the spaces above it, and sums
+  them by (d, |H|); ``lattice_counts`` turns the terms into N(S, k) for
+  every k at once, on the first count asked of S.
 
 Budgets are explicit and overruns raise; nothing is ever truncated
 silently.
@@ -64,7 +66,7 @@ from functools import lru_cache
 
 from . import ffield
 from .agl import Subgroup, subgroup_from_masks
-from .counting import check_subset_size, evaluate_terms, s_qk
+from .counting import check_subset_size, s_qk, s_qk_column
 from .ffield import Field
 from .numtheory import BudgetExceededError, divisor_orders
 
@@ -72,7 +74,7 @@ DEFAULT_STABILIZER_LIMIT = 4096
 DEFAULT_SUBSET_BUDGET = 10_000_000
 DEFAULT_CENSUS_LIMIT = 5_000
 #: predicted spaces times q: q = 4096 needs at most 2825 * 4096, about
-#: 1.2e7 (1.3 to 2.1 s), and 2^13 needs 2.3e7 (2.5 s) on a 2-vCPU host
+#: 1.2e7 (0.38 s), and 2^13 needs 2.3e7 (0.7 s) on a 2-vCPU host
 DEFAULT_CENSUS_WORK = 20_000_000
 
 
@@ -336,22 +338,25 @@ def galois_number(p: int, n: int) -> int:
     return g
 
 
-def overgroup_census(S: Subgroup) -> list[tuple[int, int, tuple[int, ...]]]:
+def overgroup_census(S: Subgroup
+                     ) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
     """The overgroups T = S(d, c, H) of S = S(d_S, 0, H_S) as nodes
     (d, H): d_S | d | q - 1, and H contains H_S and is closed under
     F_{p**o_d(p)}.  c is no part of a node: for d_S > 1 the fixed point 0
     of S lies in c + H, so c = 0, and for d_S = 1 a node with d > 1
     stands for q/|H| groups, one per coset c + H.  One entry (mask of H,
-    |H|, the d of its nodes in ascending order) per space H.
+    |H|, the d of its nodes in ascending order, the F_p-generators of H
+    with H_S's basis first) per space H.
 
     o_{d_S}(p) divides every o_d(p), so each H is a space over F_r, r =
     p**o_{d_S}(p), and ``ffield.superspaces`` lists those above H_S, H_S
     first.  Their number, the Galois number G_r(n) for n = (alpha - dim
     H_S) / o_{d_S}(p), is checked against DEFAULT_CENSUS_LIMIT, and that
     number times q against DEFAULT_CENSUS_WORK, before the first is
-    enumerated, and against the count after the last.  H is
-    closed under F_{p**m} iff g*v lies in H for the primitive element g
-    of F_{p**m} and every generator v.
+    enumerated, and against the count after the last.  H is closed
+    under F_{p**m} iff g*v lies in H for the primitive element g of
+    F_{p**m} and every generator v; for m | o_{d_S}(p), F_p included,
+    that holds by construction and is not tested.
     """
     if S.b != 0:
         raise ValueError("the overgroup census requires b = 0; conjugate first")
@@ -369,15 +374,16 @@ def overgroup_census(S: Subgroup) -> list[tuple[int, int, tuple[int, ...]]]:
             f"limit of {DEFAULT_CENSUS_WORK}")
     degrees = [(d, odp) for d, odp in divisor_orders(field.p, field.alpha)
                if d % S.d == 0]
-    primitive = {odp: field.subfield(odp)[1] if odp > 1 else 1
-                 for _, odp in degrees}
+    primitive = {odp: field.subfield(odp)[1] for _, odp in degrees
+                 if S.odp % odp}
     mul = field.mul
     census = []
     for mask, gens in ffield.superspaces(S.H, S.odp):
-        closed = {odp: all(mask >> mul(g, v) & 1 for v in gens)
-                  for odp, g in primitive.items()}
+        unclosed = {odp for odp, g in primitive.items()
+                    if not all(mask >> mul(g, v) & 1 for v in gens)}
         census.append((mask, mask.bit_count(),
-                       tuple(d for d, odp in degrees if closed[odp])))
+                       tuple(d for d, odp in degrees if odp not in unclosed),
+                       gens))
     if len(census) != predicted:
         raise RuntimeError(f"the census found {len(census)} subspaces, "
                            f"where the Galois number predicts {predicted}")
@@ -393,39 +399,77 @@ def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
 
     Translations fix a pure translation group S, so mu does not depend
     on c, and a node's coefficient c(T) is mu times its g(T) groups:
-    q/|H| when d_S = 1 < d, else 1.  The spaces of ``overgroup_census``
-    are taken in order of size and the d of each in ascending order, so
-    every node comes after the nodes U below it: d_U | d_T and H_U inside
-    H_T, one AND on their masks per pair of spaces.  Summed over the
-    groups of T, the sum of mu over [S, T] is [T = S], and it reads
-    c(T) = [T = S] - sum over U of c(U) * (g(T) if d_U = 1 else 1): the
-    one group of a node with d_U = 1 lies in every group of T, and each
-    group of a node with d_U > 1 in one.  Nodes with c = 0 are skipped.
+    q/|H| when d_S = 1 < d, else 1.  Summed over the groups of T, the sum
+    of mu over [S, T] is [T = S], and it reads c(T) = [T = S] - sum over
+    the nodes U below T of c(U) * (g(T) if d_U = 1 else 1): the one group
+    of a node with d_U = 1 lies in every group of T, and each group of a
+    node with d_U > 1 in one.  U lies below T iff d_U | d_T and H_U lies
+    in H_T.
+
+    The sum is pushed up, not pulled: each space keeps the sums of the
+    final c(U) of the spaces below it, one per d_U.  The spaces of
+    ``overgroup_census`` are taken in order of size and the d of each in
+    ascending order, so a space is final before any space above it is
+    reached, and each node of a space adds its c into the space's own
+    sums before its next d reads them.  A final space U then adds its
+    c(U) into the sums of the later spaces that contain it: those that
+    hold each of its F_p-generators outside H_S's basis, the AND of one
+    bitset over the census per generator.  Nodes with c = 0 are skipped.
     """
     census = overgroup_census(S)
     census.sort(key=lambda space: space[1])
-    q = S.field.q
-    done: list[tuple[int, dict[int, int]]] = []
+    q, base = S.field.q, S.H.dim
+    masks = [space[0] for space in census]
+    # x -> the spaces that hold x, one bit per census index
+    holders: dict[int, int] = {}
+    for *_, gens in census:
+        for x in gens[base:]:
+            if x not in holders:
+                holders[x] = sum(1 << t for t, mask in enumerate(masks)
+                                 if mask >> x & 1)
+    sums: list[dict[int, int]] = [{} for _ in census]
+    everything = (1 << len(census)) - 1
     agg: Counter = Counter()
-    for mask, size, degrees in census:
-        coeffs: dict[int, int] = {}
-        done.append((mask, coeffs))
-        outside = ~mask
-        # the spaces inside this one, itself included, whose nodes with
-        # a smaller d are filled in before the next d reads them
-        below = [cU for mU, cU in done if not mU & outside]
+    for index, (_, size, degrees, gens) in enumerate(census):
+        below, coeffs = sums[index], {}
         for d in degrees:
             g = q // size if S.d == 1 < d else 1
             c = ((d, size) == (S.d, S.H.size)) - sum(
-                cd * (g if dU == 1 else 1) for cU in below
-                for dU, cd in cU.items() if not d % dU)
+                cd * (g if dU == 1 else 1) for dU, cd in below.items()
+                if not d % dU)
             if c:
                 coeffs[d] = c
+                below[d] = below.get(d, 0) + c
                 agg[(d, size)] += c
+        if not coeffs:
+            continue
+        above = everything & (-1 << index + 1)      # the later spaces
+        for x in gens[base:]:
+            above &= holders[x]
+        for t in ffield.mask_elements(above):
+            into = sums[t]
+            for dU, cd in coeffs.items():
+                into[dU] = into.get(dU, 0) + cd
     return tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
 
 
+def lattice_counts(S: Subgroup) -> tuple[int, ...]:
+    """N(S, k) for k = 0..q from one pass over ``lattice_terms(S)``,
+    cached on S: each term (c, d, |H|) adds c times its ``s_qk_column``.
+    The row lives and dies with S; an equal subgroup built anew builds
+    its own."""
+    if S._lattice_counts is None:
+        q = S.field.q
+        row = [0] * (q + 1)
+        for c, d, h in lattice_terms(S):
+            for k, s in s_qk_column(q, d, h, q).items():
+                row[k] += c * s
+        S._lattice_counts = tuple(row)
+    return S._lattice_counts
+
+
 def count_N_via_lattice(S: Subgroup, k: int) -> int:
-    """N(S, k) by Moebius inversion over the overgroups of S."""
+    """N(S, k) by Moebius inversion over the overgroups of S, read off
+    the row ``lattice_counts(S)``."""
     check_subset_size(S.field.q, k)
-    return evaluate_terms(S.field.q, k, lattice_terms(S))
+    return lattice_counts(S)[k]

@@ -14,7 +14,8 @@ element at a time, and ``design_record`` is the json record of a design
 as a dict, which ``reference_design_json`` encodes by ``json.dumps`` (no
 writer of its own).
 The lattice inclusion-exclusion visits every selection of immediate
-supergroups on its own (no fold).  Field addition, spans and subspace
+supergroups on its own (no fold), and ``pulled_lattice_terms`` solves
+the census's Moebius recursion by testing every pair of its spaces.  Field addition, spans and subspace
 echelon forms are computed on coefficient lists, digit by digit mod p
 (no Zech logarithms, no int rows).  ``overgroup_terms`` walks
 every overgroup of a class and weighs it by ``moebius_exponent`` times
@@ -272,6 +273,32 @@ def literal_lattice_terms(S) -> tuple[tuple[tuple[int, int, int], ...], int]:
     walk(0, S, 1)
     terms = tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
     return terms, visited
+
+
+def pulled_lattice_terms(S) -> tuple[tuple[int, int, int], ...]:
+    """``oracle.lattice_terms`` in pull form: the same Moebius recursion
+    over the nodes of ``oracle.overgroup_census``, taken by size and d,
+    but each node sums c(U) over every earlier node U it contains,
+    tested by one AND of the two spaces' element masks per pair (no
+    generator bitsets, nothing pushed)."""
+    census = sorted(oracle.overgroup_census(S), key=lambda space: space[1])
+    q = S.field.q
+    done: list[tuple[int, dict[int, int]]] = []
+    agg: Counter = Counter()
+    for mask, size, degrees, _ in census:
+        coeffs: dict[int, int] = {}
+        done.append((mask, coeffs))
+        # the spaces inside this one, itself included
+        below = [cU for mU, cU in done if not mU & ~mask]
+        for d in degrees:
+            g = q // size if S.d == 1 < d else 1
+            c = ((d, size) == (S.d, S.H.size)) - sum(
+                cd * (g if dU == 1 else 1) for cU in below
+                for dU, cd in cU.items() if not d % dU)
+            if c:
+                coeffs[d] = c
+                agg[(d, size)] += c
+    return tuple((c, d, h) for (d, h), c in sorted(agg.items()) if c)
 
 
 def reference_fixing_maps(field, mask: int):

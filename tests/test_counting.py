@@ -798,7 +798,7 @@ COLUMN_CASES = [
 
 @pytest.mark.parametrize("q,u,v,k_max", COLUMN_CASES)
 def test_column_matches_s_qk(q, u, v, k_max):
-    col = counting._column(q, u, v, k_max)
+    col = counting.s_qk_column(q, u, v, k_max)
     assert all(0 <= k <= k_max for k in col)
     assert (not col) == bool((q - v) % (u * v))
     for k in range(q + 1):
@@ -811,7 +811,7 @@ def test_column_matches_s_qk_on_small_fields(p, alpha):
     for u in range(1, q + 1):
         for v in (p ** b for b in range(alpha + 1)):
             for k_max in (0, 1, q // 2, q):
-                col = counting._column(q, u, v, k_max)
+                col = counting.s_qk_column(q, u, v, k_max)
                 assert [col.get(k, 0) for k in range(q + 1)] == [
                     s_qk(q, k, u, v) if k <= k_max else 0
                     for k in range(q + 1)], (u, v, k_max)
@@ -827,7 +827,7 @@ def test_table_row_limit_counts_the_rows_exactly(monkeypatch, p, alpha,
     monkeypatch.setattr(counting, "MAX_TABLE_ROWS", rows)
     assert len(build_table(p, alpha, k_max)) == rows
     monkeypatch.setattr(counting, "MAX_TABLE_ROWS", rows - 1)
-    monkeypatch.setattr(counting, "_column",
+    monkeypatch.setattr(counting, "s_qk_column",
                         lambda *args: pytest.fail("built past the limit"))
     message = f" has {rows} rows, over the limit of {rows - 1}$"
     with pytest.raises(BudgetExceededError, match=message):
@@ -891,7 +891,7 @@ def test_budget_error_is_one_class():
 @pytest.mark.parametrize("p,alpha", [(2, 6), (3, 4), (2, 10), (1021, 1)])
 def test_build_table_builds_each_column_once(monkeypatch, p, alpha):
     built, evaluated = [], []
-    column = counting._column
+    column = counting.s_qk_column
 
     def counted_column(q, u, v, k_max):
         built.append((u, v))
@@ -901,7 +901,7 @@ def test_build_table_builds_each_column_once(monkeypatch, p, alpha):
         evaluated.append(args)
         return s_qk(*args)
 
-    monkeypatch.setattr(counting, "_column", counted_column)
+    monkeypatch.setattr(counting, "s_qk_column", counted_column)
     monkeypatch.setattr(counting, "s_qk", counted_s_qk)
     build_table(p, alpha)
     assert evaluated == []

@@ -336,6 +336,8 @@ def test_coset_leaders():
     assert cosets == {0: 0b1001, 1: 0b110, 4: 0b10010000, 5: 0b1100000}
     assert list(cosets) == [0, 1, 4, 5]     # leaders ascend from 0
     assert H.cosets() is cosets             # computed once
+    assert H.leaders() == (0, 1, 1, 0, 4, 5, 5, 4)
+    assert H.leaders() == tuple(map(H.reduce, range(8)))
 
 
 def test_coset_leaders_count_is_checked(monkeypatch):

@@ -13,7 +13,8 @@ from aglstab import ffield, oracle
 from aglstab.agl import (JoinTable, Subgroup, class_representative,
                          immediate_supergroups, join_pair,
                          subgroup_from_masks)
-from aglstab.counting import ClassParams, class_shapes, classes, count_N
+from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
+                              evaluate_terms)
 from aglstab.ffield import Field, Subspace, mask_elements, span, subset_mask
 from aglstab.oracle import (BudgetExceededError,
                             bruteforce_counts, count_N_bruteforce,
@@ -24,8 +25,9 @@ from aglstab.oracle import (BudgetExceededError,
 import reference
 from reference import (all_subgroups, assert_lines, full_census, full_group,
                        literal_lattice_terms, mask_bits, pairs_to_masks,
-                       prime_powers, reference_fixing_maps, run_python,
-                       subgroup_elements, trivial_subgroup)
+                       prime_powers, pulled_lattice_terms,
+                       reference_fixing_maps, run_python, subgroup_elements,
+                       trivial_subgroup)
 
 FIELDS = {}
 
@@ -596,7 +598,7 @@ def test_census_holds_every_overgroup(p, alpha):
         if S.b != 0:
             continue
         census = Counter()
-        for mask, size, degrees in oracle.overgroup_census(S):
+        for mask, size, degrees, _ in oracle.overgroup_census(S):
             for d in degrees:
                 census[d, mask] += F.q // size if S.d == 1 < d else 1
         contain = Counter((T.d, T.H.cosets()[0]) for T in groups
@@ -626,7 +628,58 @@ def test_census_builds_no_subspace_and_keeps_nothing(monkeypatch):
             runs.append(lattice_terms(S))
         assert runs[0] == runs[1] and built == Counter(), (p, alpha)
         assert set(vars(F)) == attrs
+        # the row lives on S, not on the field
+        for k in range(F.q + 1):
+            count_N_via_lattice(S, k)
+        assert built == Counter() and set(vars(F)) == attrs, (p, alpha)
     lattice_terms.cache_clear()
+
+
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 81))
+def test_pushed_moebius_equals_the_pair_scan(p, alpha):
+    # the pushed sum reads containment off generator bitsets, the pull
+    # form off one AND per pair of spaces
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        assert lattice_terms(S) == pulled_lattice_terms(S), (d, i, j)
+
+
+@pytest.mark.parametrize("p,alpha", [(2, 6), (3, 5)])
+def test_pushed_moebius_equals_the_pair_scan_on_a_trivial_class(p, alpha):
+    # the widest censuses admitted: 2825 and 2664 spaces
+    S = trivial_subgroup(field(p, alpha))
+    assert lattice_terms(S) == pulled_lattice_terms(S)
+
+
+@pytest.mark.parametrize("p,alpha", prime_powers(2, 64))
+def test_lattice_row_equals_the_terms_at_every_k(p, alpha):
+    F = field(p, alpha)
+    for d, i, j in class_shapes(p, alpha):
+        S = class_representative(F, d, i, j)
+        terms = lattice_terms(S)
+        assert [count_N_via_lattice(S, k) for k in range(F.q + 1)] == [
+            evaluate_terms(F.q, k, terms) for k in range(F.q + 1)], (d, i, j)
+
+
+def test_lattice_row_reads_the_terms_once_per_subgroup(monkeypatch):
+    # every k of one subgroup reads its one row; an equal subgroup built
+    # anew shares nothing with it and builds its own
+    F = field(3, 3)
+    calls = []
+    plain = oracle.lattice_terms
+    monkeypatch.setattr(oracle, "lattice_terms",
+                        lambda S: calls.append(S) or plain(S))
+    for d, i, j in class_shapes(3, 3):
+        S = class_representative(F, d, i, j)
+        row = [count_N_via_lattice(S, k) for k in range(F.q + 1)]
+        assert calls == [S], (d, i, j)
+        fresh = class_representative(F, d, i, j)
+        assert fresh == S and fresh is not S
+        assert fresh._lattice_counts is None
+        assert [count_N_via_lattice(fresh, k) for k in range(F.q + 1)] == row
+        assert len(calls) == 2 and calls[1] is fresh, (d, i, j)
+        calls.clear()
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (2, 3), (3, 2)])
