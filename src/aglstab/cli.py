@@ -2,12 +2,10 @@
 
 Subcommands:
 
-* ``table``   -- emit the stabilizer-count table for one field.  Its csv
-  and text lines are rendered class by class from
-  ``counting.class_counts``: a class's constant columns are formatted
-  once, and the lines are bucketed by k and written one join per k.
-  Its json goes through the row writer ``_emit_rows``, as ``count`` and
-  ``verify`` do.
+* ``table``   -- emit the stabilizer-count table for one field, every
+  format rendered class by class from ``counting.class_counts``: a
+  class's row template is formatted once, and the rows are bucketed by
+  k and written one join per k.
 * ``count``   -- evaluate a single class tuple (p, alpha, k, d, i, j).
 * ``verify``  -- three-way agreement sweep over every (class, k) of one
   field: ``StabilizerClass.count`` vs. ``oracle.count_N_via_lattice`` vs.
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from functools import lru_cache
@@ -98,20 +95,39 @@ def _max_k(args, q: int, default: int | None = None) -> int | None:
 # rows
 
 
-def _emit_rows(columns, rows, fmt: str, out) -> None:
-    """Write row tuples under ``columns``: csv with a header, json as a
-    list of objects, or text as one ``column=value`` line per row."""
-    if fmt == "json":
-        json.dump([dict(zip(columns, row)) for row in rows], out, indent=2)
-        out.write("\n")
-        return
-    # one % string per row: ints and bools, which csv.writer never quotes
+def _layout(columns, fmt: str) -> tuple[str, str, str, str]:
+    """The one spelling of each row format: (header, ``%`` template of
+    one row, separator between rows, closing text).  csv writes ints and
+    bools as ``csv.writer`` does, text is one ``column=value`` line per
+    row, and json is a list of objects as the ``json`` module writes it
+    at indent 2, then a newline; %s spells an int as ``json`` does."""
     if fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        line = ",".join(["%s"] * len(columns)) + "\n"
-    else:
-        line = " ".join(f"{c}=%s" for c in columns) + "\n"
-    out.writelines(line % row for row in rows)
+        return (",".join(columns) + "\n",
+                ",".join(["%s"] * len(columns)) + "\n", "", "")
+    if fmt == "text":
+        return "", " ".join(f"{c}=%s" for c in columns) + "\n", "", ""
+    fields = ",\n".join(f'    "{c}": %s' for c in columns)
+    return "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n"
+
+
+def _write(out, layout, runs) -> None:
+    """Write runs of rows, joined by the separator of ``layout``, between
+    its header and closing text; none is empty (every k has a row)."""
+    head, _, sep, tail = layout
+    runs = iter(runs)
+    out.write(head + next(runs))
+    out.writelines(sep + run for run in runs)
+    out.write(tail)
+
+
+def _emit_rows(columns, rows, fmt: str, out) -> None:
+    """Write rows of ints and bools in the ``_layout`` of ``fmt``; json
+    spells a bool in lower case."""
+    layout = _layout(columns, fmt)
+    if fmt == "json":
+        rows = [tuple(("false", "true")[v] if isinstance(v, bool) else v
+                      for v in row) for row in rows]
+    _write(out, layout, [layout[2].join(map(layout[1].__mod__, rows))])
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +138,19 @@ def cmd_table(args, out) -> int:
     p, alpha = _resolve_field(args)
     q = p ** alpha
     k_max = _max_k(args, q, q // 2)
-    if args.format == "json":
-        _emit_rows(CSV_COLUMNS, counting.build_table(p, alpha, k_max),
-                   "json", out)
-        return EXIT_OK
-    # the lines of ``_emit_rows``, with each class's d, odp, i, j and beta
-    # formatted once; bucketed by k, so k comes first, then class order
-    if args.format == "csv":
-        head, pre, mid = ",".join(CSV_COLUMNS) + "\n", "", ",%s,%s,%s,%s,%s,"
-    else:
-        head, pre, mid = "", "k=", " d=%s odp=%s i=%s j=%s beta=%s N="
+    layout = _layout(CSV_COLUMNS, args.format)
     # before the buckets: the pass refuses a table over its row budget
     table = counting.class_counts(p, alpha, k_max)
+    # each class's row formatted once with d, odp, i, j and beta, k and N
+    # left open; bucketed by k, so k comes first, then class order
     by_k: list[list[str]] = [[] for _ in range(k_max + 1)]
     for c, counts in table:
-        middle = mid % (c.d, c.odp, c.i, c.j, c.beta)
+        row = layout[1] % ("%s", c.d, c.odp, c.i, c.j, c.beta, "%s")
         for k, n in counts.items():
-            by_k[k].append(f"{pre}{k}{middle}{n}\n")
+            by_k[k].append(row % (k, n))
     # one join per k: the whole table as one string would double the
     # peak memory of a large one
-    out.write(head)
-    out.writelines(map("".join, by_k))
+    _write(out, layout, map(layout[2].join, by_k))
     return EXIT_OK
 
 
@@ -274,11 +282,12 @@ def cmd_design(args, out) -> int:
     a2 = designs.a2_determinations(S, params.k)
 
     if args.format == "json":
-        out.write(designs.design_json(
+        out.writelines(designs.design_json(
             params, matrix, code, words, q=q,
             subset=list(mask_elements(mask)), stabilizer_order=S.order,
             johnson_equality=johnson,
-            a2={"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}) + "\n")
+            a2={"n": a2.n, "d": a2.d, "w": a2.w, "value": a2.size}))
+        out.write("\n")
     elif args.format == "csv":
         out.write(designs.blocks_as_text(matrix) + "\n")
     else:

@@ -32,9 +32,9 @@ k == 0 or p**beta (mod d*p**beta), stated as a ``period`` and its
    ``class_counts``: it reads shared columns k -> s_qk(q, k, u, v), one
    per distinct (u, v) of the field, each built once by the binomial
    recurrence, and each class adds coeff * column into its own slots
-   k -> N, preset at the k of its congruence.  ``build_table`` is the row
-   view of that pass, one tuple per slot in ``CSV_COLUMNS`` order, and
-   the CLI renders its csv and text lines from the pass directly.
+   k -> N, preset at the k of its congruence.  The CLI renders every
+   table format from that pass directly, one row per slot in
+   ``CSV_COLUMNS`` order.
 
 Everything is exact integer arithmetic; no floating point is used
 anywhere in this module.
@@ -348,17 +348,3 @@ def class_counts(p: int, alpha: int, k_max: int | None = None
         table.append((c, counts))
     return table
 
-
-def build_table(p: int, alpha: int,
-                k_max: int | None = None) -> list[tuple[int, ...]]:
-    """The rows of ``class_counts``, one (k, d, odp, i, j, beta, N) in
-    ``CSV_COLUMNS`` order per slot: k outermost, then the classes in
-    ``classes`` order."""
-    table = class_counts(p, alpha, k_max)
-    k_max = p ** alpha // 2 if k_max is None else k_max
-    by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
-    for c, counts in table:
-        d, odp, i, j, beta = c.d, c.odp, c.i, c.j, c.beta
-        for k, n in counts.items():
-            by_k[k].append((k, d, odp, i, j, beta, n))
-    return [row for rows in by_k for row in rows]

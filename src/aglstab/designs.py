@@ -29,9 +29,9 @@ distance is derived from the measured weight and meets.
 
 The text, csv and json forms write each block from its int, one byte
 at a time through tables of 256 pieces (``block_lines``), so no element
-of a block passes through Python one at a time; ``design_json`` writes
-the json form byte for byte as ``json.dump(record, indent=2,
-sort_keys=True)`` would.
+of a block passes through Python one at a time; ``design_json`` hands
+back the json form as pieces whose join is byte for byte what
+``json.dump(record, indent=2, sort_keys=True)`` would write.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .numtheory import BudgetExceededError
 #: most codeword bits (b*q) of one design; the slowest design measured
 #: under it, q = 128 with |S| = 1 and k = 120 (2,080,768 bits), takes
 #: about 0.14 s in-process for its 22 MB of json and 0.08 s for its text
-#: or csv on a 2-vCPU host (0.28 s and 84 MiB peak RSS for the json as a
+#: or csv on a 2-vCPU host (0.28 s and 61 MiB peak RSS for the json as a
 #: whole process)
 MAX_DESIGN_BITS = 1 << 21
 
@@ -289,22 +289,24 @@ def blocks_as_text(matrix: IncidenceMatrix) -> str:
 
 def design_json(params: DesignParams, matrix: IncidenceMatrix,
                 code: CodeParams, codewords: tuple[str, ...],
-                **extra) -> str:
+                **extra) -> list[str]:
     """The json form of a design, its row code and the further top-level
-    keys in ``extra``: the same text as ``json.dumps(record, indent=2,
-    sort_keys=True)`` of their record, without a trailing newline.
+    keys in ``extra``, as pieces in order: their join is the text of
+    ``json.dumps(record, indent=2, sort_keys=True)`` of their record,
+    with no trailing newline, and a writer takes them one by one, never
+    the whole text at once.
 
     The blocks and the codewords, which are nearly all of the text, are
-    each written by one join at the indent that ``json`` gives them: the
+    one piece each, one join at the indent that ``json`` gives them: the
     blocks from ``block_lines`` as a list of lists of ints two levels
     deep, the codewords as a list of strings one level deep, which need
     no escaping as they are 0/1 strings.  The blocks, each block and the
     codewords are non-empty, as ``orbit_design`` and ``design_to_code``
-    make them.  Every other value is encoded on its own
-    and moved one level in by indenting each of its lines.  That is
-    sound because ``json`` escapes every control character inside a
-    string, so each raw newline of its output is a line break of the
-    layout.  The keys are written in sorted order, as ``sort_keys`` does.
+    make them.  Every other value is encoded on its own and moved one
+    level in by indenting each of its lines.  That is sound because
+    ``json`` escapes every control character inside a string, so each
+    raw newline of its output is a line break of the layout.  The keys
+    are written in sorted order, as ``sort_keys`` does.
     """
     values = {
         "params": {"v": params.v, "b": params.b, "r": params.r,
@@ -312,13 +314,17 @@ def design_json(params: DesignParams, matrix: IncidenceMatrix,
         "code": {"n": code.n, "d": code.d, "w": code.w, "size": code.size},
         **extra,
     }
-    encoded = {key: json.dumps(value, indent=2, sort_keys=True)
-               .replace("\n", "\n  ") for key, value in values.items()}
-    encoded["codewords"] = ('[\n    "' + '",\n    "'.join(codewords)
-                            + '"\n  ]')
-    encoded["blocks"] = ("[\n    [\n      "
-                         + "\n    ],\n    [\n      ".join(
-                             block_lines(matrix, ",\n      "))
-                         + "\n    ]\n  ]")
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {encoded[key]}"
-                               for key in sorted(encoded)) + "\n}"
+    encoded = {key: [json.dumps(value, indent=2, sort_keys=True)
+                     .replace("\n", "\n  ")]
+               for key, value in values.items()}
+    encoded["codewords"] = ['[\n    "', '",\n    "'.join(codewords),
+                            '"\n  ]']
+    encoded["blocks"] = ["[\n    [\n      ",
+                         "\n    ],\n    [\n      ".join(
+                             block_lines(matrix, ",\n      ")),
+                         "\n    ]\n  ]"]
+    pieces = []
+    for key in sorted(encoded):
+        pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": ",
+                   *encoded[key]]
+    return pieces + ["\n}"]

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
 
 from . import ffield
 from .agl import Subgroup, subgroup_from_masks
@@ -390,7 +389,6 @@ def overgroup_census(S: Subgroup
     return census
 
 
-@lru_cache(maxsize=None)
 def lattice_terms(S: Subgroup) -> tuple[tuple[int, int, int], ...]:
     """Signed terms (coefficient, d, |H|) of N(S, k) = sum over the
     overgroups T of S of mu(S, T) * s_qk(T, k), P. Hall's Moebius

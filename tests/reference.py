@@ -21,15 +21,18 @@ echelon forms are computed on coefficient lists, digit by digit mod p
 every overgroup of a class and weighs it by ``moebius_exponent`` times
 ``q_binomial``, each computed from scratch (no recurrence, no pruning
 by k), and ``class_size`` counts the subgroups of a class from its
-parameters by Moebius inversion over subfields.  ``table_by_terms``
-evaluates every table row from its class terms on its own (no shared
-binomial columns).  ``csv_writer_rows`` and ``text_rows`` write rows as
-``csv.writer`` does and as ``column=value`` pairs joined one value at a
-time (no format string).  ``assert_lines`` reads a module's source,
-which the ``python -O`` guards scan for asserts, ``prime_powers`` lists
-the fields that the sweeps run over, ``run_python`` runs a call that
-could hang in a process of its own, and ``modulus`` reads a field's
-modulus back from its arithmetic (the library stores none).
+parameters by Moebius inversion over subfields.  ``build_table`` is
+the row view of ``counting.class_counts``, one tuple per table row in
+the CLI's order, and ``table_by_terms`` evaluates every table row from
+its class terms on its own (no shared binomial columns).
+``csv_writer_rows``, ``text_rows`` and ``json_rows`` write rows as
+``csv.writer`` does, as ``column=value`` pairs joined one value at a
+time (no format string), and as ``json.dumps`` does.  ``assert_lines``
+reads a module's source, which the ``python -O`` guards scan for
+asserts, ``prime_powers`` lists the fields that the sweeps run over,
+``run_python`` runs a call that could hang in a process of its own, and
+``modulus`` reads a field's modulus back from its arithmetic (the
+library stores none).
 
 The exhaustive engines are not theory-free: they are built from library
 pieces.  ``full_census`` classifies every k-subset by the library's
@@ -63,7 +66,8 @@ from sympy import factorint, mobius
 from aglstab import ffield, oracle
 from aglstab.agl import (JoinTable, Subgroup, immediate_supergroups,
                          join_pair, subgroup_from_masks)
-from aglstab.counting import check_subset_size, classes, evaluate_terms
+from aglstab.counting import (check_subset_size, class_counts, classes,
+                              evaluate_terms)
 from aglstab.ffield import Field, Subspace, mask_elements, span
 from aglstab.numtheory import (BudgetExceededError, divisor_orders,
                                mult_order, prime_set)
@@ -531,9 +535,24 @@ def overgroup_terms(p: int, alpha: int, d: int, i: int, j: int,
     return tuple((c, u, v) for (u, v), c in sorted(agg.items()) if c)
 
 
+def build_table(p: int, alpha: int,
+                k_max: int | None = None) -> list[tuple[int, ...]]:
+    """The rows of ``counting.class_counts``, one (k, d, odp, i, j, beta,
+    N) in ``CSV_COLUMNS`` order per slot: k outermost, then the classes
+    in ``classes`` order, the order in which the CLI writes them."""
+    table = class_counts(p, alpha, k_max)
+    k_max = p ** alpha // 2 if k_max is None else k_max
+    by_k: list[list[tuple[int, ...]]] = [[] for _ in range(k_max + 1)]
+    for c, counts in table:
+        d, odp, i, j, beta = c.d, c.odp, c.i, c.j, c.beta
+        for k, n in counts.items():
+            by_k[k].append((k, d, odp, i, j, beta, n))
+    return [row for rows in by_k for row in rows]
+
+
 def table_by_terms(p: int, alpha: int,
                    k_max: int | None = None) -> list[tuple[int, ...]]:
-    """The rows of ``counting.build_table``, each evaluated on its own:
+    """The rows of ``build_table``, each evaluated on its own:
     one ``evaluate_terms`` call per row, so one ``s_qk`` per term, every
     binomial built from scratch."""
     shapes = [(c, c.terms()) for c in classes(p, alpha)]
@@ -555,6 +574,13 @@ def csv_writer_rows(columns, rows) -> str:
     writer.writerow(columns)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def json_rows(columns, rows) -> str:
+    """``rows`` as a list of objects keyed by ``columns``, written by
+    ``json.dumps`` at indent 2, and a newline."""
+    return json.dumps([dict(zip(columns, row)) for row in rows],
+                      indent=2) + "\n"
 
 
 def text_rows(columns, rows) -> str:

@@ -13,15 +13,15 @@ from pathlib import Path
 import aglstab
 from aglstab.agl import Subgroup, class_representative
 from aglstab.cli import EXIT_OK, main
-from aglstab.counting import (ClassParams, build_table, class_shapes,
-                              count_N, mult_order, s_qk)
+from aglstab.counting import (ClassParams, class_shapes, count_N, mult_order,
+                              s_qk)
 from aglstab.designs import (a2_determinations, design_to_code, johnson_check,
                              orbit_design)
 from aglstab.ffield import Field
 from aglstab.oracle import (count_N_bruteforce, count_N_via_lattice,
                             is_exact_stabilizer, orbit_union_masks,
                             stabilizer)
-from reference import all_subgroups, full_census
+from reference import all_subgroups, build_table, full_census
 
 PRIME_POWERS_101 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),

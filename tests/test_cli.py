@@ -21,8 +21,8 @@ from aglstab.cli import (EXIT_BUDGET, EXIT_CLOSED_PIPE, EXIT_INPUT, EXIT_OK,
 from aglstab.counting import CSV_COLUMNS
 from aglstab.numtheory import FACTOR_LIMIT, MAX_FACTORED_Q
 from aglstab.ffield import Field, mask_elements, subset_mask
-from reference import (csv_writer_rows, prime_powers, reference_design_json,
-                       run_python, text_rows)
+from reference import (build_table, csv_writer_rows, json_rows, prime_powers,
+                       reference_design_json, run_python, text_rows)
 
 
 def run(capsys, *argv):
@@ -244,12 +244,12 @@ def test_the_cli_admits_the_field_before_any_library_work(capsys,
         monkeypatch.setattr(module, name, recorded)
 
     record(numtheory, "check_factored")
-    for name in ("classes", "build_table"):
+    for name in ("classes", "class_counts"):
         record(counting, name)
     record(cli, "ClassParams")
     assert run(capsys, *argv)[0] == EXIT_OK
     assert calls[0] == "check_factored"
-    assert {"classes", "build_table", "ClassParams"} & set(calls)
+    assert {"classes", "class_counts", "ClassParams"} & set(calls)
 
 
 def _refusal(power):
@@ -359,18 +359,18 @@ def test_large_table_text_golden_digest(capsys, argv):
 def written_rows(p, alpha, k_max, fmt):
     """``build_table``'s rows through the row writer ``_emit_rows``."""
     out = io.StringIO()
-    _emit_rows(CSV_COLUMNS, counting.build_table(p, alpha, k_max), fmt, out)
+    _emit_rows(CSV_COLUMNS, build_table(p, alpha, k_max), fmt, out)
     return out.getvalue()
 
 
 @pytest.mark.parametrize("p,alpha", prime_powers(2, 256))
 def test_table_lines_match_the_row_writer(capsys, p, alpha):
-    # cmd_table renders csv and text class by class; json goes through
-    # the row writer itself
+    # cmd_table renders every format class by class from the row layout
+    # that the row writer uses
     q = p ** alpha
     for k_max in (None, 0, 1, q):
         bound = () if k_max is None else ("--max-k", str(k_max))
-        for fmt in ("csv", "text"):
+        for fmt in ("csv", "text", "json"):
             code, out, err = run(capsys, "table", "--q", str(q), *bound,
                                  "--format", fmt)
             assert (code, err) == (EXIT_OK, "")
@@ -382,7 +382,7 @@ def test_table_lines_match_the_row_writer(capsys, p, alpha):
     (("--p", "3", "--alpha", "30", "--max-k", "5"), (3, 30), 5),
 ], ids=["2^64", "3^30"])
 def test_bignum_table_lines_match_the_row_writer(capsys, argv, field, k_max):
-    for fmt in ("csv", "text"):
+    for fmt in ("csv", "text", "json"):
         code, out, err = run(capsys, "table", *argv, "--format", fmt)
         assert (code, err) == (EXIT_OK, "")
         assert out == written_rows(*field, k_max, fmt), fmt
@@ -1169,7 +1169,7 @@ def writer_rows(name):
                               counting.count_N(cp))]
     p, alpha = numtheory.prime_power(int(q))
     if kind == "table":
-        return CSV_COLUMNS, counting.build_table(p, alpha)
+        return CSV_COLUMNS, build_table(p, alpha)
     # as cmd_verify builds them, with the bool ok column last
     return VERIFY_COLUMNS, [
         (c.d, c.i, c.j, k, closed, lattice, brute, closed == lattice == brute)
@@ -1187,7 +1187,8 @@ def test_row_writer_matches_csv_writer_and_joined_text(name):
             assert {type(row[-1]) for row in rows} == {bool}
         if name == "count-2^64":
             assert len(str(rows[0][-1])) == 16699
-        for fmt, reference in (("csv", csv_writer_rows), ("text", text_rows)):
+        for fmt, reference in (("csv", csv_writer_rows), ("text", text_rows),
+                               ("json", json_rows)):
             out = io.StringIO()
             _emit_rows(columns, rows, fmt, out)
             assert out.getvalue() == reference(columns, rows), fmt

@@ -22,14 +22,14 @@ import aglstab.oracle
 from aglstab import counting, numtheory, oracle
 from aglstab.agl import class_representative
 from aglstab.cli import EXIT_BUDGET, build_parser, cmd_design, main
-from aglstab.counting import (ClassParams, StabilizerClass, build_table,
+from aglstab.counting import (ClassParams, StabilizerClass, class_counts,
                               class_shapes, classes, count_N, enumerate_params,
                               evaluate_terms, s_qk)
 from aglstab.ffield import Field, span
 from aglstab.numtheory import (BudgetExceededError, check_factored,
                                check_field, check_shape, divisor_orders,
                                mult_order, prime_set)
-from reference import (all_subgroups, class_size, full_census,
+from reference import (all_subgroups, build_table, class_size, full_census,
                        moebius_exponent, overgroup_terms, prime_powers,
                        q_binomial, run_python, table_by_terms)
 
@@ -272,7 +272,7 @@ def test_prime_power_takes_roots_only_at_prime_exponents(monkeypatch):
 
 @pytest.mark.parametrize("call,verdict", [
     ("counting.class_shapes(2, 1000)", "q = 2^1000 is refused"),
-    ("counting.build_table(2, 1000, 2)", "q = 2^1000 is refused"),
+    ("counting.class_counts(2, 1000, 2)", "q = 2^1000 is refused"),
     ("counting.count_N(counting.ClassParams(2, 1000, 0, 1, 1000, 0))",
      "a 1000-bit number is refused"),
     ("counting.class_shapes(2, 256)", "q = 2^256 is refused"),
@@ -998,9 +998,9 @@ def test_build_table_admits_the_field_once(monkeypatch):
 
 LISTERS = [divisor_orders, classes, class_shapes,
            lambda p, alpha: enumerate_params(p, alpha, 0),
-           lambda p, alpha: build_table(p, alpha, 1)]
+           lambda p, alpha: class_counts(p, alpha, 1)]
 LISTER_IDS = ["divisor_orders", "classes", "class_shapes", "enumerate_params",
-              "build_table"]
+              "class_counts"]
 
 
 @pytest.mark.parametrize("lister", LISTERS, ids=LISTER_IDS)

@@ -206,7 +206,7 @@ def test_writers_equal_the_reference_writer(q, k, d, b):
     assert (blocks_as_text(matrix)
             == "\n".join(reference_block_lines(matrix, ",")))
     extra = {"q": q, "subset": list(mask_elements(mask))}
-    assert (design_json(params, matrix, code, words, **extra)
+    assert ("".join(design_json(params, matrix, code, words, **extra))
             == reference_design_json(params, matrix, code, words, **extra))
 
 
@@ -304,7 +304,7 @@ def test_serialization_round_trip():
     lines = text.splitlines()
     assert len(lines) == 14
     assert lines[0] == ",".join(map(str, mask_elements(matrix.blocks[0])))
-    record = json.loads(design_json(params, matrix, code, words))
+    record = json.loads("".join(design_json(params, matrix, code, words)))
     assert record["params"]["lambda"] == 2
     assert record["code"] == {"n": 14, "d": 8, "w": 6, "size": 7}
     assert len(record["blocks"]) == 14

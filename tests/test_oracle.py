@@ -526,7 +526,6 @@ def test_lattice_closure_budget(monkeypatch):
         raise AssertionError("the census enumerated past its budget")
 
     monkeypatch.setattr(ffield, "superspaces", forbidden)
-    lattice_terms.cache_clear()
     message = (r"^the overgroup census needs 29212 subspaces, over the limit "
                r"of 5000$")
     S = trivial_subgroup(field(2, 7))
@@ -551,7 +550,6 @@ def test_census_work_budget(monkeypatch, p, alpha, shape, spaces):
         raise AssertionError("the census enumerated past its budget")
 
     monkeypatch.setattr(ffield, "superspaces", forbidden)
-    lattice_terms.cache_clear()
     message = (f"^the overgroup census needs {spaces} subspaces of q = {F.q} "
                f"elements, {spaces * F.q} in all, over the limit of "
                f"{oracle.DEFAULT_CENSUS_WORK}$")
@@ -624,7 +622,6 @@ def test_census_builds_no_subspace_and_keeps_nothing(monkeypatch):
         built.clear()
         runs = []
         for _ in range(2):
-            lattice_terms.cache_clear()
             runs.append(lattice_terms(S))
         assert runs[0] == runs[1] and built == Counter(), (p, alpha)
         assert set(vars(F)) == attrs
@@ -632,7 +629,6 @@ def test_census_builds_no_subspace_and_keeps_nothing(monkeypatch):
         for k in range(F.q + 1):
             count_N_via_lattice(S, k)
         assert built == Counter() and set(vars(F)) == attrs, (p, alpha)
-    lattice_terms.cache_clear()
 
 
 @pytest.mark.parametrize("p,alpha", prime_powers(2, 81))
