@@ -10,16 +10,15 @@ for the divisor d = o(a) of q - 1, and reduces b to the least element of
 its coset b + H (with b = 0 forced when d = 1).  Two descriptors are equal
 iff the subgroups are equal, so lattice walks never need element sets.
 
-Each descriptor keeps ``odp`` = o_d(p) (a lies in F_{p**odp}, and H is a
-space over it), ``one_minus_a`` = 1 - a and, for d > 1, the
-``fixed_point`` c = b/(1 - a).  Containment is read off descriptors: T
-contains S iff d_S | d_T, H_S lies in H_T, and, when d_S > 1, the fixed
-point of S lies in c_T + H_T; ``oracle.overgroup_census`` lists the
-overgroups this way.  ``immediate_supergroups`` (the atoms above S, each
-line the ``span`` of H and one coset leader) and ``join_pair`` (the
-group two subgroups generate, its parts shared through a ``JoinTable``)
-serve no library route: they stay for perfbench's wrap list until
-ROADMAP item 7, and the tests' theory-free lattice walk uses them.
+Each descriptor keeps ``odp`` = o_d(p): a lies in F_{p**odp}, and H is a
+space over it.  For d > 1, ``fixed_point`` computes c = b/(1 - a) on
+call.  Containment is read off descriptors: T contains S iff d_S | d_T,
+H_S lies in H_T, and, when d_S > 1, the fixed point of S lies in c_T +
+H_T; ``oracle.overgroup_census`` lists the overgroups this way.  ``immediate_supergroups`` (the atoms above S, each line the
+``span`` of H and one coset leader) and ``join_pair`` (the group two
+subgroups generate) serve no library route: they stay for perfbench's
+wrap list until ROADMAP item 24, and the tests' theory-free lattice walk
+uses them.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ class Subgroup:
 
     Invariants: d divides q - 1; H is closed under F_{p**odp}; b is the
     least element of its coset b + H, and 0 when d = 1.  The group order
-    is d * |H|.  ``one_minus_a`` is 1 - a (0 when d = 1), and
-    ``fixed_point`` (d > 1; else None) solves a*c + b = c.
+    is d * |H|.
     """
 
     def __init__(self, field: Field, d: int, b: int, translations: Subspace):
@@ -59,10 +57,7 @@ class Subgroup:
         self.b = b
         self.H = translations
         self.a = field.pow(field.gamma, (field.q - 1) // d)
-        self.one_minus_a = field.sub(1, self.a)
-        self.fixed_point = field.div(b, self.one_minus_a) if d > 1 else None
         self.order = d * translations.size
-        self._hash = hash((field, d, b, translations.basis))
         self._orbits: tuple[int, ...] | None = None
         #: N(S, k) for k = 0..q, filled by ``oracle.bruteforce_counts``
         self._bruteforce_counts: tuple[int, ...] | None = None
@@ -122,7 +117,7 @@ class Subgroup:
                 and self.H == other.H)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.field, self.d, self.b, self.H.basis))
 
     def __repr__(self) -> str:
         return f"Subgroup(q={self.field.q}, d={self.d}, b={self.b}, |H|={self.H.size})"
@@ -153,7 +148,7 @@ def subgroup_from_masks(field: Field, masks: dict[int, int]) -> Subgroup:
 # lattice steps
 
 
-# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 24
 def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     """The minimal elements above S in the subgroup lattice.
 
@@ -190,100 +185,54 @@ def immediate_supergroups(S: Subgroup) -> list[Subgroup]:
     return out
 
 
-# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 24
 def join(S: Subgroup, selection) -> Subgroup:
     """The subgroup generated by S and a selection of proper supergroups,
-    one ``join_pair`` per selected group, all into one ``JoinTable``.  T
-    is a supergroup of S iff ``join_pair(T, S, table)`` is T."""
+    one ``join_pair`` per selected group.  T is a supergroup of S iff
+    ``join_pair(T, S)`` is T."""
     sel = list(selection)
-    table = JoinTable()
     for T in sel:
-        if T == S or join_pair(T, S, table) != T:
+        if T == S or join_pair(T, S) != T:
             raise ValueError(f"{T!r} is not a proper supergroup of {S!r}")
-    return functools.reduce(lambda J, T: join_pair(J, T, table), sel, S)
+    return functools.reduce(join_pair, sel, S)
 
 
-# kept for ``join_pair`` and perfbench's wrap list until ROADMAP item 7
-class JoinTable:
-    """The parts of the joins made into one table, each built once per
-    distinct input: spans keyed by (basis, basis, fixed-point difference,
-    degree) and also by (the first basis, the nonzero coset leaders the
-    other vectors leave mod its space, degree); coset leaders by (basis
-    of H, element), and subgroups by (d, b, basis of H).  Its creator
-    drops it when done, so nothing outlives the joins it serves."""
-
-    __slots__ = ("spans", "leaders", "subgroups")
-
-    def __init__(self):
-        self.spans: dict[tuple, Subspace] = {}
-        self.leaders: dict[tuple[tuple[int, ...], int], int] = {}
-        self.subgroups: dict[tuple[int, int, tuple[int, ...]], Subgroup] = {}
+def fixed_point(S: Subgroup) -> int | None:
+    """The point c = b/(1 - a) that S's multiplier fixes, a*c + b = c;
+    None when d = 1."""
+    if S.d == 1:
+        return None
+    field = S.field
+    return field.div(S.b, field.sub(1, S.a))
 
 
-# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
-def join_pair(T1: Subgroup, T2: Subgroup, table: JoinTable) -> Subgroup:
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 24
+def join_pair(T1: Subgroup, T2: Subgroup) -> Subgroup:
     """The subgroup generated by two arbitrary subgroups, on descriptors.
 
-    The translation part absorbs both H's and, when both groups have a
-    multiplicative part, the difference of their fixed points; d = lcm(d1,
-    d2), H is a space over F_{p**o_d(p)}, o_d(p) = lcm(o_d1(p), o_d2(p)),
-    and b = (1 - a)*c for either fixed point c, reduced mod H; both
-    candidates are computed and must agree.  1 - a is read off T1 or T2
-    when d is theirs, and computed only for a new d.  The ``table``, shared
-    across calls, builds each span, coset leader and ``Subgroup`` once per
-    distinct input; the first build of a subgroup runs all of its checks,
-    and a repeat returns that same object.  A span missing under the pair
-    key is the span over F_{p**odp} of H1 = T1.H and the coset leaders
-    mod H1 of T2's basis and the fixed-point difference, which is exact
-    for any F_p-space H1, since x - reduce(x) lies in H1.  It is H1
-    itself if every leader is 0 and H1 is a space over F_{p**odp}, and
-    otherwise looked up under (H1, the nonzero leaders, odp) and built
-    only on a miss there.
+    d = lcm(d1, d2), and H is the span over F_{p**o_d(p)}, o_d(p) =
+    lcm(o_d1(p), o_d2(p)), of both H's and, when both groups have a
+    multiplicative part, the difference of their fixed points.  b = (1 -
+    a)*c for either fixed point c, reduced mod H; both candidates are
+    computed and must agree.
     """
     field = T1.field
     if T2.field is not field and T2.field != field:
         raise ValueError("cannot join subgroups over different fields")
     d = math.lcm(T1.d, T2.d)
-    odp = math.lcm(T1.odp, T2.odp)
-    c1, c2 = T1.fixed_point, T2.fixed_point
-    diff = None if c1 is None or c2 is None else field.sub(c1, c2)
-    H1 = T1.H
-    key = (H1.basis, T2.H.basis, diff, odp)
-    Hnew = table.spans.get(key)
-    if Hnew is None:
-        vectors = T2.H.basis + (() if diff is None else (diff,))
-        leaders = tuple(r for r in map(H1.reduce, vectors) if r)
-        if not leaders and H1.stabilizing_degree() % odp == 0:
-            Hnew = H1
-        else:
-            Hnew = table.spans.get((H1.basis, leaders, odp))
-            if Hnew is None:
-                Hnew = table.spans[(H1.basis, leaders, odp)] = span(
-                    field, H1.basis + leaders, odp)
-        table.spans[key] = Hnew
+    c1, c2 = fixed_point(T1), fixed_point(T2)
+    diff = () if c1 is None or c2 is None else (field.sub(c1, c2),)
+    H = span(field, T1.H.basis + T2.H.basis + diff,
+             math.lcm(T1.odp, T2.odp))
     if d == 1:
-        b = 0
-    else:
-        one_minus_a = (
-            T1.one_minus_a if d == T1.d else T2.one_minus_a if d == T2.d
-            else field.sub(1, field.pow(field.gamma, (field.q - 1) // d)))
-        b = None
-        for c in (c1, c2):
-            if c is None:
-                continue
-            x = field.mul(one_minus_a, c)
-            leader = table.leaders.get((Hnew.basis, x))
-            if leader is None:
-                leader = table.leaders[(Hnew.basis, x)] = Hnew.reduce(x)
-            if b is None:
-                b = leader
-            elif leader != b:
-                raise RuntimeError("join must not depend on the chosen point, "
-                                   f"got b in {sorted((b, leader))}")
-    J = table.subgroups.get((d, b, Hnew.basis))
-    if J is None:
-        J = table.subgroups[(d, b, Hnew.basis)] = Subgroup(field, d, b, Hnew)
-    return J
+        return Subgroup(field, 1, 0, H)
+    one_minus_a = field.sub(1, field.pow(field.gamma, (field.q - 1) // d))
+    bs = {H.reduce(field.mul(one_minus_a, c)) for c in (c1, c2)
+          if c is not None}
+    if len(bs) > 1:
+        raise RuntimeError("join must not depend on the chosen point, "
+                           f"got b in {sorted(bs)}")
+    return Subgroup(field, d, bs.pop(), H)
 
 
 # ---------------------------------------------------------------------------

@@ -258,13 +258,13 @@ def classes(p: int, alpha: int) -> list[StabilizerClass]:
                       else range(1, alpha // (odp * i)))]
 
 
-# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 24
 def class_shapes(p: int, alpha: int) -> list[tuple[int, int, int]]:
     """The (d, i, j) triples of ``classes``, in the same order."""
     return [(c.d, c.i, c.j) for c in classes(p, alpha)]
 
 
-# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 7
+# kept for perfbench's wrap list (spans.FUNCTIONS) until ROADMAP item 24
 def enumerate_params(p: int, alpha: int, k_max: int | None = None) -> list[ClassParams]:
     """All table tuples with 0 <= k <= k_max (default q // 2) satisfying
     the zero-pattern congruence, in emission order: k outermost, then d

@@ -17,11 +17,12 @@ import pytest
 from sympy import divisors, primerange
 
 import aglstab
-from aglstab.agl import (JoinTable, Subgroup, class_representative,
+from aglstab.agl import (Subgroup, class_representative, fixed_point,
                          immediate_supergroups, join, join_pair)
 from aglstab.counting import ClassParams, class_shapes, s_qk
-from aglstab.ffield import Field, Subspace, mask_elements, span
+from aglstab.ffield import Field, Subspace, mask_elements, span, subset_mask
 from aglstab.numtheory import check_shape, mult_order
+from aglstab.oracle import stabilizer
 from reference import (AffineMap, all_subgroups, canonicalize, full_group,
                        full_subspace, mulclose, prime_powers,
                        subgroup_elements, trivial_subgroup)
@@ -138,12 +139,29 @@ def test_subgroup_keeps_odp_and_fixed_point(p, alpha):
     F = field(p, alpha)
     for S in all_subgroups(F):
         assert S.odp == mult_order(p, S.d), S
-        c = S.fixed_point
+        c = fixed_point(S)
         if S.d == 1:
             assert c is None, S
         else:
             assert F.add(F.mul(S.a, c), S.b) == c, S
-        assert S.one_minus_a == F.sub(1, S.a), S
+
+
+#: every attribute a Subgroup stores: each is read by some route
+SUBGROUP_STATE = {"field", "d", "odp", "b", "H", "a", "order", "_orbits",
+                  "_bruteforce_counts", "_lattice_counts"}
+
+
+def test_subgroup_stores_only_what_a_route_reads():
+    groups = [class_representative(F, d, i, j)
+              for F in (field(7, 1), field(2, 4), field(3, 3))
+              for d, i, j in class_shapes(F.p, F.alpha)]
+    # {1, 2, 4} + 1 at q = 7: a stabilizer with b != 0
+    T = stabilizer(field(7, 1), subset_mask((2, 3, 5)))
+    assert T.d == 3 and T.b != 0, T
+    for S in groups + [T]:
+        assert set(vars(S)) == SUBGROUP_STATE, S
+        S.orbits()
+        assert set(vars(S)) == SUBGROUP_STATE, S
 
 
 def test_odp_of_an_lcm_is_the_lcm_of_the_odps():
@@ -377,60 +395,45 @@ UNCLOSED_PAIRS = {(5, 1): (0, 196), (7, 1): (0, 676), (2, 3): (126, 625),
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2)])
 def test_join_pair_matches_generated_subgroup(p, alpha):
-    # a pair whose T1.H is not a space over the join's subfield spans it
-    # with the leaders too; counting those pairs keeps them checked
+    # a pair whose T1.H is not a space over the join's subfield must be
+    # spanned over that subfield; counting those pairs keeps them checked
     F = field(p, alpha)
     groups = all_subgroups(F)
     opened = 0
     for T1, T2 in itertools.product(groups, repeat=2):
         expected = canonicalize(subgroup_elements(T1) + subgroup_elements(T2))
-        assert join_pair(T1, T2, JoinTable()) == expected, (T1, T2)
+        assert join_pair(T1, T2) == expected, (T1, T2)
         opened += bool(T1.H.stabilizing_degree() % math.lcm(T1.odp, T2.odp))
     assert (opened, len(groups) ** 2) == UNCLOSED_PAIRS[p, alpha]
 
 
 @pytest.mark.parametrize("p,alpha", [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2)])
-def test_join_pair_with_a_shared_table_equals_a_fresh_join(p, alpha):
-    # one table across every pair, as in a lattice fold: each join it
-    # answers is the one built in a fresh table, the join of a swapped
-    # pair is the same object, and every entry is of its own kind (a span,
-    # a coset leader, a subgroup)
+def test_join_pair_commutes_and_absorbs_its_inputs(p, alpha):
+    # <T1, T2> = <T2, T1>, and the join J contains T1, so <J, T1> = J
     F = field(p, alpha)
     groups = all_subgroups(F)
-    table = JoinTable()
     for T1, T2 in itertools.product(groups, repeat=2):
-        J = join_pair(T1, T2, table)
-        assert J == join_pair(T1, T2, JoinTable()), (T1, T2)
-        assert J is join_pair(T2, T1, table), (T1, T2)
-    assert all(isinstance(H, Subspace) for H in table.spans.values())
-    assert all(type(x) is int for x in table.leaders.values())
-    assert all(isinstance(J, Subgroup) for J in table.subgroups.values())
-    assert {(J.d, J.b, J.H.basis) for J in table.subgroups.values()} == set(
-        table.subgroups)
+        J = join_pair(T1, T2)
+        assert J == join_pair(T2, T1), (T1, T2)
+        assert join_pair(J, T1) == J, (T1, T2)
 
 
 def test_join_point_check_raises(monkeypatch):
-    # a wrong coset leader in the table, or no coset reduction at all,
-    # makes the two fixed points give two different b; the check is a
-    # raise, so python -O keeps it
+    # no coset reduction at all makes the two fixed points give two
+    # different b; the check is a raise, so python -O keeps it
     F = field(7, 1)
     S = trivial_subgroup(F)
     halves = [T for T in immediate_supergroups(S) if T.d == 2]
     T1, T2 = Subgroup(F, 2, 0, S.H), Subgroup(F, 3, 1, S.H)
     assert join(S, halves[:2]).H.size == 7
-    J = join_pair(T1, T2, JoinTable())
+    J = join_pair(T1, T2)
     assert (J.d, J.b, J.H.size) == (6, 0, 7)
-    table = JoinTable()
-    # T1's fixed point is 0, so its candidate is the leader of (1 - a)*0
-    table.leaders[(J.H.basis, 0)] = 1
-    message = r"^join must not depend on the chosen point, got b in \[0, 1\]$"
-    with pytest.raises(RuntimeError, match=message):
-        join_pair(T1, T2, table)
     monkeypatch.setattr(Subspace, "reduce", lambda self, x: x)
     with pytest.raises(RuntimeError, match="chosen point"):
         join(S, halves[:2])
-    with pytest.raises(RuntimeError, match="chosen point"):
-        join_pair(T1, T2, JoinTable())
+    message = r"^join must not depend on the chosen point, got b in \[0, 2\]$"
+    with pytest.raises(RuntimeError, match=message):
+        join_pair(T1, T2)
 
 
 def test_join_handles_multi_prime_selections():
@@ -459,7 +462,7 @@ def test_contains_matches_element_sets(p, alpha):
     F = field(p, alpha)
     groups = all_subgroups(F)
     for T1, T2 in itertools.product(groups, repeat=2):
-        assert ((join_pair(T1, T2, JoinTable()) == T1)
+        assert ((join_pair(T1, T2) == T1)
                 == (pairs_of(T2) <= pairs_of(T1))), (T1, T2)
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from aglstab import ffield, oracle
-from aglstab.agl import (JoinTable, Subgroup, class_representative,
+from aglstab.agl import (Subgroup, class_representative,
                          immediate_supergroups, join_pair,
                          subgroup_from_masks)
 from aglstab.counting import (ClassParams, class_shapes, classes, count_N,
@@ -161,7 +161,7 @@ def test_stabilizer_contains_group_of_orbit_unions():
     for k in range(F.q + 1):
         for mask in orbit_union_masks(S, k):
             T = stabilizer(F, mask)
-            assert join_pair(T, S, JoinTable()) == T
+            assert join_pair(T, S) == T
 
 
 @pytest.mark.parametrize("p,alpha", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
