@@ -2,23 +2,24 @@
 
 A map is the int pair (a, b) with a != 0, and a subset is an int mask
 (see :mod:`aglstab.ffield`), the orbits of a subgroup included; the
-module keeps no map objects.  Every
-subgroup is ``S(a, b, H)``: the group generated by one map (a, b)
-together with the translations by an F_p-subspace H that is closed under
-multiplication by F_p(a).  The canonical descriptor fixes a = gamma**((q-1)/d)
-for the divisor d = o(a) of q - 1, and reduces b to the least element of
-its coset b + H (with b = 0 forced when d = 1).  Two descriptors are equal
-iff the subgroups are equal, so lattice walks never need element sets.
+module keeps no map objects.  Every subgroup is ``S(a, b, H)``: the
+group generated by one map (a, b) together with the translations by an
+F_p-subspace H that is closed under multiplication by F_p(a).  The
+canonical descriptor fixes a = gamma**((q-1)/d) for the divisor
+d = o(a) of q - 1, and reduces b to the least element of its coset
+b + H (with b = 0 forced when d = 1).  Two descriptors are equal iff the
+subgroups are equal, so lattice walks never need element sets.
 
 Each descriptor keeps ``odp`` = o_d(p): a lies in F_{p**odp}, and H is a
 space over it.  For d > 1, ``fixed_point`` computes c = b/(1 - a) on
 call.  Containment is read off descriptors: T contains S iff d_S | d_T,
 H_S lies in H_T, and, when d_S > 1, the fixed point of S lies in c_T +
-H_T; ``oracle.overgroup_census`` lists the overgroups this way.  ``immediate_supergroups`` (the atoms above S, each line the
-``span`` of H and one coset leader) and ``join_pair`` (the group two
-subgroups generate) serve no library route: they stay for perfbench's
-wrap list until ROADMAP item 24, and the tests' theory-free lattice walk
-uses them.
+H_T; ``oracle.overgroup_census`` lists the overgroups this way.
+
+``immediate_supergroups`` (the atoms above S, each line the ``span`` of
+H and one coset leader) and ``join_pair`` (the group two subgroups
+generate) serve no library route: they stay for perfbench's wrap list
+until ROADMAP item 24, and the tests' theory-free lattice walk uses them.
 """
 
 from __future__ import annotations

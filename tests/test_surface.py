@@ -11,7 +11,8 @@ Code that only the tests call lives in ``tests/reference.py``.
 
 ``numtheory`` imports no other library module, ``ffield`` and ``agl``
 reach it without the closed form in ``counting``, and no module imports
-sympy when it is itself imported.
+sympy when it is itself imported.  No module holds an ``assert`` or reads
+``__debug__``, both of which ``python -O`` changes.
 """
 
 import ast
@@ -101,6 +102,14 @@ def test_every_public_name_is_reached_by_the_library_or_perfbench():
     assert sorted(public - reached) == []
 
 
+def test_no_module_asserts_or_reads_debug():
+    # python -O strips assert statements and sets __debug__ to False, so
+    # no check of the library may rest on either
+    found = [(path.name, node.lineno) for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
 
 
 def imports(module: str, at_import: bool = False) -> set[str]:
