@@ -27,10 +27,12 @@ the CLI's order, and ``table_by_terms`` evaluates every table row from
 its class terms on its own (no shared binomial columns).
 ``csv_writer_rows``, ``text_rows`` and ``json_rows`` write rows as
 ``csv.writer`` does, as ``column=value`` pairs joined one value at a
-time (no format string), and as ``json.dumps`` does.  ``prime_powers``
-lists the fields that the sweeps run over, ``run_python`` runs a call
-that could hang in a process of its own, and ``modulus`` reads a
-field's modulus back from its arithmetic (the library stores none).
+time (no format string), and as ``json.dumps`` does.  ``assert_lines``
+reads a module's source, which the ``python -O`` guards scan for asserts
+and ``__debug__`` reads, ``prime_powers`` lists the fields that the
+sweeps run over, ``run_python`` runs a call that could hang in a process
+of its own, and ``modulus`` reads a field's modulus back from its
+arithmetic (the library stores none).
 
 The exhaustive engines are not theory-free: they are built from library
 pieces.  ``full_census`` classifies every k-subset by the library's
@@ -42,7 +44,9 @@ per conjugacy class of a d = 1 class.  ``trivial_subgroup``,
 ``full_group`` and ``full_subspace`` name the two ends of the lattice.
 """
 
+import ast
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -582,6 +586,15 @@ def text_rows(columns, rows) -> str:
     """One line of space-separated ``column=value`` pairs per row."""
     return "".join(" ".join(f"{c}={v}" for c, v in zip(columns, row)) + "\n"
                    for row in rows)
+
+
+def assert_lines(module) -> list[int]:
+    """Line numbers of the assert statements and the ``__debug__`` reads
+    in the whole of ``module``, both of which ``python -O`` changes."""
+    tree = ast.parse(inspect.getsource(module))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Name) and node.id == "__debug__"]
 
 
 def prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:

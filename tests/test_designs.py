@@ -17,9 +17,10 @@ from aglstab.designs import (CodeParams, DesignParams, IncidenceMatrix,
 from aglstab.ffield import Field, mask_elements, subset_mask, translate_masks
 from aglstab.numtheory import BudgetExceededError, prime_power
 from aglstab.oracle import exact_orbit_unions, stabilizer
-from reference import (prime_powers, reference_bits, reference_block_lines,
-                       reference_design_json, reference_incidence,
-                       reference_orbit_blocks, trivial_subgroup)
+from reference import (assert_lines, prime_powers, reference_bits,
+                       reference_block_lines, reference_design_json,
+                       reference_incidence, reference_orbit_blocks,
+                       trivial_subgroup)
 
 FIELDS = {}
 
@@ -241,6 +242,11 @@ def test_orbit_design_checks_block_count_and_sizes(monkeypatch):
     monkeypatch.setattr(broken, "mul", lambda a, x: 0)
     with pytest.raises(ValueError, match="size k = 3"):
         orbit_design(SimpleNamespace(field=broken, order=6), mask)
+
+
+def test_design_checks_are_raises_not_asserts():
+    # python -O strips assert statements; the checks must survive it
+    assert assert_lines(designs) == []
 
 
 def test_design_to_code_rejects_duplicate_rows():

@@ -10,15 +10,19 @@ from pathlib import Path
 import pytest
 import sympy
 
+import aglstab.agl
+import aglstab.cli
+import aglstab.counting
 import aglstab.ffield
+import aglstab.numtheory
 import aglstab.oracle
 from aglstab.agl import Subgroup, immediate_supergroups
 from aglstab.ffield import Field, Subspace, _Ring, mask_elements, span
 from aglstab.numtheory import prime_set
-from reference import (all_subgroups, all_subspaces, digits, element,
-                       full_subspace, modulus, prime_powers, reference_add,
-                       reference_echelon, reference_neg, reference_reduce,
-                       reference_smul, reference_span)
+from reference import (all_subgroups, all_subspaces, assert_lines, digits,
+                       element, full_subspace, modulus, prime_powers,
+                       reference_add, reference_echelon, reference_neg,
+                       reference_reduce, reference_smul, reference_span)
 
 
 def test_make_field_moduli():
@@ -525,6 +529,13 @@ def test_stabilizing_degree_is_memoized_per_basis(monkeypatch):
                         lambda W, x: pytest.fail("stabilizer recomputed"))
     assert Subspace(F, H.basis[::-1]).stabilizing_degree() == degree
     assert H.stabilizing_degree() == degree
+
+
+def test_field_checks_are_raises_not_asserts():
+    # python -O strips assert statements; the checks must survive it
+    for module in (aglstab.ffield, aglstab.agl, aglstab.numtheory,
+                   aglstab.counting, aglstab.cli):
+        assert assert_lines(module) == [], module.__name__
 
 
 def _source_trees():

@@ -23,9 +23,9 @@ from aglstab.oracle import (BudgetExceededError,
                             is_exact_stabilizer, lattice_terms,
                             n_orbit_unions, orbit_union_masks, stabilizer)
 import reference
-from reference import (all_subgroups, full_census, full_group,
-                       literal_lattice_terms, mask_bits, pairs_to_masks,
-                       prime_powers, pulled_lattice_terms,
+from reference import (all_subgroups, assert_lines, full_census,
+                       full_group, literal_lattice_terms, mask_bits,
+                       pairs_to_masks, prime_powers, pulled_lattice_terms,
                        reference_fixing_maps, run_python, subgroup_elements,
                        trivial_subgroup)
 
@@ -86,6 +86,11 @@ def test_subgroup_from_masks_rejects_non_subgroups():
     with pytest.raises(ValueError, match="do not form a subgroup"):
         # three maps over one translation, but none with the generator a0
         subgroup_from_masks(F, {a: 1 for a in [1] + others})
+
+
+def test_scan_checks_are_raises_not_asserts():
+    # python -O strips assert statements; the checks must survive it
+    assert assert_lines(oracle) == []
 
 
 def test_stabilizer_of_extremes_is_full_group():

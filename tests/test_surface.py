@@ -16,9 +16,11 @@ sympy when it is itself imported.  No module holds an ``assert`` or reads
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import aglstab
+from reference import assert_lines
 
 SRC = Path(aglstab.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -105,10 +107,10 @@ def test_every_public_name_is_reached_by_the_library_or_perfbench():
 def test_no_module_asserts_or_reads_debug():
     # python -O strips assert statements and sets __debug__ to False, so
     # no check of the library may rest on either
-    found = [(path.name, node.lineno) for path in sorted(SRC.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)
-             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    modules = [aglstab] + [importlib.import_module(f"aglstab.{name}")
+                           for name in sorted(MODULES)]
+    found = [(module.__name__, line) for module in modules
+             for line in assert_lines(module)]
     assert found == []
 
 
