@@ -17,18 +17,18 @@ k == 0 or p**beta (mod d*p**beta), stated as a ``period`` and its
 ``residues``.  ``classes`` lists the records of a field, and
 ``ClassParams`` is the record of one class at one subset size k.
 
-1. *Terms.*  ``StabilizerClass.terms`` reduces the closed form for the
-   class to a sorted tuple of signed terms (coeff, u, v), the shape that
-   ``oracle.lattice_terms`` also returns.  The closed form is one signed
-   sum over the overgroups of the class.  A term can be nonzero at k only
-   if v | k and u | k or u | k - p**beta, so ``terms(k)`` walks only the
-   overgroups that pass that test at k; at k = 0 every overgroup passes,
-   and that walk gives every term.
+1. *Terms.*  One walk reduces the closed form for the class to signed
+   terms (coeff, u, v), yielded unsorted; ``terms(k)`` sorts them into a
+   tuple, the shape that ``oracle.lattice_terms`` also returns.  The
+   closed form is one signed sum over the overgroups of the class.  A
+   term can be nonzero at k only if v | k and u | k or u | k - p**beta,
+   so the walk at k visits only the overgroups that pass that test at k;
+   at k = 0 every overgroup passes, and it gives every term.
 2. *Evaluation.*  N = sum(coeff * s_qk(q, k, u, v)), where ``s_qk``
    counts the k-subsets fixed by a subgroup with multiplicative part of
    order u and translation part of size v.  ``StabilizerClass.count``,
-   and ``count_N`` through it, evaluates ``terms(k)`` with
-   ``evaluate_terms``.  The table is one per-class pass,
+   and ``count_N`` through it, sums the walk at k with ``evaluate_terms``
+   as it goes, building no tuple.  The table is one per-class pass,
    ``class_counts``: it reads shared columns k -> s_qk(q, k, u, v), one
    per distinct (u, v) of the field, each built once by the binomial
    recurrence, and each class adds coeff * column into its own slots
@@ -51,6 +51,7 @@ gcd((|H'| - 1)/d, r/d) does not factor, for r = k or r = k - p**beta.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 # perfbench's wrap list (spans.FUNCTIONS) also reaches mult_order here
 from .numtheory import (MAX_TABLE_ROWS, BudgetExceededError, check_field,
@@ -84,9 +85,10 @@ def s_qk(q: int, k: int, u: int, v: int) -> int:
 
 
 def evaluate_terms(q: int, k: int,
-                   terms: tuple[tuple[int, int, int], ...]) -> int:
-    """N(k) = sum(coeff * s_qk(q, k, u, v)) over signed terms (coeff, u, v),
-    as ``StabilizerClass.terms`` and ``oracle.lattice_terms`` return them."""
+                   terms: Iterable[tuple[int, int, int]]) -> int:
+    """N(k) = sum(coeff * s_qk(q, k, u, v)) over signed terms (coeff, u, v)
+    from any iterable: the walk that ``StabilizerClass.count`` sums, or the
+    tuples of ``StabilizerClass.terms`` and ``oracle.lattice_terms``."""
     return sum(c * s_qk(q, k, u, v) for c, u, v in terms)
 
 
@@ -94,20 +96,6 @@ def check_subset_size(q: int, k: int) -> None:
     """The subset-size rule: a subset of F_q has 0 <= k <= q elements."""
     if not 0 <= k <= q:
         raise ValueError(f"k must lie in [0, {q}], got {k}")
-
-
-def _moebius_weights(n: int, base: int):
-    """(-1)**l * base**C(l, 2) * [n choose l]_base for l = 0, 1, ..., n:
-    the Moebius value of an l-dimensional quotient times the number of
-    l-dimensional subspaces of an n-dimensional space over a field with
-    ``base`` elements.  Each weight comes from the one before it by the
-    exact recurrence w(l + 1) = -w(l)*base**l*(base**(n-l) - 1)
-    // (base**(l+1) - 1)."""
-    w, bl = 1, 1
-    for l in range(n + 1):
-        yield w
-        w = -w * bl * (base ** (n - l) - 1) // (bl * base - 1)
-        bl *= base
 
 
 class StabilizerClass:
@@ -148,10 +136,14 @@ class StabilizerClass:
                 f"it must be 0 or p^beta = {self.h_size}")
 
     def terms(self, k: int = 0) -> tuple[tuple[int, int, int], ...]:
-        """Signed terms (coeff, u, v) of the closed form, one per (u, v),
-        none zero, sorted by (u, v), restricted to the terms that can be
-        nonzero at k.  At k = 0 every term is kept, and
-        N(k) = sum(coeff * s_qk(q, k, u, v)) at every k.
+        """The terms of ``_walk(k)`` sorted by (u, v): signed terms
+        (coeff, u, v) of the closed form, one per (u, v), none zero,
+        restricted to the terms that can be nonzero at k.  At k = 0 every
+        term is kept, and N(k) = sum(coeff * s_qk(q, k, u, v)) at every k."""
+        return tuple(sorted(self._walk(k), key=lambda t: (t[1], t[2])))
+
+    def _walk(self, k: int):
+        """Yield the terms of ``terms(k)`` as they are found, unsorted.
 
         The closed form is one inclusion-exclusion over the overgroups of a
         class representative S: subsets P of the primes dividing (|H'| - 1)/d
@@ -178,10 +170,15 @@ class StabilizerClass:
         v == p**beta mod u).  So P is drawn from the primes of
         gcd((|H'| - 1)/d, r/d) for r in {k, k - p**beta} with r >= 0 and
         d | r, and l stops at the first v that does not divide k.  Every
-        number divides 0, so k = 0 walks every P and every l.
+        number divides 0, so k = 0 walks every P and every l.  The weight
+        (-1)**l * b**C(l, 2) * [hi choose l]_b of dimension l, b = p**m and
+        hi = (alpha - beta)/m, is found only once its v divides k, from the
+        one before by the exact recurrence
+        w(l + 1) = -w(l)*b**l*(b**(hi - l) - 1) // (b**(l + 1) - 1).
         """
         p, d, odp, pb = self.p, self.d, self.odp, self.h_size
         free = self.alpha - self.beta
+        top = p ** free     # b**hi, the last b**l
         hprime = p ** (odp * self.i)
         quot, rem = divmod(hprime - 1, d)
         if rem:
@@ -195,32 +192,35 @@ class StabilizerClass:
             if r < 0 or r % d:
                 continue
             subsets = [(d, 0, odp)]
-            for prime in prime_set(math.gcd(quot, r // d)):
+            g = math.gcd(quot, r // d)
+            for prime in prime_set(g) if g > 1 else ():
                 o = odp * mult_order(pow(p, odp, d * prime), d * prime)
                 subsets += [(u * prime, n + 1, math.lcm(m, o))
                             for u, n, m in subsets]
             walk.update((u, (n, m)) for u, n, m in subsets)
-        terms = []
         for u, (n, m) in walk.items():
-            hi, rem = divmod(free, m)
-            if rem:
+            if free % m:
                 raise ValueError(f"o_u(p) = {m} does not divide "
                                  f"alpha - beta = {free} (u = {u})")
-            sign = (-1) ** n * (p ** free if d == 1 and n else 1)
-            base = p ** m
-            v = pb
-            for w in _moebius_weights(hi, base):
-                if k % v:
-                    break
-                terms.append((sign * w, u, v))
+            if k % pb:
+                continue
+            # w is the weight of dimension l, bl = b**l, v = p**beta*bl,
+            # and the recurrence's b**l*(b**(hi - l) - 1) is top - bl
+            w = (-1) ** n * (top if d == 1 and n else 1)
+            base, bl, v = p ** m, 1, pb
+            while True:
+                yield w, u, v
                 v *= base
-        terms.sort(key=lambda t: (t[1], t[2]))
-        return tuple(terms)
+                if bl == top or k % v:
+                    break
+                w = -w * (top - bl) // (bl * base - 1)
+                bl *= base
 
     def count(self, k: int) -> int:
         """Exact number of k-subsets of F_q whose affine stabilizer is
-        exactly a subgroup of this class: ``terms(k)`` evaluated at k."""
-        return evaluate_terms(self.q, k, self.terms(k))
+        exactly a subgroup of this class: the terms of ``_walk(k)`` summed
+        as they are found, with no tuple built and nothing sorted."""
+        return evaluate_terms(self.q, k, self._walk(k))
 
 
 class ClassParams(StabilizerClass):

@@ -21,8 +21,8 @@ Every number is decided in plain ints first, and sympy is imported only
 inside the two fallbacks that plain ints cannot decide, so a command
 whose numbers stay below them never imports it.  ``_is_prime``
 trial-divides by the primes up to 13 and then runs Miller-Rabin with the
-least prefix of the prime bases up to 41 that is proven exact below n
-(see ``_MILLER_RABIN_TIERS``), which covers every n below
+first base set of ``_MILLER_RABIN_TIERS`` proven exact below n, which
+covers every n below
 3,317,044,064,679,887,385,961,981 (about 3.3e24); sympy's ``isprime``
 decides only the larger n.  ``_trial_factorization`` divides by the
 primes below 1024 and is kept when the cofactor left is 1 or prime;
@@ -44,15 +44,16 @@ MAX_FACTORED_Q = 1 << 2048
 FACTOR_LIMIT = 10 ** 5
 #: (bound, bases): the least strong pseudoprime to all of ``bases`` is
 #: ``bound``, so Miller-Rabin with them decides every n < bound with no
-#: prime factor up to 13; one tier for each prefix of the prime bases that
-#: moves the bound (Pomerance, Selfridge and Wagstaff 1980 up to 7;
-#: Jaeschke 1993 up to 17; Jiang and Deng 2014 for 23; Sorenson and
-#: Webster 2017 for 37 and 41)
+#: prime factor up to 13.  Bounds ascend and every base is below the bound
+#: before it, so below n.  Prefixes of the primes (Pomerance, Selfridge and
+#: Wagstaff 1980; Jiang and Deng 2014 for 23; Sorenson and Webster 2017 for
+#: 37 and 41), and Jaeschke 1993 for 11 to 17 and the 3- and 4-base sets
 _MILLER_RABIN_TIERS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
@@ -71,8 +72,7 @@ class BudgetExceededError(RuntimeError):
 def _is_prime(n: int) -> bool:
     """Whether n is prime: trial division by the primes up to 13, then
     Miller-Rabin with the bases of the first ``_MILLER_RABIN_TIERS`` tier
-    whose bound exceeds n.  sympy's ``isprime`` decides only an n past the
-    last bound."""
+    whose bound exceeds n, or sympy's ``isprime`` past the last bound."""
     if n < 2:
         return False
     for r in (2, 3, 5, 7, 11, 13):
@@ -174,7 +174,7 @@ def mult_order(v: int, u: int) -> int:
     for orders that divide alpha: o_u(p) with u | p**alpha - 1, and, to
     extend a known order o = o_w(p) to a multiple u of w, the order of
     p**o modulo u, which is o_u(p)/o (see ``divisor_orders`` and
-    ``counting.StabilizerClass.terms``).
+    ``counting.StabilizerClass._walk``).
     """
     if u <= 0:
         raise ValueError(f"modulus must be positive, got {u}")

@@ -1,6 +1,7 @@
 """Compare the plain primality test and factorization of ``numtheory`` with
-sympy: every n < 2**20, then a seeded sample of shapes up to 2**90; then
-pin which fields ``numtheory.check_factored`` admits.
+sympy: every n < 2**20, then a seeded sample of shapes up to 2**90, then a
+seeded dense sweep of the Miller-Rabin tiers whose bases are not a prefix
+of the primes; then pin which fields ``numtheory.check_factored`` admits.
 
     PYTHONPATH=src python tests/primality_sweep.py
 
@@ -8,15 +9,19 @@ pin which fields ``numtheory.check_factored`` admits.
 ``numtheory._factorization(n)`` must equal ``sympy.factorint(n)`` below
 2**20, where every n factors plainly, and above it must give what the
 bounded rule alone gives: ``factorint(n, limit=FACTOR_LIMIT)`` with every
-factor prime, or a refusal.  ``check_factored(p, alpha)`` must refuse
-exactly the fields of ``REFUSED`` among those of ``ADMISSION_TOPS``, so
-that a change to the factoring that admits or refuses another field
-shows here.  The name keeps pytest from collecting it:
-the sweep takes about a minute, and tier-1 holds the smaller checks.
+factor prime, or a refusal.  In each of ``DENSE_BANDS`` ``_is_prime(n)``
+must equal ``sympy.isprime(n)`` on runs of consecutive odd n, on primes,
+and on products r*(c*(r - 1) + 1) of a prime r, the shape of the least
+strong pseudoprimes that bound those tiers.  ``check_factored(p, alpha)``
+must refuse exactly the fields of ``REFUSED`` among those of
+``ADMISSION_TOPS``, so that a change to the factoring that admits or
+refuses another field shows here.  The name keeps pytest from collecting
+it: the sweep takes about a minute, and tier-1 holds the smaller checks.
 Exits 1 at the first disagreement; checks no assert, so it holds under
 ``python -O`` too.
 """
 
+import math
 import random
 import sys
 
@@ -28,6 +33,15 @@ from aglstab.numtheory import BudgetExceededError, FACTOR_LIMIT
 PLAIN_BITS = 20
 SAMPLE_BITS = 90
 SEED = "primality_sweep"
+
+#: [low, high): the two tiers of Jaeschke's 3- and 4-base sets, and a band
+#: across 2**40, where the second of them ends
+DENSE_BANDS = ((25_326_001, 4_759_123_141),
+               (4_759_123_141, 1_122_004_669_633),
+               (2 ** 40 - 2 ** 36, 2 ** 40 + 2 ** 36))
+#: per band: runs of consecutive odd n, odd n per run, and primes; and
+#: products r*(c*(r - 1) + 1) per c in (2, 3, 4)
+DENSE_RUNS, DENSE_RUN, DENSE_PRIMES, DENSE_PRODUCTS = 8, 5_000, 2_000, 2_000
 
 #: p and the largest alpha of the fields p**alpha whose admission is pinned
 ADMISSION_TOPS = ((2, 160), (3, 100), (5, 70), (7, 60), (11, 40), (1021, 12))
@@ -72,6 +86,12 @@ def random_prime(rng: random.Random, bits: int) -> int:
     return int(sympy.nextprime(rng.randrange(2 ** (bits - 1), 2 ** bits)))
 
 
+def prime_in(rng: random.Random, low: int, high: int) -> int:
+    """A seeded prime in [low, high), for high below 2**41, where every
+    prime gap is below 2**10."""
+    return int(sympy.nextprime(rng.randrange(low, high - 2 ** 10)))
+
+
 def smooth(rng: random.Random, bits: int) -> int:
     """A product of primes below 1024 of at least ``bits`` bits."""
     n = 1
@@ -99,6 +119,23 @@ def sample(rng: random.Random, bits: int, hard: bool) -> list[int]:
     return numbers
 
 
+def dense_band(rng: random.Random, low: int, high: int) -> list[int]:
+    """The n of ``DENSE_BANDS`` in [low, high): seeded runs of consecutive
+    odd n, seeded primes, and products r*(c*(r - 1) + 1) of a prime r,
+    composite whether or not the second factor is prime."""
+    numbers = []
+    for _ in range(DENSE_RUNS):
+        start = rng.randrange(low, high - 2 * DENSE_RUN) | 1
+        numbers += range(start, start + 2 * DENSE_RUN, 2)
+    numbers += [prime_in(rng, low, high) for _ in range(DENSE_PRIMES)]
+    for c in (2, 3, 4):
+        # every such r puts c*r*r - (c - 1)*r in [low, high)
+        least, most = math.isqrt(low // c) + 2, math.isqrt(high // c)
+        primes = (prime_in(rng, least, most) for _ in range(DENSE_PRODUCTS))
+        numbers += [r * (c * (r - 1) + 1) for r in primes]
+    return numbers
+
+
 def main() -> None:
     for n in range(1, 2 ** PLAIN_BITS):
         got, want = numtheory._is_prime(n), sympy.isprime(n)
@@ -122,6 +159,13 @@ def main() -> None:
                 checked += 1
     print(f"{checked} sampled n of {PLAIN_BITS + 1} to {SAMPLE_BITS} bits "
           f"agree")
+    for low, high in DENSE_BANDS:
+        numbers = dense_band(rng, low, high)
+        for n in numbers:
+            got, want = numtheory._is_prime(n), sympy.isprime(n)
+            if got != want:
+                fail("_is_prime", n, got, want)
+        print(f"{len(numbers)} dense n in [{low}, {high}) agree")
     refused = []
     for p, top in ADMISSION_TOPS:
         for alpha in range(1, top + 1):

@@ -511,7 +511,7 @@ def class_size(c) -> int:
 def overgroup_terms(p: int, alpha: int, d: int, i: int, j: int,
                     odp: int) -> tuple[tuple[int, int, int], ...]:
     """Every term of the closed form of the class (d, i, j), as
-    ``counting.StabilizerClass.terms`` documents it: all subsets P of the
+    ``counting.StabilizerClass._walk`` documents it: all subsets P of the
     primes of (|H'| - 1)/d, all dimensions l, each weight one
     ``moebius_exponent`` times one ``q_binomial``, merged over equal
     (u, v) with zero terms dropped, sorted by (u, v)."""

@@ -79,7 +79,8 @@ TIERS = [
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
@@ -116,6 +117,17 @@ def test_is_prime_tiers_are_the_known_bounds():
         assert not numtheory._is_prime(bound), bound
         for n in range(bound - 2, bound + 3):
             assert numtheory._is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_tier_bases_lie_below_every_n_they_test():
+    # trial division covers only the primes up to 13, and n reaches
+    # Miller-Rabin only from 17**2; a tier decides the n from the bound
+    # before it, so a base below that bound is never a multiple of n
+    below = 17 * 17
+    for bound, bases in TIERS:
+        assert below < bound, bound
+        assert all(1 < a < below for a in bases), bound
+        below = bound
 
 
 def test_is_prime_rejects_carmichael_numbers():
@@ -340,11 +352,6 @@ def test_q_binomial_examples():
     assert q_binomial(2, 1, 3) == 4
     assert q_binomial(2, 3, 2) == 0
     assert q_binomial(4, -1, 2) == 0
-    # the recurrence of the closed form gives the same weights
-    for n, base in ((0, 2), (1, 5), (3, 2), (4, 3), (6, 4)):
-        assert list(counting._moebius_weights(n, base)) == [
-            moebius_exponent(l, base) * q_binomial(n, l, base)
-            for l in range(n + 1)]
 
 
 def _count_subspaces_bruteforce(p, alpha, dim):
@@ -371,8 +378,6 @@ def _count_subspaces_bruteforce(p, alpha, dim):
 def test_q_binomial_counts_subspaces(p, alpha, dim):
     count = _count_subspaces_bruteforce(p, alpha, dim)
     assert q_binomial(alpha, dim, p) == count
-    weights = list(counting._moebius_weights(alpha, p))
-    assert weights[dim] == moebius_exponent(dim, p) * count
 
 
 def test_moebius_exponent():
@@ -380,10 +385,6 @@ def test_moebius_exponent():
     assert moebius_exponent(1, 5) == -1
     assert moebius_exponent(2, 2) == 2
     assert moebius_exponent(3, 2) == -8
-    # weight l of an l-dimensional space is its Moebius value alone
-    for l in range(5):
-        weights = list(counting._moebius_weights(l, 5))
-        assert weights[l] == moebius_exponent(l, 5)
 
 
 def test_s_qk_examples():
@@ -447,7 +448,7 @@ def test_class_params_validation_order():
 def _patch_mult_order(monkeypatch, replacement):
     """Replace ``mult_order`` in both modules that call it, as perfbench's
     spans wrap it: numtheory (``check_divisor``, ``divisor_orders``) and
-    counting (``StabilizerClass.terms``)."""
+    counting (``StabilizerClass._walk``)."""
     for module in (numtheory, counting):
         monkeypatch.setattr(module, "mult_order", replacement)
 
@@ -947,6 +948,9 @@ def test_count_N_keeps_every_contributing_term_bignum(p, alpha):
         d, i, j, odp = c.d, c.i, c.j, c.odp
         terms = c.terms()
         assert terms == overgroup_terms(p, alpha, d, i, j, odp), (d, i, j)
+        if c.beta:
+            # no v divides a k off the multiples of p**beta
+            assert c.terms(c.h_size + 1) == (), (d, i, j)
         quot = (p ** (odp * i) - 1) // d
         for k in _congruent_ks(rng, p, alpha, d, odp * i * j, quot):
             kept = c.terms(k)
@@ -955,6 +959,26 @@ def test_count_N_keeps_every_contributing_term_bignum(p, alpha):
                        for _, u, v in set(terms) - set(kept)), (d, i, j, k)
             assert count_N(ClassParams(p, alpha, k, d, i, j)) == (
                 evaluate_terms(q, k, terms)), (d, i, j, k)
+
+
+#: seeded primes 2**16 < p < 2**40, as count_mix draws its large prime
+#: fields, and the largest prime below the 4-base Miller-Rabin bound
+LARGE_PRIMES = [int(sympy.nextprime(random.Random(f"large:{n}").randrange(
+    2 ** 16, 2 ** 40))) for n in range(3)] + [
+    int(sympy.prevprime(1_122_004_669_633))]
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_count_N_matches_every_term_on_large_prime_fields(p):
+    rng = random.Random(p)
+    shapes = classes(p, 1)
+    for c in rng.sample(shapes, min(len(shapes), 12)):
+        d, i, j = c.d, c.i, c.j
+        terms = c.terms()
+        assert terms == overgroup_terms(p, 1, d, i, j, c.odp), (d, i, j)
+        for k in _congruent_ks(rng, p, 1, d, c.beta, (p - 1) // d):
+            assert count_N(ClassParams(p, 1, k, d, i, j)) == (
+                evaluate_terms(p, k, terms)), (d, i, j, k)
 
 
 @pytest.mark.parametrize("args,kept,total", [
@@ -972,6 +996,7 @@ def test_count_N_walks_only_contributing_overgroups(monkeypatch, args, kept,
         return mult_order(v, u)
 
     def counted_evaluate(q, k, terms):
+        terms = tuple(terms)
         evaluated.append(terms)
         return evaluate(q, k, terms)
 
